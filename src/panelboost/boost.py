@@ -7,14 +7,19 @@ configured lower bound, and advances the prediction by the shrunk weight.
 Without replacement, accepted members leave the candidate pool, so a panel
 never contains the same member twice.
 
-The per-candidate scoring inside ``select_step`` is order-independent by
-contract (earliest family order wins ties), so it could be parallelized;
-the outer loop is inherently sequential because each iteration consumes the
-previous residual.
+Candidates are the rows of the family's ``(N, T)`` matrix. Each iteration
+scores all of them with one matrix-vector product against the residual and
+rescores only the rows that product cannot separate from the best with the
+scalar ``argmin_rho`` and ``pearson``, so selections, weights, scores and
+tie-breaks (earliest family position wins) are exactly those of scoring
+every candidate with the scalar functionals. The per-row sums this needs are
+computed once per family. The outer loop is inherently sequential because
+each iteration consumes the previous residual.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -33,6 +38,15 @@ from .functional import TransformKind, argmin_rho, pearson, psi
 from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid
 
 WEIGHT_TOLERANCE = 1e-12
+
+EPS = float(np.finfo(float).eps)
+# Bound, in units of T * eps, on the rounding error of the length-T sums and
+# dot products that screen candidates (relative to the scale each use in
+# ``_rows`` and ``_best`` states); rounding analyses of those uses give at
+# most about 4, so this leaves at least a factor of 4 to spare.
+ROUNDING_MARGIN = 16.0
+# Below this, underflow in those sums breaks the relative bound.
+RESOLVED_FLOOR = float(np.finfo(float).tiny) / EPS
 
 
 @dataclass(frozen=True)
@@ -69,6 +83,14 @@ class PanelTerm:
     raw_rho: float  # least-squares weight before shrinkage
     score: float  # selection correlation in [-1, 1]
     iteration: int
+
+    def __post_init__(self):
+        for name in ("weight", "raw_rho", "score"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"term {self.member_id!r}: {name} must be finite, got {value}"
+                )
 
 
 class Selection(NamedTuple):
@@ -146,7 +168,7 @@ def select_step(
     scores at or above ``config.lbound`` (the early-stop signal); ties break
     toward the earliest family position.
     """
-    if not candidates.members:
+    if not len(candidates):
         raise EmptyFamily("no candidates to select from")
     if len(residual.values) != candidates.grid.count:
         raise ShapeError(
@@ -155,21 +177,105 @@ def select_step(
         )
     if np.ptp(residual.values) == 0:
         raise DegenerateResidual("residual has zero variance")
+    rows = _rows(candidates)
+    found = _best(candidates, rows, residual.values, config.lbound, rows.usable)
+    return None if found is None else found[1]
 
-    best: Selection | None = None
-    for member in candidates.members:
+
+class _Rows(NamedTuple):
+    """Per-row quantities of a family that the selection screen reuses.
+
+    ``centred_sq`` is sq_norm - total**2 / T, the sum of squares about the
+    row mean. That difference is cheap but cancels when the mean dominates
+    the spread: its error is at most ``ROUNDING_MARGIN * T * eps * sq_norm``,
+    and ``unresolved`` marks the rows where that bound reaches centred_sq
+    itself, or where centred_sq is small enough to underflow. ``usable``
+    marks the rows that are neither zero nor constant; it is exact (only
+    unresolved rows can be constant, and those are checked value by value).
+    The other rows can never be selected, but their screen interval is the
+    whole range, so without the mask they would be rescored every iteration.
+    """
+
+    sq_norm: np.ndarray
+    total: np.ndarray
+    centred_sq: np.ndarray
+    unresolved: np.ndarray
+    usable: np.ndarray
+
+
+def _rows(family: Family) -> _Rows:
+    sq_norm, total = family.row_sums
+    count = family.grid.count
+    centred_sq = sq_norm - total * total / count
+    unresolved = (centred_sq <= ROUNDING_MARGIN * count * EPS * sq_norm) | (
+        centred_sq < RESOLVED_FLOOR
+    )
+    usable = sq_norm > 0.0
+    suspects = np.flatnonzero(unresolved)
+    usable[suspects] &= np.ptp(family.values[suspects], axis=1) != 0
+    return _Rows(sq_norm, total, centred_sq, unresolved, usable)
+
+
+def _best(
+    family: Family, rows: _Rows, r: np.ndarray, lbound: float, pool: np.ndarray
+) -> tuple[int, Selection] | None:
+    """Row and selection of the best admissible candidate among the pool rows.
+
+    ``pool`` marks the rows to consider, a subset of ``rows.usable``.
+
+    One matrix-vector product scores every row at once: the centred inner
+    product is <h, r> - mean(r) * sum(h). Those scores carry rounding error,
+    so they only screen. Each row gets an interval that provably holds the
+    score the scalar ``argmin_rho``/``pearson`` pair gives it; the rows whose
+    interval reaches the highest lower end are rescored with that pair, in
+    family order. The result is exactly what scoring every row with the
+    scalar functionals gives, ties included. Usually one row is rescored.
+    """
+    if not pool.any():
+        return None
+    r_mean = r.mean()
+    rc = r - r_mean
+    srr = float(rc @ rc)
+    if srr == 0.0:  # pearson(r, h) is degenerate for every h
+        return None
+
+    X = family.values
+    hr = X @ r
+    unit = ROUNDING_MARGIN * len(r) * EPS
+    r_norm, r_spread = math.sqrt(float(r @ r)), math.sqrt(srr)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        h_norm, h_spread = np.sqrt(rows.sq_norm), np.sqrt(rows.centred_sq)
+        corr = np.clip((hr - r_mean * rows.total) / (h_spread * r_spread), -1.0, 1.0)
+        ratio = h_norm / h_spread
+    # score error: about unit/4 * (1 + ratio)**2 * r_norm / r_spread
+    slack = np.where(
+        rows.unresolved | (srr < RESOLVED_FLOOR),
+        np.inf,
+        unit * (1.0 + ratio) ** 2 * (r_norm / r_spread),
+    )
+    # the sign of raw_rho is only certain where <h, r> clears its rounding bound
+    signed = np.abs(hr) > unit * h_norm * r_norm
+    centre = np.where(signed, np.sign(hr) * corr, 0.0)
+    spread = np.where(signed, 0.0, np.abs(corr)) + slack
+    # fmax skips NaN, and a NaN bound never excludes a row
+    floor = np.fmax.reduce((centre - spread)[pool])
+    near = np.flatnonzero(pool & ~(centre + spread < floor))
+
+    best: tuple[int, Selection] | None = None
+    for i in near:
+        h = X[i]
         try:
-            raw_rho = argmin_rho(member.values, residual.values)
-            corr = pearson(residual.values, member.values)
+            raw_rho = argmin_rho(h, r)
+            corr_i = pearson(r, h)
         except (ZeroCandidate, DegenerateCorrelation):
             continue
         sign = 1.0 if raw_rho > 0 else (-1.0 if raw_rho < 0 else 0.0)
-        score = sign * corr
-        if score < config.lbound:
-            continue
-        # strict improvement keeps the earliest qualifier on ties
-        if best is None or score > best.score:
-            best = Selection(member.id, raw_rho, score)
+        score = sign * corr_i
+        # strict improvement keeps the earliest row on ties
+        if best is None or score > best[1].score:
+            best = (int(i), Selection(family.ids[i], raw_rho, score))
+    if best is None or not best[1].score >= lbound:
+        return None
     return best
 
 
@@ -185,7 +291,7 @@ def fit(
     squared error and the composite cost of target vs. prediction after every
     accepted term.
     """
-    if not family.members:
+    if not len(family):
         raise EmptyFamily("cannot fit against an empty family")
     if len(target.values) != family.grid.count:
         raise ShapeError(
@@ -193,34 +299,30 @@ def fit(
             f"grid expects {family.grid.count}"
         )
 
-    pool = list(family.members)
+    rows = _rows(family)
+    # zero and constant members can never be selected, so they start outside
+    pool = rows.usable.copy()
     prediction = np.zeros(family.grid.count)
     terms: list[PanelTerm] = []
     records: list[TraceRecord] = []
     stopped_early = False
 
     for iteration in range(config.panel_size):
-        if not pool:
+        residual_now = target.values - prediction
+        found = None
+        if np.ptp(residual_now) != 0:
+            found = _best(family, rows, residual_now, config.lbound, pool)
+        if found is None:
             stopped_early = True
             break
-        residual_now = Series(RESIDUAL_ID, target.values - prediction)
-        try:
-            chosen = select_step(Family(family.grid, tuple(pool)), residual_now, config)
-        except DegenerateResidual:
-            stopped_early = True
-            break
-        if chosen is None:
-            stopped_early = True
-            break
-        index = next(i for i, m in enumerate(pool) if m.id == chosen.member_id)
-        member = pool[index]
+        index, chosen = found
         weight = config.alpha * chosen.raw_rho
-        prediction = prediction + weight * member.values
+        prediction = prediction + weight * family.values[index]
         terms.append(
             PanelTerm(chosen.member_id, weight, chosen.raw_rho, chosen.score, iteration)
         )
         if not config.with_replacement:
-            del pool[index]
+            pool[index] = False
         squared_error = float(np.sum((target.values - prediction) ** 2))
         try:
             psi_now = psi(config.transform, target.values, prediction)
@@ -249,15 +351,15 @@ def predict(model: PanelModel, family: Family) -> Series:
     """Weighted sum of the model's members over the family's observations.
 
     The family may live on any grid: forecasting a new horizon means handing
-    in the same members observed over that horizon.
+    in the same members observed over that horizon. Terms are added in model
+    order, the order in which ``fit`` accumulated them.
     """
-    by_id = {m.id: m for m in family.members}
     values = np.zeros(family.grid.count)
     for term in model.terms:
-        member = by_id.get(term.member_id)
-        if member is None:
+        row = family.index_of(term.member_id)
+        if row is None:
             raise MissingPanelMember(term.member_id)
-        values = values + term.weight * member.values
+        values = values + term.weight * family.values[row]
     return Series(PREDICTION_ID, values)
 
 

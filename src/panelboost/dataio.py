@@ -98,20 +98,21 @@ def read_panel_csv(path) -> tuple[Family, Series]:
     pointwise sum of all members.
     """
     path = Path(path)
-    header, data = _read_csv(path)
-    grid = _infer_grid(data[:, 0], path)
+    header, columns = _read_csv(path)
+    grid = _infer_grid(columns[0], path)
 
-    members = []
-    target_values = None
-    for j, name in enumerate(header[1:], start=1):
-        if name == TARGET_ID:
-            target_values = data[:, j]
-        else:
-            members.append(Series(name, data[:, j]))
-    if target_values is None and not members:
+    is_member = [name != TARGET_ID for name in header[1:]]
+    if all(is_member):
+        target_values = None
+        values = columns[1:]
+    else:
+        target_values = columns[header.index(TARGET_ID)]
+        values = columns[1:][is_member]
+    if target_values is None and not len(values):
         raise EmptyFamily(f"{path}: no member columns and no explicit target")
 
-    family = Family(grid, tuple(members))
+    ids = [name for name, member in zip(header[1:], is_member) if member]
+    family = Family._from_matrix(grid, ids, values)
     if target_values is not None:
         target = Series(TARGET_ID, target_values)
     else:
@@ -122,11 +123,11 @@ def read_panel_csv(path) -> tuple[Family, Series]:
 def read_prediction_csv(path) -> tuple[TimeGrid, Series]:
     """Load a prediction file (as written by the predict command)."""
     path = Path(path)
-    header, data = _read_csv(path, allow_reserved=True)
-    grid = _infer_grid(data[:, 0], path)
+    header, columns = _read_csv(path, allow_reserved=True)
+    grid = _infer_grid(columns[0], path)
     for j, name in enumerate(header[1:], start=1):
         if name == PREDICTION_ID:
-            return grid, Series(PREDICTION_ID, data[:, j])
+            return grid, Series(PREDICTION_ID, columns[j])
     raise ParseError(f"{path}: no {PREDICTION_ID!r} column")
 
 
@@ -148,6 +149,7 @@ def write_prediction_csv(
 
 
 def _read_csv(path: Path, allow_reserved: bool = False) -> tuple[list[str], np.ndarray]:
+    """Header and values of a CSV file; row j of the matrix is column j."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -175,7 +177,7 @@ def _read_csv(path: Path, allow_reserved: bool = False) -> tuple[list[str], np.n
         raise IrregularGrid(f"{path}: need at least 2 data rows to infer a grid")
 
     n_cols = len(header)
-    data = np.empty((len(rows), n_cols))
+    columns = np.empty((n_cols, len(rows)))
     for i, row in enumerate(rows):
         if len(row) != n_cols:
             raise ParseError(
@@ -196,8 +198,8 @@ def _read_csv(path: Path, allow_reserved: bool = False) -> tuple[list[str], np.n
                 ) from None
             if not math.isfinite(value):
                 raise MissingValue(i + 2, header[j])
-            data[i, j] = value
-    return header, data
+            columns[j, i] = value
+    return header, columns
 
 
 def _infer_grid(tcol: np.ndarray, path: Path) -> TimeGrid:
@@ -278,7 +280,7 @@ def read_model(path) -> PanelModel:
     version = doc.get("format_version")
     if version is None:
         raise ParseError(f"{path}: missing field 'format_version'")
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:
         raise UnsupportedVersion(
             f"{path}: format_version {version!r} is not supported "
             f"(expected {FORMAT_VERSION})"
@@ -295,44 +297,67 @@ def read_model(path) -> PanelModel:
 
     try:
         grid = TimeGrid(
-            start=float(_require(grid_doc, "start", path, "grid")),
-            step=float(_require(grid_doc, "step", path, "grid")),
-            count=int(_require(grid_doc, "count", path, "grid")),
+            start=_typed(grid_doc, "start", float, path, "grid"),
+            step=_typed(grid_doc, "step", float, path, "grid"),
+            count=_typed(grid_doc, "count", int, path, "grid"),
         )
-        kind = TransformKind(str(_require(config_doc, "transform", path, "config")))
+        kind = TransformKind(_typed(config_doc, "transform", str, path, "config"))
         config = BoostConfig(
-            panel_size=int(_require(config_doc, "panel_size", path, "config")),
+            panel_size=_typed(config_doc, "panel_size", int, path, "config"),
             transform=kind,
-            lbound=float(_require(config_doc, "lbound", path, "config")),
-            alpha=float(_require(config_doc, "alpha", path, "config")),
-            with_replacement=bool(
-                _require(config_doc, "with_replacement", path, "config")
-            ),
+            lbound=_typed(config_doc, "lbound", float, path, "config"),
+            alpha=_typed(config_doc, "alpha", float, path, "config"),
+            with_replacement=_typed(config_doc, "with_replacement", bool, path, "config"),
         )
         terms = []
         for k, term_doc in enumerate(terms_doc):
+            where = f"terms[{k}]"
             if not isinstance(term_doc, dict):
-                raise ParseError(f"{path}: terms[{k}] must be an object")
-            _reject_unknown(term_doc, _TERM_FIELDS, path, f"terms[{k}]")
+                raise ParseError(f"{path}: {where} must be an object")
+            _reject_unknown(term_doc, _TERM_FIELDS, path, where)
             terms.append(
                 PanelTerm(
-                    member_id=str(_require(term_doc, "member_id", path, f"terms[{k}]")),
-                    weight=float(_require(term_doc, "weight", path, f"terms[{k}]")),
-                    raw_rho=float(_require(term_doc, "raw_rho", path, f"terms[{k}]")),
-                    score=float(_require(term_doc, "score", path, f"terms[{k}]")),
-                    iteration=int(_require(term_doc, "iteration", path, f"terms[{k}]")),
+                    member_id=_typed(term_doc, "member_id", str, path, where),
+                    weight=_typed(term_doc, "weight", float, path, where),
+                    raw_rho=_typed(term_doc, "raw_rho", float, path, where),
+                    score=_typed(term_doc, "score", float, path, where),
+                    iteration=_typed(term_doc, "iteration", int, path, where),
                 )
             )
         stopped_early = len(terms) < config.panel_size
         return PanelModel(tuple(terms), config, grid, stopped_early)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ParseError(f"{path}: invalid model content: {exc}") from exc
 
 
-def _require(doc: dict, field: str, path: Path, where: str):
+_TYPE_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+}
+
+
+def _typed(doc: dict, field: str, kind: type, path: Path, where: str):
+    """A field whose JSON value has exactly the given type; nothing is coerced.
+
+    Booleans are not integers here, and a float field takes a JSON integer
+    or a finite JSON number.
+    """
     if field not in doc:
         raise ParseError(f"{path}: missing field {field!r} in {where}")
-    return doc[field]
+    value = doc[field]
+    if kind is float and type(value) is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            pass  # stays an int, which the check below rejects
+    if type(value) is not kind or (kind is float and not math.isfinite(value)):
+        raise ParseError(
+            f"{path}: field {field!r} in {where} must be {_TYPE_NAMES[kind]}, "
+            f"got {value!r}"
+        )
+    return value
 
 
 def _require_object(doc: dict, field: str, path: Path) -> dict:

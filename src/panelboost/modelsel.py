@@ -123,8 +123,11 @@ def sweep(
     order (panel_sizes, lbounds, alphas, transforms). Configurations that
     accept no member stay in the result as error rows. Ties on validation
     RMSE prefer the smaller panel, then the smaller alpha, then the earlier
-    row. Every cell is fitted from scratch: greedy paths differ per config,
-    so nothing is reused across cells.
+    row. Every cell is fitted from scratch, although not everything differs
+    between cells: the transform never enters selection (only the trace and
+    the metrics), so cells that differ only in it repeat the same fit, and
+    the per-member sums that selection needs are computed once on the train
+    family and shared by every cell.
     """
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)

@@ -6,6 +6,7 @@ all operations are pure functions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -38,6 +39,10 @@ class TimeGrid:
     count: int
 
     def __post_init__(self):
+        if not (math.isfinite(self.start) and math.isfinite(self.step)):
+            raise ValueError(
+                f"grid start and step must be finite, got {self.start}, {self.step}"
+            )
         if not self.step > 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
         if self.count < 2:
@@ -68,39 +73,108 @@ class Series:
     def __hash__(self):
         return hash((self.id, self.values.tobytes()))
 
+    @classmethod
+    def _view(cls, id: str, values: np.ndarray) -> Series:
+        """Series over an array that is already read-only, finite and 1-D, uncopied."""
+        series = object.__new__(cls)
+        object.__setattr__(series, "id", id)
+        object.__setattr__(series, "values", values)
+        return series
 
-@dataclass(frozen=True)
+
 class Family:
-    """Ordered candidate series sharing one grid.
+    """Ordered candidate series sharing one grid, held as one ``(N, T)`` matrix.
 
-    Member order is stable and acts as the tie-breaking order during
-    selection. Ids must be pairwise distinct.
+    Row ``i`` of the read-only, C-contiguous ``values`` matrix is member
+    ``ids[i]``. Member order is stable and acts as the tie-breaking order
+    during selection. Ids must be pairwise distinct. ``Family(grid, members)``
+    copies the members' values into a new matrix, which the family owns;
+    ``members`` hands the rows back as ``Series`` views without copying.
     """
 
-    grid: TimeGrid
-    members: tuple[Series, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
-        seen = set()
-        for m in self.members:
-            if m.id in seen:
-                raise ValueError(f"duplicate member id {m.id!r}")
-            seen.add(m.id)
-            if len(m.values) != self.grid.count:
+    def __init__(self, grid: TimeGrid, members=()):
+        members = tuple(members)
+        for m in members:
+            if len(m.values) != grid.count:
                 raise ValueError(
                     f"member {m.id!r} has {len(m.values)} samples, "
-                    f"grid expects {self.grid.count}"
+                    f"grid expects {grid.count}"
                 )
+        values = np.array([m.values for m in members], dtype=float)
+        values = values.reshape(len(members), grid.count)
+        self._init(grid, tuple(m.id for m in members), values)
+
+    @classmethod
+    def _from_matrix(cls, grid: TimeGrid, ids, values) -> Family:
+        """Family over the rows of an ``(N, T)`` array of finite values.
+
+        For the package's own builders, which hand over an array nothing
+        else holds: a C-contiguous float array is taken over as it is (and
+        made read-only) rather than copied; anything else is copied.
+        """
+        values = np.ascontiguousarray(values, dtype=float)
+        if not np.isfinite(values).all():
+            raise ValueError("series values must be finite (no NaN/inf)")
+        family = cls.__new__(cls)
+        family._init(grid, tuple(ids), values)
+        return family
+
+    def _init(self, grid: TimeGrid, ids: tuple[str, ...], values: np.ndarray) -> None:
+        if values.shape != (len(ids), grid.count):
+            raise ValueError(
+                f"values have shape {values.shape}, expected ({len(ids)}, {grid.count})"
+            )
+        seen = set()
+        for member_id in ids:
+            if member_id in seen:
+                raise ValueError(f"duplicate member id {member_id!r}")
+            seen.add(member_id)
+        values.setflags(write=False)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "values", values)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Family is immutable; cannot set {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, Family):
+            return NotImplemented
+        return (
+            self.grid == other.grid
+            and self.ids == other.ids
+            and np.array_equal(self.values, other.values)
+        )
+
+    def __hash__(self):
+        return hash((self.grid, self.ids))
+
+    def __repr__(self) -> str:
+        return f"Family(grid={self.grid!r}, members={len(self.ids)})"
 
     def __len__(self) -> int:
-        return len(self.members)
+        return len(self.ids)
+
+    @functools.cached_property
+    def members(self) -> tuple[Series, ...]:
+        return tuple(Series._view(i, row) for i, row in zip(self.ids, self.values))
+
+    @functools.cached_property
+    def _rows(self) -> dict[str, int]:
+        return {member_id: i for i, member_id in enumerate(self.ids)}
+
+    def index_of(self, member_id: str) -> int | None:
+        """Row of a member in ``values``, or None when it is not in the family."""
+        return self._rows.get(member_id)
 
     def member(self, member_id: str) -> Series | None:
-        for m in self.members:
-            if m.id == member_id:
-                return m
-        return None
+        i = self.index_of(member_id)
+        return None if i is None else Series._view(member_id, self.values[i])
+
+    @functools.cached_property
+    def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-member sum of squares and sum of values, computed once."""
+        return np.einsum("ij,ij->i", self.values, self.values), self.values.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -126,12 +200,10 @@ class SplitSpec:
 
 def aggregate_target(family: Family) -> Series:
     """Pointwise sum of all members, under the reserved id "__target__"."""
-    if not family.members:
+    if not len(family):
         raise EmptyFamily("cannot aggregate an empty family")
-    total = np.zeros(family.grid.count)
-    for m in family.members:
-        total = total + m.values
-    return Series(TARGET_ID, total)
+    # reducing over axis 0 adds the rows one after another, in member order
+    return Series(TARGET_ID, family.values.sum(axis=0))
 
 
 def split(grid: TimeGrid, spec: SplitSpec) -> tuple[range, range, range]:
@@ -169,7 +241,9 @@ def restrict_family(family: Family, index_range: range) -> Family:
         step=family.grid.step,
         count=len(index_range),
     )
-    return Family(grid, tuple(restrict(m, index_range) for m in family.members))
+    return Family._from_matrix(
+        grid, family.ids, family.values[:, index_range.start : index_range.stop]
+    )
 
 
 def _check_range(index_range: range, n: int) -> None:

@@ -54,15 +54,15 @@ def generate(spec: GenSpec) -> tuple[Family, Series]:
     shapes = [_archetype(rng, t, spec.days) for _ in range(spec.archetypes)]
 
     width = len(str(spec.n_series))
-    members = []
+    values = np.empty((spec.n_series, spec.days))
     for n in range(spec.n_series):
         capacity = rng.uniform(20.0, 200.0)
         shape = _mixture(rng, shapes)
         eps = rng.standard_normal(spec.days)
-        values = np.clip(capacity * shape * (1.0 + spec.noise_sd * eps), 0.0, None)
-        members.append(Series(f"hotel_{n:0{width}d}", values))
+        np.clip(capacity * shape * (1.0 + spec.noise_sd * eps), 0.0, None, out=values[n])
 
-    family = Family(TimeGrid(0.0, 1.0, spec.days), tuple(members))
+    ids = [f"hotel_{n:0{width}d}" for n in range(spec.n_series)]
+    family = Family._from_matrix(TimeGrid(0.0, 1.0, spec.days), ids, values)
     return family, aggregate_target(family)
 
 

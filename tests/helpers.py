@@ -1,13 +1,19 @@
 """Independent oracles shared by the test suite.
 
 Everything here is written against plain numpy so it cannot accidentally
-reuse the code paths it is meant to check.
+reuse the code paths it is meant to check. The one exception is the scalar
+selection oracle (``scalar_select``, ``scalar_fit``): it is the
+per-candidate loop over the public scalar functionals ``argmin_rho`` and
+``pearson``, which are themselves checked against numpy, and it is the
+reference the matrix-backed selection must reproduce exactly.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from panelboost import DegenerateCorrelation, ZeroCandidate, argmin_rho, pearson
 
 
 def golden_section_min(fn, lo, hi, tol=1e-8, max_iter=500):
@@ -112,3 +118,54 @@ def walsh_members(count):
     }
     reps = count // 4
     return {name: np.tile(vals, reps) for name, vals in base.items()}
+
+
+def scalar_select(members, residual, lbound):
+    """Best admissible candidate, scoring one (id, values) pair at a time.
+
+    The score is sign(raw_rho) * pearson(residual, values); zero and
+    constant candidates are skipped, and strict improvement keeps the
+    earliest candidate on ties. Returns (position, (id, raw_rho, score)) or
+    None when nothing scores at or above ``lbound``.
+    """
+    best = None
+    for position, (member_id, values) in enumerate(members):
+        try:
+            raw_rho = argmin_rho(values, residual)
+            corr = pearson(residual, values)
+        except (ZeroCandidate, DegenerateCorrelation):
+            continue
+        sign = 1.0 if raw_rho > 0 else (-1.0 if raw_rho < 0 else 0.0)
+        score = sign * corr
+        if score < lbound:
+            continue
+        if best is None or score > best[1][2]:
+            best = (position, (member_id, raw_rho, score))
+    return best
+
+
+def scalar_fit(members, target, panel_size, lbound=-1.0, alpha=1.0,
+               with_replacement=False):
+    """Greedy fit with ``scalar_select`` at every step.
+
+    Returns the path as (id, weight, raw_rho, score) tuples and whether the
+    fit stopped early (empty pool, constant residual or nothing admissible).
+    """
+    target = np.asarray(target, dtype=float)
+    pool = list(members)
+    prediction = np.zeros_like(target)
+    path = []
+    for _ in range(panel_size):
+        residual = target - prediction
+        found = None
+        if pool and np.ptp(residual) != 0:
+            found = scalar_select(pool, residual, lbound)
+        if found is None:
+            return path, True
+        position, (member_id, raw_rho, score) = found
+        weight = alpha * raw_rho
+        prediction = prediction + weight * pool[position][1]
+        path.append((member_id, weight, raw_rho, score))
+        if not with_replacement:
+            del pool[position]
+    return path, False

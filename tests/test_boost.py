@@ -1,12 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import enumerate_panels, orthogonal_vectors, walsh_members
+from helpers import (
+    enumerate_panels,
+    orthogonal_vectors,
+    scalar_fit,
+    scalar_select,
+    walsh_members,
+)
 from panelboost import (
     BoostConfig,
     DegenerateResidual,
     EmptyFamily,
     Family,
+    GenSpec,
     MissingPanelMember,
     NoAdmissibleMember,
     PanelModel,
@@ -16,6 +28,7 @@ from panelboost import (
     TimeGrid,
     TransformKind,
     fit,
+    generate,
     predict,
     residual,
     select_step,
@@ -119,6 +132,106 @@ class TestSelectStep:
         fam = _family({"g": [1.0, 2.0, 3.0]})
         with pytest.raises(DegenerateResidual):
             select_step(fam, Series("__residual__", [5.0, 5.0, 5.0]), _config(1))
+
+    def test_far_apart_duplicates_pick_the_earliest(self):
+        rng = np.random.default_rng(28)
+        n, count = 37, 53  # odd sizes put the last row in a matrix kernel's tail
+        values = rng.standard_normal((n, count))
+        resid = rng.standard_normal(count)
+        values[1] = values[n - 1] = resid + 0.01 * rng.standard_normal(count)
+        fam = _family({f"c{i}": v for i, v in enumerate(values)})
+        chosen = select_step(fam, Series("__residual__", resid), _config(1))
+        assert chosen.member_id == "c1"
+
+
+# Small families mixing the rows that stress the matrix screen: zero and
+# constant rows, rows whose mean dwarfs their spread, and a duplicate of row 1
+# at the far end. Magnitudes stay far from overflow.
+_VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _selection_cases(draw):
+    count = draw(st.integers(2, 12))
+    plain = arrays(float, count, elements=_VALUES)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("plain", "zero", "constant", "offset")))
+        if kind == "plain":
+            rows.append(draw(plain))
+        elif kind == "zero":
+            rows.append(np.zeros(count))
+        elif kind == "constant":
+            rows.append(np.full(count, draw(_VALUES)))
+        else:
+            mean = draw(st.floats(1e3, 1e6)) * draw(st.sampled_from((-1.0, 1.0)))
+            rows.append(mean + draw(arrays(float, count, elements=st.floats(-1.0, 1.0))))
+    if len(rows) >= 3 and draw(st.booleans()):
+        rows[-1] = rows[1].copy()
+    if draw(st.booleans()):
+        resid = draw(st.floats(-10.0, 10.0)) * draw(st.sampled_from(rows)) + draw(plain)
+    else:
+        resid = draw(plain)
+    assume(np.ptp(resid) > 0)
+    lbound = draw(st.sampled_from((-1.0, 0.0, 0.5)))
+    return rows, resid, lbound
+
+
+class TestMatchesScalarOracle:
+    """The matrix-backed selection reproduces the per-candidate loop exactly."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_selection_cases())
+    def test_select_step(self, case):
+        rows, resid, lbound = case
+        fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+        want = scalar_select([(m.id, m.values) for m in fam.members], resid, lbound)
+        got = select_step(fam, Series("__residual__", resid), _config(1, lbound=lbound))
+        if want is None:
+            assert got is None
+        else:
+            # same member (earliest duplicate), and raw_rho and score bit for bit
+            assert got == want[1]
+
+    def test_sign_of_a_vanishing_inner_product(self):
+        # <h, r> is zero up to rounding while pearson(r, h) is near 1, so the
+        # sign of raw_rho, and with it the winner, is decided by rounding
+        for seed in range(30):
+            rng = np.random.default_rng(seed)
+            r0 = rng.standard_normal(40)
+            h = 1e6 + r0 + 0.1 * rng.standard_normal(40)
+            resid = r0 - (h @ r0) / (h @ h) * h
+            rows = [rng.standard_normal(40) + resid for _ in range(3)] + [h]
+            fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+            want = scalar_select([(m.id, m.values) for m in fam.members], resid, -1.0)
+            assert select_step(fam, Series("__residual__", resid), _config(1)) == want[1]
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_fit_path_on_generated_panels(self, seed):
+        # noise-free panels hold exact multiples, whose scores tie in exact arithmetic
+        spec = GenSpec(n_series=60, days=90, archetypes=3,
+                       noise_sd=0.0 if seed % 2 else 0.05, seed=seed)
+        fam, target = generate(spec)
+        options = [
+            {},
+            {"alpha": 0.5},
+            {"lbound": 0.0},
+            {"with_replacement": True, "alpha": 0.7},
+            {"lbound": 0.3, "alpha": 0.9},
+        ][seed]
+        try:
+            model, _ = fit(fam, target, _config(8, **options))
+        except NoAdmissibleMember:
+            model = None
+        path, stopped = scalar_fit(
+            [(m.id, m.values) for m in fam.members], target.values, 8, **options
+        )
+        if model is None:
+            assert path == []
+        else:
+            got = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
+            assert got == path
+            assert model.stopped_early == stopped
 
 
 class TestFit:
@@ -282,6 +395,16 @@ class TestPanelModelInvariants:
         t = PanelTerm("a", 2.0, 1.0, 0.5, 0)  # weight != alpha * raw_rho
         with pytest.raises(ValueError):
             PanelModel((t,), _config(1), TimeGrid(0.0, 1.0, 2), False)
+
+    @pytest.mark.parametrize("field", ["weight", "raw_rho", "score"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_term_values_rejected(self, field, bad):
+        # NaN would otherwise slip past the weight check: NaN comparisons are false
+        values = {"member_id": "a", "weight": 1.0, "raw_rho": 1.0, "score": 0.5,
+                  "iteration": 0}
+        values[field] = bad
+        with pytest.raises(ValueError):
+            PanelTerm(**values)
 
 
 class TestPredict:

@@ -143,6 +143,18 @@ class TestPredictCommand:
         assert code == 1
         assert "MissingPanelMember" in capsys.readouterr().err
 
+    def test_nan_weight_model_is_a_data_error(self, tmp_path, capsys):
+        data = _gen(tmp_path)
+        code, model = _fit(tmp_path, data)
+        assert code == 0
+        doc = json.loads(model.read_text())
+        doc["terms"][0]["weight"] = float("nan")
+        model.write_text(json.dumps(doc))
+        code = main(["predict", "--data", str(data), "--model", str(model),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        assert "ParseError" in capsys.readouterr().err
+
     def test_model_file_errors_surface(self, tmp_path, capsys):
         data = _gen(tmp_path)
         bogus = tmp_path / "model.json"

@@ -272,6 +272,59 @@ class TestGenerate:
         assert fam.grid == TimeGrid(0.0, 1.0, 21)
 
 
+class TestStrictModelTypes:
+    """Every field must already have its JSON type; nothing is coerced."""
+
+    @pytest.mark.parametrize(
+        "section, field, value",
+        [
+            ("config", "with_replacement", "false"),  # bool("false") is True
+            ("config", "with_replacement", 0),
+            ("config", "panel_size", 3.9),  # int(3.9) is 3
+            ("config", "panel_size", True),
+            ("config", "lbound", "-1"),
+            ("config", "alpha", float("nan")),
+            ("config", "transform", 1),
+            ("grid", "count", 30.0),
+            ("grid", "start", float("inf")),
+            ("grid", "start", 10**400),  # a JSON integer too large for a float
+            ("grid", "step", None),
+            ("term", "iteration", True),
+            ("term", "weight", float("nan")),
+            ("term", "raw_rho", float("-inf")),
+            ("term", "score", "0.5"),
+            ("term", "member_id", 7),
+        ],
+    )
+    def test_mistyped_field_rejected(self, tmp_path, section, field, value):
+        path = tmp_path / "model.json"
+        write_model(_fitted_model(), path)
+        doc = json.loads(path.read_text())
+        target = doc["terms"][0] if section == "term" else doc[section]
+        target[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError):
+            read_model(path)
+
+    def test_boolean_version_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        write_model(_fitted_model(), path)
+        doc = json.loads(path.read_text())
+        doc["format_version"] = True  # equals 1 in Python
+        path.write_text(json.dumps(doc))
+        with pytest.raises(UnsupportedVersion):
+            read_model(path)
+
+    def test_integer_valued_floats_load(self, tmp_path):
+        model = _fitted_model()
+        path = tmp_path / "model.json"
+        write_model(model, path)
+        doc = json.loads(path.read_text())
+        doc["grid"]["start"] = 0  # a JSON integer is a valid number
+        path.write_text(json.dumps(doc))
+        assert read_model(path) == model
+
+
 class TestModelInvariantsOnRead:
     def test_tampered_weight_rejected(self, tmp_path):
         model = _fitted_model()

@@ -33,6 +33,10 @@ class TestTimeGrid:
             TimeGrid(0.0, -1.0, 5)
         with pytest.raises(ValueError):
             TimeGrid(0.0, 1.0, 1)
+        with pytest.raises(ValueError):
+            TimeGrid(float("nan"), 1.0, 5)
+        with pytest.raises(ValueError):
+            TimeGrid(0.0, float("inf"), 5)
 
 
 class TestSeries:
@@ -68,6 +72,63 @@ class TestFamily:
         fam = _family([1, 2], [3, 4])
         assert fam.member("m1") == Series("m1", [3, 4])
         assert fam.member("nope") is None
+        assert fam.index_of("m1") == 1
+        assert fam.index_of("nope") is None
+
+    def test_one_readonly_matrix_with_row_views(self):
+        fam = _family([1, 2, 3], [4, 5, 6])
+        assert fam.ids == ("m0", "m1")
+        assert fam.values.shape == (2, 3)
+        assert fam.values.flags.c_contiguous
+        with pytest.raises(ValueError):
+            fam.values[0, 0] = 9.0
+        for i, member in enumerate(fam.members):
+            assert np.shares_memory(member.values, fam.values)
+            np.testing.assert_array_equal(member.values, fam.values[i])
+            with pytest.raises(ValueError):
+                member.values[0] = 9.0
+        assert fam.members is fam.members  # built once
+
+    def test_construction_copies_member_values(self):
+        source = Series("a", [1.0, 2.0])
+        fam = Family(TimeGrid(0.0, 1.0, 2), (source,))
+        assert not np.shares_memory(fam.values, source.values)
+        assert fam.members == (source,)
+
+    def test_writes_to_the_source_array_cannot_reach_the_family(self):
+        big = np.arange(12.0).reshape(4, 3)
+        fam = Family(TimeGrid(0.0, 1.0, 3), (Series("a", big[0]), Series("b", big[1])))
+        sums = fam.row_sums
+        big[:2] = -1.0
+        assert big.flags.writeable  # the caller's array is left as it was
+        np.testing.assert_array_equal(fam.values, [[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(fam.row_sums[0], [5.0, 50.0])
+        np.testing.assert_array_equal(fam.row_sums[1], [3.0, 12.0])
+        assert fam.row_sums is sums  # computed once
+
+    def test_internal_matrix_constructor(self):
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        fam = Family._from_matrix(TimeGrid(0.0, 1.0, 2), ["a", "b"], values)
+        assert np.shares_memory(fam.values, values)  # taken over, not copied
+        assert not values.flags.writeable
+        assert fam == Family(
+            TimeGrid(0.0, 1.0, 2), (Series("a", [1, 2]), Series("b", [3, 4]))
+        )
+        assert fam.member("b") == Series("b", [3.0, 4.0])
+        with pytest.raises(ValueError):
+            Family._from_matrix(TimeGrid(0.0, 1.0, 2), ["a"], values)
+        with pytest.raises(ValueError):
+            Family._from_matrix(TimeGrid(0.0, 1.0, 2), ["a", "a"], values.copy())
+        with pytest.raises(ValueError):
+            Family._from_matrix(
+                TimeGrid(0.0, 1.0, 2), ["a", "b"], [[1.0, np.nan], [0, 1]]
+            )
+
+    def test_equality_and_immutability(self):
+        assert _family([1, 2], [3, 4]) == _family([1, 2], [3, 4])
+        assert _family([1, 2], [3, 4]) != _family([1, 2], [3, 5])
+        with pytest.raises(AttributeError):
+            _family([1, 2]).grid = TimeGrid(0.0, 2.0, 2)
 
 
 class TestAggregateTarget:
@@ -88,6 +149,14 @@ class TestAggregateTarget:
     def test_empty_family(self):
         with pytest.raises(EmptyFamily):
             aggregate_target(Family(TimeGrid(0.0, 1.0, 2), ()))
+
+    def test_sums_members_in_order(self):
+        rng = np.random.default_rng(12)
+        values = [rng.standard_normal(30) * 10.0 ** rng.integers(-8, 9) for _ in range(40)]
+        total = np.zeros(30)
+        for v in values:
+            total = total + v
+        np.testing.assert_array_equal(aggregate_target(_family(*values)).values, total)
 
     def test_linearity_over_disjoint_families(self):
         rng = np.random.default_rng(11)
@@ -184,3 +253,5 @@ class TestRestrict:
         sub = restrict_family(fam, range(2, 6))
         assert sub.grid == TimeGrid(11.0, 0.5, 4)
         np.testing.assert_array_equal(sub.members[0].values, [3, 4, 5, 6])
+        assert sub.values.flags.c_contiguous
+        assert not sub.values.flags.writeable
