@@ -15,7 +15,7 @@ from .boost import BoostConfig, fit, predict
 from .errors import PanelBoostError
 from .functional import TransformKind
 from .modelsel import SweepGrid, cumulative, evaluate, sweep
-from .series import CUMULATIVE_ID, Series, SplitSpec, restrict, restrict_family, split
+from .series import SplitSpec, restrict, restrict_family, split
 from .synth import GenSpec, generate
 
 # psi in eval reports uses this transform (the eval command exposes no flag)
@@ -154,10 +154,7 @@ def _cmd_predict(args) -> int:
     family, _ = dataio.read_panel_csv(args.data)
     model = dataio.read_model(args.model)
     prediction = predict(model, family)
-    cum = None
-    if args.cumulative:
-        running = cumulative(prediction, family.grid.step)
-        cum = Series(CUMULATIVE_ID, running.values)
+    cum = cumulative(prediction, family.grid.step) if args.cumulative else None
     dataio.write_prediction_csv(family.grid, prediction, cum, args.out)
     print(f"wrote {args.out}: {family.grid.count} rows")
     return 0

@@ -1,28 +1,34 @@
-"""Panel CSV and model JSON persistence.
+"""Panel CSV, prediction CSV, report CSV and model JSON persistence.
 
 Panel CSV: UTF-8, comma-separated, '.' decimal, one header row. Column 1
 must be named "t" and hold uniformly spaced time coordinates (the grid is
 inferred from it); every other column is one member series with its header
 as the id. A column named "__target__" is the explicit aggregate target;
 other dunder names are reserved and rejected as members. Values render with
-17 significant digits, so a write/read round trip is exact.
+17 significant digits, so a write/read round trip is exact. Errors name the
+file line of the bad row, the header being line 1.
 
 Model JSON: format_version 1 with grid, config, terms, and provenance
-objects. Other versions, and unknown fields anywhere, are rejected with
-UnsupportedVersion. All writes go through a temp-file-plus-rename so
-readers never see a partial file.
+objects, whose fields and JSON types are the tables below. Other versions,
+and unknown fields anywhere, are rejected with UnsupportedVersion.
+
+Reports: the metric columns are the fields of ``Metrics``, in order.
+
+Every file is written through one temp file plus rename, so readers never
+see a partial file; it gets the mode a plain open() would give it.
 """
 
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
-import io
 import json
 import math
 import os
-import tempfile
+from contextlib import contextmanager
 from datetime import datetime, timezone
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -52,31 +58,37 @@ from .series import (
 FORMAT_VERSION = 1
 STEP_TOLERANCE = 1e-9
 
-_MODEL_FIELDS = {"format_version", "grid", "config", "terms", "provenance"}
-_GRID_FIELDS = {"start", "step", "count"}
-_CONFIG_FIELDS = {"panel_size", "lbound", "alpha", "transform", "with_replacement"}
-_TERM_FIELDS = {"member_id", "weight", "raw_rho", "score", "iteration"}
-
-
-def _is_reserved(name: str) -> bool:
-    return name.startswith("__") and name.endswith("__")
-
 
 def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
+@contextmanager
+def _atomic_open(path):
+    """Text file that replaces ``path`` only when the block completes.
+
+    The temp file is created with mode 0o666, which the umask narrows just
+    as it does for a plain open(); os.replace keeps that mode.
+    """
     path = Path(path)
-    fd, tmp = tempfile.mkstemp(dir=path.parent or Path("."), suffix=".tmp")
+    tmp = path.parent / f"{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_table(path, header: list[str], rows) -> None:
+    """Write a header row and then each row as CSV, atomically."""
+    # csv leaves a bare "\r" unquoted unless told to quote every cell; only an id has one
+    quoting = csv.QUOTE_ALL if any("\r" in name for name in header) else csv.QUOTE_MINIMAL
+    with _atomic_open(path) as fh:
+        csv.writer(fh, lineterminator="\n", quoting=quoting).writerow(header)
+        csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
 def file_digest(path) -> str:
@@ -99,56 +111,66 @@ def read_panel_csv(path) -> tuple[Family, Series]:
     """
     path = Path(path)
     header, columns = _read_csv(path)
+    for name in header[1:]:
+        if name.startswith("__") and name.endswith("__") and name != TARGET_ID:
+            raise ReservedId(f"{path}: {name!r} is reserved and cannot be a member")
     grid = _infer_grid(columns[0], path)
 
-    is_member = [name != TARGET_ID for name in header[1:]]
-    if all(is_member):
-        target_values = None
-        values = columns[1:]
-    else:
-        target_values = columns[header.index(TARGET_ID)]
-        values = columns[1:][is_member]
-    if target_values is None and not len(values):
+    ids = [name for name in header[1:] if name != TARGET_ID]
+    if TARGET_ID in header:
+        members = columns[1:][[name != TARGET_ID for name in header[1:]]]
+        target = Series(TARGET_ID, columns[header.index(TARGET_ID)])
+        return Family._from_matrix(grid, ids, members), target
+    if not ids:
         raise EmptyFamily(f"{path}: no member columns and no explicit target")
-
-    ids = [name for name, member in zip(header[1:], is_member) if member]
-    family = Family._from_matrix(grid, ids, values)
-    if target_values is not None:
-        target = Series(TARGET_ID, target_values)
-    else:
-        target = aggregate_target(family)
-    return family, target
+    family = Family._from_matrix(grid, ids, columns[1:])
+    try:
+        with np.errstate(over="ignore"):
+            return family, aggregate_target(family)
+    except ValueError:  # the sum overflowed, and a Series must be finite
+        raise ParseError(f"{path}: the sum of the members overflows") from None
 
 
 def read_prediction_csv(path) -> tuple[TimeGrid, Series]:
     """Load a prediction file (as written by the predict command)."""
     path = Path(path)
-    header, columns = _read_csv(path, allow_reserved=True)
+    header, columns = _read_csv(path)
     grid = _infer_grid(columns[0], path)
-    for j, name in enumerate(header[1:], start=1):
-        if name == PREDICTION_ID:
-            return grid, Series(PREDICTION_ID, columns[j])
-    raise ParseError(f"{path}: no {PREDICTION_ID!r} column")
+    if PREDICTION_ID not in header:
+        raise ParseError(f"{path}: no {PREDICTION_ID!r} column")
+    return grid, Series(PREDICTION_ID, columns[header.index(PREDICTION_ID)])
 
 
 def write_panel_csv(family: Family, path, target: Series | None = None) -> None:
     """Write a family (and optionally an explicit target column) to CSV."""
-    columns = list(family.members)
+    ids, values = list(family.ids), family.values
     if target is not None:
-        columns.append(Series(TARGET_ID, target.values))
-    _write_csv(family.grid, columns, path)
+        ids.append(TARGET_ID)
+        values = np.vstack([values, target.values])
+    _write_series(path, family.grid, ids, values)
 
 
 def write_prediction_csv(
     grid: TimeGrid, prediction: Series, cumulative: Series | None, path
 ) -> None:
-    columns = [Series(PREDICTION_ID, prediction.values)]
+    ids, values = [PREDICTION_ID], [prediction.values]
     if cumulative is not None:
-        columns.append(Series(CUMULATIVE_ID, cumulative.values))
-    _write_csv(grid, columns, path)
+        ids.append(CUMULATIVE_ID)
+        values.append(cumulative.values)
+    _write_series(path, grid, ids, values)
 
 
-def _read_csv(path: Path, allow_reserved: bool = False) -> tuple[list[str], np.ndarray]:
+def _write_series(path, grid: TimeGrid, ids: list[str], values) -> None:
+    """Write the ``(N, T)`` values as the columns after t.
+
+    The ``(T, 1+N)`` table is formatted one row at a time, so the cells of
+    only one row exist as strings at once.
+    """
+    table = np.column_stack([grid.times(), np.transpose(values)])
+    _write_table(path, ["t", *ids], (map(_fmt, row.tolist()) for row in table))
+
+
+def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Header and values of a CSV file; row j of the matrix is column j."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
@@ -157,9 +179,11 @@ def _read_csv(path: Path, allow_reserved: bool = False) -> tuple[list[str], np.n
                 header = next(reader)
             except StopIteration:
                 raise ParseError(f"{path}: empty file") from None
-            rows = [row for row in reader if row]
+            rows = [(reader.line_num, row) for row in reader if row]
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
+    except csv.Error as exc:  # a cell longer than the csv module's field limit
+        raise ParseError(f"{path}: row {reader.line_num}: {exc}") from exc
 
     if not header or header[0] != "t":
         got = header[0] if header else "<nothing>"
@@ -169,35 +193,31 @@ def _read_csv(path: Path, allow_reserved: bool = False) -> tuple[list[str], np.n
         if name in seen:
             raise DuplicateId(f"{path}: duplicate column {name!r}")
         seen.add(name)
-    if not allow_reserved:
-        for name in header[1:]:
-            if _is_reserved(name) and name != TARGET_ID:
-                raise ReservedId(f"{path}: {name!r} is reserved and cannot be a member")
     if len(rows) < 2:
         raise IrregularGrid(f"{path}: need at least 2 data rows to infer a grid")
 
     n_cols = len(header)
     columns = np.empty((n_cols, len(rows)))
-    for i, row in enumerate(rows):
+    for i, (line, row) in enumerate(rows):
         if len(row) != n_cols:
             raise ParseError(
-                f"{path}: row {i + 2} has {len(row)} cells, expected {n_cols}"
+                f"{path}: row {line} has {len(row)} cells, expected {n_cols}"
             )
         for j, cell in enumerate(row):
             text = cell.strip()
             if text == "":
-                raise MissingValue(i + 2, header[j])
+                raise MissingValue(line, header[j])
             try:
                 if "_" in text:  # float() would accept 1_000; the format does not
                     raise ValueError(text)
                 value = float(text)
             except ValueError:
                 raise ParseError(
-                    f"{path}: row {i + 2}, column {header[j]!r}: "
+                    f"{path}: row {line}, column {header[j]!r}: "
                     f"not a number: {text!r}"
                 ) from None
             if not math.isfinite(value):
-                raise MissingValue(i + 2, header[j])
+                raise MissingValue(line, header[j])
             columns[j, i] = value
     return header, columns
 
@@ -205,59 +225,53 @@ def _read_csv(path: Path, allow_reserved: bool = False) -> tuple[list[str], np.n
 def _infer_grid(tcol: np.ndarray, path: Path) -> TimeGrid:
     n = len(tcol)
     step = (float(tcol[-1]) - float(tcol[0])) / (n - 1)
-    if step <= 0:
-        raise IrregularGrid(f"{path}: time column must be strictly increasing")
-    diffs = np.diff(tcol)
-    if np.any(np.abs(diffs - step) > STEP_TOLERANCE * abs(step)):
+    if not 0 < step < math.inf:
+        raise IrregularGrid(f"{path}: time column must increase by a finite step")
+    with np.errstate(over="ignore"):  # an overflowing difference is irregular too
+        diffs = np.diff(tcol)
+        irregular = np.any(np.abs(diffs - step) > STEP_TOLERANCE * abs(step))
+    if irregular:
         raise IrregularGrid(f"{path}: time column is not uniformly spaced")
     return TimeGrid(float(tcol[0]), step, n)
 
 
-def _write_csv(grid: TimeGrid, columns: list[Series], path) -> None:
-    times = grid.times()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["t"] + [s.id for s in columns])
-    for i in range(grid.count):
-        writer.writerow([_fmt(times[i])] + [_fmt(s.values[i]) for s in columns])
-    _atomic_write_text(Path(path), buf.getvalue())
-
-
 # ---------------------------------------------------------------- model JSON
+
+# The fields of each v1 model object with their JSON types, in the order
+# write_model writes them; read_model checks a file against the same tables.
+# An enum field is stored as its value string.
+_MODEL = {"format_version": int, "grid": dict, "config": dict, "terms": list}
+_GRID = {"start": float, "step": float, "count": int}
+_CONFIG = {
+    "panel_size": int,
+    "lbound": float,
+    "alpha": float,
+    "transform": TransformKind,
+    "with_replacement": bool,
+}
+_TERM = {"member_id": str, "weight": float, "raw_rho": float, "score": float,
+         "iteration": int}
 
 
 def write_model(model: PanelModel, path, input_digest: str | None = None) -> None:
     """Serialize a fitted model to versioned JSON (lossless for reload)."""
     doc = {
         "format_version": FORMAT_VERSION,
-        "grid": {
-            "start": model.grid.start,
-            "step": model.grid.step,
-            "count": model.grid.count,
-        },
-        "config": {
-            "panel_size": model.config.panel_size,
-            "lbound": model.config.lbound,
-            "alpha": model.config.alpha,
-            "transform": model.config.transform.value,
-            "with_replacement": model.config.with_replacement,
-        },
-        "terms": [
-            {
-                "member_id": t.member_id,
-                "weight": t.weight,
-                "raw_rho": t.raw_rho,
-                "score": t.score,
-                "iteration": t.iteration,
-            }
-            for t in model.terms
-        ],
+        "grid": _object_doc(model.grid, _GRID),
+        "config": _object_doc(model.config, _CONFIG),
+        "terms": [_object_doc(t, _TERM) for t in model.terms],
         "provenance": {
             "input_digest": input_digest,
             "created_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         },
     }
-    _atomic_write_text(Path(path), json.dumps(doc, indent=2) + "\n")
+    with _atomic_open(path) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
+
+
+def _object_doc(obj, table: dict) -> dict:
+    doc = {field: getattr(obj, field) for field in table}
+    return {k: v.value if isinstance(v, Enum) else v for k, v in doc.items()}
 
 
 def read_model(path) -> PanelModel:
@@ -267,13 +281,16 @@ def read_model(path) -> PanelModel:
     configured panel size", so it is reconstructed from the counts.
     """
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"{path}: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
 
@@ -285,47 +302,18 @@ def read_model(path) -> PanelModel:
             f"{path}: format_version {version!r} is not supported "
             f"(expected {FORMAT_VERSION})"
         )
-    _reject_unknown(doc, _MODEL_FIELDS, path, "model")
-
-    grid_doc = _require_object(doc, "grid", path)
-    _reject_unknown(grid_doc, _GRID_FIELDS, path, "grid")
-    config_doc = _require_object(doc, "config", path)
-    _reject_unknown(config_doc, _CONFIG_FIELDS, path, "config")
-    terms_doc = doc.get("terms")
-    if not isinstance(terms_doc, list):
-        raise ParseError(f"{path}: field 'terms' must be a list")
+    # provenance is for people and never read back, so any value (or none) will do
+    doc = {k: v for k, v in doc.items() if k != "provenance"}
+    doc = _fields(doc, _MODEL, path, "model")
 
     try:
-        grid = TimeGrid(
-            start=_typed(grid_doc, "start", float, path, "grid"),
-            step=_typed(grid_doc, "step", float, path, "grid"),
-            count=_typed(grid_doc, "count", int, path, "grid"),
+        grid = TimeGrid(**_fields(doc["grid"], _GRID, path, "grid"))
+        config = BoostConfig(**_fields(doc["config"], _CONFIG, path, "config"))
+        terms = tuple(
+            PanelTerm(**_fields(term, _TERM, path, f"terms[{k}]"))
+            for k, term in enumerate(doc["terms"])
         )
-        kind = TransformKind(_typed(config_doc, "transform", str, path, "config"))
-        config = BoostConfig(
-            panel_size=_typed(config_doc, "panel_size", int, path, "config"),
-            transform=kind,
-            lbound=_typed(config_doc, "lbound", float, path, "config"),
-            alpha=_typed(config_doc, "alpha", float, path, "config"),
-            with_replacement=_typed(config_doc, "with_replacement", bool, path, "config"),
-        )
-        terms = []
-        for k, term_doc in enumerate(terms_doc):
-            where = f"terms[{k}]"
-            if not isinstance(term_doc, dict):
-                raise ParseError(f"{path}: {where} must be an object")
-            _reject_unknown(term_doc, _TERM_FIELDS, path, where)
-            terms.append(
-                PanelTerm(
-                    member_id=_typed(term_doc, "member_id", str, path, where),
-                    weight=_typed(term_doc, "weight", float, path, where),
-                    raw_rho=_typed(term_doc, "raw_rho", float, path, where),
-                    score=_typed(term_doc, "score", float, path, where),
-                    iteration=_typed(term_doc, "iteration", int, path, where),
-                )
-            )
-        stopped_early = len(terms) < config.panel_size
-        return PanelModel(tuple(terms), config, grid, stopped_early)
+        return PanelModel(terms, config, grid, len(terms) < config.panel_size)
     except ValueError as exc:
         raise ParseError(f"{path}: invalid model content: {exc}") from exc
 
@@ -335,47 +323,49 @@ _TYPE_NAMES = {
     int: "an integer",
     float: "a finite number",
     str: "a string",
+    dict: "an object",
+    list: "a list",
 }
 
 
-def _typed(doc: dict, field: str, kind: type, path: Path, where: str):
-    """A field whose JSON value has exactly the given type; nothing is coerced.
+def _fields(doc, table: dict, path: Path, where: str) -> dict:
+    """Fields of a JSON object, each of exactly its table type; nothing is coerced.
 
-    Booleans are not integers here, and a float field takes a JSON integer
-    or a finite JSON number.
+    Unknown fields are UnsupportedVersion; a missing or mistyped field is a
+    ParseError. Booleans are not integers here, a float field takes a JSON
+    integer or a finite JSON number, and an enum field takes a string, which
+    becomes its member (an unknown value is a ValueError).
     """
-    if field not in doc:
-        raise ParseError(f"{path}: missing field {field!r} in {where}")
-    value = doc[field]
-    if kind is float and type(value) is int:
-        try:
-            value = float(value)
-        except OverflowError:
-            pass  # stays an int, which the check below rejects
-    if type(value) is not kind or (kind is float and not math.isfinite(value)):
-        raise ParseError(
-            f"{path}: field {field!r} in {where} must be {_TYPE_NAMES[kind]}, "
-            f"got {value!r}"
-        )
-    return value
-
-
-def _require_object(doc: dict, field: str, path: Path) -> dict:
-    value = doc.get(field)
-    if not isinstance(value, dict):
-        raise ParseError(f"{path}: field {field!r} must be an object")
-    return value
-
-
-def _reject_unknown(doc: dict, known: set[str], path: Path, where: str) -> None:
-    unknown = set(doc) - known
+    if type(doc) is not dict:
+        raise ParseError(f"{path}: {where} must be an object")
+    unknown = set(doc) - set(table)
     if unknown:
         raise UnsupportedVersion(
             f"{path}: unknown fields in {where}: {sorted(unknown)}"
         )
+    fields = {}
+    for field, kind in table.items():
+        if field not in doc:
+            raise ParseError(f"{path}: missing field {field!r} in {where}")
+        value = doc[field]
+        stored = str if issubclass(kind, Enum) else kind  # the JSON value's type
+        if stored is float and type(value) is int:
+            try:
+                value = float(value)
+            except OverflowError:
+                pass  # stays an int, which the check below rejects
+        if type(value) is not stored or (stored is float and not math.isfinite(value)):
+            raise ParseError(
+                f"{path}: field {field!r} in {where} must be {_TYPE_NAMES[stored]}, "
+                f"got {value!r}"
+            )
+        fields[field] = value if kind is stored else kind(value)
+    return fields
 
 
 # ------------------------------------------------------------------ reports
+
+EVAL_REPORT_HEADER = [f.name for f in dataclasses.fields(Metrics)]
 
 SWEEP_REPORT_HEADER = [
     "panel_size",
@@ -384,58 +374,36 @@ SWEEP_REPORT_HEADER = [
     "transform",
     "error",
     "stopped_early",
-    "train_rmse",
-    "train_mae",
-    "train_pearson",
-    "train_psi",
-    "train_cumulative_abs_error",
-    "val_rmse",
-    "val_mae",
-    "val_pearson",
-    "val_psi",
-    "val_cumulative_abs_error",
+    *(f"train_{name}" for name in EVAL_REPORT_HEADER),
+    *(f"val_{name}" for name in EVAL_REPORT_HEADER),
     "best",
 ]
 
-EVAL_REPORT_HEADER = ["rmse", "mae", "pearson", "psi", "cumulative_abs_error"]
-
 
 def _metric_cells(metrics: Metrics | None) -> list[str]:
+    """One cell per Metrics field; a missing value is an empty cell."""
     if metrics is None:
-        return [""] * 5
-    return [
-        _fmt(metrics.rmse),
-        _fmt(metrics.mae),
-        "" if metrics.pearson is None else _fmt(metrics.pearson),
-        _fmt(metrics.psi),
-        _fmt(metrics.cumulative_abs_error),
-    ]
+        return [""] * len(EVAL_REPORT_HEADER)
+    return ["" if v is None else _fmt(v) for v in dataclasses.astuple(metrics)]
 
 
 def write_sweep_report(result: SweepResult, path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_REPORT_HEADER)
-    for i, row in enumerate(result.rows):
-        writer.writerow(
-            [
-                str(row.config.panel_size),
-                _fmt(row.config.lbound),
-                _fmt(row.config.alpha),
-                row.config.transform.value,
-                row.error or "",
-                "1" if row.stopped_early else "0",
-            ]
-            + _metric_cells(row.train)
-            + _metric_cells(row.validation)
-            + ["1" if i == result.best else "0"]
-        )
-    _atomic_write_text(Path(path), buf.getvalue())
+    rows = (
+        [
+            str(row.config.panel_size),
+            _fmt(row.config.lbound),
+            _fmt(row.config.alpha),
+            row.config.transform.value,
+            row.error or "",
+            "1" if row.stopped_early else "0",
+            *_metric_cells(row.train),
+            *_metric_cells(row.validation),
+            "1" if i == result.best else "0",
+        ]
+        for i, row in enumerate(result.rows)
+    )
+    _write_table(path, SWEEP_REPORT_HEADER, rows)
 
 
 def write_eval_report(metrics: Metrics, path) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(EVAL_REPORT_HEADER)
-    writer.writerow(_metric_cells(metrics))
-    _atomic_write_text(Path(path), buf.getvalue())
+    _write_table(path, EVAL_REPORT_HEADER, [_metric_cells(metrics)])

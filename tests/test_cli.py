@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 
 import numpy as np
 import pytest
@@ -163,6 +164,51 @@ class TestPredictCommand:
                      "--out", str(tmp_path / "p.csv")])
         assert code == 1
         assert "ParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"\xff\xfe{}",  # not UTF-8; UnicodeDecodeError is a ValueError
+            b"[" * 200_000,  # nested past the parser's recursion limit
+        ],
+        ids=["not-utf8", "deeply-nested"],
+    )
+    def test_unreadable_model_file_is_a_parse_error(self, tmp_path, capsys, content):
+        data = _gen(tmp_path)
+        capsys.readouterr()
+        bogus = tmp_path / "model.json"
+        bogus.write_bytes(content)
+        code = main(["predict", "--data", str(data), "--model", str(bogus),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ParseError: ")
+        assert err.count("\n") == 1
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask-022", "umask-077"])
+    def test_outputs_get_the_mode_open_would_give(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            data = _gen(tmp_path)
+            code, model = _fit(tmp_path, data)
+            assert code == 0
+            pred, report, sweep_report = (tmp_path / n for n in ("p.csv", "e.csv", "s.csv"))
+            assert main(["predict", "--data", str(data), "--model", str(model),
+                         "--out", str(pred)]) == 0
+            assert main(["eval", "--pred", str(pred), "--data", str(data),
+                         "--report", str(report)]) == 0
+            assert main(["sweep", "--data", str(data), "--train", "0.6", "--val", "0.2",
+                         "--panel-sizes", "1", "--lbounds=-1", "--alphas", "1",
+                         "--transforms", "reciprocal", "--report", str(sweep_report)]) == 0
+        finally:
+            os.umask(old)
+        for path in (data, model, pred, report, sweep_report):
+            assert os.stat(path).st_mode & 0o777 == 0o666 & ~umask, path
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            p.name for p in (data, model, pred, report, sweep_report)
+        )  # no temp file is left behind
 
 
 class TestSweepCommand:

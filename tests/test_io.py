@@ -1,7 +1,11 @@
+import functools
 import json
+import operator
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from panelboost import (
     BoostConfig,
@@ -10,6 +14,7 @@ from panelboost import (
     GenSpec,
     IrregularGrid,
     MissingValue,
+    PanelBoostError,
     PanelModel,
     PanelTerm,
     ParseError,
@@ -106,6 +111,68 @@ class TestReadPanelCsv:
         assert family.grid.start == 10.0
         assert family.grid.step == 0.5
 
+    def test_bad_cell_is_reported_at_its_file_line(self, tmp_path):
+        # the blank line 3 is skipped but still counted: x sits on line 5
+        path = _write(tmp_path / "p.csv", "t,a,b\n0,1,2\n\n1,3,4\n2,x,5\n")
+        with pytest.raises(ParseError, match="row 5, column 'a'"):
+            read_panel_csv(path)
+
+    def test_missing_cell_is_reported_at_its_file_line(self, tmp_path):
+        path = _write(tmp_path / "p.csv", "t,a,b\n0,1,2\n\n1,3,4\n2,,5\n")
+        with pytest.raises(MissingValue) as err:
+            read_panel_csv(path)
+        assert err.value.row == 5
+        assert err.value.column == "a"
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            ["-1e308", "0", "1e308"],  # the step itself overflows to inf
+            ["0", "-1e308", "1e308", "1"],  # a finite step, an overflowing difference
+        ],
+        ids=["step-overflows", "difference-overflows"],
+    )
+    def test_overflowing_time_column_is_irregular(self, tmp_path, times):
+        text = "t,a\n" + "".join(f"{t},{k}\n" for k, t in enumerate(times))
+        with pytest.raises(IrregularGrid):
+            read_panel_csv(_write(tmp_path / "p.csv", text))
+
+    def test_overflowing_derived_target_is_a_parse_error(self, tmp_path):
+        path = _write(tmp_path / "p.csv", "t,a,b\n0,1e308,1e308\n1,1,2\n")
+        with pytest.raises(ParseError, match="overflows"):
+            read_panel_csv(path)
+
+    def test_cell_beyond_the_csv_field_limit_is_a_parse_error(self, tmp_path):
+        path = _write(tmp_path / "p.csv", "t,a\n0," + "1" * 200_000 + "\n1,2\n")
+        with pytest.raises(ParseError, match="row 2"):
+            read_panel_csv(path)
+
+
+# Values a float-formatting bug would trip over, mixed into random finite ones.
+_SPECIAL_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300, 0.1, 1 / 3]
+# Ids the CSV writer must quote or keep: commas, quotes, line breaks, padding.
+_SPECIAL_IDS = ["a,b", 'say "hi"', '"', "line\nbreak", "cr\ronly", "\r", " padded ",
+                "\x00"]
+
+
+@st.composite
+def _panels(draw):
+    """A random finite family on an exactly representable grid, maybe with a target."""
+    count = draw(st.integers(2, 7))
+    grid = TimeGrid(draw(st.sampled_from([0.0, -3.5, 1e6])),
+                    draw(st.sampled_from([1.0, 0.125, 7.0])), count)
+    value = st.one_of(st.sampled_from(_SPECIAL_VALUES),
+                      st.floats(allow_nan=False, allow_infinity=False))
+    ident = st.one_of(st.sampled_from(_SPECIAL_IDS), st.text(min_size=1, max_size=5)).filter(
+        lambda s: s != "t" and not (s.startswith("__") and s.endswith("__")))
+    ids = draw(st.lists(ident, min_size=1, max_size=4, unique=True))
+    members = tuple(Series(i, draw(st.lists(value, min_size=count, max_size=count)))
+                    for i in ids)
+    target = None
+    if draw(st.booleans()):
+        target = Series("__target__", draw(st.lists(value, min_size=count, max_size=count)))
+    return Family(grid, members), target
+
 
 class TestCsvRoundTrip:
     def test_family_round_trips_exactly(self, tmp_path):
@@ -133,6 +200,26 @@ class TestCsvRoundTrip:
         write_panel_csv(family, path, target=target)
         _, again = read_panel_csv(path)
         np.testing.assert_array_equal(again.values, target.values)
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_panels())
+    def test_random_panels_round_trip_bit_exact(self, tmp_path, case):
+        family, target = case
+        path = tmp_path / "random.csv"
+        write_panel_csv(family, path, target=target)
+        with np.errstate(over="ignore"):
+            derived = family.values.sum(axis=0)
+        if target is None and not np.isfinite(derived).all():
+            with pytest.raises(ParseError, match="overflows"):
+                read_panel_csv(path)
+            return
+        again, again_target = read_panel_csv(path)
+        assert again.grid == family.grid
+        assert again.ids == family.ids
+        assert again.values.tobytes() == family.values.tobytes()
+        if target is not None:
+            assert again_target.values.tobytes() == target.values.tobytes()
 
     def test_prediction_file_round_trips(self, tmp_path):
         grid = TimeGrid(0.0, 1.0, 4)
@@ -323,6 +410,74 @@ class TestStrictModelTypes:
         doc["grid"]["start"] = 0  # a JSON integer is a valid number
         path.write_text(json.dumps(doc))
         assert read_model(path) == model
+
+
+def _places(doc, prefix=()):
+    """Every key of every object and every item of every list, as key paths."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _places(value, prefix + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from([10**400, -0.0, 1e308, 0.5, 1, "reciprocal", "witch", "m0"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=5,
+)
+
+
+def _same_json(a, b) -> bool:
+    """JSON equality in which true is not 1, though 1 and 1.0 are one number."""
+    if isinstance(a, dict):
+        return isinstance(b, dict) and a.keys() == b.keys() and all(
+            _same_json(a[k], b[k]) for k in a
+        )
+    if isinstance(a, list):
+        return isinstance(b, list) and len(a) == len(b) and all(map(_same_json, a, b))
+    return (type(a) is bool) == (type(b) is bool) and a == b
+
+
+class TestModelMutations:
+    @settings(max_examples=300, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_single_mutation_loads_what_it_says_or_raises_typed(self, tmp_path, data):
+        """Set, delete or add one field: the file loads as written, or a PanelBoostError."""
+        path = tmp_path / "model.json"
+        write_model(_fitted_model(), path)
+        doc = json.loads(path.read_text())
+        place = data.draw(st.sampled_from(list(_places(doc))))
+        parent = functools.reduce(operator.getitem, place[:-1], doc)
+        action = data.draw(st.sampled_from(["set", "delete", "add"]))
+        if action == "set":
+            parent[place[-1]] = data.draw(_JSON_VALUES)
+        elif action == "delete":
+            del parent[place[-1]]
+        else:
+            host = parent[place[-1]] if isinstance(parent[place[-1]], dict) else parent
+            if not isinstance(host, dict):
+                host = doc
+            host[data.draw(st.text(min_size=1, max_size=4))] = data.draw(_JSON_VALUES)
+        path.write_text(json.dumps(doc))
+
+        try:
+            model = read_model(path)
+        except PanelBoostError:
+            return
+        again = tmp_path / "again.json"
+        write_model(model, again)
+        written = json.loads(again.read_text())
+        del written["provenance"]
+        doc.pop("provenance", None)
+        assert _same_json(written, doc)
 
 
 class TestModelInvariantsOnRead:
