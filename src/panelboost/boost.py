@@ -31,10 +31,11 @@ from .errors import (
     EmptyFamily,
     MissingPanelMember,
     NoAdmissibleMember,
+    NumericOverflow,
     ShapeError,
     ZeroCandidate,
 )
-from .functional import TransformKind, argmin_rho, pearson, psi
+from .functional import TransformKind, argmin_rho, pearson
 from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid
 
 WEIGHT_TOLERANCE = 1e-12
@@ -42,8 +43,8 @@ WEIGHT_TOLERANCE = 1e-12
 EPS = float(np.finfo(float).eps)
 # Bound, in units of T * eps, on the rounding error of the length-T sums and
 # dot products that screen candidates (relative to the scale each use in
-# ``_rows`` and ``_best`` states); rounding analyses of those uses give at
-# most about 4, so this leaves at least a factor of 4 to spare.
+# ``_checked_rows`` and ``_best`` states); rounding analyses of those uses
+# give at most about 4, so this leaves at least a factor of 4 to spare.
 ROUNDING_MARGIN = 16.0
 # Below this, underflow in those sums breaks the relative bound.
 RESOLVED_FLOOR = float(np.finfo(float).tiny) / EPS
@@ -57,6 +58,8 @@ class BoostConfig:
     included. ``lbound`` is the minimum selection score: -1 accepts every
     candidate, 0 demands positive correlation with the residual. ``alpha``
     multiplies every stagewise least-squares weight; 1 disables shrinkage.
+    ``transform`` does not enter fitting: it labels the model and picks the
+    correlation penalty of the ``psi`` metric when the model is evaluated.
     """
 
     panel_size: int
@@ -106,7 +109,6 @@ class TraceRecord:
     raw_rho: float
     score: float
     squared_error_after: float
-    psi_after: float
 
 
 @dataclass(frozen=True)
@@ -126,7 +128,6 @@ class PanelModel:
     terms: tuple[PanelTerm, ...]
     config: BoostConfig
     grid: TimeGrid
-    stopped_early: bool
 
     def __post_init__(self):
         object.__setattr__(self, "terms", tuple(self.terms))
@@ -152,6 +153,11 @@ class PanelModel:
                     f"term {t.member_id!r}: weight {t.weight} is not alpha * raw_rho"
                 )
 
+    @property
+    def stopped_early(self) -> bool:
+        """Whether fitting ended before the panel was full."""
+        return len(self.terms) < self.config.panel_size
+
     def member_ids(self) -> list[str]:
         return [t.member_id for t in self.terms]
 
@@ -168,16 +174,9 @@ def select_step(
     scores at or above ``config.lbound`` (the early-stop signal); ties break
     toward the earliest family position.
     """
-    if not len(candidates):
-        raise EmptyFamily("no candidates to select from")
-    if len(residual.values) != candidates.grid.count:
-        raise ShapeError(
-            f"residual has {len(residual.values)} samples, "
-            f"grid expects {candidates.grid.count}"
-        )
+    rows = _checked_rows(candidates, residual.values, "residual")
     if np.ptp(residual.values) == 0:
         raise DegenerateResidual("residual has zero variance")
-    rows = _rows(candidates)
     found = _best(candidates, rows, residual.values, config.lbound, rows.usable)
     return None if found is None else found[1]
 
@@ -203,10 +202,26 @@ class _Rows(NamedTuple):
     usable: np.ndarray
 
 
-def _rows(family: Family) -> _Rows:
-    sq_norm, total = family.row_sums
+def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
+    """Per-row quantities of the candidates, checked against each other and ``y``.
+
+    A sum of squares that is not finite, of ``y`` or of a candidate, is a
+    NumericOverflow: every score computed from it would be meaningless.
+    """
     count = family.grid.count
-    centred_sq = sq_norm - total * total / count
+    if not len(family):
+        raise EmptyFamily("no candidates to select from")
+    if len(y) != count:
+        raise ShapeError(f"{name} has {len(y)} samples, grid expects {count}")
+    with np.errstate(over="ignore"):
+        if not math.isfinite(y @ y):
+            raise NumericOverflow(f"the {name}'s sum of squares overflows")
+    sq_norm, total = family.row_sums
+    with np.errstate(over="ignore", invalid="ignore"):
+        centred_sq = sq_norm - total * total / count
+    overflowed = [family.ids[i] for i in np.flatnonzero(~np.isfinite(centred_sq))]
+    if overflowed:
+        raise NumericOverflow(f"member {overflowed[0]!r}: its sum of squares overflows")
     unresolved = (centred_sq <= ROUNDING_MARGIN * count * EPS * sq_norm) | (
         centred_sq < RESOLVED_FLOOR
     )
@@ -286,64 +301,41 @@ def fit(
 
     Iteration 0 selects against the target itself; every later iteration
     selects against target minus the current prediction. Fitting stops early
-    (``stopped_early`` set) when the candidate pool empties, no candidate
-    clears ``lbound``, or the residual has zero variance. The trace records
-    squared error and the composite cost of target vs. prediction after every
-    accepted term.
+    when the candidate pool empties, no candidate clears ``lbound``, or the
+    residual has zero variance, so the panel is shorter than ``panel_size``
+    (``stopped_early``). The trace records the squared error after every
+    accepted term; ``config.transform`` is not read.
     """
-    if not len(family):
-        raise EmptyFamily("cannot fit against an empty family")
-    if len(target.values) != family.grid.count:
-        raise ShapeError(
-            f"target has {len(target.values)} samples, "
-            f"grid expects {family.grid.count}"
-        )
-
-    rows = _rows(family)
+    rows = _checked_rows(family, target.values, "target")
     # zero and constant members can never be selected, so they start outside
     pool = rows.usable.copy()
     prediction = np.zeros(family.grid.count)
+    residual_now = target.values
     terms: list[PanelTerm] = []
     records: list[TraceRecord] = []
-    stopped_early = False
 
     for iteration in range(config.panel_size):
-        residual_now = target.values - prediction
         found = None
         if np.ptp(residual_now) != 0:
             found = _best(family, rows, residual_now, config.lbound, pool)
         if found is None:
-            stopped_early = True
             break
         index, chosen = found
         weight = config.alpha * chosen.raw_rho
         prediction = prediction + weight * family.values[index]
+        residual_now = target.values - prediction
         terms.append(
             PanelTerm(chosen.member_id, weight, chosen.raw_rho, chosen.score, iteration)
         )
         if not config.with_replacement:
             pool[index] = False
-        squared_error = float(np.sum((target.values - prediction) ** 2))
-        try:
-            psi_now = psi(config.transform, target.values, prediction)
-        except DegenerateCorrelation:
-            psi_now = float("nan")
-        records.append(
-            TraceRecord(
-                iteration,
-                chosen.member_id,
-                chosen.raw_rho,
-                chosen.score,
-                squared_error,
-                psi_now,
-            )
-        )
+        records.append(TraceRecord(iteration, *chosen, float(np.sum(residual_now**2))))
 
     if not terms:
         raise NoAdmissibleMember(
             "no candidate was accepted (threshold too high or degenerate target)"
         )
-    model = PanelModel(tuple(terms), config, family.grid, stopped_early)
+    model = PanelModel(tuple(terms), config, family.grid)
     return model, FitTrace(tuple(records))
 
 

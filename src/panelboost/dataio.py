@@ -39,6 +39,7 @@ from .errors import (
     EmptyFamily,
     IrregularGrid,
     MissingValue,
+    NumericOverflow,
     ParseError,
     ReservedId,
     UnsupportedVersion,
@@ -125,10 +126,9 @@ def read_panel_csv(path) -> tuple[Family, Series]:
         raise EmptyFamily(f"{path}: no member columns and no explicit target")
     family = Family._from_matrix(grid, ids, columns[1:])
     try:
-        with np.errstate(over="ignore"):
-            return family, aggregate_target(family)
-    except ValueError:  # the sum overflowed, and a Series must be finite
-        raise ParseError(f"{path}: the sum of the members overflows") from None
+        return family, aggregate_target(family)
+    except NumericOverflow as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def read_prediction_csv(path) -> tuple[TimeGrid, Series]:
@@ -275,11 +275,7 @@ def _object_doc(obj, table: dict) -> dict:
 
 
 def read_model(path) -> PanelModel:
-    """Load a model file written by write_model.
-
-    stopped_early is not stored: it is exactly "fewer terms than the
-    configured panel size", so it is reconstructed from the counts.
-    """
+    """Load a model file written by write_model."""
     path = Path(path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -313,7 +309,7 @@ def read_model(path) -> PanelModel:
             PanelTerm(**_fields(term, _TERM, path, f"terms[{k}]"))
             for k, term in enumerate(doc["terms"])
         )
-        return PanelModel(terms, config, grid, len(terms) < config.panel_size)
+        return PanelModel(terms, config, grid)
     except ValueError as exc:
         raise ParseError(f"{path}: invalid model content: {exc}") from exc
 

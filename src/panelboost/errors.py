@@ -95,3 +95,7 @@ class UnsupportedVersion(PanelBoostError):
 
 class ParseError(PanelBoostError):
     """A file could not be parsed; the message carries line/field context."""
+
+
+class NumericOverflow(PanelBoostError):
+    """A sum over the values overflows the float range."""

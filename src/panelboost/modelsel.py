@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -70,27 +70,33 @@ def cumulative(series: Series, grid_step: float) -> Series:
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Cartesian metaparameter grid; the declared order fixes the row order."""
+    """Cartesian metaparameter grid; the declared order fixes the row order.
+
+    ``cells`` holds one ``BoostConfig`` per grid point, in row order: the
+    product of the fields in declaration order (panel_sizes, lbounds,
+    alphas, transforms). Building them checks every value, so the valid
+    ranges are ``BoostConfig``'s.
+    """
 
     panel_sizes: tuple[int, ...]
     lbounds: tuple[float, ...]
     alphas: tuple[float, ...]
     transforms: tuple[TransformKind, ...]
+    cells: tuple[BoostConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "panel_sizes", tuple(self.panel_sizes))
-        object.__setattr__(self, "lbounds", tuple(self.lbounds))
-        object.__setattr__(self, "alphas", tuple(self.alphas))
-        object.__setattr__(self, "transforms", tuple(self.transforms))
         for name in ("panel_sizes", "lbounds", "alphas", "transforms"):
-            if not getattr(self, name):
+            values = tuple(getattr(self, name))
+            if not values:
                 raise ValueError(f"{name} must not be empty")
-        if any(m < 1 for m in self.panel_sizes):
-            raise ValueError("every panel size must be at least 1")
-        if any(not -1.0 <= b <= 1.0 for b in self.lbounds):
-            raise ValueError("every lbound must lie in [-1, 1]")
-        if any(not 0.0 < a <= 1.0 for a in self.alphas):
-            raise ValueError("every alpha must lie in (0, 1]")
+            object.__setattr__(self, name, values)
+        cells = tuple(
+            BoostConfig(panel_size=size, transform=kind, lbound=lbound, alpha=alpha)
+            for size, lbound, alpha, kind in itertools.product(
+                self.panel_sizes, self.lbounds, self.alphas, self.transforms
+            )
+        )
+        object.__setattr__(self, "cells", cells)
 
 
 @dataclass(frozen=True)
@@ -117,17 +123,15 @@ class SweepResult:
 def sweep(
     family: Family, target: Series, split_spec: SplitSpec, grid: SweepGrid
 ) -> SweepResult:
-    """Fit every configuration on the train segment; rank by validation RMSE.
+    """Fit every grid cell on the train segment; rank by validation RMSE.
 
-    Rows follow the Cartesian product of the grid fields in declaration
-    order (panel_sizes, lbounds, alphas, transforms). Configurations that
-    accept no member stay in the result as error rows. Ties on validation
-    RMSE prefer the smaller panel, then the smaller alpha, then the earlier
-    row. Every cell is fitted from scratch, although not everything differs
-    between cells: the transform never enters selection (only the trace and
-    the metrics), so cells that differ only in it repeat the same fit, and
-    the per-member sums that selection needs are computed once on the train
-    family and shared by every cell.
+    Rows follow ``grid.cells``. Configurations that accept no member stay in
+    the result as error rows. Ties on validation RMSE prefer the smaller
+    panel, then the smaller alpha, then the earlier row. Every cell is
+    fitted from scratch, although not everything differs between cells: the
+    transform never enters fitting (only the metrics), so cells that differ
+    only in it repeat the same fit, and the per-member sums that selection
+    needs are computed once on the train family and shared by every cell.
     """
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)
@@ -137,17 +141,13 @@ def sweep(
     step = family.grid.step
 
     rows: list[SweepRow] = []
-    for size, lbound, alpha, kind in itertools.product(
-        grid.panel_sizes, grid.lbounds, grid.alphas, grid.transforms
-    ):
-        config = BoostConfig(
-            panel_size=size, transform=kind, lbound=lbound, alpha=alpha
-        )
+    for config in grid.cells:
         try:
             model, _ = fit(fam_train, tgt_train, config)
         except NoAdmissibleMember:
             rows.append(SweepRow(config, None, None, False, error="NoAdmissibleMember"))
             continue
+        kind = config.transform
         train_metrics = evaluate(predict(model, fam_train), tgt_train, kind, step)
         val_metrics = evaluate(predict(model, fam_val), tgt_val, kind, step)
         rows.append(SweepRow(config, train_metrics, val_metrics, model.stopped_early))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSplit, EmptyFamily, RangeError
+from .errors import DegenerateSplit, EmptyFamily, NumericOverflow, RangeError
 
 TARGET_ID = "__target__"
 PREDICTION_ID = "__prediction__"
@@ -203,7 +203,11 @@ def aggregate_target(family: Family) -> Series:
     if not len(family):
         raise EmptyFamily("cannot aggregate an empty family")
     # reducing over axis 0 adds the rows one after another, in member order
-    return Series(TARGET_ID, family.values.sum(axis=0))
+    with np.errstate(over="ignore"):
+        total = family.values.sum(axis=0)
+    if not np.isfinite(total).all():
+        raise NumericOverflow("the sum of the members overflows")
+    return Series(TARGET_ID, total)
 
 
 def split(grid: TimeGrid, spec: SplitSpec) -> tuple[range, range, range]:

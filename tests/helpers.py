@@ -1,11 +1,14 @@
 """Independent oracles shared by the test suite.
 
 Everything here is written against plain numpy so it cannot accidentally
-reuse the code paths it is meant to check. The one exception is the scalar
-selection oracle (``scalar_select``, ``scalar_fit``): it is the
+reuse the code paths it is meant to check. There are two exceptions. The
+scalar selection oracle (``scalar_select``, ``scalar_fit``) is the
 per-candidate loop over the public scalar functionals ``argmin_rho`` and
 ``pearson``, which are themselves checked against numpy, and it is the
-reference the matrix-backed selection must reproduce exactly.
+reference the matrix-backed selection must reproduce exactly. The sweep
+oracle (``scratch_sweep``) runs every grid cell through the public ``fit``,
+``predict`` and ``evaluate``, and is the reference any sweep that shares
+work between cells must reproduce exactly.
 """
 
 import itertools
@@ -13,7 +16,22 @@ import math
 
 import numpy as np
 
-from panelboost import DegenerateCorrelation, ZeroCandidate, argmin_rho, pearson
+from panelboost import (
+    BoostConfig,
+    DegenerateCorrelation,
+    NoAdmissibleMember,
+    SweepResult,
+    SweepRow,
+    ZeroCandidate,
+    argmin_rho,
+    evaluate,
+    fit,
+    pearson,
+    predict,
+    restrict,
+    restrict_family,
+    split,
+)
 
 
 def golden_section_min(fn, lo, hi, tol=1e-8, max_iter=500):
@@ -169,3 +187,37 @@ def scalar_fit(members, target, panel_size, lbound=-1.0, alpha=1.0,
         if not with_replacement:
             del pool[position]
     return path, False
+
+
+def scratch_sweep(family, target, split_spec, grid):
+    """The sweep with every cell fitted from scratch, as a ``SweepResult``.
+
+    Rows follow the Cartesian product of the grid fields in declaration
+    order. Each cell fits on the train segment, then predicts and evaluates
+    on the train and validation segments with the cell's transform; a cell
+    that accepts no member is an error row. The best row has the smallest
+    (validation rmse, panel size, alpha, row index).
+    """
+    train, val, _ = split(family.grid, split_spec)
+    f_train, t_train = restrict_family(family, train), restrict(target, train)
+    f_val, t_val = restrict_family(family, val), restrict(target, val)
+    step = family.grid.step
+    rows = []
+    for size, lbound, alpha, kind in itertools.product(
+        grid.panel_sizes, grid.lbounds, grid.alphas, grid.transforms
+    ):
+        config = BoostConfig(size, kind, lbound, alpha)
+        try:
+            model, _ = fit(f_train, t_train, config)
+        except NoAdmissibleMember:
+            rows.append(SweepRow(config, None, None, False, "NoAdmissibleMember"))
+            continue
+        train_metrics = evaluate(predict(model, f_train), t_train, kind, step)
+        val_metrics = evaluate(predict(model, f_val), t_val, kind, step)
+        rows.append(SweepRow(config, train_metrics, val_metrics, model.stopped_early))
+    best = min(
+        (row.validation.rmse, row.config.panel_size, row.config.alpha, i)
+        for i, row in enumerate(rows)
+        if row.error is None
+    )[3]
+    return SweepResult(tuple(rows), best)

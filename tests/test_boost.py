@@ -21,6 +21,7 @@ from panelboost import (
     GenSpec,
     MissingPanelMember,
     NoAdmissibleMember,
+    NumericOverflow,
     PanelModel,
     PanelTerm,
     Series,
@@ -234,6 +235,85 @@ class TestMatchesScalarOracle:
             assert model.stopped_early == stopped
 
 
+# Families for the fit invariants: plain rows next to zero, constant and
+# duplicate rows, with a target that mixes the rows plus noise.
+@st.composite
+def _fit_cases(draw):
+    count = draw(st.integers(3, 12))
+    # distinct elements keep plain rows, and mostly the target, from being constant
+    plain = arrays(float, count, elements=_VALUES, unique=True)
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("plain", "zero", "constant", "duplicate")))
+        if kind == "zero":
+            rows.append(np.zeros(count))
+        elif kind == "constant":
+            rows.append(np.full(count, draw(_VALUES)))
+        elif kind == "duplicate" and rows:
+            rows.append(draw(st.sampled_from(rows)).copy())
+        else:
+            rows.append(draw(plain))
+    mix = draw(arrays(float, len(rows), elements=st.floats(-3.0, 3.0)))
+    target = mix @ np.array(rows) + draw(plain)
+    config = _config(
+        draw(st.integers(1, 10)),
+        lbound=draw(st.sampled_from((-1.0, 0.0, 0.5))),
+        alpha=draw(st.sampled_from((1.0, 0.5))),
+        with_replacement=draw(st.booleans()),
+    )
+    return rows, target, config
+
+
+class TestFitInvariants:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(_fit_cases())
+    def test_invariants_hold_on_random_families(self, case):
+        rows, target_values, config = case
+        fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+        target = Series("__target__", target_values)
+        try:
+            model, trace = fit(fam, target, config)
+        except NoAdmissibleMember:
+            return
+        errors = trace.squared_errors()
+        if config.alpha == 1.0:
+            assert all(a >= b - 1e-9 * max(1.0, a) for a, b in zip(errors, errors[1:]))
+        assert all(t.score >= config.lbound for t in model.terms)
+        ids = model.member_ids()
+        if not config.with_replacement:
+            assert len(set(ids)) == len(ids)
+        assert model.stopped_early == (len(model.terms) < config.panel_size)
+        _, stopped = scalar_fit(
+            [(m.id, m.values) for m in fam.members], target_values, config.panel_size,
+            config.lbound, config.alpha, config.with_replacement,
+        )
+        assert model.stopped_early == stopped
+        for k, error in enumerate(errors):
+            prefix = PanelModel(model.terms[: k + 1], config, model.grid)
+            prediction = predict(prefix, fam).values
+            assert error == float(np.sum((target_values - prediction) ** 2))
+
+
+class TestOverflow:
+    """Sums of squares beyond the float range are a typed error, not a bogus fit."""
+
+    def test_overflowing_candidates(self):
+        fam = _family({"a": [1e300, -1e300, 1e300], "b": [2e300, 1e300, -1e300]})
+        target = Series("__target__", [1.0, 2.0, 3.0])
+        with pytest.raises(NumericOverflow, match="member 'a'"):
+            fit(fam, target, _config(2, transform=TransformKind.WITCH))
+        with pytest.raises(NumericOverflow, match="member 'a'"):
+            select_step(fam, Series("__residual__", target.values), _config(1))
+
+    def test_overflowing_target(self):
+        fam = _family({"a": [1.0, 2.0, 3.0]})
+        values = [1e300, -1e300, 2e300]
+        with pytest.raises(NumericOverflow, match="target"):
+            fit(fam, Series("__target__", values), _config(1))
+        with pytest.raises(NumericOverflow, match="residual"):
+            select_step(fam, Series("__residual__", values), _config(1))
+
+
 class TestFit:
     def test_exact_recovery_on_orthogonal_family(self):
         rng = np.random.default_rng(22)
@@ -378,23 +458,23 @@ class TestFit:
 class TestPanelModelInvariants:
     def test_zero_terms_unconstructible(self):
         with pytest.raises(ValueError):
-            PanelModel((), _config(1), TimeGrid(0.0, 1.0, 2), False)
+            PanelModel((), _config(1), TimeGrid(0.0, 1.0, 2))
 
     def test_duplicate_members_rejected_without_replacement(self):
         t = PanelTerm("a", 1.0, 1.0, 0.5, 0)
         u = PanelTerm("a", 1.0, 1.0, 0.5, 1)
         with pytest.raises(ValueError):
-            PanelModel((t, u), _config(2), TimeGrid(0.0, 1.0, 2), False)
+            PanelModel((t, u), _config(2), TimeGrid(0.0, 1.0, 2))
 
     def test_score_below_lbound_rejected(self):
         t = PanelTerm("a", 1.0, 1.0, -0.5, 0)
         with pytest.raises(ValueError):
-            PanelModel((t,), _config(1, lbound=0.0), TimeGrid(0.0, 1.0, 2), False)
+            PanelModel((t,), _config(1, lbound=0.0), TimeGrid(0.0, 1.0, 2))
 
     def test_inconsistent_weight_rejected(self):
         t = PanelTerm("a", 2.0, 1.0, 0.5, 0)  # weight != alpha * raw_rho
         with pytest.raises(ValueError):
-            PanelModel((t,), _config(1), TimeGrid(0.0, 1.0, 2), False)
+            PanelModel((t,), _config(1), TimeGrid(0.0, 1.0, 2))
 
     @pytest.mark.parametrize("field", ["weight", "raw_rho", "score"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -410,7 +490,7 @@ class TestPanelModelInvariants:
 class TestPredict:
     def test_single_term_scaling(self):
         model = PanelModel(
-            (PanelTerm("a", 2.0, 2.0, 1.0, 0),), _config(1), TimeGrid(0.0, 1.0, 2), False
+            (PanelTerm("a", 2.0, 2.0, 1.0, 0),), _config(1), TimeGrid(0.0, 1.0, 2)
         )
         fam = _family({"a": [1.0, 2.0]})
         out = predict(model, fam)
@@ -422,14 +502,13 @@ class TestPredict:
             (PanelTerm("a", 1.0, 1.0, 0.5, 0), PanelTerm("b", 1.0, 1.0, 0.5, 1)),
             _config(2),
             TimeGrid(0.0, 1.0, 2),
-            False,
         )
         fam = _family({"a": [1.0, 0.0], "b": [0.0, 1.0]})
         np.testing.assert_array_equal(predict(model, fam).values, [1.0, 1.0])
 
     def test_missing_member_is_named(self):
         model = PanelModel(
-            (PanelTerm("ghost", 1.0, 1.0, 0.5, 0),), _config(1), TimeGrid(0.0, 1.0, 2), False
+            (PanelTerm("ghost", 1.0, 1.0, 0.5, 0),), _config(1), TimeGrid(0.0, 1.0, 2)
         )
         fam = _family({"a": [1.0, 2.0]})
         with pytest.raises(MissingPanelMember) as err:

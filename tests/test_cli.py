@@ -124,6 +124,18 @@ class TestFitCommand:
         assert code == 1
         assert "NoAdmissibleMember" in capsys.readouterr().err
 
+    def test_overflowing_members_are_a_runtime_error(self, tmp_path, capsys):
+        data = tmp_path / "big.csv"
+        data.write_text(
+            "t,a,b,__target__\n0,1e300,2e300,1\n1,-1e300,1e300,2\n2,1e300,-1e300,3\n"
+        )
+        code, model = _fit(tmp_path, data, panel_size=2, transform="witch")
+        assert code == 1
+        assert not model.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NumericOverflow: member 'a': its sum of squares overflows"
+        ]
+
     def test_with_replacement_flag(self, tmp_path):
         data = _gen(tmp_path)
         code, model = _fit(tmp_path, data, panel_size=2, alpha=0.3,

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import walsh_members
+from helpers import scratch_sweep, walsh_members
 from panelboost import (
     EmptyInput,
     Family,
+    GenSpec,
     Series,
     ShapeError,
     SplitSpec,
@@ -14,6 +15,7 @@ from panelboost import (
     TransformKind,
     cumulative,
     evaluate,
+    generate,
     sweep,
 )
 
@@ -178,6 +180,25 @@ class TestSweep:
         result = sweep(fam, target, SplitSpec(0.5, 0.3), grid)
         assert result.best == 0
         assert result.rows[result.best].config.transform is WITCH
+
+    def test_matches_the_from_scratch_oracle(self):
+        # lbound 0.95 admits no first term (error rows), 0.28 stops the alpha-1
+        # path after two terms, and size 10 outruns the eight members, so the
+        # grid holds error rows, both kinds of early stop and full panels
+        fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        grid = SweepGrid((1, 3, 10), (-1.0, 0.28, 0.95), (1.0, 0.6), (RECIP, WITCH))
+        result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        want = scratch_sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        assert len(result.rows) == len(want.rows) == 36
+        for got_row, want_row in zip(result.rows, want.rows):
+            # repr compares every float bit for bit, NaN included
+            assert repr(got_row) == repr(want_row)
+        assert result.best == want.best
+        assert any(row.error for row in result.rows)
+        stops = [row.config.panel_size for row in result.rows if row.stopped_early]
+        assert 3 in stops and 10 in stops
+        assert any(row.error is None and not row.stopped_early for row in result.rows)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

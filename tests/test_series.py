@@ -5,6 +5,7 @@ from panelboost import (
     DegenerateSplit,
     EmptyFamily,
     Family,
+    NumericOverflow,
     RangeError,
     Series,
     SplitSpec,
@@ -149,6 +150,12 @@ class TestAggregateTarget:
     def test_empty_family(self):
         with pytest.raises(EmptyFamily):
             aggregate_target(Family(TimeGrid(0.0, 1.0, 2), ()))
+
+    def test_overflowing_sum_is_a_typed_error(self):
+        # each member is finite, but their sum at t=0 is not; no warning either
+        fam = _family([1e308, 1.0], [1e308, 2.0])
+        with pytest.raises(NumericOverflow, match="sum of the members overflows"):
+            aggregate_target(fam)
 
     def test_sums_members_in_order(self):
         rng = np.random.default_rng(12)
