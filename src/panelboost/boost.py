@@ -344,15 +344,30 @@ def predict(model: PanelModel, family: Family) -> Series:
 
     The family may live on any grid: forecasting a new horizon means handing
     in the same members observed over that horizon. Terms are added in model
-    order, the order in which ``fit`` accumulated them.
+    order, the order in which ``fit`` accumulated them. A prediction beyond
+    the float range is a NumericOverflow.
     """
-    values = np.zeros(family.grid.count)
-    for term in model.terms:
-        row = family.index_of(term.member_id)
-        if row is None:
-            raise MissingPanelMember(term.member_id)
-        values = values + term.weight * family.values[row]
-    return Series(PREDICTION_ID, values)
+    return Series(PREDICTION_ID, _running_sums(model.terms, family)[-1])
+
+
+def _running_sums(terms: tuple[PanelTerm, ...], family: Family) -> list[np.ndarray]:
+    """Prediction of every prefix of ``terms``: element k sums the first k terms.
+
+    The sum starts from zeros and adds ``weight * row`` term by term, as
+    ``fit`` does; ``predict`` takes the last prefix and the sweep every one.
+    Once a prefix is not finite, every longer one is not either, so checking
+    the last one covers them all.
+    """
+    sums = [np.zeros(family.grid.count)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for term in terms:
+            row = family.index_of(term.member_id)
+            if row is None:
+                raise MissingPanelMember(term.member_id)
+            sums.append(sums[-1] + term.weight * family.values[row])
+    if not np.isfinite(sums[-1]).all():
+        raise NumericOverflow("the prediction overflows")
+    return sums
 
 
 def residual(target: Series, prediction: Series) -> Series:

@@ -82,7 +82,13 @@ def pearson(f, g) -> float:
         raise DegenerateCorrelation("left")
     if np.ptp(ga) == 0 or sgg == 0.0:
         raise DegenerateCorrelation("right")
-    r = float(fc @ gc) / math.sqrt(sff * sgg)
+    denom = math.sqrt(sff * sgg)
+    if denom == 0.0 or denom == math.inf:
+        # the product of two finite, nonzero sums left the float range; the
+        # split form is only a fallback because it moves the last bit of
+        # ordinary scores
+        denom = math.sqrt(sff) * math.sqrt(sgg)
+    r = float(fc @ gc) / denom
     return max(-1.0, min(1.0, r))
 
 

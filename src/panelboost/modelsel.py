@@ -8,16 +8,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boost import BoostConfig, fit, predict
+from .boost import BoostConfig, PanelTerm, _running_sums, fit
 from .errors import (
     DegenerateCorrelation,
     EmptyInput,
     NoAdmissibleMember,
+    NumericOverflow,
     ShapeError,
     SweepFailed,
 )
-from .functional import TransformKind, pearson, psi
-from .series import Family, Series, SplitSpec, restrict, restrict_family, split
+from .functional import TransformKind, pearson, transform
+from .series import (
+    PREDICTION_ID,
+    Family,
+    Series,
+    SplitSpec,
+    restrict,
+    restrict_family,
+    split,
+)
 
 
 @dataclass(frozen=True)
@@ -47,16 +56,20 @@ def evaluate(
     if len(p) < 2:
         raise ShapeError("need at least 2 samples to evaluate")
     diff = p - y
-    rmse = math.sqrt(float(np.mean(diff**2)))
+    squared = diff**2
+    rmse = math.sqrt(float(np.mean(squared)))
     mae = float(np.mean(np.abs(diff)))
     try:
         corr = pearson(p, y)
     except DegenerateCorrelation:
         corr = None
-    try:
-        cost = psi(kind, y, p)
-    except DegenerateCorrelation:
-        cost = float("nan")
+    # psi(kind, y, p), from the correlation above: pearson is symmetric bit
+    # for bit, and so is the squared difference
+    cost = (
+        float("nan")
+        if corr is None
+        else 0.5 * float(np.sum(squared)) + transform(kind, corr)
+    )
     cumulative_gap = abs(float(np.sum(diff))) * grid_step
     return Metrics(rmse, mae, corr, cost, cumulative_gap)
 
@@ -65,7 +78,11 @@ def cumulative(series: Series, grid_step: float) -> Series:
     """Running left-endpoint integral: out[k] = sum(values[:k+1]) * grid_step."""
     if len(series.values) == 0:
         raise EmptyInput("cumulative of an empty series")
-    return Series(series.id, np.cumsum(series.values) * grid_step)
+    with np.errstate(over="ignore", invalid="ignore"):
+        running = np.cumsum(series.values) * grid_step
+    if not np.isfinite(running).all():
+        raise NumericOverflow("the running integral overflows")
+    return Series(series.id, running)
 
 
 @dataclass(frozen=True)
@@ -127,11 +144,20 @@ def sweep(
 
     Rows follow ``grid.cells``. Configurations that accept no member stay in
     the result as error rows. Ties on validation RMSE prefer the smaller
-    panel, then the smaller alpha, then the earlier row. Every cell is
-    fitted from scratch, although not everything differs between cells: the
-    transform never enters fitting (only the metrics), so cells that differ
-    only in it repeat the same fit, and the per-member sums that selection
-    needs are computed once on the train family and shared by every cell.
+    panel, then the smaller alpha, then the earlier row.
+
+    The cells share their fits: one fit runs per distinct alpha, at the
+    largest panel size with lbound -1, and every cell is a prefix of that
+    path. This is exact, not an approximation. The transform never enters
+    fitting, only the metrics. ``panel_size`` only bounds the number of
+    iterations. ``lbound`` only decides, after the best candidate has been
+    found, whether to accept it; the pool, the residual and the tie-breaks
+    do not depend on it. So the fit of a cell accepts the longest prefix of
+    the path within its panel size whose every score is at least its lbound
+    (none: the NoAdmissibleMember error row), and it stopped early exactly
+    when that prefix is shorter than its panel size. The predictions of every
+    prefix are running sums in ``predict``'s order, and the metrics of each
+    distinct (alpha, prefix, transform) are computed once.
     """
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)
@@ -140,17 +166,39 @@ def sweep(
     tgt_val = restrict(target, val_range)
     step = family.grid.step
 
-    rows: list[SweepRow] = []
-    for config in grid.cells:
+    paths = {}
+    for alpha in dict.fromkeys(grid.alphas):
+        config = BoostConfig(max(grid.panel_sizes), grid.transforms[0], -1.0, alpha)
         try:
-            model, _ = fit(fam_train, tgt_train, config)
+            paths[alpha] = fit(fam_train, tgt_train, config)[0].terms
         except NoAdmissibleMember:
+            paths[alpha] = ()
+    lengths = [_accepted(paths[config.alpha], config) for config in grid.cells]
+    # prefixes are summed only as far as some cell reads them, so a longer
+    # prefix that no cell uses cannot overflow the sweep
+    sums = {}
+    for alpha, path in paths.items():
+        longest = max(n for c, n in zip(grid.cells, lengths) if c.alpha == alpha)
+        sums[alpha] = (
+            _running_sums(path[:longest], fam_train),
+            _running_sums(path[:longest], fam_val),
+        )
+
+    metrics = {}
+    rows: list[SweepRow] = []
+    for config, n in zip(grid.cells, lengths):
+        if n == 0:
             rows.append(SweepRow(config, None, None, False, error="NoAdmissibleMember"))
             continue
         kind = config.transform
-        train_metrics = evaluate(predict(model, fam_train), tgt_train, kind, step)
-        val_metrics = evaluate(predict(model, fam_val), tgt_val, kind, step)
-        rows.append(SweepRow(config, train_metrics, val_metrics, model.stopped_early))
+        key = (config.alpha, n, kind)
+        if key not in metrics:
+            train_sums, val_sums = sums[config.alpha]
+            metrics[key] = (
+                evaluate(Series(PREDICTION_ID, train_sums[n]), tgt_train, kind, step),
+                evaluate(Series(PREDICTION_ID, val_sums[n]), tgt_val, kind, step),
+            )
+        rows.append(SweepRow(config, *metrics[key], n < config.panel_size))
 
     ranked = [
         (row.validation.rmse, row.config.panel_size, row.config.alpha, i)
@@ -161,3 +209,13 @@ def sweep(
         raise SweepFailed("every configuration failed to accept a member")
     best = min(ranked)[3]
     return SweepResult(tuple(rows), best)
+
+
+def _accepted(path: tuple[PanelTerm, ...], config: BoostConfig) -> int:
+    """How many terms of an lbound -1 path the fit of ``config`` accepts."""
+    count = 0
+    for term in path[: config.panel_size]:
+        if not term.score >= config.lbound:
+            break
+        count += 1
+    return count

@@ -136,6 +136,27 @@ class TestFitCommand:
             "error: NumericOverflow: member 'a': its sum of squares overflows"
         ]
 
+    def test_tiny_values_fit_like_their_scaled_copy(self, tmp_path):
+        # centred sums of squares near 1e-200, whose product underflows to 0
+        values = np.array([[1.0, 3.0, 2.0], [2.0, 1.0, 5.0], [4.0, 2.0, 1.0],
+                           [1.0, 5.0, 7.0]]) * 1e-100
+        fits = []
+        for name, scale in (("tiny", 1.0), ("scaled", 2.0**340)):
+            data = tmp_path / f"{name}.csv"
+            data.write_text("t,a,b,__target__\n" + "".join(
+                f"{t},{','.join(repr(v) for v in (row * scale).tolist())}\n"
+                for t, row in enumerate(values)
+            ))
+            code, model = _fit(tmp_path, data, name=f"{name}.json", panel_size=2,
+                               transform="witch")
+            assert code == 0
+            fits.append(json.loads(model.read_text())["terms"])
+        tiny, scaled = fits
+        assert [t["member_id"] for t in tiny] == [t["member_id"] for t in scaled]
+        assert len(tiny) == 2
+        for got, want in zip(tiny, scaled):
+            assert got["score"] == pytest.approx(want["score"], abs=1e-12)
+
     def test_with_replacement_flag(self, tmp_path):
         data = _gen(tmp_path)
         code, model = _fit(tmp_path, data, panel_size=2, alpha=0.3,
@@ -167,6 +188,36 @@ class TestPredictCommand:
                      "--out", str(tmp_path / "p.csv")])
         assert code == 1
         assert "ParseError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "weight, flags, message",
+        [
+            (1e307, (), "the prediction overflows"),
+            (1e306, ("--cumulative",), "the running integral overflows"),
+        ],
+        ids=["prediction", "running-integral"],
+    )
+    def test_overflow_is_a_runtime_error(self, tmp_path, capsys, weight, flags,
+                                         message):
+        # members between 60 and 150: a weight of 1e307 overflows the
+        # prediction, one of 1e306 only its running sum
+        data = tmp_path / "panel.csv"
+        data.write_text("t,a,b,__target__\n0,60,150,70\n1,150,60,140\n"
+                        "2,90,120,100\n3,120,90,110\n")
+        code, model = _fit(tmp_path, data, panel_size=1)
+        assert code == 0
+        doc = json.loads(model.read_text())
+        doc["terms"][0]["weight"] = doc["terms"][0]["raw_rho"] = weight
+        model.write_text(json.dumps(doc))
+        capsys.readouterr()
+        pred = tmp_path / "p.csv"
+        code = main(["predict", "--data", str(data), "--model", str(model),
+                     "--out", str(pred), *flags])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: NumericOverflow: {message}"
+        ]
+        assert not pred.exists()
 
     def test_model_file_errors_surface(self, tmp_path, capsys):
         data = _gen(tmp_path)

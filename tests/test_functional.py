@@ -91,6 +91,18 @@ class TestPearson:
             g = rng.standard_normal(10)
             assert -1.0 <= pearson(f, g) <= 1.0
 
+    @pytest.mark.parametrize("power", [-500, 500], ids=["underflow", "overflow"])
+    def test_sums_of_squares_whose_product_leaves_the_float_range(self, power):
+        # the centred sums of squares, about 2**(2 * power) each, are finite and
+        # nonzero, but their product is not representable
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            f = rng.standard_normal(30)
+            g = rng.standard_normal(30)
+            scaled = pearson(f * 2.0**power, g * 2.0**power)
+            assert scaled == pytest.approx(pearson(f, g), abs=1e-15)
+            assert scaled == pearson(g * 2.0**power, f * 2.0**power)
+
     def test_degenerate_sides(self):
         with pytest.raises(DegenerateCorrelation) as err:
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from helpers import scratch_sweep, walsh_members
 from panelboost import (
+    BoostConfig,
     EmptyInput,
     Family,
     GenSpec,
+    NoAdmissibleMember,
     Series,
     ShapeError,
     SplitSpec,
@@ -15,7 +20,13 @@ from panelboost import (
     TransformKind,
     cumulative,
     evaluate,
+    fit,
     generate,
+    modelsel,
+    psi,
+    restrict,
+    restrict_family,
+    split,
     sweep,
 )
 
@@ -62,6 +73,14 @@ class TestEvaluate:
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             evaluate(_series([1.0, 2.0]), _series([1.0]), RECIP, 1.0)
+
+    def test_psi_is_the_composite_cost_bit_for_bit(self):
+        rng = np.random.default_rng(36)
+        for kind in (RECIP, WITCH):
+            for _ in range(50):
+                y = rng.standard_normal(20) * rng.uniform(0.1, 100.0)
+                p = y + rng.standard_normal(20) * rng.uniform(0.01, 10.0)
+                assert evaluate(_series(p), _series(y), kind, 1.0).psi == psi(kind, y, p)
 
     def test_zero_rmse_iff_identical(self):
         rng = np.random.default_rng(31)
@@ -200,6 +219,21 @@ class TestSweep:
         assert 3 in stops and 10 in stops
         assert any(row.error is None and not row.stopped_early for row in result.rows)
 
+    def test_one_fit_per_distinct_alpha(self, monkeypatch):
+        calls = []
+
+        def counting_fit(*args):
+            calls.append(args[2])
+            return fit(*args)
+
+        monkeypatch.setattr(modelsel, "fit", counting_fit)
+        fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        grid = SweepGrid((3, 1, 10), (0.95, -1.0, 0.28), (1.0, 0.6, 1.0), (RECIP, WITCH))
+        result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        assert len(result.rows) == 54
+        assert len(calls) == len(set(grid.alphas))
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SweepGrid((), (-1.0,), (1.0,), (RECIP,))
@@ -207,3 +241,76 @@ class TestSweep:
             SweepGrid((1,), (-2.0,), (1.0,), (RECIP,))
         with pytest.raises(ValueError):
             SweepGrid((1,), (-1.0,), (0.0,), (RECIP,))
+
+
+# Sweeps on random families (zero, constant and duplicate rows next to plain
+# ones) with grids whose lbounds come from the fitted paths' own scores, so
+# that the >= comparison is hit exactly on both sides of a score.
+_VALUES = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+_SPLIT = SplitSpec(0.5, 0.3)
+
+
+@st.composite
+def _sweep_families(draw):
+    count = draw(st.integers(10, 24))
+    plain = arrays(float, count, elements=_VALUES, unique=True)
+    rows = [draw(plain)]
+    for _ in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(("plain", "zero", "constant", "duplicate")))
+        if kind == "zero":
+            rows.append(np.zeros(count))
+        elif kind == "constant":
+            rows.append(np.full(count, draw(_VALUES)))
+        elif kind == "duplicate":
+            rows.append(draw(st.sampled_from(rows)).copy())
+        else:
+            rows.append(draw(plain))
+    constant_target = draw(st.integers(0, 7)) == 7
+    if constant_target:
+        target = np.full(count, draw(_VALUES))
+    else:
+        mix = draw(arrays(float, len(rows), elements=st.floats(-3.0, 3.0)))
+        target = mix @ np.array(rows) + draw(plain)
+    fam = Family(TimeGrid(0.0, 1.0, count),
+                 tuple(Series(f"c{i}", v) for i, v in enumerate(rows)))
+    return fam, Series("__target__", target), constant_target
+
+
+class TestPathSweepProperty:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_sweep_families(), st.data())
+    def test_matches_the_from_scratch_oracle(self, case, data):
+        fam, target, constant_target = case
+        sizes = data.draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+        alphas = data.draw(st.lists(st.sampled_from((1.0, 0.7, 0.5)), min_size=1,
+                                    max_size=3))
+        kinds = data.draw(st.lists(st.sampled_from((RECIP, WITCH)), min_size=1,
+                                   max_size=2))
+        train, _, _ = split(fam.grid, _SPLIT)
+        f_train, t_train = restrict_family(fam, train), restrict(target, train)
+        scores = []
+        for alpha in alphas:
+            try:
+                model, _ = fit(f_train, t_train, BoostConfig(max(sizes), RECIP, -1.0, alpha))
+            except NoAdmissibleMember:
+                continue
+            # each score, and the next float above it, which rejects that term
+            scores += [b for t in model.terms
+                       for b in (t.score, min(1.0, float(np.nextafter(t.score, 2.0))))]
+        lbounds = data.draw(st.lists(st.sampled_from(scores + [-1.0, 0.0, 0.5]),
+                                     min_size=1, max_size=3))
+        grid = SweepGrid(tuple(sizes), tuple(lbounds), tuple(alphas), tuple(kinds))
+        try:
+            got = sweep(fam, target, _SPLIT, grid)
+        except SweepFailed:
+            # the oracle has no best row to pick: every cell fails from scratch
+            for config in grid.cells:
+                with pytest.raises(NoAdmissibleMember):
+                    fit(f_train, t_train, config)
+            return
+        assert not constant_target
+        want = scratch_sweep(fam, target, _SPLIT, grid)
+        assert len(got.rows) == len(want.rows)
+        for got_row, want_row in zip(got.rows, want.rows):
+            assert repr(got_row) == repr(want_row)
+        assert got.best == want.best
