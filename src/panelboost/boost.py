@@ -1,11 +1,11 @@
 """Greedy panel extraction: stagewise least squares with a correlation screen.
 
-``fit`` grows a weighted panel one member at a time. Every iteration scores
-each remaining candidate by the correlation of its least-squares scaling
-with the current residual, accepts the best candidate at or above the
-configured lower bound, and advances the prediction by the shrunk weight.
-Without replacement, accepted members leave the candidate pool, so a panel
-never contains the same member twice.
+``fit`` grows a weighted panel along one greedy path. Each step scores every
+remaining candidate by the correlation of its least-squares scaling with the
+current residual, selects the best, and advances the prediction by its shrunk
+weight. The panel is the longest prefix of the path within the panel size
+whose every score clears the lower bound. Without replacement, selected
+members leave the pool, so a panel never contains the same member twice.
 
 Candidates are the rows of the family's ``(N, T)`` matrix. Each iteration
 scores all of them with one matrix-vector product against the residual and
@@ -19,7 +19,9 @@ each iteration consumes the previous residual.
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,6 +31,7 @@ from .errors import (
     DegenerateCorrelation,
     DegenerateResidual,
     EmptyFamily,
+    InvalidParameter,
     MissingPanelMember,
     NoAdmissibleMember,
     NumericOverflow,
@@ -70,11 +73,11 @@ class BoostConfig:
 
     def __post_init__(self):
         if self.panel_size < 1:
-            raise ValueError(f"panel_size must be at least 1, got {self.panel_size}")
+            raise InvalidParameter(f"panel_size must be at least 1, got {self.panel_size}")
         if not -1.0 <= self.lbound <= 1.0:
-            raise ValueError(f"lbound must lie in [-1, 1], got {self.lbound}")
+            raise InvalidParameter(f"lbound must lie in [-1, 1], got {self.lbound}")
         if not 0.0 < self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
+            raise InvalidParameter(f"alpha must lie in (0, 1], got {self.alpha}")
 
 
 @dataclass(frozen=True)
@@ -177,8 +180,9 @@ def select_step(
     rows = _checked_rows(candidates, residual.values, "residual")
     if np.ptp(residual.values) == 0:
         raise DegenerateResidual("residual has zero variance")
-    found = _best(candidates, rows, residual.values, config.lbound, rows.usable)
-    return None if found is None else found[1]
+    found = _best(candidates, rows, residual.values, rows.usable)
+    accepted = _accepted(() if found is None else (found[1],), config)
+    return accepted[0] if accepted else None
 
 
 class _Rows(NamedTuple):
@@ -232,11 +236,12 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
 
 
 def _best(
-    family: Family, rows: _Rows, r: np.ndarray, lbound: float, pool: np.ndarray
+    family: Family, rows: _Rows, r: np.ndarray, pool: np.ndarray
 ) -> tuple[int, Selection] | None:
-    """Row and selection of the best admissible candidate among the pool rows.
+    """Row and selection of the best candidate among the pool rows, whatever its score.
 
-    ``pool`` marks the rows to consider, a subset of ``rows.usable``.
+    ``pool`` marks the rows to consider, a subset of ``rows.usable``. None when
+    the pool is empty or the residual ``r`` is degenerate: constant, or srr == 0.
 
     One matrix-vector product scores every row at once: the centred inner
     product is <h, r> - mean(r) * sum(h). Those scores carry rounding error,
@@ -246,7 +251,7 @@ def _best(
     family order. The result is exactly what scoring every row with the
     scalar functionals gives, ties included. Usually one row is rescored.
     """
-    if not pool.any():
+    if not pool.any() or np.ptp(r) == 0:
         return None
     r_mean = r.mean()
     rc = r - r_mean
@@ -289,9 +294,40 @@ def _best(
         # strict improvement keeps the earliest row on ties
         if best is None or score > best[1].score:
             best = (int(i), Selection(family.ids[i], raw_rho, score))
-    if best is None or not best[1].score >= lbound:
-        return None
     return best
+
+
+def _path(
+    family: Family, target: Series, alpha: float, with_replacement: bool
+) -> Iterator[Selection]:
+    """The greedy path: the best candidate against each successive residual.
+
+    Step k selects against the target minus the first k weighted selections.
+    A selection joins that sum, and leaves the pool without replacement, only
+    when the next one is pulled. The path itself ends when ``_best`` finds no
+    candidate: the pool is empty or the residual is degenerate.
+    """
+    rows = _checked_rows(family, target.values, "target")
+    # zero and constant members can never be selected, so they start outside
+    pool = rows.usable.copy()
+    prediction = np.zeros(family.grid.count)
+    residual_now = target.values
+    while (found := _best(family, rows, residual_now, pool)) is not None:
+        index, chosen = found
+        yield chosen
+        prediction = prediction + alpha * chosen.raw_rho * family.values[index]
+        residual_now = target.values - prediction
+        if not with_replacement:
+            pool[index] = False
+
+
+def _accepted(path: Iterable, config: BoostConfig) -> list:
+    """Longest prefix of ``path`` within ``panel_size`` scoring at least ``lbound``.
+
+    It pulls at most ``panel_size`` items, and none after the first rejected one.
+    """
+    head = itertools.islice(path, config.panel_size)
+    return list(itertools.takewhile(lambda s: s.score >= config.lbound, head))
 
 
 def fit(
@@ -299,44 +335,26 @@ def fit(
 ) -> tuple[PanelModel, FitTrace]:
     """Grow a panel of up to ``config.panel_size`` terms approximating the target.
 
-    Iteration 0 selects against the target itself; every later iteration
-    selects against target minus the current prediction. Fitting stops early
-    when the candidate pool empties, no candidate clears ``lbound``, or the
-    residual has zero variance, so the panel is shorter than ``panel_size``
-    (``stopped_early``). The trace records the squared error after every
-    accepted term; ``config.transform`` is not read.
+    The terms are the ``_accepted`` prefix of the greedy ``_path``: fewer than
+    ``panel_size`` (``stopped_early``) when a selection scores below ``lbound``
+    or the path ends, for the causes ``_path`` names. The trace holds the
+    squared error after every accepted term. ``config.transform`` is not read.
     """
-    rows = _checked_rows(family, target.values, "target")
-    # zero and constant members can never be selected, so they start outside
-    pool = rows.usable.copy()
-    prediction = np.zeros(family.grid.count)
-    residual_now = target.values
-    terms: list[PanelTerm] = []
-    records: list[TraceRecord] = []
-
-    for iteration in range(config.panel_size):
-        found = None
-        if np.ptp(residual_now) != 0:
-            found = _best(family, rows, residual_now, config.lbound, pool)
-        if found is None:
-            break
-        index, chosen = found
-        weight = config.alpha * chosen.raw_rho
-        prediction = prediction + weight * family.values[index]
-        residual_now = target.values - prediction
-        terms.append(
-            PanelTerm(chosen.member_id, weight, chosen.raw_rho, chosen.score, iteration)
-        )
-        if not config.with_replacement:
-            pool[index] = False
-        records.append(TraceRecord(iteration, *chosen, float(np.sum(residual_now**2))))
-
+    path = _path(family, target, config.alpha, config.with_replacement)
+    terms = tuple(
+        PanelTerm(s.member_id, config.alpha * s.raw_rho, s.raw_rho, s.score, iteration)
+        for iteration, s in enumerate(_accepted(path, config))
+    )
     if not terms:
         raise NoAdmissibleMember(
             "no candidate was accepted (threshold too high or degenerate target)"
         )
-    model = PanelModel(tuple(terms), config, family.grid)
-    return model, FitTrace(tuple(records))
+    records = tuple(
+        TraceRecord(t.iteration, t.member_id, t.raw_rho, t.score,
+                    float(np.sum((target.values - p) ** 2)))
+        for t, p in zip(terms, _running_sums(terms, family)[1:])
+    )
+    return PanelModel(terms, config, family.grid), FitTrace(records)
 
 
 def predict(model: PanelModel, family: Family) -> Series:
@@ -354,7 +372,7 @@ def _running_sums(terms: tuple[PanelTerm, ...], family: Family) -> list[np.ndarr
     """Prediction of every prefix of ``terms``: element k sums the first k terms.
 
     The sum starts from zeros and adds ``weight * row`` term by term, as
-    ``fit`` does; ``predict`` takes the last prefix and the sweep every one.
+    ``_path`` does; ``predict`` takes the last prefix, ``fit`` and the sweep all.
     Once a prefix is not finite, every longer one is not either, so checking
     the last one covers them all.
     """

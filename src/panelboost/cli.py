@@ -1,8 +1,9 @@
 """Command-line surface: gen, fit, predict, sweep, eval.
 
-Exit codes: 0 success, 1 runtime error (data/model problems), 2 usage or
-parameter-validation error. Errors print one machine-parsable line to
-stderr: "error: <Code>: <message>".
+Exit codes: 0 success, 1 runtime error (any other ``PanelBoostError``, or an
+``OSError``), 2 usage error or an ``InvalidParameter``. Errors print one
+machine-parsable line to stderr: "error: <Code>: <message>". Any other
+exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 from . import dataio
 from .boost import BoostConfig, fit, predict
-from .errors import PanelBoostError
+from .errors import InvalidParameter, PanelBoostError
 from .functional import TransformKind
 from .modelsel import SweepGrid, cumulative, evaluate, sweep
 from .series import SplitSpec, restrict, restrict_family, split
@@ -99,12 +100,9 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return command(args)
-    except ValueError as exc:
-        print(f"error: InvalidParameter: {exc}", file=sys.stderr)
-        return 2
     except PanelBoostError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, InvalidParameter) else 1
     except OSError as exc:
         print(f"error: IOError: {exc}", file=sys.stderr)
         return 1
@@ -126,7 +124,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_fit(args) -> int:
     if (args.train is None) != (args.val is None):
-        raise ValueError("--train and --val must be given together")
+        raise InvalidParameter("--train and --val must be given together")
     family, target = dataio.read_panel_csv(args.data)
     if args.train is not None:
         train_range, _, _ = split(family.grid, SplitSpec(args.train, args.val))
@@ -163,10 +161,10 @@ def _cmd_predict(args) -> int:
 def _cmd_sweep(args) -> int:
     family, target = dataio.read_panel_csv(args.data)
     grid = SweepGrid(
-        panel_sizes=tuple(int(s) for s in _split_list(args.panel_sizes)),
-        lbounds=tuple(float(s) for s in _split_list(args.lbounds)),
-        alphas=tuple(float(s) for s in _split_list(args.alphas)),
-        transforms=tuple(TransformKind(s) for s in _split_list(args.transforms)),
+        panel_sizes=_parse_list(args.panel_sizes, int),
+        lbounds=_parse_list(args.lbounds, float),
+        alphas=_parse_list(args.alphas, float),
+        transforms=_parse_list(args.transforms, TransformKind),
     )
     result = sweep(family, target, SplitSpec(args.train, args.val), grid)
     dataio.write_sweep_report(result, args.report)
@@ -179,8 +177,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _, prediction = dataio.read_prediction_csv(args.pred)
+    pred_grid, prediction = dataio.read_prediction_csv(args.pred)
     family, target = dataio.read_panel_csv(args.data)
+    dataio.check_prediction_grid(pred_grid, family.grid)
     metrics = evaluate(prediction, target, EVAL_TRANSFORM, family.grid.step)
     dataio.write_eval_report(metrics, args.report)
     print(f"wrote {args.report}: rmse={metrics.rmse:.6g} mae={metrics.mae:.6g}")
@@ -190,8 +189,17 @@ def _cmd_eval(args) -> int:
 def _split_list(text: str) -> list[str]:
     items = [item.strip() for item in text.split(",") if item.strip()]
     if not items:
-        raise ValueError(f"empty list argument: {text!r}")
+        raise InvalidParameter(f"empty list argument: {text!r}")
     return items
+
+
+def _parse_list(text: str, parse) -> tuple:
+    """The comma-separated items of ``text``, each converted by ``parse``."""
+    items = _split_list(text)
+    try:
+        return tuple(parse(item) for item in items)
+    except ValueError as exc:  # int(), float() and TransformKind() raise it
+        raise InvalidParameter(str(exc)) from None
 
 
 if __name__ == "__main__":

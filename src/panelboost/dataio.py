@@ -42,6 +42,7 @@ from .errors import (
     NumericOverflow,
     ParseError,
     ReservedId,
+    ShapeError,
     UnsupportedVersion,
 )
 from .functional import TransformKind
@@ -139,6 +140,21 @@ def read_prediction_csv(path) -> tuple[TimeGrid, Series]:
     if PREDICTION_ID not in header:
         raise ParseError(f"{path}: no {PREDICTION_ID!r} column")
     return grid, Series(PREDICTION_ID, columns[header.index(PREDICTION_ID)])
+
+
+def check_prediction_grid(grid: TimeGrid, data_grid: TimeGrid) -> None:
+    """Raise ShapeError unless a prediction's grid is that of the data it is scored on.
+
+    The counts must be equal, and the starts and the steps agree within
+    ``STEP_TOLERANCE`` times the data's step, the tolerance of a grid read from CSV.
+    """
+    tolerance = STEP_TOLERANCE * data_grid.step
+    if (
+        grid.count != data_grid.count
+        or abs(grid.start - data_grid.start) > tolerance
+        or abs(grid.step - data_grid.step) > tolerance
+    ):
+        raise ShapeError(f"prediction grid {grid} does not match data grid {data_grid}")
 
 
 def write_panel_csv(family: Family, path, target: Series | None = None) -> None:

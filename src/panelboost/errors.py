@@ -9,6 +9,13 @@ class PanelBoostError(Exception):
     """Base class for all library errors."""
 
 
+class InvalidParameter(PanelBoostError, ValueError):
+    """A parameter value lies outside its valid range, or does not parse.
+
+    It is also a ValueError, so callers that catch ValueError keep working.
+    """
+
+
 class EmptyFamily(PanelBoostError):
     """An operation needed at least one member series."""
 

@@ -17,6 +17,7 @@ from .errors import (
     DegenerateCorrelation,
     DomainError,
     EmptyInput,
+    NumericOverflow,
     ShapeError,
     ZeroCandidate,
 )
@@ -70,18 +71,23 @@ def pearson(f, g) -> float:
     """Pearson correlation, clamped to [-1, 1] against rounding overshoot.
 
     Raises DegenerateCorrelation (carrying the side) when either sequence
-    has zero variance.
+    has zero variance, and NumericOverflow when a centred sum of squares
+    (or the mean it is centred on) overflows the float range.
     """
     fa, ga = _as_pair(f, g)
-    fc = fa - fa.mean()
-    gc = ga - ga.mean()
-    sff = float(fc @ fc)
-    sgg = float(gc @ gc)
-    # ptp()==0 catches exact-constant input whose float mean leaves residues
-    if len(fa) < 2 or np.ptp(fa) == 0 or sff == 0.0:
-        raise DegenerateCorrelation("left")
-    if np.ptp(ga) == 0 or sgg == 0.0:
-        raise DegenerateCorrelation("right")
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the sum over the count is ndarray.mean bit for bit, at less cost
+        fc = fa - fa.sum() / len(fa)
+        gc = ga - ga.sum() / len(ga)
+        sff = float(fc @ fc)
+        sgg = float(gc @ gc)
+        # ptp()==0 catches exact-constant input whose float mean leaves residues
+        if len(fa) < 2 or np.ptp(fa) == 0 or sff == 0.0:
+            raise DegenerateCorrelation("left")
+        if np.ptp(ga) == 0 or sgg == 0.0:
+            raise DegenerateCorrelation("right")
+    if not (math.isfinite(sff) and math.isfinite(sgg)):
+        raise NumericOverflow("a centred sum of squares overflows")
     denom = math.sqrt(sff * sgg)
     if denom == 0.0 or denom == math.inf:
         # the product of two finite, nonzero sums left the float range; the
@@ -113,9 +119,15 @@ def phi(kind: TransformKind, f, g) -> float:
 
 
 def psi(kind: TransformKind, f, g) -> float:
-    """Composite cost: half the squared distance between f and g, plus phi."""
+    """Composite cost: half the squared distance between f and g, plus phi.
+
+    A squared distance beyond the float range is a NumericOverflow.
+    """
     fa, ga = _as_pair(f, g)
-    distance = 0.5 * float(np.sum((fa - ga) ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        distance = 0.5 * float(np.sum((fa - ga) ** 2))
+    if not math.isfinite(distance):
+        raise NumericOverflow("the squared error overflows")
     return distance + phi(kind, fa, ga)
 
 

@@ -8,10 +8,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .boost import BoostConfig, PanelTerm, _running_sums, fit
+from .boost import BoostConfig, _accepted, _running_sums, fit
 from .errors import (
     DegenerateCorrelation,
     EmptyInput,
+    InvalidParameter,
     NoAdmissibleMember,
     NumericOverflow,
     ShapeError,
@@ -55,21 +56,21 @@ def evaluate(
         raise ShapeError(f"length mismatch: {len(p)} vs {len(y)}")
     if len(p) < 2:
         raise ShapeError("need at least 2 samples to evaluate")
-    diff = p - y
-    squared = diff**2
-    rmse = math.sqrt(float(np.mean(squared)))
-    mae = float(np.mean(np.abs(diff)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        diff = p - y
+        sse = float(np.sum(diff**2))
+    if not math.isfinite(sse):
+        raise NumericOverflow("the squared error overflows")
+    # np.mean is the same sum divided by the count, bit for bit, at more cost
+    rmse = math.sqrt(sse / len(p))
+    mae = float(np.sum(np.abs(diff))) / len(p)
     try:
         corr = pearson(p, y)
     except DegenerateCorrelation:
         corr = None
     # psi(kind, y, p), from the correlation above: pearson is symmetric bit
     # for bit, and so is the squared difference
-    cost = (
-        float("nan")
-        if corr is None
-        else 0.5 * float(np.sum(squared)) + transform(kind, corr)
-    )
+    cost = float("nan") if corr is None else 0.5 * sse + transform(kind, corr)
     cumulative_gap = abs(float(np.sum(diff))) * grid_step
     return Metrics(rmse, mae, corr, cost, cumulative_gap)
 
@@ -105,7 +106,7 @@ class SweepGrid:
         for name in ("panel_sizes", "lbounds", "alphas", "transforms"):
             values = tuple(getattr(self, name))
             if not values:
-                raise ValueError(f"{name} must not be empty")
+                raise InvalidParameter(f"{name} must not be empty")
             object.__setattr__(self, name, values)
         cells = tuple(
             BoostConfig(panel_size=size, transform=kind, lbound=lbound, alpha=alpha)
@@ -146,16 +147,9 @@ def sweep(
     the result as error rows. Ties on validation RMSE prefer the smaller
     panel, then the smaller alpha, then the earlier row.
 
-    The cells share their fits: one fit runs per distinct alpha, at the
-    largest panel size with lbound -1, and every cell is a prefix of that
-    path. This is exact, not an approximation. The transform never enters
-    fitting, only the metrics. ``panel_size`` only bounds the number of
-    iterations. ``lbound`` only decides, after the best candidate has been
-    found, whether to accept it; the pool, the residual and the tie-breaks
-    do not depend on it. So the fit of a cell accepts the longest prefix of
-    the path within its panel size whose every score is at least its lbound
-    (none: the NoAdmissibleMember error row), and it stopped early exactly
-    when that prefix is shorter than its panel size. The predictions of every
+    Each row is ``_accepted`` of the path ``fit`` uses. That path is fitted
+    once per distinct alpha, at the largest panel size with lbound -1, and
+    every cell takes its accepted prefix of it. The predictions of every
     prefix are running sums in ``predict``'s order, and the metrics of each
     distinct (alpha, prefix, transform) are computed once.
     """
@@ -173,16 +167,14 @@ def sweep(
             paths[alpha] = fit(fam_train, tgt_train, config)[0].terms
         except NoAdmissibleMember:
             paths[alpha] = ()
-    lengths = [_accepted(paths[config.alpha], config) for config in grid.cells]
+    lengths = [len(_accepted(paths[config.alpha], config)) for config in grid.cells]
     # prefixes are summed only as far as some cell reads them, so a longer
     # prefix that no cell uses cannot overflow the sweep
     sums = {}
     for alpha, path in paths.items():
         longest = max(n for c, n in zip(grid.cells, lengths) if c.alpha == alpha)
-        sums[alpha] = (
-            _running_sums(path[:longest], fam_train),
-            _running_sums(path[:longest], fam_val),
-        )
+        prefix = path[:longest]
+        sums[alpha] = (_running_sums(prefix, fam_train), _running_sums(prefix, fam_val))
 
     metrics = {}
     rows: list[SweepRow] = []
@@ -209,13 +201,3 @@ def sweep(
         raise SweepFailed("every configuration failed to accept a member")
     best = min(ranked)[3]
     return SweepResult(tuple(rows), best)
-
-
-def _accepted(path: tuple[PanelTerm, ...], config: BoostConfig) -> int:
-    """How many terms of an lbound -1 path the fit of ``config`` accepts."""
-    count = 0
-    for term in path[: config.panel_size]:
-        if not term.score >= config.lbound:
-            break
-        count += 1
-    return count

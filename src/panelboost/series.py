@@ -12,7 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateSplit, EmptyFamily, NumericOverflow, RangeError
+from .errors import (
+    DegenerateSplit,
+    EmptyFamily,
+    InvalidParameter,
+    NumericOverflow,
+    RangeError,
+)
 
 TARGET_ID = "__target__"
 PREDICTION_ID = "__prediction__"
@@ -193,9 +199,11 @@ class SplitSpec:
             ("validation_fraction", self.validation_fraction),
         ):
             if not 0.0 < frac < 1.0:
-                raise ValueError(f"{name} must lie in (0, 1), got {frac}")
+                raise InvalidParameter(f"{name} must lie in (0, 1), got {frac}")
         if self.train_fraction + self.validation_fraction > 1.0:
-            raise ValueError("train_fraction + validation_fraction must not exceed 1")
+            raise InvalidParameter(
+                "train_fraction + validation_fraction must not exceed 1"
+            )
 
 
 def aggregate_target(family: Family) -> Series:

@@ -8,10 +8,12 @@ therefore exist by construction, which makes recovery testable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameter, NumericOverflow
 from .series import Family, Series, TimeGrid, aggregate_target
 
 
@@ -27,17 +29,19 @@ class GenSpec:
 
     def __post_init__(self):
         if self.n_series < 1:
-            raise ValueError(f"n_series must be at least 1, got {self.n_series}")
+            raise InvalidParameter(f"n_series must be at least 1, got {self.n_series}")
         if self.days < 14:
-            raise ValueError(f"days must be at least 14, got {self.days}")
+            raise InvalidParameter(f"days must be at least 14, got {self.days}")
         if not 1 <= self.archetypes <= self.n_series:
-            raise ValueError(
+            raise InvalidParameter(
                 f"archetypes must lie in [1, n_series], got {self.archetypes}"
             )
-        if self.noise_sd < 0:
-            raise ValueError(f"noise_sd must be non-negative, got {self.noise_sd}")
+        if not self.noise_sd >= 0:
+            raise InvalidParameter(f"noise_sd must be non-negative, got {self.noise_sd}")
+        if self.noise_sd == math.inf:
+            raise InvalidParameter("noise_sd must be finite, got inf")
         if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must be an unsigned 64-bit integer")
+            raise InvalidParameter("seed must be an unsigned 64-bit integer")
 
 
 def generate(spec: GenSpec) -> tuple[Family, Series]:
@@ -47,6 +51,7 @@ def generate(spec: GenSpec) -> tuple[Family, Series]:
     seed yields identical output on any platform with IEEE-754 doubles.
     Hotel values are capacity * shape * (1 + noise_sd * eps), clipped at 0;
     with noise_sd = 0 they are exact positive multiples of their mixture.
+    A noise level so large that some value overflows is a NumericOverflow.
     """
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.days, dtype=float)
@@ -55,11 +60,17 @@ def generate(spec: GenSpec) -> tuple[Family, Series]:
 
     width = len(str(spec.n_series))
     values = np.empty((spec.n_series, spec.days))
-    for n in range(spec.n_series):
-        capacity = rng.uniform(20.0, 200.0)
-        shape = _mixture(rng, shapes)
-        eps = rng.standard_normal(spec.days)
-        np.clip(capacity * shape * (1.0 + spec.noise_sd * eps), 0.0, None, out=values[n])
+    with np.errstate(over="ignore"):
+        for n in range(spec.n_series):
+            capacity = rng.uniform(20.0, 200.0)
+            shape = _mixture(rng, shapes)
+            eps = rng.standard_normal(spec.days)
+            noisy = capacity * shape * (1.0 + spec.noise_sd * eps)
+            np.clip(noisy, 0.0, None, out=values[n])
+    # values are clipped at 0 and an overflow is +inf, so the maximum shows it
+    # without a temporary array the size of the panel
+    if values.max() == math.inf:
+        raise NumericOverflow(f"noise_sd {spec.noise_sd} overflows the generated values")
 
     ids = [f"hotel_{n:0{width}d}" for n in range(spec.n_series)]
     family = Family._from_matrix(TimeGrid(0.0, 1.0, spec.days), ids, values)

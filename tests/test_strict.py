@@ -1,0 +1,236 @@
+"""Strict inputs: overflowing metrics, the eval grid check, typed parameter errors.
+
+Overflow and grid mismatches are data errors (exit 1); every parameter check
+raises ``InvalidParameter``, which the CLI maps to exit 2. Each case also
+pins the one stderr line the CLI prints.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from panelboost import (
+    BoostConfig,
+    GenSpec,
+    InvalidParameter,
+    NumericOverflow,
+    PanelBoostError,
+    Series,
+    SplitSpec,
+    SweepGrid,
+    TransformKind,
+    evaluate,
+    generate,
+    pearson,
+    psi,
+)
+from panelboost import cli
+from panelboost.cli import main
+
+RECIP = TransformKind.RECIPROCAL
+WITCH = TransformKind.WITCH
+
+# the true correlation of these is 0.529..., but their sums of squares overflow
+BIG_Y = np.array([1.0, 2.0, 4.0, 3.0]) * 1e160
+BIG_P = np.array([2.0, 1.0, 3.0, 5.0]) * 1e160
+
+
+class TestOverflow:
+    def test_pearson_raises_on_an_overflowing_sum_of_squares(self):
+        with pytest.raises(NumericOverflow, match="centred sum of squares overflows"):
+            pearson(BIG_Y, BIG_P)
+
+    def test_pearson_raises_on_an_overflowing_mean(self):
+        with pytest.raises(NumericOverflow):
+            pearson([1e308, 1e308, -1e308], [1.0, 2.0, 3.0])
+
+    def test_pearson_keeps_a_constant_side_degenerate(self):
+        # the mean of this constant overflows, yet it is still constant
+        with pytest.raises(PanelBoostError, match="zero variance in left"):
+            pearson([1e308, 1e308, 1e308], [1.0, 2.0, 3.0])
+
+    def test_pearson_of_empty_input_is_degenerate_without_a_warning(self):
+        # the suite turns warnings into errors, so a numpy warning fails here
+        with pytest.raises(PanelBoostError, match="zero variance in left"):
+            pearson([], [])
+
+    def test_pearson_of_the_scaled_down_pair_is_finite(self):
+        assert pearson(BIG_Y / 1e10, BIG_P / 1e10) == pytest.approx(0.5291502622)
+
+    @pytest.mark.parametrize("kind", [RECIP, WITCH])
+    def test_psi_raises_on_an_overflowing_squared_error(self, kind):
+        with pytest.raises(NumericOverflow, match="squared error overflows"):
+            psi(kind, BIG_Y, BIG_P)
+
+    def test_evaluate_raises_rather_than_returning_inf(self):
+        with pytest.raises(NumericOverflow, match="squared error overflows"):
+            evaluate(Series("p", BIG_P), Series("y", BIG_Y), RECIP, 1.0)
+
+    def test_evaluate_raises_when_only_the_correlation_overflows(self):
+        # the difference is small, the spread of each side is not
+        y = np.array([1.0, -1.0, 1.0, -1.0]) * 1e160
+        p = y + np.array([1.0, 2.0, 3.0, 4.0])
+        with pytest.raises(NumericOverflow, match="centred sum of squares"):
+            evaluate(Series("p", p), Series("y", y), RECIP, 1.0)
+
+    def test_eval_command_reports_one_line(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("t,a,__target__\n" + "".join(
+            f"{t},1,{y!r}\n" for t, y in enumerate(BIG_Y.tolist())))
+        pred = tmp_path / "pred.csv"
+        pred.write_text("t,__prediction__\n" + "".join(
+            f"{t},{p!r}\n" for t, p in enumerate(BIG_P.tolist())))
+        report = tmp_path / "eval.csv"
+        code = main(["eval", "--pred", str(pred), "--data", str(data),
+                     "--report", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NumericOverflow: the squared error overflows"
+        ]
+        assert not report.exists()
+
+
+def _gen(tmp_path, days=40):
+    data = tmp_path / "panel.csv"
+    assert main(["gen", "--out", str(data), "--n", "6", "--days", str(days),
+                 "--seed", "11"]) == 0
+    return data
+
+
+def _predict(tmp_path, data):
+    model, pred = tmp_path / "model.json", tmp_path / "pred.csv"
+    assert main(["fit", "--data", str(data), "--model-out", str(model),
+                 "--panel-size", "3", "--lbound=-1", "--alpha", "1",
+                 "--transform", "reciprocal"]) == 0
+    assert main(["predict", "--data", str(data), "--model", str(model),
+                 "--out", str(pred)]) == 0
+    return pred
+
+
+class TestEvalGrid:
+    @pytest.mark.parametrize(
+        "move, grid",
+        [
+            (lambda t: t + 1000.5, "start=1000.5, step=1.0, count=40"),
+            (lambda t: 2 * t, "start=0.0, step=2.0, count=40"),
+            (lambda t: t[:-1], "start=0.0, step=1.0, count=39"),
+        ],
+        ids=["shifted", "stretched", "shorter"],
+    )
+    def test_a_prediction_on_another_grid_is_a_shape_error(self, tmp_path, capsys,
+                                                           move, grid):
+        data = _gen(tmp_path)
+        pred = _predict(tmp_path, data)
+        rows = np.loadtxt(pred, delimiter=",", skiprows=1)
+        t = move(rows[:, 0])
+        pred.write_text("t,__prediction__\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in zip(t.tolist(), rows[: len(t), 1].tolist())))
+        capsys.readouterr()
+        report = tmp_path / "eval.csv"
+        code = main(["eval", "--pred", str(pred), "--data", str(data),
+                     "--report", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: ShapeError: prediction grid TimeGrid({grid}) does not match "
+            "data grid TimeGrid(start=0.0, step=1.0, count=40)"
+        ]
+        assert not report.exists()
+
+    def test_a_grid_within_the_step_tolerance_matches(self, tmp_path):
+        data = _gen(tmp_path)
+        pred = _predict(tmp_path, data)
+        rows = np.loadtxt(pred, delimiter=",", skiprows=1)
+        pred.write_text("t,__prediction__\n" + "".join(
+            f"{a + 1e-12!r},{b!r}\n" for a, b in rows.tolist()))
+        assert main(["eval", "--pred", str(pred), "--data", str(data),
+                     "--report", str(tmp_path / "eval.csv")]) == 0
+
+
+LIBRARY_CHECKS = [
+    (lambda: BoostConfig(0, RECIP), "panel_size must be at least 1, got 0"),
+    (lambda: BoostConfig(1, RECIP, lbound=1.5), "lbound must lie in [-1, 1], got 1.5"),
+    (lambda: BoostConfig(1, RECIP, alpha=0.0), "alpha must lie in (0, 1], got 0.0"),
+    (lambda: SplitSpec(0.0, 0.5), "train_fraction must lie in (0, 1), got 0.0"),
+    (lambda: SplitSpec(0.5, 1.0), "validation_fraction must lie in (0, 1), got 1.0"),
+    (lambda: SplitSpec(0.6, 0.5), "train_fraction + validation_fraction must not exceed 1"),
+    (lambda: GenSpec(0, 30, 1), "n_series must be at least 1, got 0"),
+    (lambda: GenSpec(2, 13, 1), "days must be at least 14, got 13"),
+    (lambda: GenSpec(2, 30, 3), "archetypes must lie in [1, n_series], got 3"),
+    (lambda: GenSpec(2, 30, 1, -0.1), "noise_sd must be non-negative, got -0.1"),
+    (lambda: GenSpec(2, 30, 1, math.nan), "noise_sd must be non-negative, got nan"),
+    (lambda: GenSpec(2, 30, 1, math.inf), "noise_sd must be finite, got inf"),
+    (lambda: GenSpec(2, 30, 1, seed=-1), "seed must be an unsigned 64-bit integer"),
+    (lambda: SweepGrid((), (-1.0,), (1.0,), (RECIP,)), "panel_sizes must not be empty"),
+    (lambda: SweepGrid((1,), (-1.0,), (), (RECIP,)), "alphas must not be empty"),
+]
+
+
+@pytest.mark.parametrize("build, message", LIBRARY_CHECKS,
+                         ids=[m for _, m in LIBRARY_CHECKS])
+def test_library_parameter_checks_are_typed(build, message):
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$") as info:
+        build()
+    assert isinstance(info.value, ValueError)  # callers catching ValueError keep working
+
+
+FIT = ["fit", "--model-out", "m.json", "--panel-size", "2", "--lbound=-1",
+       "--alpha", "1", "--transform", "witch"]
+SWEEP = {"--train": "0.6", "--val": "0.2", "--panel-sizes": "1,2", "--lbounds": "-1",
+         "--alphas": "1", "--transforms": "witch"}
+GEN = ["gen", "--n", "3", "--days", "20"]
+
+
+def _sweep(**changes):
+    flags = {**SWEEP, **{f"--{k.replace('_', '-')}": v for k, v in changes.items()}}
+    return ["sweep", "--report", "r.csv", *(f"{k}={v}" for k, v in flags.items())]
+
+
+CLI_CHECKS = [
+    ([*FIT, "--lbound", "2.0"], "lbound must lie in [-1, 1], got 2.0"),
+    ([*FIT, "--train", "0.6"], "--train and --val must be given together"),
+    ([*FIT, "--train", "0.9", "--val", "0.2"],
+     "train_fraction + validation_fraction must not exceed 1"),
+    ([*GEN, "--archetypes", "5"], "archetypes must lie in [1, n_series], got 5"),
+    ([*GEN, "--noise", "nan"], "noise_sd must be non-negative, got nan"),
+    (_sweep(panel_sizes="1.5"), "invalid literal for int() with base 10: '1.5'"),
+    (_sweep(lbounds="x"), "could not convert string to float: 'x'"),
+    (_sweep(transforms="parabola"), "'parabola' is not a valid TransformKind"),
+    (_sweep(alphas=","), "empty list argument: ','"),
+    (_sweep(panel_sizes="0"), "panel_size must be at least 1, got 0"),
+    (_sweep(val="1.5"), "validation_fraction must lie in (0, 1), got 1.5"),
+]
+
+
+@pytest.mark.parametrize("argv, message", CLI_CHECKS, ids=[m for _, m in CLI_CHECKS])
+def test_cli_parameter_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys,
+                                                   argv, message):
+    data = _gen(tmp_path, days=30)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    where = ["--out", "x.csv"] if argv[0] == "gen" else ["--data", str(data)]
+    assert main([argv[0], *where, *argv[1:]]) == 2
+    assert capsys.readouterr().err.splitlines() == [f"error: InvalidParameter: {message}"]
+
+
+def test_gen_whose_noise_overflows_is_a_runtime_error(tmp_path, capsys):
+    assert main([*GEN, "--out", str(tmp_path / "x.csv"), "--noise", "1e306"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: NumericOverflow: noise_sd 1e+306 overflows the generated values"
+    ]
+
+
+def test_generate_with_large_finite_noise_stays_finite():
+    family, _ = generate(GenSpec(3, 20, 1, 1e300, 0))
+    assert np.isfinite(family.values).all()
+
+
+def test_a_stray_value_error_is_a_bug_not_an_exit_code(tmp_path, monkeypatch):
+    def broken(path):
+        raise ValueError("not a parameter problem")
+
+    data = _gen(tmp_path)
+    monkeypatch.setattr(cli.dataio, "read_panel_csv", broken)
+    with pytest.raises(ValueError, match="not a parameter problem"):
+        main(["fit", "--data", str(data), *FIT[1:]])
