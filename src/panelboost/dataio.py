@@ -8,6 +8,13 @@ other dunder names are reserved and rejected as members. Values render with
 17 significant digits, so a write/read round trip is exact. Errors name the
 file line of the bad row, the header being line 1.
 
+Reading streams the data rows through numpy's parser; a file it declines,
+or one with anything unusual in it, is read again cell by cell, the one
+place that builds an error. So the reader accepts exactly the files it
+always did, under the csv module's field limit, with the same errors and
+line numbers. Each data row is written with one format string; the header
+goes through the csv module, which quotes ids.
+
 Model JSON: format_version 1 with grid, config, terms, and provenance
 objects, whose fields and JSON types are the tables below. Other versions,
 and unknown fields anywhere, are rejected with UnsupportedVersion.
@@ -23,6 +30,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -84,12 +92,19 @@ def _atomic_open(path):
         raise
 
 
-def _write_table(path, header: list[str], rows) -> None:
-    """Write a header row and then each row as CSV, atomically."""
+@contextmanager
+def _csv_file(path, header: list[str]):
+    """Atomically written text file that starts with ``header`` as a CSV row."""
     # csv leaves a bare "\r" unquoted unless told to quote every cell; only an id has one
     quoting = csv.QUOTE_ALL if any("\r" in name for name in header) else csv.QUOTE_MINIMAL
     with _atomic_open(path) as fh:
         csv.writer(fh, lineterminator="\n", quoting=quoting).writerow(header)
+        yield fh
+
+
+def _write_table(path, header: list[str], rows) -> None:
+    """Write a header row and then each row as CSV, atomically."""
+    with _csv_file(path, header) as fh:
         csv.writer(fh, lineterminator="\n").writerows(rows)
 
 
@@ -179,15 +194,86 @@ def write_prediction_csv(
 def _write_series(path, grid: TimeGrid, ids: list[str], values) -> None:
     """Write the ``(N, T)`` values as the columns after t.
 
-    The ``(T, 1+N)`` table is formatted one row at a time, so the cells of
-    only one row exist as strings at once.
+    The ``(T, 1+N)`` table is formatted one row at a time, so the text of
+    only one row exists at once. A number never needs quoting, and "%.17g"
+    renders each cell as ``_fmt`` does.
     """
     table = np.column_stack([grid.times(), np.transpose(values)])
-    _write_table(path, ["t", *ids], (map(_fmt, row.tolist()) for row in table))
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with _csv_file(path, ["t", *ids]) as fh:
+        for row in table:
+            fh.write(row_format % tuple(row.tolist()))
 
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
-    """Header and values of a CSV file; row j of the matrix is column j."""
+    """Header and values of a CSV file; row j of the matrix is column j.
+
+    ``_read_numeric`` reads an ordinary file; any other goes through
+    ``_read_cells``, which accepts the same files and raises every error.
+    """
+    parsed = _read_numeric(path)
+    if parsed is None:
+        return _read_cells(path)
+    header, table = parsed
+    _check_header(path, header)
+    return header, table.T
+
+
+def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
+    """The header and ``(rows, cells)`` values of an ordinary file, through numpy's parser.
+
+    None when the file is anything else, for ``_read_cells`` to read: not
+    UTF-8 or without a header; a data line holding a quote or a "_", or a
+    cell beyond the csv module's field limit, which numpy's parser lacks; a
+    row whose cell count is not the header's; fewer than 2 rows; or a value
+    numpy cannot parse or that is not finite. Blank lines are skipped, as
+    csv.reader skips them, and numpy must return one row per line it was
+    handed, so no line it might skip goes unread.
+    """
+    limit = csv.field_size_limit()
+    count = 0
+
+    def plain(lines):
+        nonlocal count
+        for line in lines:
+            if line[0] in "\r\n":
+                continue
+            if '"' in line or "_" in line or (
+                len(line) > limit and max(map(len, line.split(","))) > limit
+            ):
+                raise ValueError("not a plain line of numbers")
+            count += 1
+            yield line
+
+    try:
+        with path.open(newline="", encoding="utf-8") as fh:
+            header = next(csv.reader(fh))
+            lines = plain(fh)
+            first = list(itertools.islice(lines, 2))  # numpy warns on a file without data
+            if len(first) < 2:
+                return None
+            table = np.loadtxt(itertools.chain(first, lines), delimiter=",", dtype=float,
+                               comments=None, ndmin=2)
+    except (ValueError, csv.Error, StopIteration):  # ValueError covers UnicodeDecodeError
+        return None
+    if table.shape != (count, len(header)) or not np.isfinite(table).all():
+        return None
+    return header, table
+
+
+def _check_header(path: Path, header: list[str]) -> None:
+    if not header or header[0] != "t":
+        got = header[0] if header else "<nothing>"
+        raise ParseError(f"{path}: first column must be 't', got {got!r}")
+    seen: set[str] = set()
+    for name in header:
+        if name in seen:
+            raise DuplicateId(f"{path}: duplicate column {name!r}")
+        seen.add(name)
+
+
+def _read_cells(path: Path) -> tuple[list[str], np.ndarray]:
+    """``_read_csv`` one cell at a time; the errors and file lines are built here."""
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
@@ -201,14 +287,7 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     except csv.Error as exc:  # a cell longer than the csv module's field limit
         raise ParseError(f"{path}: row {reader.line_num}: {exc}") from exc
 
-    if not header or header[0] != "t":
-        got = header[0] if header else "<nothing>"
-        raise ParseError(f"{path}: first column must be 't', got {got!r}")
-    seen: set[str] = set()
-    for name in header:
-        if name in seen:
-            raise DuplicateId(f"{path}: duplicate column {name!r}")
-        seen.add(name)
+    _check_header(path, header)
     if len(rows) < 2:
         raise IrregularGrid(f"{path}: need at least 2 data rows to infer a grid")
 

@@ -72,6 +72,8 @@ def evaluate(
     # for bit, and so is the squared difference
     cost = float("nan") if corr is None else 0.5 * sse + transform(kind, corr)
     cumulative_gap = abs(float(np.sum(diff))) * grid_step
+    if not math.isfinite(cumulative_gap):  # a Python float product overflows silently
+        raise NumericOverflow("the cumulative absolute error overflows")
     return Metrics(rmse, mae, corr, cost, cumulative_gap)
 
 

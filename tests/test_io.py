@@ -1,4 +1,6 @@
+import csv
 import functools
+import io
 import json
 import operator
 
@@ -32,6 +34,7 @@ from panelboost import (
     write_panel_csv,
     write_prediction_csv,
 )
+from panelboost.dataio import _fmt, _read_cells, _read_csv, _read_numeric
 
 RECIP = TransformKind.RECIPROCAL
 
@@ -147,6 +150,24 @@ class TestReadPanelCsv:
         with pytest.raises(ParseError, match="row 2"):
             read_panel_csv(path)
 
+    def test_long_cell_of_a_small_number_is_a_parse_error(self, tmp_path):
+        # numpy's parser has no field limit and would read this as 1.0
+        path = _write(tmp_path / "p.csv", "t,a\n0," + "0" * 199_999 + "1\n1,2\n")
+        with pytest.raises(ParseError, match="row 2: field larger than field limit"):
+            read_panel_csv(path)
+
+    @pytest.mark.parametrize("text", ["t,a\n", "t,a\n\n\r\n\r"], ids=["bare", "blank-lines"])
+    def test_header_only_file_is_irregular_without_a_warning(self, tmp_path, text):
+        # the suite turns warnings into errors, so numpy's "no data" warning fails here
+        with pytest.raises(IrregularGrid, match="need at least 2 data rows"):
+            read_panel_csv(_write(tmp_path / "p.csv", text))
+
+    def test_whitespace_line_of_a_one_column_file_is_a_missing_value(self, tmp_path):
+        path = _write(tmp_path / "p.csv", "t\n0\n \t\n1\n")
+        with pytest.raises(MissingValue) as err:
+            read_panel_csv(path)
+        assert (err.value.row, err.value.column) == (3, "t")
+
 
 # Values a float-formatting bug would trip over, mixed into random finite ones.
 _SPECIAL_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300, 0.1, 1 / 3]
@@ -229,6 +250,157 @@ class TestCsvRoundTrip:
         got_grid, got = read_prediction_csv(path)
         assert got_grid == grid
         np.testing.assert_array_equal(got.values, pred.values)
+
+
+def _csv_text(header, rows=()) -> str:
+    """Header and rows as the panel writer's csv.writer calls render them."""
+    out = io.StringIO()
+    quoting = csv.QUOTE_ALL if any("\r" in name for name in header) else csv.QUOTE_MINIMAL
+    csv.writer(out, lineterminator="\n", quoting=quoting).writerow(header)
+    csv.writer(out, lineterminator="\n").writerows(rows)
+    return out.getvalue()
+
+
+def _reference_csv(header, table) -> str:
+    """Panel text as csv.writer renders rows of ``_fmt`` cells, the format the writer keeps."""
+    return _csv_text(header, ([_fmt(x) for x in row] for row in table))
+
+
+def _written(path) -> str:
+    return path.read_bytes().decode("utf-8")
+
+
+class TestRowWriter:
+    """Each data row is one "%.17g" format string; the text is that of _fmt cells."""
+
+    @pytest.mark.parametrize("ident", [*_SPECIAL_IDS, "plain"])
+    def test_special_values_and_ids(self, tmp_path, ident):
+        tiny = [5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072009e-308]
+        values = [*_SPECIAL_VALUES, *tiny, 0.0, -0.0, 1.7976931348623157e308, 123456.789]
+        grid = TimeGrid(-3.5, 0.125, len(values))
+        family = Family(grid, (Series(ident, values), Series("x", values[::-1])))
+        path = tmp_path / "p.csv"
+        write_panel_csv(family, path)
+        table = np.column_stack([grid.times(), family.values.T]).tolist()
+        assert _written(path) == _reference_csv(["t", ident, "x"], table)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_panels())
+    def test_random_panels(self, tmp_path, case):
+        family, target = case
+        path = tmp_path / "p.csv"
+        write_panel_csv(family, path, target=target)
+        rows = [family.grid.times(), *family.values]
+        header = ["t", *family.ids]
+        if target is not None:
+            rows.append(target.values)
+            header.append("__target__")
+        assert _written(path) == _reference_csv(header, np.array(rows).T.tolist())
+
+    def test_prediction_file(self, tmp_path):
+        grid = TimeGrid(0.0, 1.0, 3)
+        pred = Series("__prediction__", [0.1, -0.0, 5e-324])
+        cum = Series("__cumulative__", [1 / 3, 2.0, 1e300])
+        path = tmp_path / "pred.csv"
+        write_prediction_csv(grid, pred, cum, path)
+        table = np.column_stack([grid.times(), pred.values, cum.values]).tolist()
+        assert _written(path) == _reference_csv(["t", "__prediction__", "__cumulative__"],
+                                                table)
+
+
+# Spellings float() and numpy's parser both take, beyond what the writer writes.
+_ODD_NUMBERS = ["+1", ".5", "5.", "1E3", "-0", "0e0", "00012", "1e-400", "-2.5e+07"]
+_PADDING = ["", " ", "\t", "  \t", "\x0b", "\x0c", "\u3000", "\x85"]
+_LINE_ENDS = ["\n", "\r\n", "\r"]
+_CORRUPTIONS = ["underscore", "nan", "inf", "1e400", "quote", "extra cell", "missing cell",
+                "empty cell", "whitespace line", "nul", "non-utf-8", "extra column",
+                "missing column"]
+
+
+@st.composite
+def _csv_files(draw, corrupt):
+    """Bytes of a random panel-like CSV file, valid or with one drawn corruption."""
+    ident = st.one_of(st.sampled_from(_SPECIAL_IDS), st.text(min_size=1, max_size=5))
+    ids = draw(st.lists(ident.filter(lambda s: s != "t"), max_size=3, unique=True))
+    header = _csv_text(["t", *ids])
+    number = st.one_of(
+        st.sampled_from(_SPECIAL_VALUES).map(repr),
+        st.floats(allow_nan=False, allow_infinity=False).map(_fmt),
+        st.sampled_from(_ODD_NUMBERS),
+    )
+    pad = st.sampled_from(_PADDING)
+    rows = draw(st.lists(
+        st.lists(st.tuples(pad, number, pad).map("".join),
+                 min_size=1 + len(ids), max_size=1 + len(ids)),
+        min_size=2, max_size=6))
+    if corrupt:
+        kind = draw(st.sampled_from(_CORRUPTIONS))
+        row = draw(st.integers(0, len(rows) - 1))
+        col = draw(st.integers(0, len(rows[row]) - 1))
+        cell = rows[row][col]
+        at = draw(st.integers(0, len(cell)))
+        if kind in ("underscore", "quote", "nul", "non-utf-8"):
+            mark = {"underscore": "_", "quote": '"', "nul": "\x00", "non-utf-8": "\udcff"}
+            rows[row][col] = cell[:at] + mark[kind] + cell[at:]
+        elif kind in ("nan", "inf", "1e400"):
+            rows[row][col] = draw(pad) + kind + draw(pad)
+        elif kind == "extra cell":
+            rows[row].insert(col, draw(number))
+        elif kind == "missing cell":
+            del rows[row][col]
+        elif kind == "empty cell":
+            rows[row][col] = draw(pad)
+        elif kind == "extra column":  # every row disagrees with the header
+            for cells in rows:
+                cells.append(draw(number))
+        elif kind == "missing column":
+            for cells in rows:
+                cells.pop()
+        else:
+            rows.insert(row, [draw(pad.filter(bool))])
+    lines = [",".join(row) for row in rows]
+    text = header + "".join(
+        "".join(draw(st.sampled_from(_LINE_ENDS)) for _ in range(draw(st.integers(0, 2))))
+        + line + draw(st.sampled_from(_LINE_ENDS))
+        for line in lines
+    )
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    # a lone surrogate stands for a byte that is not UTF-8
+    return text.encode("utf-8", "surrogateescape")
+
+
+def _outcome(read, path):
+    """What a reader makes of a file: header and matrix bits, or the error and its message."""
+    try:
+        header, columns = read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return header, columns.shape, columns.tobytes()
+
+
+class TestReaderEquivalence:
+    """numpy's parser with its fallback reads every file as the per-cell loop does."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=_csv_files(corrupt=False))
+    def test_valid_files_read_bit_identically(self, tmp_path, content):
+        path = tmp_path / "p.csv"
+        path.write_bytes(content)
+        expected = _outcome(_read_cells, path)
+        assert _outcome(_read_csv, path) == expected
+        if isinstance(expected[0], list):  # read by numpy, not by the fallback
+            assert _read_numeric(path) is not None
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=_csv_files(corrupt=True))
+    def test_corrupted_files_raise_the_same_error(self, tmp_path, content):
+        path = tmp_path / "p.csv"
+        path.write_bytes(content)
+        assert _outcome(_read_csv, path) == _outcome(_read_cells, path)
 
 
 def _fitted_model():

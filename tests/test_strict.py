@@ -75,6 +75,31 @@ class TestOverflow:
         with pytest.raises(NumericOverflow, match="centred sum of squares"):
             evaluate(Series("p", p), Series("y", y), RECIP, 1.0)
 
+    def test_evaluate_raises_when_the_cumulative_error_overflows(self):
+        # every other metric is finite; the gap times the step is not
+        p, y = Series("p", [3.0, 4.0]), Series("y", [1.0, 2.0])
+        with pytest.raises(NumericOverflow, match="cumulative absolute error overflows"):
+            evaluate(p, y, RECIP, 1e308)
+
+    def test_evaluate_keeps_a_finite_cumulative_error(self):
+        p, y = Series("p", [3.0, 4.0]), Series("y", [1.0, 2.0])
+        assert evaluate(p, y, RECIP, 4e307).cumulative_abs_error == 4.0 * 4e307
+
+    def test_eval_command_with_an_overflowing_cumulative_error_exits_1(self, tmp_path,
+                                                                       capsys):
+        data = tmp_path / "data.csv"
+        data.write_text("t,a,__target__\n0,1,1\n1e308,1,2\n")
+        pred = tmp_path / "pred.csv"
+        pred.write_text("t,__prediction__\n0,3\n1e308,4\n")
+        report = tmp_path / "eval.csv"
+        code = main(["eval", "--pred", str(pred), "--data", str(data),
+                     "--report", str(report)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: NumericOverflow: the cumulative absolute error overflows"
+        ]
+        assert not report.exists()
+
     def test_eval_command_reports_one_line(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
         data.write_text("t,a,__target__\n" + "".join(
