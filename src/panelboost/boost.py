@@ -12,15 +12,20 @@ scores all of them with one matrix-vector product against the residual and
 rescores only the rows that product cannot separate from the best with the
 scalar ``argmin_rho`` and ``pearson``, so selections, weights, scores and
 tie-breaks (earliest family position wins) are exactly those of scoring
-every candidate with the scalar functionals. The per-row sums this needs are
-computed once per family. The outer loop is inherently sequential because
-each iteration consumes the previous residual.
+every candidate with the scalar functionals. Every screen quantity that
+depends on the family alone is computed once per fit (``_checked_rows``):
+each row's sum, the square root of its centred sum of squares, its
+sign-of-``raw_rho`` bound and its score-slack factor. Each step then only
+scales those by scalars of its residual. The outer loop is inherently
+sequential because each iteration consumes the previous residual.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -38,7 +43,7 @@ from .errors import (
     ShapeError,
     ZeroCandidate,
 )
-from .functional import TransformKind, argmin_rho, pearson
+from .functional import TransformKind, _centred, _check_kind, _correlation, argmin_rho
 from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid
 
 WEIGHT_TOLERANCE = 1e-12
@@ -63,6 +68,11 @@ class BoostConfig:
     multiplies every stagewise least-squares weight; 1 disables shrinkage.
     ``transform`` does not enter fitting: it labels the model and picks the
     correlation penalty of the ``psi`` metric when the model is evaluated.
+
+    ``panel_size`` is stored as a plain ``int``. A size that is not an
+    integer (a bool included), a ``transform`` that is not a
+    ``TransformKind``, and an ``lbound`` or ``alpha`` that is not a real
+    number or lies outside its range are an InvalidParameter.
     """
 
     panel_size: int
@@ -72,8 +82,21 @@ class BoostConfig:
     with_replacement: bool = False
 
     def __post_init__(self):
+        try:
+            size = operator.index(self.panel_size)
+        except TypeError:
+            size = None
+        if size is None or isinstance(self.panel_size, bool):
+            raise InvalidParameter(f"panel_size must be an integer, got {self.panel_size!r}")
+        # a plain int, so that a numpy integer size writes to JSON
+        object.__setattr__(self, "panel_size", size)
         if self.panel_size < 1:
             raise InvalidParameter(f"panel_size must be at least 1, got {self.panel_size}")
+        _check_kind(self.transform)
+        for name in ("lbound", "alpha"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real):
+                raise InvalidParameter(f"{name} must be a real number, got {value!r}")
         if not -1.0 <= self.lbound <= 1.0:
             raise InvalidParameter(f"lbound must lie in [-1, 1], got {self.lbound}")
         if not 0.0 < self.alpha <= 1.0:
@@ -188,21 +211,30 @@ def select_step(
 class _Rows(NamedTuple):
     """Per-row quantities of a family that the selection screen reuses.
 
-    ``centred_sq`` is sq_norm - total**2 / T, the sum of squares about the
-    row mean. That difference is cheap but cancels when the mean dominates
-    the spread: its error is at most ``ROUNDING_MARGIN * T * eps * sq_norm``,
-    and ``unresolved`` marks the rows where that bound reaches centred_sq
-    itself, or where centred_sq is small enough to underflow. ``usable``
+    Everything here depends on the family alone, so ``_checked_rows``
+    computes it once per fit and ``_best`` only scales it by its residual's
+    scalars. With ``unit = ROUNDING_MARGIN * T * eps``:
+
+    ``total`` is the row sum and ``h_spread`` the square root of
+    ``centred_sq = sq_norm - total**2 / T``, the sum of squares about the row
+    mean. That difference is cheap but cancels when the mean dominates the
+    spread: its error is at most ``unit * sq_norm``, and a row is
+    unresolved where that bound reaches centred_sq itself, or where
+    centred_sq is small enough to underflow. ``sign_bound`` is
+    ``unit * sqrt(sq_norm)``, the rounding bound on <h, r> per unit of
+    ``|r|``. ``slack_factor`` is ``unit * (1 + sqrt(sq_norm) / h_spread)**2``,
+    the score's rounding bound per unit of ``|r| / spread(r)``, and infinite
+    on unresolved rows, whose score the screen cannot bound. ``usable``
     marks the rows that are neither zero nor constant; it is exact (only
     unresolved rows can be constant, and those are checked value by value).
     The other rows can never be selected, but their screen interval is the
     whole range, so without the mask they would be rescored every iteration.
     """
 
-    sq_norm: np.ndarray
     total: np.ndarray
-    centred_sq: np.ndarray
-    unresolved: np.ndarray
+    h_spread: np.ndarray
+    sign_bound: np.ndarray
+    slack_factor: np.ndarray
     usable: np.ndarray
 
 
@@ -226,13 +258,15 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
     overflowed = [family.ids[i] for i in np.flatnonzero(~np.isfinite(centred_sq))]
     if overflowed:
         raise NumericOverflow(f"member {overflowed[0]!r}: its sum of squares overflows")
-    unresolved = (centred_sq <= ROUNDING_MARGIN * count * EPS * sq_norm) | (
-        centred_sq < RESOLVED_FLOOR
-    )
+    unit = ROUNDING_MARGIN * count * EPS
+    unresolved = (centred_sq <= unit * sq_norm) | (centred_sq < RESOLVED_FLOOR)
     usable = sq_norm > 0.0
     suspects = np.flatnonzero(unresolved)
     usable[suspects] &= np.ptp(family.values[suspects], axis=1) != 0
-    return _Rows(sq_norm, total, centred_sq, unresolved, usable)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        h_norm, h_spread = np.sqrt(sq_norm), np.sqrt(centred_sq)
+        slack_factor = np.where(unresolved, np.inf, unit * (1.0 + h_norm / h_spread) ** 2)
+    return _Rows(total, h_spread, unit * h_norm, slack_factor, usable)
 
 
 def _best(
@@ -251,9 +285,11 @@ def _best(
     family order. The result is exactly what scoring every row with the
     scalar functionals gives, ties included. Usually one row is rescored.
     """
-    if not pool.any() or np.ptp(r) == 0:
+    # max - min is np.ptp, and the sum over the count is r.mean(), bit for
+    # bit, each at less cost
+    if not pool.any() or r.max() - r.min() == 0:
         return None
-    r_mean = r.mean()
+    r_mean = r.sum() / len(r)
     rc = r - r_mean
     srr = float(rc @ rc)
     if srr == 0.0:  # pearson(r, h) is degenerate for every h
@@ -261,20 +297,14 @@ def _best(
 
     X = family.values
     hr = X @ r
-    unit = ROUNDING_MARGIN * len(r) * EPS
     r_norm, r_spread = math.sqrt(float(r @ r)), math.sqrt(srr)
     with np.errstate(divide="ignore", invalid="ignore"):
-        h_norm, h_spread = np.sqrt(rows.sq_norm), np.sqrt(rows.centred_sq)
-        corr = np.clip((hr - r_mean * rows.total) / (h_spread * r_spread), -1.0, 1.0)
-        ratio = h_norm / h_spread
-    # score error: about unit/4 * (1 + ratio)**2 * r_norm / r_spread
-    slack = np.where(
-        rows.unresolved | (srr < RESOLVED_FLOOR),
-        np.inf,
-        unit * (1.0 + ratio) ** 2 * (r_norm / r_spread),
-    )
+        corr = (hr - r_mean * rows.total) / (rows.h_spread * r_spread)
+    corr = np.minimum(np.maximum(corr, -1.0), 1.0)
+    # score error: about slack_factor / 4 * r_norm / r_spread
+    slack = math.inf if srr < RESOLVED_FLOOR else rows.slack_factor * (r_norm / r_spread)
     # the sign of raw_rho is only certain where <h, r> clears its rounding bound
-    signed = np.abs(hr) > unit * h_norm * r_norm
+    signed = np.abs(hr) > rows.sign_bound * r_norm
     centre = np.where(signed, np.sign(hr) * corr, 0.0)
     spread = np.where(signed, 0.0, np.abs(corr)) + slack
     # fmax skips NaN, and a NaN bound never excludes a row
@@ -286,7 +316,8 @@ def _best(
         h = X[i]
         try:
             raw_rho = argmin_rho(h, r)
-            corr_i = pearson(r, h)
+            # pearson(r, h), on the residual centred above
+            corr_i = _correlation(rc, srr, *_centred(h, "right"))
         except (ZeroCandidate, DegenerateCorrelation):
             continue
         sign = 1.0 if raw_rho > 0 else (-1.0 if raw_rho < 0 else 0.0)

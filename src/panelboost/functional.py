@@ -17,6 +17,7 @@ from .errors import (
     DegenerateCorrelation,
     DomainError,
     EmptyInput,
+    InvalidParameter,
     NumericOverflow,
     ShapeError,
     ZeroCandidate,
@@ -75,17 +76,33 @@ def pearson(f, g) -> float:
     (or the mean it is centred on) overflows the float range.
     """
     fa, ga = _as_pair(f, g)
+    return _correlation(*_centred(fa, "left"), *_centred(ga, "right"))
+
+
+def _centred(x: np.ndarray, side: str) -> tuple[np.ndarray, float]:
+    """``x`` less its mean, and the sum of squares of that difference.
+
+    A constant ``x``, or one shorter than 2, raises DegenerateCorrelation
+    naming ``side``. A sum of squares that overflows is returned as it is,
+    for ``_correlation`` to reject.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
         # the sum over the count is ndarray.mean bit for bit, at less cost
-        fc = fa - fa.sum() / len(fa)
-        gc = ga - ga.sum() / len(ga)
-        sff = float(fc @ fc)
-        sgg = float(gc @ gc)
-        # ptp()==0 catches exact-constant input whose float mean leaves residues
-        if len(fa) < 2 or np.ptp(fa) == 0 or sff == 0.0:
-            raise DegenerateCorrelation("left")
-        if np.ptp(ga) == 0 or sgg == 0.0:
-            raise DegenerateCorrelation("right")
+        xc = x - x.sum() / len(x)
+        sxx = float(xc @ xc)
+        # ptp()==0 catches exact-constant input whose float mean leaves
+        # residues; max - min is np.ptp, bit for bit, at less cost
+        if len(x) < 2 or x.max() - x.min() == 0 or sxx == 0.0:
+            raise DegenerateCorrelation(side)
+    return xc, sxx
+
+
+def _correlation(fc: np.ndarray, sff: float, gc: np.ndarray, sgg: float) -> float:
+    """Correlation of two centred sequences given their sums of squares.
+
+    The sums come from ``_centred``; one that is not finite is a
+    NumericOverflow.
+    """
     if not (math.isfinite(sff) and math.isfinite(sgg)):
         raise NumericOverflow("a centred sum of squares overflows")
     denom = math.sqrt(sff * sgg)
@@ -98,16 +115,25 @@ def pearson(f, g) -> float:
     return max(-1.0, min(1.0, r))
 
 
+def _check_kind(kind) -> None:
+    """Anything but a ``TransformKind`` is an InvalidParameter."""
+    if not isinstance(kind, TransformKind):
+        raise InvalidParameter(f"transform must be a TransformKind, got {kind!r}")
+    return kind
+
+
 def transform(kind: TransformKind, x: float) -> float:
     """Evaluate a transform at a correlation value in [-1, 1].
 
     Arguments outside the interval by more than 1e-9 raise DomainError;
-    smaller overshoots are clamped to the endpoint.
+    smaller overshoots are clamped to the endpoint. A ``kind`` that is not a
+    ``TransformKind`` (its string value, say) is an InvalidParameter.
     """
     x = float(x)
     if abs(x) > 1.0 + DOMAIN_TOLERANCE:
         raise DomainError(f"transform argument {x} outside [-1, 1]")
     x = max(-1.0, min(1.0, x))
+    _check_kind(kind)
     if kind is TransformKind.RECIPROCAL:
         return 1.0 / (2.0 + x) - 1.0 / 3.0
     return 1.0 / (1.0 + x * x) - 0.5

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,9 +19,8 @@ from .errors import (
     ShapeError,
     SweepFailed,
 )
-from .functional import TransformKind, pearson, transform
+from .functional import TransformKind, _check_kind, pearson, transform
 from .series import (
-    PREDICTION_ID,
     Family,
     Series,
     SplitSpec,
@@ -49,31 +49,56 @@ class Metrics:
 def evaluate(
     prediction: Series, target: Series, kind: TransformKind, grid_step: float
 ) -> Metrics:
-    """Compute all metrics of a prediction against a target."""
-    p = prediction.values
-    y = target.values
+    """Compute all metrics of a prediction against a target.
+
+    A ``kind`` that is not a ``TransformKind`` is an InvalidParameter, even
+    where ``psi`` is NaN.
+    """
+    _check_kind(kind)
+    return _scored(_agreement(prediction.values, target.values, grid_step), kind)
+
+
+class _Agreement(NamedTuple):
+    """The metrics of a prediction that do not depend on the transform."""
+
+    sse: float
+    rmse: float
+    mae: float
+    pearson: float | None
+    cumulative_abs_error: float
+
+
+def _agreement(p: np.ndarray, y: np.ndarray, grid_step: float) -> _Agreement:
+    """Squared error, rmse, mae, correlation and cumulative gap of ``p`` against ``y``."""
     if len(p) != len(y):
         raise ShapeError(f"length mismatch: {len(p)} vs {len(y)}")
     if len(p) < 2:
         raise ShapeError("need at least 2 samples to evaluate")
+    # ndarray.sum is np.sum bit for bit at less cost, and np.mean is that sum
+    # divided by the count
     with np.errstate(over="ignore", invalid="ignore"):
         diff = p - y
-        sse = float(np.sum(diff**2))
+        sse = float((diff**2).sum())
     if not math.isfinite(sse):
         raise NumericOverflow("the squared error overflows")
-    # np.mean is the same sum divided by the count, bit for bit, at more cost
     rmse = math.sqrt(sse / len(p))
-    mae = float(np.sum(np.abs(diff))) / len(p)
+    mae = float(np.abs(diff).sum()) / len(p)
     try:
         corr = pearson(p, y)
     except DegenerateCorrelation:
         corr = None
+    cumulative_gap = abs(float(diff.sum())) * grid_step
+    if not math.isfinite(cumulative_gap):  # a Python float product overflows silently
+        raise NumericOverflow("the cumulative absolute error overflows")
+    return _Agreement(sse, rmse, mae, corr, cumulative_gap)
+
+
+def _scored(agreement: _Agreement, kind: TransformKind) -> Metrics:
+    """``Metrics`` of an agreement, with ``psi`` for the transform ``kind``."""
+    sse, rmse, mae, corr, cumulative_gap = agreement
     # psi(kind, y, p), from the correlation above: pearson is symmetric bit
     # for bit, and so is the squared difference
     cost = float("nan") if corr is None else 0.5 * sse + transform(kind, corr)
-    cumulative_gap = abs(float(np.sum(diff))) * grid_step
-    if not math.isfinite(cumulative_gap):  # a Python float product overflows silently
-        raise NumericOverflow("the cumulative absolute error overflows")
     return Metrics(rmse, mae, corr, cost, cumulative_gap)
 
 
@@ -152,8 +177,10 @@ def sweep(
     Each row is ``_accepted`` of the path ``fit`` uses. That path is fitted
     once per distinct alpha, at the largest panel size with lbound -1, and
     every cell takes its accepted prefix of it. The predictions of every
-    prefix are running sums in ``predict``'s order, and the metrics of each
-    distinct (alpha, prefix, transform) are computed once.
+    prefix are running sums in ``predict``'s order. The metrics of each
+    distinct (alpha, prefix) are computed once, on train and on validation;
+    the transforms differ only in the penalty of ``psi``, which each row
+    takes for its own transform.
     """
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)
@@ -178,21 +205,21 @@ def sweep(
         prefix = path[:longest]
         sums[alpha] = (_running_sums(prefix, fam_train), _running_sums(prefix, fam_val))
 
-    metrics = {}
+    agreements = {}
     rows: list[SweepRow] = []
     for config, n in zip(grid.cells, lengths):
         if n == 0:
             rows.append(SweepRow(config, None, None, False, error="NoAdmissibleMember"))
             continue
-        kind = config.transform
-        key = (config.alpha, n, kind)
-        if key not in metrics:
+        key = (config.alpha, n)
+        if key not in agreements:
             train_sums, val_sums = sums[config.alpha]
-            metrics[key] = (
-                evaluate(Series(PREDICTION_ID, train_sums[n]), tgt_train, kind, step),
-                evaluate(Series(PREDICTION_ID, val_sums[n]), tgt_val, kind, step),
+            agreements[key] = (
+                _agreement(train_sums[n], tgt_train.values, step),
+                _agreement(val_sums[n], tgt_val.values, step),
             )
-        rows.append(SweepRow(config, *metrics[key], n < config.panel_size))
+        train, val = (_scored(a, config.transform) for a in agreements[key])
+        rows.append(SweepRow(config, train, val, n < config.panel_size))
 
     ranked = [
         (row.validation.rmse, row.config.panel_size, row.config.alpha, i)

@@ -8,7 +8,10 @@ per-candidate loop over the public scalar functionals ``argmin_rho`` and
 reference the matrix-backed selection must reproduce exactly. The sweep
 oracle (``scratch_sweep``) runs every grid cell through the public ``fit``,
 ``predict`` and ``evaluate``, and is the reference any sweep that shares
-work between cells must reproduce exactly.
+work between cells must reproduce exactly. ``reference_pearson`` is the
+correlation formula written out in one function, the form ``pearson`` had
+before it was split into the centring and correlation steps the fit's
+screen reuses; ``pearson`` must reproduce it, errors included, bit for bit.
 """
 
 import itertools
@@ -20,6 +23,7 @@ from panelboost import (
     BoostConfig,
     DegenerateCorrelation,
     NoAdmissibleMember,
+    NumericOverflow,
     SweepResult,
     SweepRow,
     ZeroCandidate,
@@ -136,6 +140,32 @@ def walsh_members(count):
     }
     reps = count // 4
     return {name: np.tile(vals, reps) for name, vals in base.items()}
+
+
+def reference_pearson(f, g):
+    """Pearson correlation in one piece: centre, check, divide, clamp.
+
+    Same checks in the same order as ``pearson``: the left side's length and
+    variance, the right side's variance, then the overflow of either sum.
+    """
+    fa = np.asarray(f, dtype=float)
+    ga = np.asarray(g, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        fc = fa - fa.sum() / len(fa)
+        gc = ga - ga.sum() / len(ga)
+        sff = float(fc @ fc)
+        sgg = float(gc @ gc)
+        if len(fa) < 2 or np.ptp(fa) == 0 or sff == 0.0:
+            raise DegenerateCorrelation("left")
+        if np.ptp(ga) == 0 or sgg == 0.0:
+            raise DegenerateCorrelation("right")
+    if not (math.isfinite(sff) and math.isfinite(sgg)):
+        raise NumericOverflow("a centred sum of squares overflows")
+    denom = math.sqrt(sff * sgg)
+    if denom == 0.0 or denom == math.inf:
+        denom = math.sqrt(sff) * math.sqrt(sgg)
+    r = float(fc @ gc) / denom
+    return max(-1.0, min(1.0, r))
 
 
 def scalar_select(members, residual, lbound):

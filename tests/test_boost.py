@@ -178,6 +178,44 @@ def _selection_cases(draw):
     return rows, resid, lbound
 
 
+# Rows at the edges of the per-family screen constants: zero and constant rows,
+# unresolved rows (a mean so far beyond the spread that the centred sum of
+# squares is lost to cancellation) and subnormal rows, whose squares fall
+# near or below the smallest normal float. The residual follows one row's
+# fluctuation about its mean, so any row can be the winner, plus noise; a
+# scale of 1e-150 puts its own centred sum of squares below the screen's
+# bound as well.
+@st.composite
+def _screen_edge_cases(draw):
+    count = draw(st.integers(2, 12))
+    unit = arrays(float, count, elements=st.floats(-1.0, 1.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("plain", "zero", "constant", "unresolved",
+                                     "subnormal")))
+        if kind == "plain":
+            rows.append(draw(arrays(float, count, elements=_VALUES)))
+        elif kind == "zero":
+            rows.append(np.zeros(count))
+        elif kind == "constant":
+            rows.append(np.full(count, draw(_VALUES)))
+        elif kind == "unresolved":
+            mean = draw(st.floats(1e8, 1e12)) * draw(st.sampled_from((-1.0, 1.0)))
+            rows.append(mean + draw(unit))
+        else:
+            rows.append(draw(unit) * draw(st.sampled_from((1e-150, 1e-158, 1e-162))))
+    shape = draw(st.sampled_from(rows))
+    shape = shape - shape.mean()
+    if np.abs(shape).max() > 0:
+        shape = shape / np.abs(shape).max()
+    noise = draw(st.sampled_from((0.0, 1e-3, 1.0)))
+    resid = draw(st.floats(-10.0, 10.0)) * shape + noise * draw(unit)
+    resid = resid * draw(st.sampled_from((1.0, 1e-150)))
+    assume(np.ptp(resid) > 0)
+    lbound = draw(st.sampled_from((-1.0, 0.0, 0.5)))
+    return rows, resid, lbound
+
+
 class TestMatchesScalarOracle:
     """The matrix-backed selection reproduces the per-candidate loop exactly."""
 
@@ -193,6 +231,15 @@ class TestMatchesScalarOracle:
         else:
             # same member (earliest duplicate), and raw_rho and score bit for bit
             assert got == want[1]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_screen_edge_cases())
+    def test_select_step_on_rows_at_the_screen_edges(self, case):
+        rows, resid, lbound = case
+        fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+        want = scalar_select([(m.id, m.values) for m in fam.members], resid, lbound)
+        got = select_step(fam, Series("__residual__", resid), _config(1, lbound=lbound))
+        assert got == (None if want is None else want[1])
 
     def test_sign_of_a_vanishing_inner_product(self):
         # <h, r> is zero up to rounding while pearson(r, h) is near 1, so the

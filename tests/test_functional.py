@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from helpers import direct_squared_error, golden_section_min
+from helpers import direct_squared_error, golden_section_min, reference_pearson
 from panelboost import (
     DegenerateCorrelation,
     DomainError,
     EmptyInput,
+    InvalidParameter,
+    NumericOverflow,
     ShapeError,
     TransformKind,
     ZeroCandidate,
@@ -22,6 +27,40 @@ from panelboost import (
 )
 
 KINDS = [TransformKind.RECIPROCAL, TransformKind.WITCH]
+
+
+def _outcome(correlation, f, g):
+    try:
+        return repr(correlation(f, g))
+    except DegenerateCorrelation as err:
+        return "DegenerateCorrelation", err.side
+    except NumericOverflow as err:
+        return "NumericOverflow", str(err)
+
+
+@st.composite
+def _pearson_side(draw, count):
+    """A side for pearson: plain, constant, offset far beyond its spread, or
+    scaled so that its sum of squares nears overflow (values near 1e154) or
+    underflow (values near 1e-160).
+    """
+    values = draw(arrays(float, count, elements=st.floats(-10.0, 10.0)))
+    kind = draw(st.sampled_from(("plain", "constant", "offset", "huge", "tiny")))
+    if kind == "constant":
+        return np.full(count, draw(st.floats(-1e6, 1e6)))
+    if kind == "offset":
+        return draw(st.floats(-1e17, 1e17)) + values
+    if kind == "huge":
+        return values * draw(st.sampled_from((1e152, 1e153, 3e153)))
+    if kind == "tiny":
+        return values * draw(st.sampled_from((1e-158, 1e-160, 1e-162)))
+    return values
+
+
+@st.composite
+def _pearson_pairs(draw):
+    count = draw(st.sampled_from((1, 2, 2, 3, 5, 17)))
+    return draw(_pearson_side(count)), draw(_pearson_side(count))
 
 
 class TestMean:
@@ -115,6 +154,13 @@ class TestPearson:
         with pytest.raises(DegenerateCorrelation):
             pearson([1.0], [2.0])
 
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(_pearson_pairs())
+    def test_matches_the_reference_formula_bit_for_bit(self, pair):
+        f, g = pair
+        # repr tells every float apart, -0.0 included
+        assert _outcome(pearson, f, g) == _outcome(reference_pearson, f, g)
+
 
 class TestTransform:
     def test_vanishes_at_one_exactly(self):
@@ -139,6 +185,12 @@ class TestTransform:
         xs = np.linspace(-1.0, 1.0, 2001)
         vals = [transform(TransformKind.RECIPROCAL, x) for x in xs]
         assert all(a > b for a, b in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("kind", ["reciprocal", "witch", None, 0])
+    def test_anything_but_a_kind_is_an_invalid_parameter(self, kind):
+        # a string value once fell through to the witch penalty
+        with pytest.raises(InvalidParameter, match="transform must be a TransformKind"):
+            transform(kind, 0.5)
 
     def test_witch_even_and_decreasing_on_positive_half(self):
         xs = np.linspace(0.0, 1.0, 1001)

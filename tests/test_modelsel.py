@@ -234,6 +234,31 @@ class TestSweep:
         assert len(result.rows) == 54
         assert len(calls) == len(set(grid.alphas))
 
+    def test_metrics_once_per_alpha_and_prefix(self, monkeypatch):
+        # the transforms differ only in psi's penalty, so each distinct
+        # (alpha, accepted prefix) is measured once on train and once on val
+        calls = []
+
+        def counting_agreement(p, y, grid_step):
+            calls.append(len(p))
+            return agreement(p, y, grid_step)
+
+        agreement = modelsel._agreement
+        monkeypatch.setattr(modelsel, "_agreement", counting_agreement)
+        fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        grid = SweepGrid((3, 1, 10), (0.95, -1.0, 0.28), (1.0, 0.6, 1.0), (RECIP, WITCH))
+        result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        train, val, _ = split(fam.grid, SplitSpec(0.6, 0.2))
+        f_train, t_train = restrict_family(fam, train), restrict(target, train)
+        prefixes = set()
+        for row in result.rows:
+            if row.error is None:
+                model, _ = fit(f_train, t_train, row.config)
+                prefixes.add((row.config.alpha, len(model.terms)))
+        assert len(prefixes) > 2
+        assert calls == [len(train), len(val)] * len(prefixes)
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             SweepGrid((), (-1.0,), (1.0,), (RECIP,))

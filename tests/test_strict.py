@@ -22,9 +22,13 @@ from panelboost import (
     SweepGrid,
     TransformKind,
     evaluate,
+    fit,
     generate,
     pearson,
     psi,
+    read_model,
+    transform,
+    write_model,
 )
 from panelboost import cli
 from panelboost.cli import main
@@ -198,6 +202,49 @@ def test_library_parameter_checks_are_typed(build, message):
     with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$") as info:
         build()
     assert isinstance(info.value, ValueError)  # callers catching ValueError keep working
+
+
+_PAIR = (Series("p", [1.0, 2.0, 4.0]), Series("y", [1.0, 3.0, 2.0]))
+_FLAT = (Series("p", [2.0, 2.0, 2.0]), Series("y", [1.0, 3.0, 2.0]))
+
+# Values of the wrong type: each once fitted, swept or evaluated on with a
+# wrong result, or failed later with a raw TypeError or ValueError.
+TYPE_CHECKS = [
+    (lambda: BoostConfig(2.5, RECIP), "panel_size must be an integer, got 2.5"),
+    (lambda: BoostConfig(True, RECIP), "panel_size must be an integer, got True"),
+    (lambda: BoostConfig("3", RECIP), "panel_size must be an integer, got '3'"),
+    (lambda: BoostConfig(1, RECIP, lbound="0"), "lbound must be a real number, got '0'"),
+    (lambda: BoostConfig(1, RECIP, alpha="1"), "alpha must be a real number, got '1'"),
+    (lambda: BoostConfig(1, "reciprocal"),
+     "transform must be a TransformKind, got 'reciprocal'"),
+    (lambda: SweepGrid((2.5,), (-1.0,), (1.0,), (RECIP,)),
+     "panel_size must be an integer, got 2.5"),
+    (lambda: SweepGrid((1,), (-1.0,), (1.0,), ("reciprocal",)),
+     "transform must be a TransformKind, got 'reciprocal'"),
+    (lambda: transform("reciprocal", 0.5),
+     "transform must be a TransformKind, got 'reciprocal'"),
+    (lambda: evaluate(*_PAIR, "witch", 1.0), "transform must be a TransformKind, got 'witch'"),
+    (lambda: evaluate(*_FLAT, "witch", 1.0), "transform must be a TransformKind, got 'witch'"),
+]
+
+
+@pytest.mark.parametrize("build, message", TYPE_CHECKS, ids=[
+    "size-float", "size-bool", "size-str", "lbound-str", "alpha-str", "config-transform-str",
+    "grid-size-float", "grid-transform-str", "transform-str", "evaluate-str",
+    "evaluate-str-flat"])
+def test_parameters_of_the_wrong_type_are_typed_errors(build, message):
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        build()
+
+
+def test_a_numpy_integer_panel_size_is_stored_as_an_int(tmp_path):
+    family, target = generate(GenSpec(6, 30, 2, seed=1))
+    config = BoostConfig(np.int64(3), RECIP, np.float64(-1.0), np.float64(1.0))
+    assert type(config.panel_size) is int
+    assert config == BoostConfig(3, RECIP)
+    model, _ = fit(family, target, config)
+    write_model(model, tmp_path / "m.json")
+    assert read_model(tmp_path / "m.json") == model
 
 
 FIT = ["fit", "--model-out", "m.json", "--panel-size", "2", "--lbound=-1",
