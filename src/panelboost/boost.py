@@ -25,7 +25,6 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
-import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -44,7 +43,7 @@ from .errors import (
     ZeroCandidate,
 )
 from .functional import TransformKind, _centred, _check_kind, _correlation, argmin_rho
-from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid
+from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid, _integer
 
 WEIGHT_TOLERANCE = 1e-12
 
@@ -82,13 +81,7 @@ class BoostConfig:
     with_replacement: bool = False
 
     def __post_init__(self):
-        try:
-            size = operator.index(self.panel_size)
-        except TypeError:
-            size = None
-        if size is None or isinstance(self.panel_size, bool):
-            raise InvalidParameter(f"panel_size must be an integer, got {self.panel_size!r}")
-        # a plain int, so that a numpy integer size writes to JSON
+        size = _integer("panel_size", self.panel_size, InvalidParameter)
         object.__setattr__(self, "panel_size", size)
         if self.panel_size < 1:
             raise InvalidParameter(f"panel_size must be at least 1, got {self.panel_size}")
@@ -361,6 +354,14 @@ def _accepted(path: Iterable, config: BoostConfig) -> list:
     return list(itertools.takewhile(lambda s: s.score >= config.lbound, head))
 
 
+def _terms(selections: Iterable[Selection], alpha: float) -> tuple[PanelTerm, ...]:
+    """The ``PanelTerm``s of an accepted path, in order; each weight is ``alpha * raw_rho``."""
+    return tuple(
+        PanelTerm(s.member_id, alpha * s.raw_rho, s.raw_rho, s.score, iteration)
+        for iteration, s in enumerate(selections)
+    )
+
+
 def fit(
     family: Family, target: Series, config: BoostConfig
 ) -> tuple[PanelModel, FitTrace]:
@@ -372,10 +373,7 @@ def fit(
     squared error after every accepted term. ``config.transform`` is not read.
     """
     path = _path(family, target, config.alpha, config.with_replacement)
-    terms = tuple(
-        PanelTerm(s.member_id, config.alpha * s.raw_rho, s.raw_rho, s.score, iteration)
-        for iteration, s in enumerate(_accepted(path, config))
-    )
+    terms = _terms(_accepted(path, config), config.alpha)
     if not terms:
         raise NoAdmissibleMember(
             "no candidate was accepted (threshold too high or degenerate target)"

@@ -9,17 +9,16 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boost import BoostConfig, _accepted, _running_sums, fit
+from .boost import BoostConfig, _accepted, _path, _running_sums, _terms
 from .errors import (
     DegenerateCorrelation,
     EmptyInput,
     InvalidParameter,
-    NoAdmissibleMember,
     NumericOverflow,
     ShapeError,
     SweepFailed,
 )
-from .functional import TransformKind, _check_kind, pearson, transform
+from .functional import TransformKind, _centred, _check_kind, _correlation, transform
 from .series import (
     Family,
     Series,
@@ -55,7 +54,22 @@ def evaluate(
     where ``psi`` is NaN.
     """
     _check_kind(kind)
-    return _scored(_agreement(prediction.values, target.values, grid_step), kind)
+    return _scored(_agreement(prediction.values, _reference(target.values), grid_step), kind)
+
+
+class _Reference(NamedTuple):
+    """A target and its ``_centred`` form, None when the target is degenerate."""
+
+    values: np.ndarray
+    centred: tuple[np.ndarray, float] | None
+
+
+def _reference(y: np.ndarray) -> _Reference:
+    """``y`` with its centring, computed once for every prediction scored against it."""
+    try:
+        return _Reference(y, _centred(y, "right"))
+    except DegenerateCorrelation:
+        return _Reference(y, None)
 
 
 class _Agreement(NamedTuple):
@@ -68,8 +82,15 @@ class _Agreement(NamedTuple):
     cumulative_abs_error: float
 
 
-def _agreement(p: np.ndarray, y: np.ndarray, grid_step: float) -> _Agreement:
-    """Squared error, rmse, mae, correlation and cumulative gap of ``p`` against ``y``."""
+def _agreement(p: np.ndarray, ref: _Reference, grid_step: float) -> _Agreement:
+    """Squared error, rmse, mae, correlation and cumulative gap of ``p`` against a target.
+
+    The correlation is ``pearson(p, y)`` from the target's centring in
+    ``ref``, None when either side is constant. ``p`` is centred before the
+    two sums of squares are checked, so a constant ``p`` against an
+    overflowing target is degenerate, as in ``pearson``.
+    """
+    y = ref.values
     if len(p) != len(y):
         raise ShapeError(f"length mismatch: {len(p)} vs {len(y)}")
     if len(p) < 2:
@@ -83,10 +104,12 @@ def _agreement(p: np.ndarray, y: np.ndarray, grid_step: float) -> _Agreement:
         raise NumericOverflow("the squared error overflows")
     rmse = math.sqrt(sse / len(p))
     mae = float(np.abs(diff).sum()) / len(p)
-    try:
-        corr = pearson(p, y)
-    except DegenerateCorrelation:
-        corr = None
+    corr = None
+    if ref.centred is not None:
+        try:
+            corr = _correlation(*_centred(p, "left"), *ref.centred)
+        except DegenerateCorrelation:
+            pass
     cumulative_gap = abs(float(diff.sum())) * grid_step
     if not math.isfinite(cumulative_gap):  # a Python float product overflows silently
         raise NumericOverflow("the cumulative absolute error overflows")
@@ -174,13 +197,14 @@ def sweep(
     the result as error rows. Ties on validation RMSE prefer the smaller
     panel, then the smaller alpha, then the earlier row.
 
-    Each row is ``_accepted`` of the path ``fit`` uses. That path is fitted
-    once per distinct alpha, at the largest panel size with lbound -1, and
-    every cell takes its accepted prefix of it. The predictions of every
-    prefix are running sums in ``predict``'s order. The metrics of each
-    distinct (alpha, prefix) are computed once, on train and on validation;
-    the transforms differ only in the penalty of ``psi``, which each row
-    takes for its own transform.
+    Each row is ``_accepted`` of the path ``fit`` uses. That path is walked
+    once per distinct alpha, as far as the largest panel size with lbound -1;
+    no model or trace is built. Each distinct (alpha, panel size, lbound)
+    takes its accepted prefix of the path once, and the rows that differ only
+    in their transform share it. The predictions of every prefix are running
+    sums in ``predict``'s order. Each distinct (alpha, prefix, transform) is
+    measured once, on train and on validation, against targets centred once
+    per segment, and its rows share the same ``Metrics``.
     """
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)
@@ -191,34 +215,38 @@ def sweep(
 
     paths = {}
     for alpha in dict.fromkeys(grid.alphas):
-        config = BoostConfig(max(grid.panel_sizes), grid.transforms[0], -1.0, alpha)
-        try:
-            paths[alpha] = fit(fam_train, tgt_train, config)[0].terms
-        except NoAdmissibleMember:
-            paths[alpha] = ()
-    lengths = [len(_accepted(paths[config.alpha], config)) for config in grid.cells]
+        longest = BoostConfig(max(grid.panel_sizes), grid.transforms[0], -1.0, alpha)
+        path = _path(fam_train, tgt_train, alpha, False)
+        paths[alpha] = _terms(_accepted(path, longest), alpha)
+    lengths = {}
+    for config in grid.cells:
+        key = (config.alpha, config.panel_size, config.lbound)
+        if key not in lengths:
+            lengths[key] = len(_accepted(paths[config.alpha], config))
     # prefixes are summed only as far as some cell reads them, so a longer
     # prefix that no cell uses cannot overflow the sweep
     sums = {}
     for alpha, path in paths.items():
-        longest = max(n for c, n in zip(grid.cells, lengths) if c.alpha == alpha)
-        prefix = path[:longest]
+        prefix = path[: max(n for (a, _, _), n in lengths.items() if a == alpha)]
         sums[alpha] = (_running_sums(prefix, fam_train), _running_sums(prefix, fam_val))
 
-    agreements = {}
+    refs = (_reference(tgt_train.values), _reference(tgt_val.values))
+    # every (alpha, prefix) a row reads is read with each of the grid's
+    # transforms, by the rows that differ from it only there
+    metrics = {}
     rows: list[SweepRow] = []
-    for config, n in zip(grid.cells, lengths):
+    for config in grid.cells:
+        n = lengths[(config.alpha, config.panel_size, config.lbound)]
         if n == 0:
             rows.append(SweepRow(config, None, None, False, error="NoAdmissibleMember"))
             continue
-        key = (config.alpha, n)
-        if key not in agreements:
-            train_sums, val_sums = sums[config.alpha]
-            agreements[key] = (
-                _agreement(train_sums[n], tgt_train.values, step),
-                _agreement(val_sums[n], tgt_val.values, step),
-            )
-        train, val = (_scored(a, config.transform) for a in agreements[key])
+        if (config.alpha, n) not in metrics:
+            agreements = [_agreement(s[n], ref, step) for s, ref in zip(sums[config.alpha], refs)]
+            metrics[config.alpha, n] = {
+                kind: tuple(_scored(a, kind) for a in agreements)
+                for kind in dict.fromkeys(grid.transforms)
+            }
+        train, val = metrics[config.alpha, n][config.transform]
         rows.append(SweepRow(config, train, val, n < config.panel_size))
 
     ranked = [

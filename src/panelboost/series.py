@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,15 +38,34 @@ def _readonly_values(values) -> np.ndarray:
     return arr
 
 
+def _integer(name: str, value, error: type[Exception]) -> int:
+    """``value`` as a plain ``int``, so that a numpy integer writes to JSON.
+
+    Anything that is not an integer, a bool included, raises ``error``.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool):
+        raise error(f"{name} must be an integer, got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform sampling: sample k sits at start + k*step for k in [0, count)."""
+    """Uniform sampling: sample k sits at start + k*step for k in [0, count).
+
+    ``count`` is stored as a plain ``int``; one that is not an integer is a
+    ValueError, like every other check here.
+    """
 
     start: float
     step: float
     count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "count", _integer("grid count", self.count, ValueError))
         if not (math.isfinite(self.start) and math.isfinite(self.step)):
             raise ValueError(
                 f"grid start and step must be finite, got {self.start}, {self.step}"
@@ -188,6 +209,8 @@ class SplitSpec:
     """Contiguous train/validation/test partition, given as head fractions.
 
     Whatever the two fractions leave over becomes an internal test segment.
+    A fraction that is not a real number, or lies outside its range, is an
+    InvalidParameter.
     """
 
     train_fraction: float
@@ -198,6 +221,8 @@ class SplitSpec:
             ("train_fraction", self.train_fraction),
             ("validation_fraction", self.validation_fraction),
         ):
+            if not isinstance(frac, numbers.Real):
+                raise InvalidParameter(f"{name} must be a real number, got {frac!r}")
             if not 0.0 < frac < 1.0:
                 raise InvalidParameter(f"{name} must lie in (0, 1), got {frac}")
         if self.train_fraction + self.validation_fraction > 1.0:

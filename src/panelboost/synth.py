@@ -9,17 +9,23 @@ therefore exist by construction, which makes recovery testable.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter, NumericOverflow
-from .series import Family, Series, TimeGrid, aggregate_target
+from .series import Family, Series, TimeGrid, _integer, aggregate_target
 
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Generator parameters; the output is a pure function of these fields."""
+    """Generator parameters; the output is a pure function of these fields.
+
+    The counts and the seed are stored as plain ``int``s. One that is not an
+    integer (a bool included), or a ``noise_sd`` that is not a real number,
+    is an InvalidParameter, as is a value outside its range.
+    """
 
     n_series: int
     days: int
@@ -28,6 +34,10 @@ class GenSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_series", "days", "archetypes", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), InvalidParameter))
+        if not isinstance(self.noise_sd, numbers.Real):
+            raise InvalidParameter(f"noise_sd must be a real number, got {self.noise_sd!r}")
         if self.n_series < 1:
             raise InvalidParameter(f"n_series must be at least 1, got {self.n_series}")
         if self.days < 14:

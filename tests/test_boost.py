@@ -28,6 +28,8 @@ from panelboost import (
     ShapeError,
     TimeGrid,
     TransformKind,
+    argmin_rho,
+    boost,
     fit,
     generate,
     predict,
@@ -253,6 +255,23 @@ class TestMatchesScalarOracle:
             fam = _family({f"c{i}": v for i, v in enumerate(rows)})
             want = scalar_select([(m.id, m.values) for m in fam.members], resid, -1.0)
             assert select_step(fam, Series("__residual__", resid), _config(1)) == want[1]
+
+    def test_a_residual_near_underflow_rescores_every_row(self, monkeypatch):
+        # srr is about 3.5e-299, below RESOLVED_FLOOR, where the screen's
+        # rounding bound no longer holds: every usable row must be rescored
+        fam, _ = generate(GenSpec(12, 40, 3, 0.3, 5))
+        resid = np.random.default_rng(1).standard_normal(40) * 1e-150
+        rescored = []
+
+        def counting_argmin_rho(h, y):
+            rescored.append(len(h))
+            return argmin_rho(h, y)
+
+        monkeypatch.setattr(boost, "argmin_rho", counting_argmin_rho)
+        got = select_step(fam, Series("__residual__", resid), _config(1))
+        assert len(rescored) == len(fam) == 12
+        want = scalar_select([(m.id, m.values) for m in fam.members], resid, -1.0)
+        assert got == want[1]
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fit_path_on_generated_panels(self, seed):

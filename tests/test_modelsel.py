@@ -18,6 +18,7 @@ from panelboost import (
     SweepGrid,
     TimeGrid,
     TransformKind,
+    boost,
     cumulative,
     evaluate,
     fit,
@@ -220,13 +221,15 @@ class TestSweep:
         assert any(row.error is None and not row.stopped_early for row in result.rows)
 
     def test_one_fit_per_distinct_alpha(self, monkeypatch):
+        # the sweep fits by walking the greedy path, once per distinct alpha
         calls = []
 
-        def counting_fit(*args):
+        def counting_path(*args):
             calls.append(args[2])
-            return fit(*args)
+            return path(*args)
 
-        monkeypatch.setattr(modelsel, "fit", counting_fit)
+        path = modelsel._path
+        monkeypatch.setattr(modelsel, "_path", counting_path)
         fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
                                        noise_sd=0.3, seed=41))
         grid = SweepGrid((3, 1, 10), (0.95, -1.0, 0.28), (1.0, 0.6, 1.0), (RECIP, WITCH))
@@ -258,6 +261,62 @@ class TestSweep:
                 prefixes.add((row.config.alpha, len(model.terms)))
         assert len(prefixes) > 2
         assert calls == [len(train), len(val)] * len(prefixes)
+
+    def test_scored_once_per_alpha_prefix_and_transform(self, monkeypatch):
+        # rows that share alpha, accepted prefix and transform share Metrics
+        calls = []
+
+        def counting_scored(agreement, kind):
+            calls.append(kind)
+            return scored(agreement, kind)
+
+        scored = modelsel._scored
+        monkeypatch.setattr(modelsel, "_scored", counting_scored)
+        fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        grid = SweepGrid((3, 1, 10), (0.95, -1.0, 0.28), (1.0, 0.6, 1.0), (RECIP, WITCH))
+        result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        train, _, _ = split(fam.grid, SplitSpec(0.6, 0.2))
+        f_train, t_train = restrict_family(fam, train), restrict(target, train)
+        keys = {}
+        for row in result.rows:
+            if row.error is None:
+                model, _ = fit(f_train, t_train, row.config)
+                key = (row.config.alpha, len(model.terms), row.config.transform)
+                first = keys.setdefault(key, row)
+                assert row.train is first.train and row.validation is first.validation
+        assert len(keys) < sum(row.error is None for row in result.rows)
+        assert len(calls) == 2 * len(keys)
+
+    def test_target_centred_once_per_segment(self, monkeypatch):
+        calls = []
+
+        def counting_centred(x, side):
+            calls.append((side, x))
+            return centred(x, side)
+
+        centred = modelsel._centred
+        monkeypatch.setattr(modelsel, "_centred", counting_centred)
+        fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        grid = SweepGrid((1, 3, 10), (-1.0, 0.28), (1.0, 0.6), (RECIP, WITCH))
+        sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        train, val, _ = split(fam.grid, SplitSpec(0.6, 0.2))
+        targets = [x for side, x in calls if side == "right"]
+        assert len(targets) == 2
+        np.testing.assert_array_equal(targets[0], restrict(target, train).values)
+        np.testing.assert_array_equal(targets[1], restrict(target, val).values)
+        assert len(calls) > 2  # the predictions are centred too, on the left
+
+    def test_sweep_builds_no_model_or_trace(self, monkeypatch):
+        built = []
+        for name in ("PanelModel", "FitTrace", "TraceRecord"):
+            monkeypatch.setattr(boost, name, lambda *args, name=name: built.append(name))
+        fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        grid = SweepGrid((1, 3, 10), (-1.0, 0.28, 0.95), (1.0, 0.6), (RECIP, WITCH))
+        result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        assert len(result.rows) == 36 and built == []
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

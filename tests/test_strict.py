@@ -13,6 +13,7 @@ import pytest
 
 from panelboost import (
     BoostConfig,
+    Family,
     GenSpec,
     InvalidParameter,
     NumericOverflow,
@@ -20,6 +21,7 @@ from panelboost import (
     Series,
     SplitSpec,
     SweepGrid,
+    TimeGrid,
     TransformKind,
     evaluate,
     fit,
@@ -243,6 +245,49 @@ def test_a_numpy_integer_panel_size_is_stored_as_an_int(tmp_path):
     assert type(config.panel_size) is int
     assert config == BoostConfig(3, RECIP)
     model, _ = fit(family, target, config)
+    write_model(model, tmp_path / "m.json")
+    assert read_model(tmp_path / "m.json") == model
+
+
+# Spec fields of the wrong type: each once failed with a raw TypeError inside
+# the library, or, a fractional grid count, was accepted.
+SPEC_TYPE_CHECKS = [
+    (lambda: GenSpec(2.5, 30, 1), "n_series must be an integer, got 2.5"),
+    (lambda: GenSpec(True, 30, 1), "n_series must be an integer, got True"),
+    (lambda: GenSpec(3, 30.0, 1), "days must be an integer, got 30.0"),
+    (lambda: GenSpec(3, 30, 2.0), "archetypes must be an integer, got 2.0"),
+    (lambda: GenSpec(3, 30, 1, seed=1.5), "seed must be an integer, got 1.5"),
+    (lambda: GenSpec(3, 30, 1, "x"), "noise_sd must be a real number, got 'x'"),
+    (lambda: SplitSpec("0.6", 0.2), "train_fraction must be a real number, got '0.6'"),
+    (lambda: SplitSpec(0.6, None), "validation_fraction must be a real number, got None"),
+]
+
+
+@pytest.mark.parametrize("build, message", SPEC_TYPE_CHECKS, ids=[
+    "gen-n-float", "gen-n-bool", "gen-days-float", "gen-archetypes-float", "gen-seed-float",
+    "gen-noise-str", "split-train-str", "split-val-none"])
+def test_spec_fields_of_the_wrong_type_are_typed_errors(build, message):
+    with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("count", [2.5, True, "3", None])
+def test_a_grid_count_that_is_not_an_integer_is_a_value_error(count):
+    # the class of TimeGrid's other checks, which read_model reports as ParseError
+    message = f"grid count must be an integer, got {count!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TimeGrid(0.0, 1.0, count)
+
+
+def test_numpy_integer_spec_fields_are_stored_as_ints(tmp_path):
+    spec = GenSpec(np.int64(6), np.int64(30), np.int64(2), np.float64(0.05), np.uint64(1))
+    assert all(type(getattr(spec, name)) is int
+               for name in ("n_series", "days", "archetypes", "seed"))
+    family, target = generate(spec)
+    assert family == generate(GenSpec(6, 30, 2, 0.05, 1))[0]
+    grid = TimeGrid(0.0, 1.0, np.int64(30))
+    assert type(grid.count) is int and grid == family.grid
+    model, _ = fit(Family(grid, family.members), target, BoostConfig(3, RECIP))
     write_model(model, tmp_path / "m.json")
     assert read_model(tmp_path / "m.json") == model
 
