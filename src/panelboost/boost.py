@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -43,7 +42,7 @@ from .errors import (
     ZeroCandidate,
 )
 from .functional import TransformKind, _centred, _check_kind, _correlation, argmin_rho
-from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid, _integer
+from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid, _integer, _real
 
 WEIGHT_TOLERANCE = 1e-12
 
@@ -68,10 +67,10 @@ class BoostConfig:
     ``transform`` does not enter fitting: it labels the model and picks the
     correlation penalty of the ``psi`` metric when the model is evaluated.
 
-    ``panel_size`` is stored as a plain ``int``. A size that is not an
-    integer (a bool included), a ``transform`` that is not a
-    ``TransformKind``, and an ``lbound`` or ``alpha`` that is not a real
-    number or lies outside its range are an InvalidParameter.
+    ``panel_size`` is stored as a plain ``int``, ``lbound`` and ``alpha`` as
+    plain ``float``s and ``with_replacement`` as a ``bool``. A field of the
+    wrong type (a bool is neither an integer nor a real number here) and a
+    value outside its range are an InvalidParameter.
     """
 
     panel_size: int
@@ -87,18 +86,23 @@ class BoostConfig:
             raise InvalidParameter(f"panel_size must be at least 1, got {self.panel_size}")
         _check_kind(self.transform)
         for name in ("lbound", "alpha"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
-                raise InvalidParameter(f"{name} must be a real number, got {value!r}")
+            object.__setattr__(self, name, _real(name, getattr(self, name), InvalidParameter))
         if not -1.0 <= self.lbound <= 1.0:
             raise InvalidParameter(f"lbound must lie in [-1, 1], got {self.lbound}")
         if not 0.0 < self.alpha <= 1.0:
             raise InvalidParameter(f"alpha must lie in (0, 1], got {self.alpha}")
+        replace = self.with_replacement
+        if not isinstance(replace, (bool, np.bool_)):
+            raise InvalidParameter(f"with_replacement must be a bool, got {replace!r}")
+        object.__setattr__(self, "with_replacement", bool(replace))
 
 
 @dataclass(frozen=True)
 class PanelTerm:
-    """One accepted panel member."""
+    """One accepted panel member, its numbers stored as a plain ``float`` or ``int``.
+
+    A field of the wrong type, or a number that is not finite, is a ValueError.
+    """
 
     member_id: str
     weight: float  # stored coefficient, alpha * raw_rho
@@ -107,8 +111,12 @@ class PanelTerm:
     iteration: int
 
     def __post_init__(self):
+        if not isinstance(self.member_id, str):
+            raise ValueError(f"member_id must be a string, got {self.member_id!r}")
+        object.__setattr__(self, "iteration", _integer("iteration", self.iteration, ValueError))
         for name in ("weight", "raw_rho", "score"):
-            value = getattr(self, name)
+            value = _real(name, getattr(self, name), ValueError)
+            object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(
                     f"term {self.member_id!r}: {name} must be finite, got {value}"
@@ -197,7 +205,8 @@ def select_step(
     if np.ptp(residual.values) == 0:
         raise DegenerateResidual("residual has zero variance")
     found = _best(candidates, rows, residual.values, rows.usable)
-    accepted = _accepted(() if found is None else (found[1],), config)
+    accepted = _accepted(() if found is None else (found[1],), config.panel_size,
+                         config.lbound)
     return accepted[0] if accepted else None
 
 
@@ -345,13 +354,13 @@ def _path(
             pool[index] = False
 
 
-def _accepted(path: Iterable, config: BoostConfig) -> list:
+def _accepted(path: Iterable, panel_size: int, lbound: float) -> list:
     """Longest prefix of ``path`` within ``panel_size`` scoring at least ``lbound``.
 
     It pulls at most ``panel_size`` items, and none after the first rejected one.
     """
-    head = itertools.islice(path, config.panel_size)
-    return list(itertools.takewhile(lambda s: s.score >= config.lbound, head))
+    head = itertools.islice(path, panel_size)
+    return list(itertools.takewhile(lambda s: s.score >= lbound, head))
 
 
 def _terms(selections: Iterable[Selection], alpha: float) -> tuple[PanelTerm, ...]:
@@ -373,7 +382,7 @@ def fit(
     squared error after every accepted term. ``config.transform`` is not read.
     """
     path = _path(family, target, config.alpha, config.with_replacement)
-    terms = _terms(_accepted(path, config), config.alpha)
+    terms = _terms(_accepted(path, config.panel_size, config.lbound), config.alpha)
     if not terms:
         raise NoAdmissibleMember(
             "no candidate was accepted (threshold too high or degenerate target)"

@@ -16,8 +16,9 @@ line numbers. Each data row is written with one format string; the header
 goes through the csv module, which quotes ids.
 
 Model JSON: format_version 1 with grid, config, terms, and provenance
-objects, whose fields and JSON types are the tables below. Other versions,
-and unknown fields anywhere, are rejected with UnsupportedVersion.
+objects, whose fields are the tables below. Other versions, and unknown
+fields anywhere, are rejected with UnsupportedVersion. The type of each
+field is checked by the object it loads into, and nothing is coerced.
 
 Reports: the metric columns are the fields of ``Metrics``, in order.
 
@@ -332,20 +333,12 @@ def _infer_grid(tcol: np.ndarray, path: Path) -> TimeGrid:
 
 # ---------------------------------------------------------------- model JSON
 
-# The fields of each v1 model object with their JSON types, in the order
-# write_model writes them; read_model checks a file against the same tables.
-# An enum field is stored as its value string.
-_MODEL = {"format_version": int, "grid": dict, "config": dict, "terms": list}
-_GRID = {"start": float, "step": float, "count": int}
-_CONFIG = {
-    "panel_size": int,
-    "lbound": float,
-    "alpha": float,
-    "transform": TransformKind,
-    "with_replacement": bool,
-}
-_TERM = {"member_id": str, "weight": float, "raw_rho": float, "score": float,
-         "iteration": int}
+# The fields of each v1 model object, in the order write_model writes them;
+# read_model checks a file against the same tables, and the objects built
+# from them check the values. An enum field is stored as its value string.
+_GRID = ("start", "step", "count")
+_CONFIG = ("panel_size", "lbound", "alpha", "transform", "with_replacement")
+_TERM = ("member_id", "weight", "raw_rho", "score", "iteration")
 
 
 def write_model(model: PanelModel, path, input_digest: str | None = None) -> None:
@@ -364,8 +357,8 @@ def write_model(model: PanelModel, path, input_digest: str | None = None) -> Non
         fh.write(json.dumps(doc, indent=2) + "\n")
 
 
-def _object_doc(obj, table: dict) -> dict:
-    doc = {field: getattr(obj, field) for field in table}
+def _object_doc(obj, names: tuple[str, ...]) -> dict:
+    doc = {field: getattr(obj, field) for field in names}
     return {k: v.value if isinstance(v, Enum) else v for k, v in doc.items()}
 
 
@@ -382,6 +375,8 @@ def read_model(path) -> PanelModel:
         ) from exc
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
+    except ValueError as exc:  # an integer too long for int(), say
+        raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")
 
@@ -394,64 +389,42 @@ def read_model(path) -> PanelModel:
             f"(expected {FORMAT_VERSION})"
         )
     # provenance is for people and never read back, so any value (or none) will do
-    doc = {k: v for k, v in doc.items() if k != "provenance"}
-    doc = _fields(doc, _MODEL, path, "model")
+    doc = _fields({k: v for k, v in doc.items() if k != "provenance"},
+                  ("format_version", "grid", "config", "terms"), path, "model")
+    if type(doc["terms"]) is not list:
+        raise ParseError(f"{path}: terms must be a list")
 
     try:
         grid = TimeGrid(**_fields(doc["grid"], _GRID, path, "grid"))
-        config = BoostConfig(**_fields(doc["config"], _CONFIG, path, "config"))
+        config = _fields(doc["config"], _CONFIG, path, "config")
+        config["transform"] = TransformKind(config["transform"])
         terms = tuple(
             PanelTerm(**_fields(term, _TERM, path, f"terms[{k}]"))
             for k, term in enumerate(doc["terms"])
         )
-        return PanelModel(terms, config, grid)
+        return PanelModel(terms, BoostConfig(**config), grid)
     except ValueError as exc:
         raise ParseError(f"{path}: invalid model content: {exc}") from exc
 
 
-_TYPE_NAMES = {
-    bool: "a boolean",
-    int: "an integer",
-    float: "a finite number",
-    str: "a string",
-    dict: "an object",
-    list: "a list",
-}
+def _fields(doc, names: tuple[str, ...], path: Path, where: str) -> dict:
+    """``doc`` once it is a JSON object with exactly the named fields.
 
-
-def _fields(doc, table: dict, path: Path, where: str) -> dict:
-    """Fields of a JSON object, each of exactly its table type; nothing is coerced.
-
-    Unknown fields are UnsupportedVersion; a missing or mistyped field is a
-    ParseError. Booleans are not integers here, a float field takes a JSON
-    integer or a finite JSON number, and an enum field takes a string, which
-    becomes its member (an unknown value is a ValueError).
+    Unknown fields are UnsupportedVersion; a missing field, or a ``doc`` that
+    is not an object, is a ParseError. The values are left to the objects
+    built from them to check.
     """
     if type(doc) is not dict:
         raise ParseError(f"{path}: {where} must be an object")
-    unknown = set(doc) - set(table)
+    unknown = set(doc) - set(names)
     if unknown:
         raise UnsupportedVersion(
             f"{path}: unknown fields in {where}: {sorted(unknown)}"
         )
-    fields = {}
-    for field, kind in table.items():
+    for field in names:
         if field not in doc:
             raise ParseError(f"{path}: missing field {field!r} in {where}")
-        value = doc[field]
-        stored = str if issubclass(kind, Enum) else kind  # the JSON value's type
-        if stored is float and type(value) is int:
-            try:
-                value = float(value)
-            except OverflowError:
-                pass  # stays an int, which the check below rejects
-        if type(value) is not stored or (stored is float and not math.isfinite(value)):
-            raise ParseError(
-                f"{path}: field {field!r} in {where} must be {_TYPE_NAMES[stored]}, "
-                f"got {value!r}"
-            )
-        fields[field] = value if kind is stored else kind(value)
-    return fields
+    return doc
 
 
 # ------------------------------------------------------------------ reports

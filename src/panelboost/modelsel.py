@@ -214,15 +214,16 @@ def sweep(
     step = family.grid.step
 
     paths = {}
-    for alpha in dict.fromkeys(grid.alphas):
-        longest = BoostConfig(max(grid.panel_sizes), grid.transforms[0], -1.0, alpha)
+    longest = max(config.panel_size for config in grid.cells)
+    for alpha in dict.fromkeys(config.alpha for config in grid.cells):
         path = _path(fam_train, tgt_train, alpha, False)
-        paths[alpha] = _terms(_accepted(path, longest), alpha)
+        paths[alpha] = _terms(_accepted(path, longest, -1.0), alpha)
     lengths = {}
     for config in grid.cells:
         key = (config.alpha, config.panel_size, config.lbound)
         if key not in lengths:
-            lengths[key] = len(_accepted(paths[config.alpha], config))
+            lengths[key] = len(_accepted(paths[config.alpha], config.panel_size,
+                                         config.lbound))
     # prefixes are summed only as far as some cell reads them, so a longer
     # prefix that no cell uses cannot overflow the sweep
     sums = {}

@@ -52,11 +52,28 @@ def _integer(name: str, value, error: type[Exception]) -> int:
     return number
 
 
+def _real(name: str, value, error: type[Exception]) -> float:
+    """``value`` as a plain ``float``, so that any real number writes to JSON.
+
+    A bool, anything that is not a real number, and a number too large for a
+    float (``10**400``) raise ``error``.
+    """
+    if isinstance(value, float):  # np.float64 too, and no float overflows
+        return float(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise error(f"{name} must be a real number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling: sample k sits at start + k*step for k in [0, count).
 
-    ``count`` is stored as a plain ``int``; one that is not an integer is a
+    ``start`` and ``step`` are stored as plain ``float``s and ``count`` as a
+    plain ``int``; a value that is not a real number, or not an integer, is a
     ValueError, like every other check here.
     """
 
@@ -65,6 +82,8 @@ class TimeGrid:
     count: int
 
     def __post_init__(self):
+        object.__setattr__(self, "start", _real("grid start", self.start, ValueError))
+        object.__setattr__(self, "step", _real("grid step", self.step, ValueError))
         object.__setattr__(self, "count", _integer("grid count", self.count, ValueError))
         if not (math.isfinite(self.start) and math.isfinite(self.step)):
             raise ValueError(
@@ -209,20 +228,17 @@ class SplitSpec:
     """Contiguous train/validation/test partition, given as head fractions.
 
     Whatever the two fractions leave over becomes an internal test segment.
-    A fraction that is not a real number, or lies outside its range, is an
-    InvalidParameter.
+    The fractions are stored as plain ``float``s. One that is not a real
+    number, or lies outside its range, is an InvalidParameter.
     """
 
     train_fraction: float
     validation_fraction: float
 
     def __post_init__(self):
-        for name, frac in (
-            ("train_fraction", self.train_fraction),
-            ("validation_fraction", self.validation_fraction),
-        ):
-            if not isinstance(frac, numbers.Real):
-                raise InvalidParameter(f"{name} must be a real number, got {frac!r}")
+        for name in ("train_fraction", "validation_fraction"):
+            frac = _real(name, getattr(self, name), InvalidParameter)
+            object.__setattr__(self, name, frac)
             if not 0.0 < frac < 1.0:
                 raise InvalidParameter(f"{name} must lie in (0, 1), got {frac}")
         if self.train_fraction + self.validation_fraction > 1.0:

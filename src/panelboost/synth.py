@@ -9,22 +9,22 @@ therefore exist by construction, which makes recovery testable.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidParameter, NumericOverflow
-from .series import Family, Series, TimeGrid, _integer, aggregate_target
+from .series import Family, Series, TimeGrid, _integer, _real, aggregate_target
 
 
 @dataclass(frozen=True)
 class GenSpec:
     """Generator parameters; the output is a pure function of these fields.
 
-    The counts and the seed are stored as plain ``int``s. One that is not an
-    integer (a bool included), or a ``noise_sd`` that is not a real number,
-    is an InvalidParameter, as is a value outside its range.
+    The counts and the seed are stored as plain ``int``s and ``noise_sd`` as
+    a plain ``float``. A count or seed that is not an integer, or a
+    ``noise_sd`` that is not a real number (a bool is neither), is an
+    InvalidParameter, as is a value outside its range.
     """
 
     n_series: int
@@ -36,8 +36,7 @@ class GenSpec:
     def __post_init__(self):
         for name in ("n_series", "days", "archetypes", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name), InvalidParameter))
-        if not isinstance(self.noise_sd, numbers.Real):
-            raise InvalidParameter(f"noise_sd must be a real number, got {self.noise_sd!r}")
+        object.__setattr__(self, "noise_sd", _real("noise_sd", self.noise_sd, InvalidParameter))
         if self.n_series < 1:
             raise InvalidParameter(f"n_series must be at least 1, got {self.n_series}")
         if self.days < 14:

@@ -233,8 +233,10 @@ class TestPredictCommand:
         [
             b"\xff\xfe{}",  # not UTF-8; UnicodeDecodeError is a ValueError
             b"[" * 200_000,  # nested past the parser's recursion limit
+            # past int()'s digit limit, which json.loads raises as a plain ValueError
+            b'{"format_version": 1, "grid": {"start": ' + b"9" * 5000 + b"}}",
         ],
-        ids=["not-utf8", "deeply-nested"],
+        ids=["not-utf8", "deeply-nested", "integer-past-digit-limit"],
     )
     def test_unreadable_model_file_is_a_parse_error(self, tmp_path, capsys, content):
         data = _gen(tmp_path)

@@ -44,7 +44,7 @@ class _Recording:
 def test_accepted_pulls_no_more_than_it_needs(scores, panel_size, lbound, accepted,
                                               pulled):
     path = _Recording(scores)
-    got = _accepted(path, BoostConfig(panel_size, RECIP, lbound))
+    got = _accepted(path, panel_size, lbound)
     assert [s.score for s in got] == list(scores[:accepted])
     assert path.pulled == pulled
 

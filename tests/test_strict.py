@@ -7,6 +7,7 @@ pins the one stderr line the CLI prints.
 
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from panelboost import (
     InvalidParameter,
     NumericOverflow,
     PanelBoostError,
+    PanelTerm,
     Series,
     SplitSpec,
     SweepGrid,
@@ -227,13 +229,19 @@ TYPE_CHECKS = [
      "transform must be a TransformKind, got 'reciprocal'"),
     (lambda: evaluate(*_PAIR, "witch", 1.0), "transform must be a TransformKind, got 'witch'"),
     (lambda: evaluate(*_FLAT, "witch", 1.0), "transform must be a TransformKind, got 'witch'"),
+    # each of these fitted, and wrote a model that read_model rejected
+    (lambda: BoostConfig(1, RECIP, lbound=False), "lbound must be a real number, got False"),
+    (lambda: BoostConfig(1, RECIP, alpha=True), "alpha must be a real number, got True"),
+    # this one fitted with replacement
+    (lambda: BoostConfig(1, RECIP, with_replacement="no"),
+     "with_replacement must be a bool, got 'no'"),
 ]
 
 
 @pytest.mark.parametrize("build, message", TYPE_CHECKS, ids=[
     "size-float", "size-bool", "size-str", "lbound-str", "alpha-str", "config-transform-str",
     "grid-size-float", "grid-transform-str", "transform-str", "evaluate-str",
-    "evaluate-str-flat"])
+    "evaluate-str-flat", "lbound-bool", "alpha-bool", "with-replacement-str"])
 def test_parameters_of_the_wrong_type_are_typed_errors(build, message):
     with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
         build()
@@ -249,6 +257,21 @@ def test_a_numpy_integer_panel_size_is_stored_as_an_int(tmp_path):
     assert read_model(tmp_path / "m.json") == model
 
 
+def test_other_real_and_bool_types_are_stored_as_plain_ones(tmp_path):
+    # each of these made write_model fail with "... is not JSON serializable"
+    family, target = generate(GenSpec(6, 30, 2, seed=1))
+    config = BoostConfig(3, RECIP, np.float32(-1.0), Fraction(1, 2), np.bool_(False))
+    grid = TimeGrid(np.float32(0.5), 1.0, 30)
+    assert [type(v) for v in (config.lbound, config.alpha, config.with_replacement)] == [
+        float, float, bool]
+    assert type(grid.start) is float
+    assert config == BoostConfig(3, RECIP, -1.0, 0.5, False)
+    model, _ = fit(Family(grid, family.members), target, config)
+    assert model.grid.start == 0.5
+    write_model(model, tmp_path / "m.json")
+    assert read_model(tmp_path / "m.json") == model
+
+
 # Spec fields of the wrong type: each once failed with a raw TypeError inside
 # the library, or, a fractional grid count, was accepted.
 SPEC_TYPE_CHECKS = [
@@ -260,12 +283,17 @@ SPEC_TYPE_CHECKS = [
     (lambda: GenSpec(3, 30, 1, "x"), "noise_sd must be a real number, got 'x'"),
     (lambda: SplitSpec("0.6", 0.2), "train_fraction must be a real number, got '0.6'"),
     (lambda: SplitSpec(0.6, None), "validation_fraction must be a real number, got None"),
+    # this one generated with noise 1.0
+    (lambda: GenSpec(3, 30, 1, True), "noise_sd must be a real number, got True"),
+    (lambda: SplitSpec(0.6, 10**400), "validation_fraction must be a real number, got "
+     + repr(10**400)),
 ]
 
 
 @pytest.mark.parametrize("build, message", SPEC_TYPE_CHECKS, ids=[
     "gen-n-float", "gen-n-bool", "gen-days-float", "gen-archetypes-float", "gen-seed-float",
-    "gen-noise-str", "split-train-str", "split-val-none"])
+    "gen-noise-str", "split-train-str", "split-val-none", "gen-noise-bool",
+    "split-val-huge"])
 def test_spec_fields_of_the_wrong_type_are_typed_errors(build, message):
     with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
         build()
@@ -277,6 +305,36 @@ def test_a_grid_count_that_is_not_an_integer_is_a_value_error(count):
     message = f"grid count must be an integer, got {count!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TimeGrid(0.0, 1.0, count)
+
+
+@pytest.mark.parametrize("field", ["start", "step"])
+@pytest.mark.parametrize("value", ["0", None, True, 10**400], ids=["str", "none", "bool", "huge"])
+def test_a_grid_start_or_step_that_is_not_a_real_number_is_a_value_error(field, value):
+    # a string or None was a raw TypeError, and True was taken as 1
+    message = f"grid {field} must be a real number, got {value!r}"
+    fields = {"start": 0.0, "step": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TimeGrid(fields["start"], fields["step"], 3)
+
+
+# Term fields of the wrong type: each made write_model write a file that
+# read_model rejected. A term's checks are ValueErrors, like TimeGrid's.
+TERM_TYPE_CHECKS = [
+    (lambda: PanelTerm(7, 1.0, 1.0, 0.5, 0), "member_id must be a string, got 7"),
+    (lambda: PanelTerm("m", 1.0, 1.0, 0.5, True), "iteration must be an integer, got True"),
+    (lambda: PanelTerm("m", 1.0, 1.0, 0.5, 0.0), "iteration must be an integer, got 0.0"),
+    (lambda: PanelTerm("m", "1", 1.0, 0.5, 0), "weight must be a real number, got '1'"),
+    (lambda: PanelTerm("m", 1.0, True, 0.5, 0), "raw_rho must be a real number, got True"),
+    (lambda: PanelTerm("m", 1.0, 1.0, None, 0), "score must be a real number, got None"),
+]
+
+
+@pytest.mark.parametrize("build, message", TERM_TYPE_CHECKS, ids=[
+    "member-int", "iteration-bool", "iteration-float", "weight-str", "raw-rho-bool",
+    "score-none"])
+def test_term_fields_of_the_wrong_type_are_value_errors(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_numpy_integer_spec_fields_are_stored_as_ints(tmp_path):
