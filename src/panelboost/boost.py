@@ -17,7 +17,9 @@ depends on the family alone is computed once per fit (``_checked_rows``):
 each row's sum, the square root of its centred sum of squares, its
 sign-of-``raw_rho`` bound and its score-slack factor. Each step then only
 scales those by scalars of its residual. The outer loop is inherently
-sequential because each iteration consumes the previous residual.
+sequential because each iteration consumes the previous residual. Each step
+carries its weight and its prediction, from which ``fit`` takes its terms
+and trace and the sweep its train predictions.
 """
 
 from __future__ import annotations
@@ -127,6 +129,14 @@ class Selection(NamedTuple):
     member_id: str
     raw_rho: float
     score: float
+
+
+class _Step(NamedTuple):
+    member_id: str
+    weight: float  # alpha * raw_rho
+    raw_rho: float
+    score: float
+    prediction: np.ndarray  # the path's, once this step's term is added
 
 
 @dataclass(frozen=True)
@@ -332,24 +342,26 @@ def _best(
 
 def _path(
     family: Family, target: Series, alpha: float, with_replacement: bool
-) -> Iterator[Selection]:
+) -> Iterator[_Step]:
     """The greedy path: the best candidate against each successive residual.
 
-    Step k selects against the target minus the first k weighted selections.
-    A selection joins that sum, and leaves the pool without replacement, only
-    when the next one is pulled. The path itself ends when ``_best`` finds no
-    candidate: the pool is empty or the residual is degenerate.
+    A step's weight is ``alpha * raw_rho`` and its prediction the last one plus
+    ``weight * row``, as in ``_running_sums``; the next step selects against
+    the target minus it. Without replacement a step leaves the pool when the
+    next is pulled. The path ends when ``_best`` finds no candidate: the pool
+    is empty or the residual is degenerate. No prediction overflows: a step
+    removes at most the residual's projection on its row, so the prediction
+    stays within twice the target's norm, which ``_checked_rows`` checked.
     """
     rows = _checked_rows(family, target.values, "target")
     # zero and constant members can never be selected, so they start outside
     pool = rows.usable.copy()
     prediction = np.zeros(family.grid.count)
-    residual_now = target.values
-    while (found := _best(family, rows, residual_now, pool)) is not None:
+    while (found := _best(family, rows, target.values - prediction, pool)) is not None:
         index, chosen = found
-        yield chosen
-        prediction = prediction + alpha * chosen.raw_rho * family.values[index]
-        residual_now = target.values - prediction
+        weight = alpha * chosen.raw_rho
+        prediction = prediction + weight * family.values[index]
+        yield _Step(chosen.member_id, weight, chosen.raw_rho, chosen.score, prediction)
         if not with_replacement:
             pool[index] = False
 
@@ -363,14 +375,6 @@ def _accepted(path: Iterable, panel_size: int, lbound: float) -> list:
     return list(itertools.takewhile(lambda s: s.score >= lbound, head))
 
 
-def _terms(selections: Iterable[Selection], alpha: float) -> tuple[PanelTerm, ...]:
-    """The ``PanelTerm``s of an accepted path, in order; each weight is ``alpha * raw_rho``."""
-    return tuple(
-        PanelTerm(s.member_id, alpha * s.raw_rho, s.raw_rho, s.score, iteration)
-        for iteration, s in enumerate(selections)
-    )
-
-
 def fit(
     family: Family, target: Series, config: BoostConfig
 ) -> tuple[PanelModel, FitTrace]:
@@ -382,15 +386,16 @@ def fit(
     squared error after every accepted term. ``config.transform`` is not read.
     """
     path = _path(family, target, config.alpha, config.with_replacement)
-    terms = _terms(_accepted(path, config.panel_size, config.lbound), config.alpha)
-    if not terms:
+    steps = _accepted(path, config.panel_size, config.lbound)
+    if not steps:
         raise NoAdmissibleMember(
             "no candidate was accepted (threshold too high or degenerate target)"
         )
+    terms = [PanelTerm(s.member_id, s.weight, s.raw_rho, s.score, k) for k, s in enumerate(steps)]
     records = tuple(
-        TraceRecord(t.iteration, t.member_id, t.raw_rho, t.score,
-                    float(np.sum((target.values - p) ** 2)))
-        for t, p in zip(terms, _running_sums(terms, family)[1:])
+        TraceRecord(k, s.member_id, s.raw_rho, s.score,
+                    float(np.sum((target.values - s.prediction) ** 2)))
+        for k, s in enumerate(steps)
     )
     return PanelModel(terms, config, family.grid), FitTrace(records)
 
@@ -406,13 +411,13 @@ def predict(model: PanelModel, family: Family) -> Series:
     return Series(PREDICTION_ID, _running_sums(model.terms, family)[-1])
 
 
-def _running_sums(terms: tuple[PanelTerm, ...], family: Family) -> list[np.ndarray]:
+def _running_sums(terms: Iterable, family: Family) -> list[np.ndarray]:
     """Prediction of every prefix of ``terms``: element k sums the first k terms.
 
     The sum starts from zeros and adds ``weight * row`` term by term, as
-    ``_path`` does; ``predict`` takes the last prefix, ``fit`` and the sweep all.
-    Once a prefix is not finite, every longer one is not either, so checking
-    the last one covers them all.
+    ``_path`` does, on a family the path did not walk: ``predict`` takes the
+    last prefix, the sweep every prefix on validation. Once a prefix is not
+    finite, every longer one is not either, so checking the last covers all.
     """
     sums = [np.zeros(family.grid.count)]
     with np.errstate(over="ignore", invalid="ignore"):

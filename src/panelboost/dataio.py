@@ -68,6 +68,12 @@ from .series import (
 
 FORMAT_VERSION = 1
 STEP_TOLERANCE = 1e-9
+# Times written from a TimeGrid are start + k*step in floats, so a grid far
+# from 0 (start 1e9, step 0.1) has spacings that differ by whole ulps. The
+# product (at most twice the largest |t|) rounds by up to one ulp of the
+# largest |t|, the sum by half of one: a time strays 1.5 ulps, a spacing 3,
+# and a step inferred from the end points about 2 more.
+TIME_ROUNDING_ULPS = 8.0
 
 
 def _fmt(x: float) -> str:
@@ -161,10 +167,11 @@ def read_prediction_csv(path) -> tuple[TimeGrid, Series]:
 def check_prediction_grid(grid: TimeGrid, data_grid: TimeGrid) -> None:
     """Raise ShapeError unless a prediction's grid is that of the data it is scored on.
 
-    The counts must be equal, and the starts and the steps agree within
-    ``STEP_TOLERANCE`` times the data's step, the tolerance of a grid read from CSV.
+    The counts must be equal, and the starts and the steps agree within the
+    tolerance of a grid read from CSV (``_grid_tolerance``) at the data's grid.
     """
-    tolerance = STEP_TOLERANCE * data_grid.step
+    end = data_grid.start + data_grid.step * (data_grid.count - 1)
+    tolerance = _grid_tolerance(data_grid.step, max(abs(data_grid.start), abs(end)))
     if (
         grid.count != data_grid.count
         or abs(grid.start - data_grid.start) > tolerance
@@ -323,12 +330,18 @@ def _infer_grid(tcol: np.ndarray, path: Path) -> TimeGrid:
     step = (float(tcol[-1]) - float(tcol[0])) / (n - 1)
     if not 0 < step < math.inf:
         raise IrregularGrid(f"{path}: time column must increase by a finite step")
+    tolerance = _grid_tolerance(step, max(abs(float(tcol[0])), abs(float(tcol[-1]))))
     with np.errstate(over="ignore"):  # an overflowing difference is irregular too
         diffs = np.diff(tcol)
-        irregular = np.any(np.abs(diffs - step) > STEP_TOLERANCE * abs(step))
+        irregular = np.any(np.abs(diffs - step) > tolerance)
     if irregular:
         raise IrregularGrid(f"{path}: time column is not uniformly spaced")
     return TimeGrid(float(tcol[0]), step, n)
+
+
+def _grid_tolerance(step: float, largest: float) -> float:
+    """How far a time spacing may stray from ``step`` where the largest |t| is ``largest``."""
+    return STEP_TOLERANCE * step + TIME_ROUNDING_ULPS * float(np.finfo(float).eps) * largest
 
 
 # ---------------------------------------------------------------- model JSON

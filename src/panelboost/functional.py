@@ -125,12 +125,13 @@ def _check_kind(kind) -> None:
 def transform(kind: TransformKind, x: float) -> float:
     """Evaluate a transform at a correlation value in [-1, 1].
 
-    Arguments outside the interval by more than 1e-9 raise DomainError;
-    smaller overshoots are clamped to the endpoint. A ``kind`` that is not a
-    ``TransformKind`` (its string value, say) is an InvalidParameter.
+    Arguments outside the interval by more than 1e-9, and NaN, raise
+    DomainError; smaller overshoots are clamped to the endpoint. A ``kind``
+    that is not a ``TransformKind`` (its string value, say) is an
+    InvalidParameter.
     """
     x = float(x)
-    if abs(x) > 1.0 + DOMAIN_TOLERANCE:
+    if not abs(x) <= 1.0 + DOMAIN_TOLERANCE:  # NaN included
         raise DomainError(f"transform argument {x} outside [-1, 1]")
     x = max(-1.0, min(1.0, x))
     _check_kind(kind)

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boost import BoostConfig, _accepted, _path, _running_sums, _terms
+from .boost import BoostConfig, _accepted, _path, _running_sums
 from .errors import (
     DegenerateCorrelation,
     EmptyInput,
@@ -199,12 +199,12 @@ def sweep(
 
     Each row is ``_accepted`` of the path ``fit`` uses. That path is walked
     once per distinct alpha, as far as the largest panel size with lbound -1;
-    no model or trace is built. Each distinct (alpha, panel size, lbound)
-    takes its accepted prefix of the path once, and the rows that differ only
-    in their transform share it. The predictions of every prefix are running
-    sums in ``predict``'s order. Each distinct (alpha, prefix, transform) is
-    measured once, on train and on validation, against targets centred once
-    per segment, and its rows share the same ``Metrics``.
+    no term, model or trace is built. Each distinct (alpha, panel size,
+    lbound) takes its accepted prefix of the path once, and the rows that
+    differ only in their transform share it. A prefix predicts train with its
+    last step's prediction, and validation with one running sum per alpha in
+    ``predict``'s order. Each (alpha, prefix, transform) is measured once, on
+    train and validation, against targets centred once per segment.
     """
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)
@@ -213,23 +213,17 @@ def sweep(
     tgt_val = restrict(target, val_range)
     step = family.grid.step
 
-    paths = {}
     longest = max(config.panel_size for config in grid.cells)
-    for alpha in dict.fromkeys(config.alpha for config in grid.cells):
-        path = _path(fam_train, tgt_train, alpha, False)
-        paths[alpha] = _terms(_accepted(path, longest, -1.0), alpha)
-    lengths = {}
-    for config in grid.cells:
-        key = (config.alpha, config.panel_size, config.lbound)
-        if key not in lengths:
-            lengths[key] = len(_accepted(paths[config.alpha], config.panel_size,
-                                         config.lbound))
-    # prefixes are summed only as far as some cell reads them, so a longer
-    # prefix that no cell uses cannot overflow the sweep
-    sums = {}
+    paths = {alpha: _accepted(_path(fam_train, tgt_train, alpha, False), longest, -1.0)
+             for alpha in dict.fromkeys(config.alpha for config in grid.cells)}
+    keys = dict.fromkeys((c.alpha, c.panel_size, c.lbound) for c in grid.cells)
+    lengths = {(a, size, lb): len(_accepted(paths[a], size, lb)) for a, size, lb in keys}
+    # validation prefixes are summed only as far as some cell reads them, so
+    # a longer prefix that no cell uses cannot overflow the sweep
+    val_sums = {}
     for alpha, path in paths.items():
         prefix = path[: max(n for (a, _, _), n in lengths.items() if a == alpha)]
-        sums[alpha] = (_running_sums(prefix, fam_train), _running_sums(prefix, fam_val))
+        val_sums[alpha] = _running_sums(prefix, fam_val)
 
     refs = (_reference(tgt_train.values), _reference(tgt_val.values))
     # every (alpha, prefix) a row reads is read with each of the grid's
@@ -242,7 +236,8 @@ def sweep(
             rows.append(SweepRow(config, None, None, False, error="NoAdmissibleMember"))
             continue
         if (config.alpha, n) not in metrics:
-            agreements = [_agreement(s[n], ref, step) for s, ref in zip(sums[config.alpha], refs)]
+            predictions = (paths[config.alpha][n - 1].prediction, val_sums[config.alpha][n])
+            agreements = [_agreement(p, ref, step) for p, ref in zip(predictions, refs)]
             metrics[config.alpha, n] = {
                 kind: tuple(_scored(a, kind) for a in agreements)
                 for kind in dict.fromkeys(grid.transforms)

@@ -117,7 +117,8 @@ class Series:
         return self.id == other.id and np.array_equal(self.values, other.values)
 
     def __hash__(self):
-        return hash((self.id, self.values.tobytes()))
+        # + 0.0 turns -0.0 into 0.0, which __eq__ does not tell apart
+        return hash((self.id, (self.values + 0.0).tobytes()))
 
     @classmethod
     def _view(cls, id: str, values: np.ndarray) -> Series:

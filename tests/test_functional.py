@@ -181,6 +181,12 @@ class TestTransform:
         with pytest.raises(DomainError):
             transform(TransformKind.WITCH, -1.1)
 
+    @pytest.mark.parametrize("kind", list(TransformKind))
+    def test_nan_is_outside_the_domain(self, kind):
+        # clamping NaN gave 0.0, the penalty of a perfect correlation
+        with pytest.raises(DomainError):
+            transform(kind, float("nan"))
+
     def test_reciprocal_strictly_decreasing(self):
         xs = np.linspace(-1.0, 1.0, 2001)
         vals = [transform(TransformKind.RECIPROCAL, x) for x in xs]

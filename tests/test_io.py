@@ -34,7 +34,13 @@ from panelboost import (
     write_panel_csv,
     write_prediction_csv,
 )
-from panelboost.dataio import _fmt, _read_cells, _read_csv, _read_numeric
+from panelboost.dataio import (
+    _fmt,
+    _read_cells,
+    _read_csv,
+    _read_numeric,
+    check_prediction_grid,
+)
 
 RECIP = TransformKind.RECIPROCAL
 
@@ -250,6 +256,22 @@ class TestCsvRoundTrip:
         got_grid, got = read_prediction_csv(path)
         assert got_grid == grid
         np.testing.assert_array_equal(got.values, pred.values)
+
+    @pytest.mark.parametrize("grid", [TimeGrid(1e6, 1 / 24, 50), TimeGrid(1e9, 0.1, 50)],
+                             ids=["hours-from-1e6", "tenths-from-1e9"])
+    def test_a_grid_far_from_zero_reads_back(self, tmp_path, grid):
+        # its times are start + k*step rounded to whole ulps of 1e6 or 1e9
+        family = Family(grid, (Series("a", np.arange(50.0)),))
+        write_panel_csv(family, tmp_path / "panel.csv")
+        data, _ = read_panel_csv(tmp_path / "panel.csv")
+        assert (data.grid.start, data.grid.count) == (grid.start, grid.count)
+        assert data.grid.step == pytest.approx(grid.step, rel=1e-7)
+        np.testing.assert_array_equal(data.values, family.values)
+        # predict writes its file on the grid it read, and eval checks it against the data's
+        write_prediction_csv(data.grid, Series("__prediction__", np.ones(50)), None,
+                             tmp_path / "pred.csv")
+        pred_grid, _ = read_prediction_csv(tmp_path / "pred.csv")
+        check_prediction_grid(pred_grid, data.grid)
 
 
 def _csv_text(header, rows=()) -> str:

@@ -11,6 +11,7 @@ from panelboost import (
     Family,
     GenSpec,
     NoAdmissibleMember,
+    NumericOverflow,
     Series,
     ShapeError,
     SplitSpec,
@@ -310,13 +311,40 @@ class TestSweep:
 
     def test_sweep_builds_no_model_or_trace(self, monkeypatch):
         built = []
-        for name in ("PanelModel", "FitTrace", "TraceRecord"):
+        for name in ("PanelModel", "FitTrace", "TraceRecord", "PanelTerm"):
             monkeypatch.setattr(boost, name, lambda *args, name=name: built.append(name))
         fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
                                        noise_sd=0.3, seed=41))
         grid = SweepGrid((1, 3, 10), (-1.0, 0.28, 0.95), (1.0, 0.6), (RECIP, WITCH))
         result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
         assert len(result.rows) == 36 and built == []
+
+    def test_sweep_sums_only_validation_prefixes_once_per_alpha(self, monkeypatch):
+        families = []
+
+        def counting_sums(terms, family):
+            families.append(family)
+            return running_sums(terms, family)
+
+        running_sums = modelsel._running_sums
+        monkeypatch.setattr(modelsel, "_running_sums", counting_sums)
+        fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        # alpha 1 twice: the sums follow the distinct alphas, not the grid's
+        grid = SweepGrid((1, 3, 10), (-1.0, 0.28), (1.0, 0.6, 1.0), (RECIP, WITCH))
+        sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        _, val, _ = split(fam.grid, SplitSpec(0.6, 0.2))
+        assert families == [restrict_family(fam, val)] * 2
+
+    def test_a_validation_prediction_beyond_the_float_range_overflows(self):
+        # fitted on tiny train values, the weight is about 1e10; on validation
+        # the member reaches 1e301
+        days = np.arange(1.0, 11.0)
+        fam = Family(TimeGrid(0.0, 1.0, 20), (Series("a", np.r_[1e-10 * days, 1e300 * days]),))
+        target = Series("__target__", np.r_[days, np.ones(10)])
+        grid = SweepGrid((1,), (-1.0,), (1.0,), (RECIP,))
+        with pytest.raises(NumericOverflow, match="the prediction overflows"):
+            sweep(fam, target, SplitSpec(0.5, 0.3), grid)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):

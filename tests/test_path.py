@@ -4,9 +4,19 @@
 stop the walk along a path that does not depend on them.
 """
 
+import numpy as np
 import pytest
 
-from panelboost import BoostConfig, GenSpec, Selection, TransformKind, fit, generate
+from panelboost import (
+    BoostConfig,
+    GenSpec,
+    PanelModel,
+    Selection,
+    TransformKind,
+    fit,
+    generate,
+    predict,
+)
 from panelboost import boost
 from panelboost.boost import _accepted, _path
 
@@ -105,5 +115,24 @@ def test_the_path_ignores_panel_size_and_lbound(panel):
     assert 0 < len(path) <= len(family)
     model, _ = fit(family, target, BoostConfig(len(path), RECIP, -1.0))
     assert [(t.member_id, t.raw_rho, t.score) for t in model.terms] == [
-        tuple(s) for s in path
+        (s.member_id, s.raw_rho, s.score) for s in path
     ]
+
+
+@pytest.mark.parametrize("alpha, with_replacement", [(1.0, False), (0.5, True)])
+def test_the_trace_is_the_error_of_each_prefix_model(panel, monkeypatch, alpha,
+                                                     with_replacement):
+    family, target = panel
+
+    def refused(*args):
+        raise AssertionError("fit summed its prefixes again")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(boost, "_running_sums", refused)
+        model, trace = fit(family, target,
+                           BoostConfig(12, RECIP, -1.0, alpha, with_replacement))
+    assert len(trace.records) == len(model.terms) == 12
+    for k, record in enumerate(trace.records):
+        prefix = PanelModel(model.terms[: k + 1], model.config, model.grid)
+        error = float(np.sum((target.values - predict(prefix, family).values) ** 2))
+        assert record.squared_error_after == error  # bit for bit

@@ -57,6 +57,11 @@ class TestSeries:
         assert Series("a", [1, 2]) != Series("b", [1, 2])
         assert Series("a", [1, 2]) != Series("a", [1, 3])
 
+    def test_equal_series_hash_alike(self):
+        a, b = Series("a", [0.0, 1.0]), Series("a", [-0.0, 1.0])
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+
 
 class TestFamily:
     def test_duplicate_ids_rejected(self):
