@@ -20,6 +20,29 @@ scales those by scalars of its residual. The outer loop is inherently
 sequential because each iteration consumes the previous residual. Each step
 carries its weight and its prediction, from which ``fit`` takes its terms
 and trace and the sweep its train predictions.
+
+The screen has two operands, chosen by the size of the family's matrix. Below
+``SCREEN32_MIN_BYTES`` (2 MiB, the L2 cache per core of the machine the
+benchmark was defined on) the product is a float64 gemv over the matrix
+itself. From that size on, the float64 gemv is bound by memory, and the
+product is a float32 gemv over the family's centred copy
+(``Family._centred32``, built once per family and shared by every fit on
+it), against the residual centred and scaled the same way. Its rounding
+error is at most about ``(T + 2) * 2**-24 * |h_c| * |r_c|``: one rounding of
+each operand to float32 and the length-T sum, in any order. Values that
+fall to float32's subnormals add at most ``T * 2**-149`` in the same units,
+because each scaled operand's largest value is at least 0.5. The float64
+centring errs by less than the float64 slack already allows for
+``<h, r> - mean(r) * sum(h)``. So each row's interval, and the bound on
+the sign of ``raw_rho``, widens by ``ROUNDING_MARGIN * T * 2**-24`` per
+unit of ``|h_c| * |r_c|``. That is at least 8 times the error, and more
+than 5 times once a barely resolved row's ``h_spread``, which may be low
+by up to a factor of sqrt(2), is allowed for. The rescore is the same for
+both operands, so the operand changes only how many rows are rescored. On
+select-wide (2000x438, 7 MB) the float32 operand makes the op take
+0.63-0.73x the time. Applied to the 175 KB families of sweep-grid, it made
+a sweep 1.10-1.24x slower, because its extra numpy calls cost more there
+than the smaller gemv saves.
 """
 
 from __future__ import annotations
@@ -56,6 +79,12 @@ EPS = float(np.finfo(float).eps)
 ROUNDING_MARGIN = 16.0
 # Below this, underflow in those sums breaks the relative bound.
 RESOLVED_FLOOR = float(np.finfo(float).tiny) / EPS
+# float32's unit roundoff, for the rounding bound of the float32 screen.
+UNIT_ROUNDOFF32 = 2.0**-24
+# A family whose matrix takes at least this many bytes (the L2 cache per core
+# of the machine the benchmark was defined on) is screened against its
+# float32 centred copy; the module docstring gives the measurements.
+SCREEN32_MIN_BYTES = 2 * 2**20
 
 
 @dataclass(frozen=True)
@@ -241,6 +270,15 @@ class _Rows(NamedTuple):
     unresolved rows can be constant, and those are checked value by value).
     The other rows can never be selected, but their screen interval is the
     whole range, so without the mask they would be rescored every iteration.
+
+    ``centred`` is the family's float32 centred copy (``Family._centred32``)
+    when its matrix takes at least ``SCREEN32_MIN_BYTES``, and None below
+    that, where ``_best`` screens with the float64 matrix. With the copy,
+    ``gain`` is each row's ``scale / h_spread``, ``offset`` its
+    ``total / h_spread`` and ``sign_gain`` its ``sign_bound / h_spread``:
+    the constants of a screen that works in units of ``h_spread``. The
+    module docstring gives the reason for the size rule and derives the
+    float32 screen's rounding bound.
     """
 
     total: np.ndarray
@@ -248,6 +286,10 @@ class _Rows(NamedTuple):
     sign_bound: np.ndarray
     slack_factor: np.ndarray
     usable: np.ndarray
+    centred: np.ndarray | None = None
+    gain: np.ndarray | None = None
+    offset: np.ndarray | None = None
+    sign_gain: np.ndarray | None = None
 
 
 def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
@@ -278,7 +320,12 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         h_norm, h_spread = np.sqrt(sq_norm), np.sqrt(centred_sq)
         slack_factor = np.where(unresolved, np.inf, unit * (1.0 + h_norm / h_spread) ** 2)
-    return _Rows(total, h_spread, unit * h_norm, slack_factor, usable)
+        sign_bound = unit * h_norm
+        if family.values.nbytes < SCREEN32_MIN_BYTES:
+            return _Rows(total, h_spread, sign_bound, slack_factor, usable)
+        centred, scale = family._centred32
+        return _Rows(total, h_spread, sign_bound, slack_factor, usable, centred,
+                     scale / h_spread, total / h_spread, sign_bound / h_spread)
 
 
 def _best(
@@ -289,17 +336,25 @@ def _best(
     ``pool`` marks the rows to consider, a subset of ``rows.usable``. None when
     the pool is empty or the residual ``r`` is degenerate: constant, or srr == 0.
 
-    One matrix-vector product scores every row at once: the centred inner
-    product is <h, r> - mean(r) * sum(h). Those scores carry rounding error,
-    so they only screen. Each row gets an interval that provably holds the
-    score the scalar ``argmin_rho``/``pearson`` pair gives it; the rows whose
-    interval reaches the highest lower end are rescored with that pair, in
-    family order. The result is exactly what scoring every row with the
-    scalar functionals gives, ties included. Usually one row is rescored.
+    One matrix-vector product scores every row at once. On the float64
+    operand it gives <h, r>, and the centred inner product is
+    <h, r> - mean(r) * sum(h). On the float32 operand (``rows.centred``) it
+    gives <h_c, r_c> from the rows' centred copy and ``rc`` scaled by a
+    power of two into [0.5, 1), and the sign of raw_rho comes from
+    <h, r> = <h_c, r_c> + mean(r) * sum(h). Those scores carry rounding
+    error, so they only screen. Each row gets an interval that provably
+    holds the score the scalar ``argmin_rho``/``pearson`` pair gives it: the
+    float64 slack, widened on the float32 operand by its rounding bound
+    ``ROUNDING_MARGIN * T * 2**-24`` (in units of the correlation), as is the
+    sign's bound. The rows whose interval reaches the highest lower end are
+    rescored with that pair, in family order. The result is exactly what
+    scoring every row with the scalar functionals gives, ties included, on
+    either operand. Usually one row is rescored, a few on the float32 one.
     """
     # max - min is np.ptp, and the sum over the count is r.mean(), bit for
     # bit, each at less cost
-    if not pool.any() or r.max() - r.min() == 0:
+    r_max, r_min = r.max(), r.min()
+    if not pool.any() or r_max - r_min == 0:
         return None
     r_mean = r.sum() / len(r)
     rc = r - r_mean
@@ -308,15 +363,28 @@ def _best(
         return None
 
     X = family.values
-    hr = X @ r
     r_norm, r_spread = math.sqrt(float(r @ r)), math.sqrt(srr)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = (hr - r_mean * rows.total) / (rows.h_spread * r_spread)
-    corr = np.minimum(np.maximum(corr, -1.0), 1.0)
     # score error: about slack_factor / 4 * r_norm / r_spread
     slack = math.inf if srr < RESOLVED_FLOOR else rows.slack_factor * (r_norm / r_spread)
     # the sign of raw_rho is only certain where <h, r> clears its rounding bound
-    signed = np.abs(hr) > rows.sign_bound * r_norm
+    if rows.centred is None:
+        hr = X @ r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            corr = (hr - r_mean * rows.total) / (rows.h_spread * r_spread)
+        signed = np.abs(hr) > rows.sign_bound * r_norm
+    else:
+        # <h_c, r_c> from one sgemv, with rc scaled as the rows are: its
+        # largest |value| is r_max's or r_min's distance from r_mean
+        _, exponent = math.frexp(max(r_max - r_mean, r_mean - r_min))
+        r32 = np.ldexp(rc, -exponent).astype(np.float32)
+        rounding = ROUNDING_MARGIN * len(r) * UNIT_ROUNDOFF32
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            corr = (rows.centred @ r32) * rows.gain * (math.ldexp(1.0, exponent) / r_spread)
+            # <h, r> = <h_c, r_c> + mean(r) * sum(h), here over h_spread * r_spread
+            hr = corr + rows.offset * (r_mean / r_spread)
+            signed = np.abs(hr) > rows.sign_gain * (r_norm / r_spread) + rounding
+        slack = slack + rounding
+    corr = np.minimum(np.maximum(corr, -1.0), 1.0)
     centre = np.where(signed, np.sign(hr) * corr, 0.0)
     spread = np.where(signed, 0.0, np.abs(corr)) + slack
     # fmax skips NaN, and a NaN bound never excludes a row

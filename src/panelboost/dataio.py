@@ -60,6 +60,7 @@ from .series import (
     CUMULATIVE_ID,
     PREDICTION_ID,
     TARGET_ID,
+    TIME_ROUNDING_ULPS,
     Family,
     Series,
     TimeGrid,
@@ -68,12 +69,6 @@ from .series import (
 
 FORMAT_VERSION = 1
 STEP_TOLERANCE = 1e-9
-# Times written from a TimeGrid are start + k*step in floats, so a grid far
-# from 0 (start 1e9, step 0.1) has spacings that differ by whole ulps. The
-# product (at most twice the largest |t|) rounds by up to one ulp of the
-# largest |t|, the sum by half of one: a time strays 1.5 ulps, a spacing 3,
-# and a step inferred from the end points about 2 more.
-TIME_ROUNDING_ULPS = 8.0
 
 
 def _fmt(x: float) -> str:
@@ -336,7 +331,10 @@ def _infer_grid(tcol: np.ndarray, path: Path) -> TimeGrid:
         irregular = np.any(np.abs(diffs - step) > tolerance)
     if irregular:
         raise IrregularGrid(f"{path}: time column is not uniformly spaced")
-    return TimeGrid(float(tcol[0]), step, n)
+    try:
+        return TimeGrid(float(tcol[0]), step, n)
+    except ValueError as exc:  # a step the times cannot resolve
+        raise IrregularGrid(f"{path}: {exc}") from None
 
 
 def _grid_tolerance(step: float, largest: float) -> float:

@@ -27,6 +27,20 @@ PREDICTION_ID = "__prediction__"
 RESIDUAL_ID = "__residual__"
 CUMULATIVE_ID = "__cumulative__"
 
+# Times written from a TimeGrid are start + k*step in floats, so a grid far
+# from 0 (start 1e9, step 0.1) has spacings that differ by whole ulps. The
+# product (at most twice the largest |t|) rounds by up to one ulp of the
+# largest |t|, the sum by half of one: a time strays 1.5 ulps, a spacing 3,
+# and a step inferred from the end points about 2 more.
+SPACING_ROUNDING_ULPS = 3.0
+TIME_ROUNDING_ULPS = 8.0
+_EPS = float(np.finfo(float).eps)
+
+# Rows per block of the float32 copy are chosen so that a block of float64
+# temporaries stays this small: the copy adds half the matrix's bytes, and
+# its build adds next to nothing on top.
+CENTRED_BLOCK_BYTES = 128 * 1024
+
 
 def _readonly_values(values) -> np.ndarray:
     arr = np.array(values, dtype=float)
@@ -93,6 +107,19 @@ class TimeGrid:
             raise ValueError(f"grid step must be positive, got {self.step}")
         if self.count < 2:
             raise ValueError(f"grid count must be at least 2, got {self.count}")
+        # A spacing between two of the grid's times strays from the step by
+        # up to SPACING_ROUNDING_ULPS ulps of the largest |t|, and one ulp is
+        # at most eps * |t|. So a larger step keeps the times increasing, and
+        # a smaller one may not: far from 0 they collapse into one value
+        # (start 1e15, step 1e-3), from which no reader recovers the grid.
+        try:
+            largest = max(abs(self.start), abs(self.start + self.step * (self.count - 1)))
+        except OverflowError:  # a count beyond the float range
+            largest = math.inf
+        if self.step <= SPACING_ROUNDING_ULPS * _EPS * largest:
+            raise ValueError(
+                f"grid step {self.step} does not resolve times as large as {largest:g}"
+            )
 
     def times(self) -> np.ndarray:
         return self.start + self.step * np.arange(self.count)
@@ -222,6 +249,42 @@ class Family:
     def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-member sum of squares and sum of values, computed once."""
         return np.einsum("ij,ij->i", self.values, self.values), self.values.sum(axis=1)
+
+    @functools.cached_property
+    def _centred32(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows about their means in float32, scaled by powers of two, computed once.
+
+        Row ``i`` of the copy is ``(values[i] - mean_i) / scale[i]`` rounded
+        to float32, the centring done in float64; ``scale[i]`` is the power
+        of two that puts the row's largest ``|value - mean|`` in [0.5, 1).
+        So no row overflows float32, and only its values below 2**-126 of
+        its largest fall to float32's subnormals.
+        """
+        return _scaled_centred_copy(self.values, self.row_sums[1])
+
+
+def _scaled_centred_copy(
+    values: np.ndarray, totals: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``Family._centred32`` of an ``(N, T)`` matrix and its row sums.
+
+    The copy is built a block of rows at a time, so no full-size float64
+    temporary exists.
+    """
+    n, count = values.shape
+    copy = np.empty((n, count), dtype=np.float32)
+    scale = np.empty(n)
+    means = totals / count
+    block = max(1, CENTRED_BLOCK_BYTES // (8 * count))
+    for lo in range(0, n, block):
+        rows = slice(lo, lo + block)
+        centred = values[rows] - means[rows, None]
+        _, exponent = np.frexp(np.maximum(centred.max(axis=1), -centred.min(axis=1)))
+        # exact, but for values below 2**-1022 of the row's largest, which
+        # float32 rounds to 0 anyway
+        copy[rows] = np.ldexp(centred, -exponent[:, None], out=centred)
+        scale[rows] = np.ldexp(1.0, exponent)
+    return copy, scale
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import contextlib
 import math
 
 import numpy as np
@@ -26,6 +27,8 @@ from panelboost import (
     PanelTerm,
     Series,
     ShapeError,
+    SplitSpec,
+    SweepGrid,
     TimeGrid,
     TransformKind,
     argmin_rho,
@@ -35,6 +38,8 @@ from panelboost import (
     predict,
     residual,
     select_step,
+    series,
+    sweep,
 )
 
 RECIP = TransformKind.RECIPROCAL
@@ -52,6 +57,19 @@ def _family(named_values, start=0.0, step=1.0):
 def _config(panel_size, **kwargs):
     kwargs.setdefault("transform", RECIP)
     return BoostConfig(panel_size=panel_size, **kwargs)
+
+
+@contextlib.contextmanager
+def _float32_screen():
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boost, "SCREEN32_MIN_BYTES", 0)
+        yield
+
+
+# The screen's two operands. The oracle tests' families are far below
+# SCREEN32_MIN_BYTES, so they run on the float64 matrix as they are, and on
+# the float32 centred copy with the size rule set to 0.
+SCREENS = {"float64": contextlib.nullcontext, "float32": _float32_screen}
 
 
 class TestBoostConfig:
@@ -183,10 +201,14 @@ def _selection_cases(draw):
 # Rows at the edges of the per-family screen constants: zero and constant rows,
 # unresolved rows (a mean so far beyond the spread that the centred sum of
 # squares is lost to cancellation) and subnormal rows, whose squares fall
-# near or below the smallest normal float. The residual follows one row's
-# fluctuation about its mean, so any row can be the winner, plus noise; a
-# scale of 1e-150 puts its own centred sum of squares below the screen's
-# bound as well.
+# near or below the smallest normal float. The edges of the float32 screen
+# too: rows below float32's normal range (1e-42, and 1e-300, whose squares
+# vanish) and beyond its range (1e39, 1e150), a row holding both 1e30 and
+# 1e-30, and near-duplicate rows, whose scores tie well inside the float32
+# rounding bound. The residual follows one row's fluctuation about its mean,
+# so any row can be the winner, plus noise; a scale of 1e-150 puts its own
+# centred sum of squares below the screen's bound as well, and the other
+# scales put it beside the rows at the float32 edges.
 @st.composite
 def _screen_edge_cases(draw):
     count = draw(st.integers(2, 12))
@@ -194,8 +216,8 @@ def _screen_edge_cases(draw):
     rows = []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(("plain", "zero", "constant", "unresolved",
-                                     "subnormal")))
-        if kind == "plain":
+                                     "subnormal", "float32 edge", "mixed", "near duplicate")))
+        if kind == "plain" or (kind == "near duplicate" and not rows):
             rows.append(draw(arrays(float, count, elements=_VALUES)))
         elif kind == "zero":
             rows.append(np.zeros(count))
@@ -204,15 +226,23 @@ def _screen_edge_cases(draw):
         elif kind == "unresolved":
             mean = draw(st.floats(1e8, 1e12)) * draw(st.sampled_from((-1.0, 1.0)))
             rows.append(mean + draw(unit))
-        else:
+        elif kind == "subnormal":
             rows.append(draw(unit) * draw(st.sampled_from((1e-150, 1e-158, 1e-162))))
+        elif kind == "float32 edge":
+            rows.append(draw(unit) * draw(st.sampled_from((1e-300, 1e-42, 1e39, 1e150))))
+        elif kind == "mixed":
+            big = draw(arrays(bool, count))
+            big[0], big[-1] = True, False
+            rows.append(np.where(big, 1e30, 1e-30) * draw(unit))
+        else:
+            rows.append(draw(st.sampled_from(rows)) * (1 + 1e-9))
     shape = draw(st.sampled_from(rows))
     shape = shape - shape.mean()
     if np.abs(shape).max() > 0:
         shape = shape / np.abs(shape).max()
     noise = draw(st.sampled_from((0.0, 1e-3, 1.0)))
     resid = draw(st.floats(-10.0, 10.0)) * shape + noise * draw(unit)
-    resid = resid * draw(st.sampled_from((1.0, 1e-150)))
+    resid = resid * draw(st.sampled_from((1.0, 1e-150, 1e-300, 1e-42, 1e39, 1e150)))
     assume(np.ptp(resid) > 0)
     lbound = draw(st.sampled_from((-1.0, 0.0, 0.5)))
     return rows, resid, lbound
@@ -227,12 +257,14 @@ class TestMatchesScalarOracle:
         rows, resid, lbound = case
         fam = _family({f"c{i}": v for i, v in enumerate(rows)})
         want = scalar_select([(m.id, m.values) for m in fam.members], resid, lbound)
-        got = select_step(fam, Series("__residual__", resid), _config(1, lbound=lbound))
-        if want is None:
-            assert got is None
-        else:
-            # same member (earliest duplicate), and raw_rho and score bit for bit
-            assert got == want[1]
+        for operand, screen in SCREENS.items():
+            with screen():
+                got = select_step(fam, Series("__residual__", resid), _config(1, lbound=lbound))
+            if want is None:
+                assert got is None, operand
+            else:
+                # same member (earliest duplicate), and raw_rho and score bit for bit
+                assert got == want[1], operand
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_screen_edge_cases())
@@ -240,8 +272,10 @@ class TestMatchesScalarOracle:
         rows, resid, lbound = case
         fam = _family({f"c{i}": v for i, v in enumerate(rows)})
         want = scalar_select([(m.id, m.values) for m in fam.members], resid, lbound)
-        got = select_step(fam, Series("__residual__", resid), _config(1, lbound=lbound))
-        assert got == (None if want is None else want[1])
+        for operand, screen in SCREENS.items():
+            with screen():
+                got = select_step(fam, Series("__residual__", resid), _config(1, lbound=lbound))
+            assert got == (None if want is None else want[1]), operand
 
     def test_sign_of_a_vanishing_inner_product(self):
         # <h, r> is zero up to rounding while pearson(r, h) is near 1, so the
@@ -254,7 +288,10 @@ class TestMatchesScalarOracle:
             rows = [rng.standard_normal(40) + resid for _ in range(3)] + [h]
             fam = _family({f"c{i}": v for i, v in enumerate(rows)})
             want = scalar_select([(m.id, m.values) for m in fam.members], resid, -1.0)
-            assert select_step(fam, Series("__residual__", resid), _config(1)) == want[1]
+            for operand, screen in SCREENS.items():
+                with screen():
+                    got = select_step(fam, Series("__residual__", resid), _config(1))
+                assert got == want[1], (seed, operand)
 
     def test_a_residual_near_underflow_rescores_every_row(self, monkeypatch):
         # srr is about 3.5e-299, below RESOLVED_FLOOR, where the screen's
@@ -286,19 +323,21 @@ class TestMatchesScalarOracle:
             {"with_replacement": True, "alpha": 0.7},
             {"lbound": 0.3, "alpha": 0.9},
         ][seed]
-        try:
-            model, _ = fit(fam, target, _config(8, **options))
-        except NoAdmissibleMember:
-            model = None
         path, stopped = scalar_fit(
             [(m.id, m.values) for m in fam.members], target.values, 8, **options
         )
-        if model is None:
-            assert path == []
-        else:
-            got = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
-            assert got == path
-            assert model.stopped_early == stopped
+        for operand, screen in SCREENS.items():
+            try:
+                with screen():
+                    model, _ = fit(fam, target, _config(8, **options))
+            except NoAdmissibleMember:
+                model = None
+            if model is None:
+                assert path == [], operand
+            else:
+                got = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
+                assert got == path, operand
+                assert model.stopped_early == stopped, operand
 
 
 # Families for the fit invariants: plain rows next to zero, constant and
@@ -337,10 +376,16 @@ class TestFitInvariants:
         rows, target_values, config = case
         fam = _family({f"c{i}": v for i, v in enumerate(rows)})
         target = Series("__target__", target_values)
-        try:
-            model, trace = fit(fam, target, config)
-        except NoAdmissibleMember:
-            return
+        for screen in SCREENS.values():
+            try:
+                with screen():
+                    model, trace = fit(fam, target, config)
+            except NoAdmissibleMember:
+                continue
+            self._check_invariants(fam, target_values, config, model, trace)
+
+    @staticmethod
+    def _check_invariants(fam, target_values, config, model, trace):
         errors = trace.squared_errors()
         if config.alpha == 1.0:
             assert all(a >= b - 1e-9 * max(1.0, a) for a, b in zip(errors, errors[1:]))
@@ -358,6 +403,49 @@ class TestFitInvariants:
             prefix = PanelModel(model.terms[: k + 1], config, model.grid)
             prediction = predict(prefix, fam).values
             assert error == float(np.sum((target_values - prediction) ** 2))
+
+
+class TestFloat32Copy:
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        built = []
+        build = series._scaled_centred_copy
+
+        def counting(values, totals):
+            built.append(values.shape)
+            return build(values, totals)
+
+        monkeypatch.setattr(series, "_scaled_centred_copy", counting)
+        return built
+
+    def test_built_once_per_family_and_shared_by_a_sweeps_paths(self, builds, monkeypatch):
+        fam, target = generate(GenSpec(30, 60, 3, 0.05, 1))
+        fit(fam, target, _config(4))
+        assert builds == []  # far below SCREEN32_MIN_BYTES
+        monkeypatch.setattr(boost, "SCREEN32_MIN_BYTES", 0)
+        fit(fam, target, _config(4))
+        fit(fam, target, _config(6, alpha=0.5, with_replacement=True))
+        select_step(fam, target, _config(1))
+        assert builds == [(30, 60)]
+        # the train family's copy serves the paths of both alphas
+        sweep(fam, target, SplitSpec(0.6, 0.2),
+              SweepGrid((1, 4), (-1.0, 0.0), (1.0, 0.5), (RECIP,)))
+        assert builds == [(30, 60), (30, 36)]
+
+    def test_rows_centred_and_scaled_by_powers_of_two(self):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((5, 20)) * np.array([[1e-42], [1.0], [1e39], [1e150], [0.0]])
+        values[1] += 1e6
+        fam = Family._from_matrix(TimeGrid(0.0, 1.0, 20), list("abcde"), values)
+        copy, scale = fam._centred32
+        assert copy.dtype == np.float32 and copy.flags.c_contiguous
+        np.testing.assert_array_equal(np.frexp(scale[:4])[0], 0.5)
+        top = np.abs(copy[:4]).max(axis=1)
+        assert ((0.5 <= top) & (top < 1.0)).all()
+        centred = values[:4] - values[:4].mean(axis=1, keepdims=True)
+        error = np.abs(copy[:4] * scale[:4, None] - centred)
+        assert (error <= 1e-7 * np.abs(centred).max(axis=1, keepdims=True)).all()
+        np.testing.assert_array_equal(copy[4], 0.0)
 
 
 class TestOverflow:

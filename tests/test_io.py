@@ -71,6 +71,13 @@ class TestReadPanelCsv:
         with pytest.raises(IrregularGrid):
             read_panel_csv(path)
 
+    def test_times_too_close_for_their_magnitude(self, tmp_path):
+        # 1e15 + k/8 increase by one ulp of 1e15 per row: no grid resolves them
+        rows = "".join(f"{1e15 + k / 8!r},{k}\n" for k in range(10))
+        path = _write(tmp_path / "p.csv", "t,a\n" + rows)
+        with pytest.raises(IrregularGrid, match="does not resolve times"):
+            read_panel_csv(path)
+
     def test_duplicate_headers(self, tmp_path):
         path = _write(tmp_path / "p.csv", "t,a,a\n0,1,2\n1,3,4\n")
         with pytest.raises(DuplicateId):

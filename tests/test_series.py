@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,21 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(0.0, float("inf"), 5)
 
+    def test_a_step_its_times_cannot_resolve(self):
+        # every time of this grid is the same float, so a file written from
+        # it could never be read back
+        assert len(set((1e15 + 1e-3 * np.arange(50)).tolist())) == 1
+        with pytest.raises(ValueError, match="does not resolve times as large as 1e"):
+            TimeGrid(1e15, 1e-3, 50)
+        with pytest.raises(ValueError, match="does not resolve times as large as inf"):
+            TimeGrid(0.0, 1e308, 5)
+        with pytest.raises(ValueError, match="does not resolve times as large as inf"):
+            TimeGrid(0.0, 1.0, 10**400)  # a count no float holds
+        # far from 0, but a step of many ulps
+        TimeGrid(1e6, 1 / 24, 50)
+        TimeGrid(1e9, 0.1, 50)
+        TimeGrid(-1e15, 1.0, 50)
+
 
 class TestSeries:
     def test_rejects_nan_and_inf(self):
@@ -64,6 +81,21 @@ class TestSeries:
 
 
 class TestFamily:
+    def test_the_float32_copy_has_no_full_size_float64_temporary(self):
+        # the copy itself takes half the matrix's bytes; a full-size float64
+        # temporary would take all of them again
+        values = np.random.default_rng(0).standard_normal((2000, 438))
+        fam = Family._from_matrix(TimeGrid(0.0, 1.0, 438), [f"m{i}" for i in range(2000)],
+                                  values)
+        tracemalloc.start()
+        try:
+            copy, _ = fam._centred32
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert copy.nbytes == fam.values.nbytes // 2
+        assert peak < 0.6 * fam.values.nbytes
+
     def test_duplicate_ids_rejected(self):
         grid = TimeGrid(0.0, 1.0, 2)
         with pytest.raises(ValueError):
