@@ -21,13 +21,20 @@ sequential because each iteration consumes the previous residual. Each step
 carries its weight and its prediction, from which ``fit`` takes its terms
 and trace and the sweep its train predictions.
 
-The screen has two operands, chosen by the size of the family's matrix. Below
-``SCREEN32_MIN_BYTES`` (2 MiB, the L2 cache per core of the machine the
-benchmark was defined on) the product is a float64 gemv over the matrix
-itself. From that size on, the float64 gemv is bound by memory, and the
-product is a float32 gemv over the family's centred copy
-(``Family._centred32``, built once per family and shared by every fit on
-it), against the residual centred and scaled the same way. Its rounding
+The screen has two operands, chosen by the size of the family's matrix and
+by how often it has been screened. Below ``SCREEN32_MIN_BYTES`` (2 MiB, the
+L2 cache per core of the machine the benchmark was defined on) the product
+is a float64 gemv over the matrix itself. From that size on, the float64
+gemv is bound by memory, and once a family has been screened
+``SCREEN32_AFTER_SCREENS`` times, the product is a float32 gemv over the
+family's centred copy (``Family._centred32``, built once per family and
+shared by every later fit on it), against the residual centred and scaled
+the same way. The copy takes as long to build as the float32 gemv saves in
+12-23 screens (600x438 to 4000x438 floats, measured on that machine), so a
+family fit once, by one CLI fit or one ``select_step``, never builds it,
+and a family screened more often builds it after 16 screens, by when its
+float64 screens have cost about one build more than float32 ones would
+have. Its rounding
 error is at most about ``(T + 2) * 2**-24 * |h_c| * |r_c|``: one rounding of
 each operand to float32 and the length-T sum, in any order. Values that
 fall to float32's subnormals add at most ``T * 2**-149`` in the same units,
@@ -39,10 +46,11 @@ unit of ``|h_c| * |r_c|``. That is at least 8 times the error, and more
 than 5 times once a barely resolved row's ``h_spread``, which may be low
 by up to a factor of sqrt(2), is allowed for. The rescore is the same for
 both operands, so the operand changes only how many rows are rescored. On
-select-wide (2000x438, 7 MB) the float32 operand makes the op take
-0.63-0.73x the time. Applied to the 175 KB families of sweep-grid, it made
-a sweep 1.10-1.24x slower, because its extra numpy calls cost more there
-than the smaller gemv saves.
+select-wide (2000x438, 7 MB) the float32 operand makes a fit of 10 steps
+take 0.67x the time; a first fit that built the copy took 1.24x.
+Applied to the 175 KB families of sweep-grid, it made a sweep 1.10-1.24x
+slower, because its extra numpy calls cost more there than the smaller gemv
+saves.
 """
 
 from __future__ import annotations
@@ -83,8 +91,10 @@ RESOLVED_FLOOR = float(np.finfo(float).tiny) / EPS
 UNIT_ROUNDOFF32 = 2.0**-24
 # A family whose matrix takes at least this many bytes (the L2 cache per core
 # of the machine the benchmark was defined on) is screened against its
-# float32 centred copy; the module docstring gives the measurements.
+# float32 centred copy once it has been screened SCREEN32_AFTER_SCREENS times
+# on the matrix itself; the module docstring gives the measurements.
 SCREEN32_MIN_BYTES = 2 * 2**20
+SCREEN32_AFTER_SCREENS = 16
 
 
 @dataclass(frozen=True)
@@ -272,12 +282,16 @@ class _Rows(NamedTuple):
     whole range, so without the mask they would be rescored every iteration.
 
     ``centred`` is the family's float32 centred copy (``Family._centred32``)
-    when its matrix takes at least ``SCREEN32_MIN_BYTES``, and None below
-    that, where ``_best`` screens with the float64 matrix. With the copy,
+    when its matrix takes at least ``SCREEN32_MIN_BYTES`` and it has been
+    screened ``SCREEN32_AFTER_SCREENS`` times, and None otherwise, where
+    ``_best`` screens with the float64 matrix. ``screens`` is the count of
+    those float64 screens (``Family._float64_screens``) of a family that
+    large, for ``_best`` to count up until the copy takes over, and None on
+    a smaller family. With the copy,
     ``gain`` is each row's ``scale / h_spread``, ``offset`` its
     ``total / h_spread`` and ``sign_gain`` its ``sign_bound / h_spread``:
     the constants of a screen that works in units of ``h_spread``. The
-    module docstring gives the reason for the size rule and derives the
+    module docstring gives the reasons for both rules and derives the
     float32 screen's rounding bound.
     """
 
@@ -290,6 +304,7 @@ class _Rows(NamedTuple):
     gain: np.ndarray | None = None
     offset: np.ndarray | None = None
     sign_gain: np.ndarray | None = None
+    screens: list[int] | None = None
 
 
 def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
@@ -323,6 +338,9 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
         sign_bound = unit * h_norm
         if family.values.nbytes < SCREEN32_MIN_BYTES:
             return _Rows(total, h_spread, sign_bound, slack_factor, usable)
+        screens = family._float64_screens
+        if screens[0] < SCREEN32_AFTER_SCREENS:
+            return _Rows(total, h_spread, sign_bound, slack_factor, usable, screens=screens)
         centred, scale = family._centred32
         return _Rows(total, h_spread, sign_bound, slack_factor, usable, centred,
                      scale / h_spread, total / h_spread, sign_bound / h_spread)
@@ -369,6 +387,8 @@ def _best(
     # the sign of raw_rho is only certain where <h, r> clears its rounding bound
     if rows.centred is None:
         hr = X @ r
+        if rows.screens is not None:
+            rows.screens[0] += 1
         with np.errstate(divide="ignore", invalid="ignore"):
             corr = (hr - r_mean * rows.total) / (rows.h_spread * r_spread)
         signed = np.abs(hr) > rows.sign_bound * r_norm

@@ -34,7 +34,6 @@ CUMULATIVE_ID = "__cumulative__"
 # and a step inferred from the end points about 2 more.
 SPACING_ROUNDING_ULPS = 3.0
 TIME_ROUNDING_ULPS = 8.0
-_EPS = float(np.finfo(float).eps)
 
 # Rows per block of the float32 copy are chosen so that a block of float64
 # temporaries stays this small: the copy adds half the matrix's bytes, and
@@ -108,15 +107,17 @@ class TimeGrid:
         if self.count < 2:
             raise ValueError(f"grid count must be at least 2, got {self.count}")
         # A spacing between two of the grid's times strays from the step by
-        # up to SPACING_ROUNDING_ULPS ulps of the largest |t|, and one ulp is
-        # at most eps * |t|. So a larger step keeps the times increasing, and
-        # a smaller one may not: far from 0 they collapse into one value
-        # (start 1e15, step 1e-3), from which no reader recovers the grid.
+        # up to SPACING_ROUNDING_ULPS ulps of the largest |t|. So a larger
+        # step keeps the times increasing, and a smaller one may not: far
+        # from 0 they collapse into one value (start 1e15, step 1e-3), from
+        # which no reader recovers the grid. The bound is the real spacing,
+        # not eps * |t|, which can be twice it: epoch times in whole
+        # microseconds (near 1.7e15) are exact and 4 ulps apart.
         try:
             largest = max(abs(self.start), abs(self.start + self.step * (self.count - 1)))
         except OverflowError:  # a count beyond the float range
             largest = math.inf
-        if self.step <= SPACING_ROUNDING_ULPS * _EPS * largest:
+        if self.step <= SPACING_ROUNDING_ULPS * math.ulp(largest):
             raise ValueError(
                 f"grid step {self.step} does not resolve times as large as {largest:g}"
             )
@@ -249,6 +250,15 @@ class Family:
     def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-member sum of squares and sum of values, computed once."""
         return np.einsum("ij,ij->i", self.values, self.values), self.values.sum(axis=1)
+
+    @functools.cached_property
+    def _float64_screens(self) -> list[int]:
+        """How many selection screens have read ``values``, as a one-item list.
+
+        ``boost`` counts it up for a large family and builds ``_centred32``
+        once the count shows that the family is fit again and again.
+        """
+        return [0]
 
     @functools.cached_property
     def _centred32(self) -> tuple[np.ndarray, np.ndarray]:

@@ -63,12 +63,13 @@ def _config(panel_size, **kwargs):
 def _float32_screen():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(boost, "SCREEN32_MIN_BYTES", 0)
+        patch.setattr(boost, "SCREEN32_AFTER_SCREENS", 0)
         yield
 
 
 # The screen's two operands. The oracle tests' families are far below
-# SCREEN32_MIN_BYTES, so they run on the float64 matrix as they are, and on
-# the float32 centred copy with the size rule set to 0.
+# SCREEN32_MIN_BYTES and screened once, so they run on the float64 matrix as
+# they are, and on the float32 centred copy with both rules set to 0.
 SCREENS = {"float64": contextlib.nullcontext, "float32": _float32_screen}
 
 
@@ -201,14 +202,10 @@ def _selection_cases(draw):
 # Rows at the edges of the per-family screen constants: zero and constant rows,
 # unresolved rows (a mean so far beyond the spread that the centred sum of
 # squares is lost to cancellation) and subnormal rows, whose squares fall
-# near or below the smallest normal float. The edges of the float32 screen
-# too: rows below float32's normal range (1e-42, and 1e-300, whose squares
-# vanish) and beyond its range (1e39, 1e150), a row holding both 1e30 and
-# 1e-30, and near-duplicate rows, whose scores tie well inside the float32
-# rounding bound. The residual follows one row's fluctuation about its mean,
-# so any row can be the winner, plus noise; a scale of 1e-150 puts its own
-# centred sum of squares below the screen's bound as well, and the other
-# scales put it beside the rows at the float32 edges.
+# near or below the smallest normal float. The residual follows one row's
+# fluctuation about its mean, so any row can be the winner, plus noise; a
+# scale of 1e-150 puts its own centred sum of squares below the screen's
+# bound as well.
 @st.composite
 def _screen_edge_cases(draw):
     count = draw(st.integers(2, 12))
@@ -216,8 +213,8 @@ def _screen_edge_cases(draw):
     rows = []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(("plain", "zero", "constant", "unresolved",
-                                     "subnormal", "float32 edge", "mixed", "near duplicate")))
-        if kind == "plain" or (kind == "near duplicate" and not rows):
+                                     "subnormal")))
+        if kind == "plain":
             rows.append(draw(arrays(float, count, elements=_VALUES)))
         elif kind == "zero":
             rows.append(np.zeros(count))
@@ -226,9 +223,28 @@ def _screen_edge_cases(draw):
         elif kind == "unresolved":
             mean = draw(st.floats(1e8, 1e12)) * draw(st.sampled_from((-1.0, 1.0)))
             rows.append(mean + draw(unit))
-        elif kind == "subnormal":
+        else:
             rows.append(draw(unit) * draw(st.sampled_from((1e-150, 1e-158, 1e-162))))
-        elif kind == "float32 edge":
+    resid = _following_residual(draw, rows, unit, (1.0, 1e-150))
+    lbound = draw(st.sampled_from((-1.0, 0.0, 0.5)))
+    return rows, resid, lbound
+
+
+# Rows at the edges of the float32 screen: below float32's normal range
+# (1e-42, and 1e-300, whose squares vanish) and beyond its range (1e39,
+# 1e150), a row holding both 1e30 and 1e-30, and near-duplicate rows, whose
+# scores tie well inside the float32 rounding bound. The residual is built as
+# in _screen_edge_cases, at scales that put it beside those rows.
+@st.composite
+def _float32_edge_cases(draw):
+    count = draw(st.integers(2, 12))
+    unit = arrays(float, count, elements=st.floats(-1.0, 1.0))
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(("plain", "scaled", "mixed", "near duplicate")))
+        if kind == "plain" or (kind == "near duplicate" and not rows):
+            rows.append(draw(arrays(float, count, elements=_VALUES)))
+        elif kind == "scaled":
             rows.append(draw(unit) * draw(st.sampled_from((1e-300, 1e-42, 1e39, 1e150))))
         elif kind == "mixed":
             big = draw(arrays(bool, count))
@@ -236,16 +252,22 @@ def _screen_edge_cases(draw):
             rows.append(np.where(big, 1e30, 1e-30) * draw(unit))
         else:
             rows.append(draw(st.sampled_from(rows)) * (1 + 1e-9))
+    resid = _following_residual(draw, rows, unit, (1.0, 1e-300, 1e-42, 1e39, 1e150))
+    lbound = draw(st.sampled_from((-1.0, 0.0, 0.5)))
+    return rows, resid, lbound
+
+
+def _following_residual(draw, rows, unit, scales):
+    """One row's fluctuation about its mean, times a factor, plus noise, at one of ``scales``."""
     shape = draw(st.sampled_from(rows))
     shape = shape - shape.mean()
     if np.abs(shape).max() > 0:
         shape = shape / np.abs(shape).max()
     noise = draw(st.sampled_from((0.0, 1e-3, 1.0)))
     resid = draw(st.floats(-10.0, 10.0)) * shape + noise * draw(unit)
-    resid = resid * draw(st.sampled_from((1.0, 1e-150, 1e-300, 1e-42, 1e39, 1e150)))
+    resid = resid * draw(st.sampled_from(scales))
     assume(np.ptp(resid) > 0)
-    lbound = draw(st.sampled_from((-1.0, 0.0, 0.5)))
-    return rows, resid, lbound
+    return resid
 
 
 class TestMatchesScalarOracle:
@@ -269,6 +291,17 @@ class TestMatchesScalarOracle:
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_screen_edge_cases())
     def test_select_step_on_rows_at_the_screen_edges(self, case):
+        rows, resid, lbound = case
+        fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+        want = scalar_select([(m.id, m.values) for m in fam.members], resid, lbound)
+        for operand, screen in SCREENS.items():
+            with screen():
+                got = select_step(fam, Series("__residual__", resid), _config(1, lbound=lbound))
+            assert got == (None if want is None else want[1]), operand
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_float32_edge_cases())
+    def test_select_step_on_rows_at_the_float32_edges(self, case):
         rows, resid, lbound = case
         fam = _family({f"c{i}": v for i, v in enumerate(rows)})
         want = scalar_select([(m.id, m.values) for m in fam.members], resid, lbound)
@@ -418,8 +451,28 @@ class TestFloat32Copy:
         monkeypatch.setattr(series, "_scaled_centred_copy", counting)
         return built
 
+    def test_not_built_for_a_family_screened_a_few_times(self, builds):
+        # 600x438 floats take just over SCREEN32_MIN_BYTES
+        values = np.random.default_rng(0).standard_normal((600, 438))
+        fam = Family._from_matrix(TimeGrid(0.0, 1.0, 438), [f"m{i}" for i in range(600)],
+                                  values)
+        assert fam.values.nbytes >= boost.SCREEN32_MIN_BYTES
+        target = Series("__target__", values[:3].sum(axis=0))
+        fit(fam, target, _config(10, lbound=-1.0))
+        for _ in range(boost.SCREEN32_AFTER_SCREENS - 11):
+            select_step(fam, target, _config(1))
+        assert builds == []
+        # the last screen on the matrix, then the first on the copy
+        select_step(fam, target, _config(1))
+        assert builds == []
+        select_step(fam, target, _config(1))
+        assert builds == [(600, 438)]
+        fit(fam, target, _config(10, lbound=-1.0))
+        assert builds == [(600, 438)]
+
     def test_built_once_per_family_and_shared_by_a_sweeps_paths(self, builds, monkeypatch):
         fam, target = generate(GenSpec(30, 60, 3, 0.05, 1))
+        monkeypatch.setattr(boost, "SCREEN32_AFTER_SCREENS", 0)
         fit(fam, target, _config(4))
         assert builds == []  # far below SCREEN32_MIN_BYTES
         monkeypatch.setattr(boost, "SCREEN32_MIN_BYTES", 0)

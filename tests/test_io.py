@@ -264,10 +264,13 @@ class TestCsvRoundTrip:
         assert got_grid == grid
         np.testing.assert_array_equal(got.values, pred.values)
 
-    @pytest.mark.parametrize("grid", [TimeGrid(1e6, 1 / 24, 50), TimeGrid(1e9, 0.1, 50)],
-                             ids=["hours-from-1e6", "tenths-from-1e9"])
+    @pytest.mark.parametrize("grid", [TimeGrid(1e6, 1 / 24, 50), TimeGrid(1e9, 0.1, 50),
+                                      TimeGrid(1e15, 0.5, 50), TimeGrid(1.7e15, 1.0, 50)],
+                             ids=["hours-from-1e6", "tenths-from-1e9", "halves-from-1e15",
+                                  "microseconds-from-1.7e15"])
     def test_a_grid_far_from_zero_reads_back(self, tmp_path, grid):
-        # its times are start + k*step rounded to whole ulps of 1e6 or 1e9
+        # its times are start + k*step rounded to whole ulps of the start;
+        # the last two grids are exact, 4 ulps apart
         family = Family(grid, (Series("a", np.arange(50.0)),))
         write_panel_csv(family, tmp_path / "panel.csv")
         data, _ = read_panel_csv(tmp_path / "panel.csv")
@@ -610,6 +613,14 @@ class TestStrictModelTypes:
         doc = json.loads(path.read_text())
         doc["grid"]["start"] = 0  # a JSON integer is a valid number
         path.write_text(json.dumps(doc))
+        assert read_model(path) == model
+
+    def test_a_grid_of_epoch_microseconds_loads(self, tmp_path):
+        # whole microseconds since 1970 are exact floats, 4 ulps apart
+        model = _fitted_model()
+        model = PanelModel(model.terms, model.config, TimeGrid(1.7e15, 1.0, 30))
+        path = tmp_path / "model.json"
+        write_model(model, path)
         assert read_model(path) == model
 
 

@@ -51,10 +51,15 @@ class TestTimeGrid:
             TimeGrid(0.0, 1e308, 5)
         with pytest.raises(ValueError, match="does not resolve times as large as inf"):
             TimeGrid(0.0, 1.0, 10**400)  # a count no float holds
-        # far from 0, but a step of many ulps
+        # a step of three ulps of the largest |t| may round to no spacing at all
+        with pytest.raises(ValueError, match="does not resolve times"):
+            TimeGrid(1e15, 0.375, 50)
+        # far from 0, but a step of more ulps: some are exact, 4 ulps apart
         TimeGrid(1e6, 1 / 24, 50)
         TimeGrid(1e9, 0.1, 50)
         TimeGrid(-1e15, 1.0, 50)
+        TimeGrid(1e15, 0.5, 50)
+        TimeGrid(1.7e15, 1.0, 50)
 
 
 class TestSeries:
