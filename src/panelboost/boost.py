@@ -14,12 +14,21 @@ scalar ``argmin_rho`` and ``pearson``, so selections, weights, scores and
 tie-breaks (earliest family position wins) are exactly those of scoring
 every candidate with the scalar functionals. Every screen quantity that
 depends on the family alone is computed once per fit (``_checked_rows``):
-each row's sum, the square root of its centred sum of squares, its
-sign-of-``raw_rho`` bound and its score-slack factor. Each step then only
-scales those by scalars of its residual. The outer loop is inherently
-sequential because each iteration consumes the previous residual. Each step
-carries its weight and its prediction, from which ``fit`` takes its terms
-and trace and the sweep its train predictions.
+each row's sum, the reciprocal of the square root of its centred sum of
+squares, its sign-of-``raw_rho`` bound and its score-slack factor. Each step
+then only scales those by scalars of its residual, and works in units of
+``1 / spread(r)`` so that it never divides. A row whose sign of ``raw_rho``
+the screen cannot tell gets an infinite interval, so it is always rescored.
+The rescore centres a row with its cached sum, once per fit; numpy sums a
+row of the C-contiguous matrix pairwise, as it sums the row alone, so that
+is ``_centred``'s centring bit for bit. The outer loop is inherently
+sequential because each iteration consumes the previous residual, and it
+ends when a count of the pool's rows reaches 0 or the residual is
+degenerate. Each step carries its weight and its prediction, from which
+``fit`` takes its terms and trace and the sweep its train predictions. The
+sweep's paths, one per distinct alpha, share the screen quantities, the
+rows centred for the rescore and the first step (``_start``): none of them
+depends on alpha.
 
 The screen has two operands, chosen by the size of the family's matrix and
 by how often it has been screened. Below ``SCREEN32_MIN_BYTES`` (2 MiB, the
@@ -64,7 +73,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (
-    DegenerateCorrelation,
     DegenerateResidual,
     EmptyFamily,
     InvalidParameter,
@@ -74,7 +82,7 @@ from .errors import (
     ShapeError,
     ZeroCandidate,
 )
-from .functional import TransformKind, _centred, _check_kind, _correlation, argmin_rho
+from .functional import TransformKind, _check_kind, _correlation, argmin_rho
 from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid, _integer, _real
 
 WEIGHT_TOLERANCE = 1e-12
@@ -250,10 +258,9 @@ def select_step(
     scores at or above ``config.lbound`` (the early-stop signal); ties break
     toward the earliest family position.
     """
-    rows = _checked_rows(candidates, residual.values, "residual")
+    _, found = _start(candidates, residual, "residual")
     if np.ptp(residual.values) == 0:
         raise DegenerateResidual("residual has zero variance")
-    found = _best(candidates, rows, residual.values, rows.usable)
     accepted = _accepted(() if found is None else (found[1],), config.panel_size,
                          config.lbound)
     return accepted[0] if accepted else None
@@ -263,23 +270,29 @@ class _Rows(NamedTuple):
     """Per-row quantities of a family that the selection screen reuses.
 
     Everything here depends on the family alone, so ``_checked_rows``
-    computes it once per fit and ``_best`` only scales it by its residual's
-    scalars. With ``unit = ROUNDING_MARGIN * T * eps``:
+    computes it once per fit (once per sweep, for all of its paths) and
+    ``_best`` only scales it by its residual's scalars. With
+    ``unit = ROUNDING_MARGIN * T * eps``:
 
-    ``total`` is the row sum and ``h_spread`` the square root of
-    ``centred_sq = sq_norm - total**2 / T``, the sum of squares about the row
-    mean. That difference is cheap but cancels when the mean dominates the
-    spread: its error is at most ``unit * sq_norm``, and a row is
-    unresolved where that bound reaches centred_sq itself, or where
-    centred_sq is small enough to underflow. ``sign_bound`` is
-    ``unit * sqrt(sq_norm)``, the rounding bound on <h, r> per unit of
-    ``|r|``. ``slack_factor`` is ``unit * (1 + sqrt(sq_norm) / h_spread)**2``,
-    the score's rounding bound per unit of ``|r| / spread(r)``, and infinite
-    on unresolved rows, whose score the screen cannot bound. ``usable``
-    marks the rows that are neither zero nor constant; it is exact (only
-    unresolved rows can be constant, and those are checked value by value).
-    The other rows can never be selected, but their screen interval is the
-    whole range, so without the mask they would be rescored every iteration.
+    ``total`` is the row sum. ``centred_sq = sq_norm - total**2 / T`` is the
+    sum of squares about the row mean, cheap but cancelling when the mean
+    dominates the spread: its error is at most ``unit * sq_norm``, and a row
+    is unresolved where that bound reaches centred_sq itself, or where
+    centred_sq is small enough to underflow. ``inv_spread`` is
+    ``1 / sqrt(centred_sq)`` on resolved rows and 0 on unresolved ones, so
+    that ``_best`` multiplies where it would divide and no row's estimate is
+    ever infinite or NaN. ``sign_bound`` is ``unit * sqrt(sq_norm)``, the
+    rounding bound on <h, r> per unit of ``|r|``. ``slack_factor`` is
+    ``unit * (1 + sqrt(sq_norm / centred_sq))**2``, the score's rounding
+    bound per unit of ``|r| / spread(r)``, and infinite on unresolved rows,
+    whose score the screen cannot bound. ``usable`` marks the rows that are
+    neither zero nor constant; it is exact (only unresolved rows can be
+    constant, and those are checked value by value). The other rows can
+    never be selected, but their screen interval is the whole range, so
+    without the mask they would be rescored every iteration.
+
+    ``rescore`` maps a row already rescored to its ``_centred`` pair
+    ``(hc, shh)``, which depends on the family alone; ``_best`` fills it.
 
     ``centred`` is the family's float32 centred copy (``Family._centred32``)
     when its matrix takes at least ``SCREEN32_MIN_BYTES`` and it has been
@@ -288,18 +301,19 @@ class _Rows(NamedTuple):
     those float64 screens (``Family._float64_screens``) of a family that
     large, for ``_best`` to count up until the copy takes over, and None on
     a smaller family. With the copy,
-    ``gain`` is each row's ``scale / h_spread``, ``offset`` its
-    ``total / h_spread`` and ``sign_gain`` its ``sign_bound / h_spread``:
-    the constants of a screen that works in units of ``h_spread``. The
+    ``gain`` is each row's ``scale * inv_spread``, ``offset`` its
+    ``total * inv_spread`` and ``sign_gain`` its ``sign_bound * inv_spread``:
+    the constants of a screen that works in units of the row's spread. The
     module docstring gives the reasons for both rules and derives the
     float32 screen's rounding bound.
     """
 
     total: np.ndarray
-    h_spread: np.ndarray
+    inv_spread: np.ndarray
     sign_bound: np.ndarray
     slack_factor: np.ndarray
     usable: np.ndarray
+    rescore: dict[int, tuple[np.ndarray, float]]
     centred: np.ndarray | None = None
     gain: np.ndarray | None = None
     offset: np.ndarray | None = None
@@ -335,15 +349,17 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         h_norm, h_spread = np.sqrt(sq_norm), np.sqrt(centred_sq)
         slack_factor = np.where(unresolved, np.inf, unit * (1.0 + h_norm / h_spread) ** 2)
-        sign_bound = unit * h_norm
-        if family.values.nbytes < SCREEN32_MIN_BYTES:
-            return _Rows(total, h_spread, sign_bound, slack_factor, usable)
-        screens = family._float64_screens
-        if screens[0] < SCREEN32_AFTER_SCREENS:
-            return _Rows(total, h_spread, sign_bound, slack_factor, usable, screens=screens)
-        centred, scale = family._centred32
-        return _Rows(total, h_spread, sign_bound, slack_factor, usable, centred,
-                     scale / h_spread, total / h_spread, sign_bound / h_spread)
+        inv_spread = np.where(unresolved, 0.0, 1.0 / h_spread)
+    sign_bound = unit * h_norm
+    rows = _Rows(total, inv_spread, sign_bound, slack_factor, usable, {})
+    if family.values.nbytes < SCREEN32_MIN_BYTES:
+        return rows
+    screens = family._float64_screens
+    if screens[0] < SCREEN32_AFTER_SCREENS:
+        return rows._replace(screens=screens)
+    centred, scale = family._centred32
+    return rows._replace(centred=centred, gain=scale * inv_spread,
+                         offset=total * inv_spread, sign_gain=sign_bound * inv_spread)
 
 
 def _best(
@@ -351,75 +367,99 @@ def _best(
 ) -> tuple[int, Selection] | None:
     """Row and selection of the best candidate among the pool rows, whatever its score.
 
-    ``pool`` marks the rows to consider, a subset of ``rows.usable``. None when
-    the pool is empty or the residual ``r`` is degenerate: constant, or srr == 0.
+    ``pool`` marks the rows to consider: a nonempty subset of
+    ``rows.usable``. None only when the residual ``r`` is degenerate:
+    constant, or srr == 0.
 
-    One matrix-vector product scores every row at once. On the float64
-    operand it gives <h, r>, and the centred inner product is
-    <h, r> - mean(r) * sum(h). On the float32 operand (``rows.centred``) it
-    gives <h_c, r_c> from the rows' centred copy and ``rc`` scaled by a
-    power of two into [0.5, 1), and the sign of raw_rho comes from
-    <h, r> = <h_c, r_c> + mean(r) * sum(h). Those scores carry rounding
-    error, so they only screen. Each row gets an interval that provably
-    holds the score the scalar ``argmin_rho``/``pearson`` pair gives it: the
-    float64 slack, widened on the float32 operand by its rounding bound
-    ``ROUNDING_MARGIN * T * 2**-24`` (in units of the correlation), as is the
-    sign's bound. The rows whose interval reaches the highest lower end are
-    rescored with that pair, in family order. The result is exactly what
-    scoring every row with the scalar functionals gives, ties included, on
-    either operand. Usually one row is rescored, a few on the float32 one.
+    One matrix-vector product scores every row at once, in units of
+    ``1 / spread(r)`` (a score times ``spread(r)``), so the screen never
+    divides. On the float64 operand it gives <h, r>, and the centred inner
+    product is <h, r> - mean(r) * sum(h). On the float32 operand
+    (``rows.centred``) it gives <h_c, r_c> from the rows' centred copy and
+    ``rc`` scaled by a power of two into [0.5, 1), and the sign of raw_rho
+    comes from <h, r> = <h_c, r_c> + mean(r) * sum(h). Those estimates carry
+    rounding error, so they only screen. Each row gets an interval that
+    provably holds the score the scalar ``argmin_rho``/``pearson`` pair
+    gives it: the float64 slack, widened on the float32 operand by its
+    rounding bound ``ROUNDING_MARGIN * T * 2**-24`` (in units of the
+    correlation), as is the sign's bound. A row whose sign of raw_rho the
+    product cannot tell gets an infinite interval, and so does every row
+    when ``srr`` is near underflow, where the bounds fail and the product is
+    skipped. The rows whose interval reaches the highest lower end are
+    rescored with that pair, in family order; a NaN bound never excludes a
+    row. The result is exactly what scoring every row with the scalar
+    functionals gives, ties included, on either operand. Usually one row is
+    rescored, a few on the float32 one.
+
+    The rescore centres a row as ``h - total / T``, once per fit (in
+    ``rows.rescore``). That is ``_centred(h)`` bit for bit: numpy sums each
+    row of the C-contiguous matrix pairwise, as it sums the row alone. Usable
+    rows are never constant, so of ``_centred``'s checks only ``shh == 0``
+    is left.
     """
     # max - min is np.ptp, and the sum over the count is r.mean(), bit for
     # bit, each at less cost
     r_max, r_min = r.max(), r.min()
-    if not pool.any() or r_max - r_min == 0:
+    if r_max - r_min == 0:
         return None
-    r_mean = r.sum() / len(r)
+    count = len(r)
+    r_mean = r.sum() / count
     rc = r - r_mean
     srr = float(rc @ rc)
     if srr == 0.0:  # pearson(r, h) is degenerate for every h
         return None
 
     X = family.values
-    r_norm, r_spread = math.sqrt(float(r @ r)), math.sqrt(srr)
-    # score error: about slack_factor / 4 * r_norm / r_spread
-    slack = math.inf if srr < RESOLVED_FLOOR else rows.slack_factor * (r_norm / r_spread)
-    # the sign of raw_rho is only certain where <h, r> clears its rounding bound
-    if rows.centred is None:
-        hr = X @ r
-        if rows.screens is not None:
-            rows.screens[0] += 1
-        with np.errstate(divide="ignore", invalid="ignore"):
-            corr = (hr - r_mean * rows.total) / (rows.h_spread * r_spread)
-        signed = np.abs(hr) > rows.sign_bound * r_norm
+    if srr < RESOLVED_FLOOR:  # the screen's rounding bounds fail: rescore every row
+        near = pool.nonzero()[0]
     else:
-        # <h_c, r_c> from one sgemv, with rc scaled as the rows are: its
-        # largest |value| is r_max's or r_min's distance from r_mean
-        _, exponent = math.frexp(max(r_max - r_mean, r_mean - r_min))
-        r32 = np.ldexp(rc, -exponent).astype(np.float32)
-        rounding = ROUNDING_MARGIN * len(r) * UNIT_ROUNDOFF32
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            corr = (rows.centred @ r32) * rows.gain * (math.ldexp(1.0, exponent) / r_spread)
-            # <h, r> = <h_c, r_c> + mean(r) * sum(h), here over h_spread * r_spread
-            hr = corr + rows.offset * (r_mean / r_spread)
-            signed = np.abs(hr) > rows.sign_gain * (r_norm / r_spread) + rounding
-        slack = slack + rounding
-    corr = np.minimum(np.maximum(corr, -1.0), 1.0)
-    centre = np.where(signed, np.sign(hr) * corr, 0.0)
-    spread = np.where(signed, 0.0, np.abs(corr)) + slack
-    # fmax skips NaN, and a NaN bound never excludes a row
-    floor = np.fmax.reduce((centre - spread)[pool])
-    near = np.flatnonzero(pool & ~(centre + spread < floor))
+        r_norm, r_spread = math.sqrt(float(r @ r)), math.sqrt(srr)
+        # est, slack and the bounds below are in units of 1 / r_spread: a
+        # score times r_spread. The score's error is about slack / 4.
+        slack = rows.slack_factor * r_norm
+        if rows.centred is None:
+            hr = X @ r
+            if rows.screens is not None:
+                rows.screens[0] += 1
+            est = (hr - r_mean * rows.total) * rows.inv_spread
+            sign_bound = rows.sign_bound * r_norm
+        else:
+            # <h_c, r_c> from one sgemv, with rc scaled as the rows are: its
+            # largest |value| is r_max's or r_min's distance from r_mean
+            _, exponent = math.frexp(max(r_max - r_mean, r_mean - r_min))
+            r32 = np.ldexp(rc, -exponent).astype(np.float32)
+            rounding = ROUNDING_MARGIN * count * UNIT_ROUNDOFF32 * r_spread
+            est = (rows.centred @ r32) * rows.gain * math.ldexp(1.0, exponent)
+            # <h, r> = <h_c, r_c> + mean(r) * sum(h), here over the row's spread
+            hr = est + rows.offset * r_mean
+            sign_bound = rows.sign_gain * r_norm + rounding
+            slack = slack + rounding
+        # the sign of raw_rho is only certain where <h, r> clears its bound
+        wide = np.where(np.abs(hr) > sign_bound, slack, np.inf)
+        est = np.sign(hr) * est
+        # fmax skips NaN, and a NaN bound never excludes a row
+        floor = np.fmax.reduce((est - wide)[pool])
+        near = (pool & ~(est + wide < floor)).nonzero()[0]
 
     best: tuple[int, Selection] | None = None
     for i in near:
         h = X[i]
+        centred = rows.rescore.get(i)
+        if centred is None:
+            # as in _centred, a sum of squares that overflows is left for
+            # _correlation to reject
+            with np.errstate(over="ignore", invalid="ignore"):
+                hc = h - rows.total[i] / count
+                centred = rows.rescore[i] = (hc, float(hc @ hc))
+        hc, shh = centred
+        if shh == 0.0:  # _centred's DegenerateCorrelation
+            continue
         try:
             raw_rho = argmin_rho(h, r)
-            # pearson(r, h), on the residual centred above
-            corr_i = _correlation(rc, srr, *_centred(h, "right"))
-        except (ZeroCandidate, DegenerateCorrelation):
+        except ZeroCandidate:
             continue
+        # pearson(r, h), on the residual centred above
+        corr_i = _correlation(rc, srr, hc, shh)
         sign = 1.0 if raw_rho > 0 else (-1.0 if raw_rho < 0 else 0.0)
         score = sign * corr_i
         # strict improvement keeps the earliest row on ties
@@ -428,30 +468,60 @@ def _best(
     return best
 
 
+class _Start(NamedTuple):
+    """What every path on one family and target shares, whatever its alpha.
+
+    The screen constants with their rescore cache, and the first step:
+    its residual is the target and its pool every usable row.
+    """
+
+    rows: _Rows
+    first: tuple[int, Selection] | None
+
+
+def _start(family: Family, target: Series, name: str = "target") -> _Start:
+    """The checked screen constants of ``family`` and the best row against ``target``.
+
+    ``name`` names ``target`` in the errors of ``_checked_rows``.
+    """
+    rows = _checked_rows(family, target.values, name)
+    if not rows.usable.any():
+        return _Start(rows, None)
+    return _Start(rows, _best(family, rows, target.values, rows.usable))
+
+
 def _path(
-    family: Family, target: Series, alpha: float, with_replacement: bool
+    family: Family, target: Series, alpha: float, with_replacement: bool,
+    start: _Start | None = None,
 ) -> Iterator[_Step]:
     """The greedy path: the best candidate against each successive residual.
 
     A step's weight is ``alpha * raw_rho`` and its prediction the last one plus
     ``weight * row``, as in ``_running_sums``; the next step selects against
     the target minus it. Without replacement a step leaves the pool when the
-    next is pulled. The path ends when ``_best`` finds no candidate: the pool
-    is empty or the residual is degenerate. No prediction overflows: a step
-    removes at most the residual's projection on its row, so the prediction
-    stays within twice the target's norm, which ``_checked_rows`` checked.
+    next is pulled. The path ends when the pool is empty, which a count of
+    its rows tells without a scan, or when ``_best`` finds the residual
+    degenerate. No prediction overflows: a step removes at most the
+    residual's projection on its row, so the prediction stays within twice
+    the target's norm, which ``_checked_rows`` checked. ``start`` is
+    ``_start(family, target)``, computed once for every alpha of a sweep.
     """
-    rows = _checked_rows(family, target.values, "target")
+    rows, found = _start(family, target) if start is None else start
     # zero and constant members can never be selected, so they start outside
     pool = rows.usable.copy()
+    left = int(np.count_nonzero(pool))
     prediction = np.zeros(family.grid.count)
-    while (found := _best(family, rows, target.values - prediction, pool)) is not None:
+    while found is not None:
         index, chosen = found
         weight = alpha * chosen.raw_rho
         prediction = prediction + weight * family.values[index]
         yield _Step(chosen.member_id, weight, chosen.raw_rho, chosen.score, prediction)
         if not with_replacement:
             pool[index] = False
+            left -= 1
+            if not left:
+                return
+        found = _best(family, rows, target.values - prediction, pool)
 
 
 def _accepted(path: Iterable, panel_size: int, lbound: float) -> list:

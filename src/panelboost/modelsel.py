@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boost import BoostConfig, _accepted, _path, _running_sums
+from .boost import BoostConfig, _accepted, _path, _running_sums, _start
 from .errors import (
     DegenerateCorrelation,
     EmptyInput,
@@ -199,12 +199,15 @@ def sweep(
 
     Each row is ``_accepted`` of the path ``fit`` uses. That path is walked
     once per distinct alpha, as far as the largest panel size with lbound -1;
-    no term, model or trace is built. Each distinct (alpha, panel size,
-    lbound) takes its accepted prefix of the path once, and the rows that
-    differ only in their transform share it. A prefix predicts train with its
-    last step's prediction, and validation with one running sum per alpha in
-    ``predict``'s order. Each (alpha, prefix, transform) is measured once, on
-    train and validation, against targets centred once per segment.
+    no term, model or trace is built. The paths share what does not depend
+    on alpha: the screen constants of the train family, the rows it has
+    centred for the rescore, and the first step, taken against the target.
+    Each distinct (alpha, panel size, lbound) takes its accepted prefix of
+    the path once, and the rows that differ only in their transform share
+    it. A prefix predicts train with its last step's prediction, and
+    validation with one running sum per alpha in ``predict``'s order. Each
+    (alpha, prefix, transform) is measured once, on train and validation,
+    against targets centred once per segment.
     """
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)
@@ -214,8 +217,11 @@ def sweep(
     step = family.grid.step
 
     longest = max(config.panel_size for config in grid.cells)
-    paths = {alpha: _accepted(_path(fam_train, tgt_train, alpha, False), longest, -1.0)
-             for alpha in dict.fromkeys(config.alpha for config in grid.cells)}
+    start = _start(fam_train, tgt_train)
+    paths = {
+        alpha: _accepted(_path(fam_train, tgt_train, alpha, False, start), longest, -1.0)
+        for alpha in dict.fromkeys(config.alpha for config in grid.cells)
+    }
     keys = dict.fromkeys((c.alpha, c.panel_size, c.lbound) for c in grid.cells)
     lengths = {(a, size, lb): len(_accepted(paths[a], size, lb)) for a, size, lb in keys}
     # validation prefixes are summed only as far as some cell reads them, so

@@ -16,6 +16,7 @@ from helpers import (
 )
 from panelboost import (
     BoostConfig,
+    DegenerateCorrelation,
     DegenerateResidual,
     EmptyFamily,
     Family,
@@ -41,6 +42,7 @@ from panelboost import (
     series,
     sweep,
 )
+from panelboost.functional import _centred
 
 RECIP = TransformKind.RECIPROCAL
 
@@ -202,10 +204,12 @@ def _selection_cases(draw):
 # Rows at the edges of the per-family screen constants: zero and constant rows,
 # unresolved rows (a mean so far beyond the spread that the centred sum of
 # squares is lost to cancellation) and subnormal rows, whose squares fall
-# near or below the smallest normal float. The residual follows one row's
-# fluctuation about its mean, so any row can be the winner, plus noise; a
-# scale of 1e-150 puts its own centred sum of squares below the screen's
-# bound as well.
+# near or below the smallest normal float, and flat rows, whose sum of
+# squares stays above 0 while their centred one underflows to it, so that
+# the rescore must skip them. The residual follows one row's fluctuation
+# about its mean, so any row can be the winner, plus noise; a scale of
+# 1e-150 puts its own centred sum of squares below the screen's bound as
+# well.
 @st.composite
 def _screen_edge_cases(draw):
     count = draw(st.integers(2, 12))
@@ -213,7 +217,7 @@ def _screen_edge_cases(draw):
     rows = []
     for _ in range(draw(st.integers(1, 8))):
         kind = draw(st.sampled_from(("plain", "zero", "constant", "unresolved",
-                                     "subnormal")))
+                                     "subnormal", "flat")))
         if kind == "plain":
             rows.append(draw(arrays(float, count, elements=_VALUES)))
         elif kind == "zero":
@@ -223,8 +227,10 @@ def _screen_edge_cases(draw):
         elif kind == "unresolved":
             mean = draw(st.floats(1e8, 1e12)) * draw(st.sampled_from((-1.0, 1.0)))
             rows.append(mean + draw(unit))
-        else:
+        elif kind == "subnormal":
             rows.append(draw(unit) * draw(st.sampled_from((1e-150, 1e-158, 1e-162))))
+        else:
+            rows.append(1e-160 + draw(unit) * 1e-170)
     resid = _following_residual(draw, rows, unit, (1.0, 1e-150))
     lbound = draw(st.sampled_from((-1.0, 0.0, 0.5)))
     return rows, resid, lbound
@@ -343,6 +349,63 @@ class TestMatchesScalarOracle:
         want = scalar_select([(m.id, m.values) for m in fam.members], resid, -1.0)
         assert got == want[1]
 
+    def test_a_residual_of_uncertain_sign_on_every_row_rescores_every_row(
+            self, monkeypatch):
+        # the residual is orthogonal to every row up to rounding, so no
+        # <h, r> clears its sign bound: every interval is infinite, the floor
+        # is -inf, and every pool row is rescored, on either operand
+        rescored = []
+
+        def counting_argmin_rho(h, y):
+            rescored.append(len(h))
+            return argmin_rho(h, y)
+
+        monkeypatch.setattr(boost, "argmin_rho", counting_argmin_rho)
+        for seed in range(10):
+            rng = np.random.default_rng(seed)
+            rows = rng.standard_normal((6, 40)) + rng.uniform(-3.0, 3.0, (6, 1))
+            r0 = rng.standard_normal(40)
+            resid = r0 - rows.T @ np.linalg.lstsq(rows.T, r0, rcond=None)[0]
+            sign_bound = boost.ROUNDING_MARGIN * 40 * boost.EPS
+            norms = np.linalg.norm(rows, axis=1) * np.linalg.norm(resid)
+            assert (np.abs(rows @ resid) < sign_bound * norms).all()
+            fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+            want = scalar_select([(m.id, m.values) for m in fam.members], resid, -1.0)
+            for operand, screen in SCREENS.items():
+                rescored.clear()
+                with screen():
+                    got = select_step(fam, Series("__residual__", resid), _config(1))
+                assert len(rescored) == len(fam), (seed, operand)
+                assert got == want[1], (seed, operand)
+
+    @pytest.mark.parametrize("count", [40, 64])
+    def test_rows_and_target_near_the_top_of_the_float_range(self, count):
+        # sums of squares up to about 2e307: every product of two of them,
+        # h_spread * r_spread among them, leaves the float range, and the
+        # screen must neither warn (warnings are errors here) nor misjudge
+        # a row, on either operand
+        rng = np.random.default_rng(count)
+        scale = 1e153 * np.sqrt(64 / count)
+        rows = rng.uniform(-1.0, 1.0, (6, count)) * scale
+        rows[5] = rows[0] * 1e-150  # a small row with the same shape as row 0
+        target = 0.6 * rows[0] - 0.3 * rows[2] + 0.1 * rows[4]
+        assert np.isfinite(target @ target) and np.isfinite(rows @ rows.T).all()
+        fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+        members = [(m.id, m.values) for m in fam.members]
+        want_step = scalar_select(members, target, -1.0)
+        want_path, want_stopped = scalar_fit(members, target, 5)
+        for operand, screen in SCREENS.items():
+            with screen():
+                got = select_step(fam, Series("__residual__", target), _config(1))
+                model, _ = fit(fam, Series("__target__", target), _config(5))
+            assert got == want_step[1], operand
+            got_path = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
+            assert got_path == want_path, operand
+            assert model.stopped_early == want_stopped, operand
+        # a target whose sum of squares leaves the range is a typed error
+        with pytest.raises(NumericOverflow, match="target"):
+            fit(fam, Series("__target__", target * 1e2), _config(5))
+
     @pytest.mark.parametrize("seed", range(5))
     def test_fit_path_on_generated_panels(self, seed):
         # noise-free panels hold exact multiples, whose scores tie in exact arithmetic
@@ -436,6 +499,39 @@ class TestFitInvariants:
             prefix = PanelModel(model.terms[: k + 1], config, model.grid)
             prediction = predict(prefix, fam).values
             assert error == float(np.sum((target_values - prediction) ** 2))
+
+
+# Row lengths from 2 to 1025 (one past a power of two, where numpy's pairwise
+# summation splits its blocks), at scales from 1e-300 to 1e150.
+@st.composite
+def _rows_to_centre(draw):
+    count = draw(st.integers(2, 1025))
+    scale = draw(st.sampled_from((1e-300, 1e-150, 1e-8, 1.0, 1e8, 1e150)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offset = draw(st.sampled_from((0.0, 1.0, 1e6)))
+    return (rng.standard_normal((3, count)) + offset) * scale
+
+
+class TestRescoreCentring:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_rows_to_centre())
+    def test_a_row_less_its_total_over_t_is_its_centring(self, values):
+        # the rescore centres a row of the matrix with the cached row sum:
+        # that must be _centred's centring bit for bit
+        count = values.shape[1]
+        fam = Family._from_matrix(TimeGrid(0.0, 1.0, count), ["a", "b", "c"], values)
+        total = fam.row_sums[1]
+        for i, h in enumerate(fam.values):
+            assert total[i] == h.sum()
+            hc = h - total[i] / count
+            try:
+                want, want_sq = _centred(h, "right")
+            except DegenerateCorrelation:  # its sum of squares underflows to 0
+                assert float(hc @ hc) == 0.0
+                want = h - h.sum() / count
+            else:
+                assert float(hc @ hc) == want_sq
+            assert hc.tobytes() == want.tobytes()  # -0.0 included
 
 
 class TestFloat32Copy:

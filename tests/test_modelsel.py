@@ -238,6 +238,39 @@ class TestSweep:
         assert len(result.rows) == 54
         assert len(calls) == len(set(grid.alphas))
 
+    def test_paths_share_the_screen_and_the_first_step(self, monkeypatch):
+        # the screen constants, and the first step against the target, do
+        # not depend on alpha: one sweep computes them once for all paths
+        checked, first_steps, walked = [], [], []
+
+        def counting_rows(family, y, name):
+            checked.append(name)
+            return checked_rows(family, y, name)
+
+        def counting_best(family, rows, r, pool):
+            if np.array_equal(r, t_train.values) and pool.all():
+                first_steps.append(len(pool))
+            return best(family, rows, r, pool)
+
+        def counting_path(*args):
+            walked.append(args[2])
+            return path(*args)
+
+        checked_rows, best, path = boost._checked_rows, boost._best, modelsel._path
+        monkeypatch.setattr(boost, "_checked_rows", counting_rows)
+        monkeypatch.setattr(boost, "_best", counting_best)
+        monkeypatch.setattr(modelsel, "_path", counting_path)
+        fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        train, _, _ = split(fam.grid, SplitSpec(0.6, 0.2))
+        t_train = restrict(target, train)
+        grid = SweepGrid((1, 3), (-1.0, 0.28), (1.0, 0.6, 0.3), (RECIP,))
+        result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        assert sum(row.error is None for row in result.rows) > 3
+        assert checked == ["target"]
+        assert first_steps == [len(fam)]
+        assert walked == [1.0, 0.6, 0.3]
+
     def test_metrics_once_per_alpha_and_prefix(self, monkeypatch):
         # the transforms differ only in psi's penalty, so each distinct
         # (alpha, accepted prefix) is measured once on train and once on val

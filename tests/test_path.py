@@ -9,9 +9,12 @@ import pytest
 
 from panelboost import (
     BoostConfig,
+    Family,
     GenSpec,
     PanelModel,
     Selection,
+    Series,
+    TimeGrid,
     TransformKind,
     fit,
     generate,
@@ -136,3 +139,44 @@ def test_the_trace_is_the_error_of_each_prefix_model(panel, monkeypatch, alpha,
         prefix = PanelModel(model.terms[: k + 1], model.config, model.grid)
         error = float(np.sum((target.values - predict(prefix, family).values) ** 2))
         assert record.squared_error_after == error  # bit for bit
+
+
+def _recording_best(monkeypatch):
+    """Patch ``boost._best`` to record whether each call found a candidate."""
+    found = []
+    best = boost._best
+
+    def recording(*args):
+        result = best(*args)
+        found.append(result is not None)
+        return result
+
+    monkeypatch.setattr(boost, "_best", recording)
+    return found
+
+
+def test_an_exhausted_pool_ends_the_path_without_scoring(monkeypatch):
+    rng = np.random.default_rng(7)
+    values = rng.standard_normal((3, 20))
+    family = Family._from_matrix(TimeGrid(0.0, 1.0, 20), ["a", "b", "c"], values)
+    target = Series("__target__", rng.standard_normal(20))
+    found = _recording_best(monkeypatch)
+    path = list(_path(family, target, 1.0, False))
+    assert sorted(s.member_id for s in path) == ["a", "b", "c"]
+    # one score per step: the count of pool rows, not _best, ends the path
+    assert found == [True, True, True]
+
+
+def test_a_degenerate_residual_ends_the_path_with_rows_left(monkeypatch):
+    rng = np.random.default_rng(8)
+    values = rng.standard_normal((3, 20))
+    family = Family._from_matrix(TimeGrid(0.0, 1.0, 20), ["a", "b", "c"], values)
+    # alpha 1 takes the whole member: the residual is exactly zero
+    target = Series("__target__", values[1].copy())
+    found = _recording_best(monkeypatch)
+    path = list(_path(family, target, 1.0, False))
+    assert [s.member_id for s in path] == ["b"]
+    assert path[0].raw_rho == 1.0
+    assert not (target.values - path[0].prediction).any()
+    # two rows are left in the pool, and _best says the residual is degenerate
+    assert found == [True, False]
