@@ -13,22 +13,18 @@ rescores only the rows that product cannot separate from the best with the
 scalar ``argmin_rho`` and ``pearson``, so selections, weights, scores and
 tie-breaks (earliest family position wins) are exactly those of scoring
 every candidate with the scalar functionals. Every screen quantity that
-depends on the family alone is computed once per fit (``_checked_rows``):
-each row's sum, the reciprocal of the square root of its centred sum of
-squares, its sign-of-``raw_rho`` bound and its score-slack factor. Each step
-then only scales those by scalars of its residual, and works in units of
+depends on the family alone is computed once per fit (``_checked_rows``),
+and each step only scales those by scalars of its residual, in units of
 ``1 / spread(r)`` so that it never divides. A row whose sign of ``raw_rho``
 the screen cannot tell gets an infinite interval, so it is always rescored.
-The rescore centres a row with its cached sum, once per fit; numpy sums a
-row of the C-contiguous matrix pairwise, as it sums the row alone, so that
-is ``_centred``'s centring bit for bit. The outer loop is inherently
-sequential because each iteration consumes the previous residual, and it
-ends when a count of the pool's rows reaches 0 or the residual is
-degenerate. Each step carries its weight and its prediction, from which
-``fit`` takes its terms and trace and the sweep its train predictions. The
-sweep's paths, one per distinct alpha, share the screen quantities, the
-rows centred for the rescore and the first step (``_start``): none of them
-depends on alpha.
+The rescore centres a row with its cached sum, once per fit. The outer loop
+is inherently sequential because each iteration consumes the previous
+residual, and it ends when a count of the pool's rows reaches 0 or the
+residual is degenerate. Each step carries its weight and its prediction,
+from which ``fit`` takes its terms and trace and the sweep its train
+predictions. The sweep's paths, one per distinct alpha, share the screen
+quantities, the rows centred for the rescore and the first step
+(``_start``): none of them depends on alpha.
 
 The screen has two operands, chosen by the size of the family's matrix and
 by how often it has been screened. Below ``SCREEN32_MIN_BYTES`` (2 MiB, the
@@ -43,23 +39,33 @@ the same way. The copy takes as long to build as the float32 gemv saves in
 family fit once, by one CLI fit or one ``select_step``, never builds it,
 and a family screened more often builds it after 16 screens, by when its
 float64 screens have cost about one build more than float32 ones would
-have. Its rounding
-error is at most about ``(T + 2) * 2**-24 * |h_c| * |r_c|``: one rounding of
-each operand to float32 and the length-T sum, in any order. Values that
-fall to float32's subnormals add at most ``T * 2**-149`` in the same units,
-because each scaled operand's largest value is at least 0.5. The float64
-centring errs by less than the float64 slack already allows for
-``<h, r> - mean(r) * sum(h)``. So each row's interval, and the bound on
-the sign of ``raw_rho``, widens by ``ROUNDING_MARGIN * T * 2**-24`` per
-unit of ``|h_c| * |r_c|``. That is at least 8 times the error, and more
-than 5 times once a barely resolved row's ``h_spread``, which may be low
-by up to a factor of sqrt(2), is allowed for. The rescore is the same for
-both operands, so the operand changes only how many rows are rescored. On
-select-wide (2000x438, 7 MB) the float32 operand makes a fit of 10 steps
-take 0.67x the time; a first fit that built the copy took 1.24x.
+have. On select-wide (2000x438, 7 MB) the float32 operand makes a fit of 10
+steps take 0.67x the time; a first fit that built the copy took 1.24x.
 Applied to the 175 KB families of sweep-grid, it made a sweep 1.10-1.24x
 slower, because its extra numpy calls cost more there than the smaller gemv
 saves.
+
+Both operands screen with one formula. The product is taken against the
+centred residual ``r_c``, which sums to 0, so ``<h, r_c> = <h_c, r_c>``
+whether the rows are centred (the float32 copy) or not (the matrix). Over
+the row's spread that is the estimate of the score times ``spread(r)``, and
+``<h, r> = <h_c, r_c> + mean(r) * sum(h)`` over the same spread gives the
+sign of ``raw_rho``. On float64 the estimate errs by at most about
+``(T + 2) * eps * |h| * |r|`` over the row's spread: the gemv on ``r_c``,
+in any order of summation, plus ``delta * sum(h)``, where ``delta`` is the
+rounding of ``mean(r)``. That is the form each row's score slack covers.
+Adding ``mean(r) * sum(h)`` back errs by a few eps of ``|h| * |r|`` more,
+which the sign's bound ``ROUNDING_MARGIN * T * eps * |h| * |r|`` covers.
+The float32 operand adds only its own rounding: at most about
+``(T + 2) * 2**-24 * |h_c| * |r_c|``, one rounding of each operand to
+float32 and the length-T sum. Values that fall to float32's subnormals add
+at most ``T * 2**-149`` in the same units, because each scaled operand's
+largest value is at least 0.5. So on that operand each row's interval, and
+the sign's bound, widens by ``ROUNDING_MARGIN * T * 2**-24`` per unit of
+``|h_c| * |r_c|``. That is at least 8 times the error, and more than 5
+times once a barely resolved row's ``h_spread``, which may be low by up to
+a factor of sqrt(2), is allowed for. The rescore is the same for both
+operands, so the operand changes only how many rows are rescored.
 """
 
 from __future__ import annotations
@@ -89,9 +95,9 @@ WEIGHT_TOLERANCE = 1e-12
 
 EPS = float(np.finfo(float).eps)
 # Bound, in units of T * eps, on the rounding error of the length-T sums and
-# dot products that screen candidates (relative to the scale each use in
-# ``_checked_rows`` and ``_best`` states); rounding analyses of those uses
-# give at most about 4, so this leaves at least a factor of 4 to spare.
+# dot products that screen candidates (relative to the scales the module
+# docstring and ``_Rows`` state); rounding analyses of those uses give at
+# most about 4, so this leaves at least a factor of 4 to spare.
 ROUNDING_MARGIN = 16.0
 # Below this, underflow in those sums breaks the relative bound.
 RESOLVED_FLOOR = float(np.finfo(float).tiny) / EPS
@@ -274,15 +280,25 @@ class _Rows(NamedTuple):
     ``_best`` only scales it by its residual's scalars. With
     ``unit = ROUNDING_MARGIN * T * eps``:
 
-    ``total`` is the row sum. ``centred_sq = sq_norm - total**2 / T`` is the
-    sum of squares about the row mean, cheap but cancelling when the mean
-    dominates the spread: its error is at most ``unit * sq_norm``, and a row
-    is unresolved where that bound reaches centred_sq itself, or where
-    centred_sq is small enough to underflow. ``inv_spread`` is
-    ``1 / sqrt(centred_sq)`` on resolved rows and 0 on unresolved ones, so
-    that ``_best`` multiplies where it would divide and no row's estimate is
-    ever infinite or NaN. ``sign_bound`` is ``unit * sqrt(sq_norm)``, the
-    rounding bound on <h, r> per unit of ``|r|``. ``slack_factor`` is
+    ``total`` is the row sum. ``centred_sq = sq_norm - total * (total / T)``
+    is the sum of squares about the row mean, cheap but cancelling when the
+    mean dominates the spread. Its error is at most ``unit * sq_norm``: the
+    subtracted term is at most ``sq_norm`` (Cauchy-Schwarz), and dividing
+    before multiplying, which keeps ``total * total`` from overflowing, adds
+    only one rounding of it. A row is unresolved where that bound reaches
+    centred_sq itself, or where centred_sq is small enough to underflow.
+    ``inv_spread`` below is ``1 / sqrt(centred_sq)`` on resolved rows and 0
+    on unresolved ones, so that ``_best`` multiplies where it would divide
+    and no estimate is ever infinite or NaN.
+
+    ``operand`` is the matrix the screen's product reads: ``family.values``,
+    or the family's float32 centred copy (``Family._centred32``) once its
+    matrix takes at least ``SCREEN32_MIN_BYTES`` and it has been screened
+    ``SCREEN32_AFTER_SCREENS`` times. ``gain`` turns a row of that product
+    into units of the row's spread: ``inv_spread``, or ``scale *
+    inv_spread`` on the copy. ``offset`` is ``total * inv_spread`` and
+    ``sign_gain`` is ``unit * sqrt(sq_norm) * inv_spread``, the bound on
+    <h, r> per unit of ``|r|`` in the same units. ``slack_factor`` is
     ``unit * (1 + sqrt(sq_norm / centred_sq))**2``, the score's rounding
     bound per unit of ``|r| / spread(r)``, and infinite on unresolved rows,
     whose score the screen cannot bound. ``usable`` marks the rows that are
@@ -293,32 +309,21 @@ class _Rows(NamedTuple):
 
     ``rescore`` maps a row already rescored to its ``_centred`` pair
     ``(hc, shh)``, which depends on the family alone; ``_best`` fills it.
-
-    ``centred`` is the family's float32 centred copy (``Family._centred32``)
-    when its matrix takes at least ``SCREEN32_MIN_BYTES`` and it has been
-    screened ``SCREEN32_AFTER_SCREENS`` times, and None otherwise, where
-    ``_best`` screens with the float64 matrix. ``screens`` is the count of
-    those float64 screens (``Family._float64_screens``) of a family that
-    large, for ``_best`` to count up until the copy takes over, and None on
-    a smaller family. With the copy,
-    ``gain`` is each row's ``scale * inv_spread``, ``offset`` its
-    ``total * inv_spread`` and ``sign_gain`` its ``sign_bound * inv_spread``:
-    the constants of a screen that works in units of the row's spread. The
-    module docstring gives the reasons for both rules and derives the
-    float32 screen's rounding bound.
+    ``screens`` is the family's count of screens on its matrix
+    (``Family._float64_screens``), which ``_best`` counts up. The module
+    docstring gives the reasons for the operand's rules and derives the
+    screen's rounding bound.
     """
 
     total: np.ndarray
-    inv_spread: np.ndarray
-    sign_bound: np.ndarray
+    operand: np.ndarray
+    gain: np.ndarray
+    offset: np.ndarray
+    sign_gain: np.ndarray
     slack_factor: np.ndarray
     usable: np.ndarray
     rescore: dict[int, tuple[np.ndarray, float]]
-    centred: np.ndarray | None = None
-    gain: np.ndarray | None = None
-    offset: np.ndarray | None = None
-    sign_gain: np.ndarray | None = None
-    screens: list[int] | None = None
+    screens: list[int]
 
 
 def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
@@ -337,7 +342,7 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
             raise NumericOverflow(f"the {name}'s sum of squares overflows")
     sq_norm, total = family.row_sums
     with np.errstate(over="ignore", invalid="ignore"):
-        centred_sq = sq_norm - total * total / count
+        centred_sq = sq_norm - total * (total / count)
     overflowed = [family.ids[i] for i in np.flatnonzero(~np.isfinite(centred_sq))]
     if overflowed:
         raise NumericOverflow(f"member {overflowed[0]!r}: its sum of squares overflows")
@@ -350,16 +355,13 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
         h_norm, h_spread = np.sqrt(sq_norm), np.sqrt(centred_sq)
         slack_factor = np.where(unresolved, np.inf, unit * (1.0 + h_norm / h_spread) ** 2)
         inv_spread = np.where(unresolved, 0.0, 1.0 / h_spread)
-    sign_bound = unit * h_norm
-    rows = _Rows(total, inv_spread, sign_bound, slack_factor, usable, {})
-    if family.values.nbytes < SCREEN32_MIN_BYTES:
-        return rows
+    operand, gain = family.values, inv_spread
     screens = family._float64_screens
-    if screens[0] < SCREEN32_AFTER_SCREENS:
-        return rows._replace(screens=screens)
-    centred, scale = family._centred32
-    return rows._replace(centred=centred, gain=scale * inv_spread,
-                         offset=total * inv_spread, sign_gain=sign_bound * inv_spread)
+    if family.values.nbytes >= SCREEN32_MIN_BYTES and screens[0] >= SCREEN32_AFTER_SCREENS:
+        operand, scale = family._centred32
+        gain = scale * inv_spread
+    return _Rows(total, operand, gain, total * inv_spread, unit * h_norm * inv_spread,
+                 slack_factor, usable, {}, screens)
 
 
 def _best(
@@ -371,18 +373,15 @@ def _best(
     ``rows.usable``. None only when the residual ``r`` is degenerate:
     constant, or srr == 0.
 
-    One matrix-vector product scores every row at once, in units of
-    ``1 / spread(r)`` (a score times ``spread(r)``), so the screen never
-    divides. On the float64 operand it gives <h, r>, and the centred inner
-    product is <h, r> - mean(r) * sum(h). On the float32 operand
-    (``rows.centred``) it gives <h_c, r_c> from the rows' centred copy and
-    ``rc`` scaled by a power of two into [0.5, 1), and the sign of raw_rho
-    comes from <h, r> = <h_c, r_c> + mean(r) * sum(h). Those estimates carry
-    rounding error, so they only screen. Each row gets an interval that
-    provably holds the score the scalar ``argmin_rho``/``pearson`` pair
-    gives it: the float64 slack, widened on the float32 operand by its
-    rounding bound ``ROUNDING_MARGIN * T * 2**-24`` (in units of the
-    correlation), as is the sign's bound. A row whose sign of raw_rho the
+    One matrix-vector product of ``rows.operand`` with the centred residual
+    ``rc`` (scaled by a power of two into [0.5, 1) on the float32 copy)
+    gives every row's <h_c, r_c>, and ``rows.gain`` puts it in units of the
+    row's spread and of ``1 / spread(r)``: a score times ``spread(r)``, so
+    the screen never divides. One line adds ``mean(r) * sum(h)`` back for
+    <h, r>, whose sign is raw_rho's. Those estimates carry rounding error,
+    so they only screen. Each row gets an interval that provably holds the
+    score the scalar ``argmin_rho``/``pearson`` pair gives it, with the
+    bounds the module docstring derives. A row whose sign of raw_rho the
     product cannot tell gets an infinite interval, and so does every row
     when ``srr`` is near underflow, where the bounds fail and the product is
     skipped. The rows whose interval reaches the highest lower end are
@@ -417,23 +416,21 @@ def _best(
         # est, slack and the bounds below are in units of 1 / r_spread: a
         # score times r_spread. The score's error is about slack / 4.
         slack = rows.slack_factor * r_norm
-        if rows.centred is None:
-            hr = X @ r
-            if rows.screens is not None:
-                rows.screens[0] += 1
-            est = (hr - r_mean * rows.total) * rows.inv_spread
-            sign_bound = rows.sign_bound * r_norm
+        sign_bound = rows.sign_gain * r_norm
+        if rows.operand is X:
+            rows.screens[0] += 1
+            est = (X @ rc) * rows.gain
         else:
-            # <h_c, r_c> from one sgemv, with rc scaled as the rows are: its
-            # largest |value| is r_max's or r_min's distance from r_mean
+            # rc scaled as the rows are: its largest |value| is r_max's or
+            # r_min's distance from r_mean
             _, exponent = math.frexp(max(r_max - r_mean, r_mean - r_min))
             r32 = np.ldexp(rc, -exponent).astype(np.float32)
             rounding = ROUNDING_MARGIN * count * UNIT_ROUNDOFF32 * r_spread
-            est = (rows.centred @ r32) * rows.gain * math.ldexp(1.0, exponent)
-            # <h, r> = <h_c, r_c> + mean(r) * sum(h), here over the row's spread
-            hr = est + rows.offset * r_mean
-            sign_bound = rows.sign_gain * r_norm + rounding
+            est = (rows.operand @ r32) * rows.gain * math.ldexp(1.0, exponent)
+            sign_bound = sign_bound + rounding
             slack = slack + rounding
+        # <h, r> = <h_c, r_c> + mean(r) * sum(h), here over the row's spread
+        hr = est + rows.offset * r_mean
         # the sign of raw_rho is only certain where <h, r> clears its bound
         wide = np.where(np.abs(hr) > sign_bound, slack, np.inf)
         est = np.sign(hr) * est

@@ -186,16 +186,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _split_list(text: str) -> list[str]:
-    items = [item.strip() for item in text.split(",") if item.strip()]
-    if not items:
-        raise InvalidParameter(f"empty list argument: {text!r}")
-    return items
-
-
 def _parse_list(text: str, parse) -> tuple:
-    """The comma-separated items of ``text``, each converted by ``parse``."""
-    items = _split_list(text)
+    """The comma-separated items of ``text``, each converted by ``parse``.
+
+    Whitespace around an item is dropped; an empty item is an InvalidParameter.
+    """
+    items = [item.strip() for item in text.split(",")]
+    if not any(items):
+        raise InvalidParameter(f"empty list argument: {text!r}")
+    if not all(items):
+        raise InvalidParameter(f"empty item in list argument: {text!r}")
     try:
         return tuple(parse(item) for item in items)
     except ValueError as exc:  # int(), float() and TransformKind() raise it

@@ -1,7 +1,10 @@
 """Grids, series, families, target construction, and interval partitioning.
 
-All types are immutable after construction and safe to share across threads;
-all operations are pure functions.
+All types are immutable after construction and all operations are pure
+functions. A ``Family`` fills three caches on first use: its ``row_sums``,
+its count of selection screens and its float32 centred copy. None of them
+changes a value any function returns, so every type is safe to share across
+threads: two threads may at worst build a cache twice or miss a count.
 """
 
 from __future__ import annotations

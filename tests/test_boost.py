@@ -388,23 +388,32 @@ class TestMatchesScalarOracle:
         scale = 1e153 * np.sqrt(64 / count)
         rows = rng.uniform(-1.0, 1.0, (6, count)) * scale
         rows[5] = rows[0] * 1e-150  # a small row with the same shape as row 0
-        target = 0.6 * rows[0] - 0.3 * rows[2] + 0.1 * rows[4]
-        assert np.isfinite(target @ target) and np.isfinite(rows @ rows.T).all()
-        fam = _family({f"c{i}": v for i, v in enumerate(rows)})
-        members = [(m.id, m.values) for m in fam.members]
-        want_step = scalar_select(members, target, -1.0)
-        want_path, want_stopped = scalar_fit(members, target, 5)
-        for operand, screen in SCREENS.items():
-            with screen():
-                got = select_step(fam, Series("__residual__", target), _config(1))
-                model, _ = fit(fam, Series("__target__", target), _config(5))
-            assert got == want_step[1], operand
-            got_path = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
-            assert got_path == want_path, operand
-            assert model.stopped_early == want_stopped, operand
-        # a target whose sum of squares leaves the range is a typed error
-        with pytest.raises(NumericOverflow, match="target"):
-            fit(fam, Series("__target__", target * 1e2), _config(5))
+        # rows whose means dominate their spread, near 1e153 and -1.2e153:
+        # every sum of squares is finite, but a row sum squared is not
+        shifted = rng.uniform(-0.1, 0.1, (4, count)) * scale
+        shifted[:2] += scale
+        shifted[2] *= 1e-2
+        shifted[3] -= 1.2 * scale
+        assert (np.abs(shifted.sum(axis=1)[[0, 1, 3]]) > math.sqrt(np.finfo(float).max)).all()
+        families = [(rows, 0.6 * rows[0] - 0.3 * rows[2] + 0.1 * rows[4]),
+                    (shifted, 0.6 * shifted[0] + 0.4 * shifted[1] + shifted[3])]
+        for rows, target in families:
+            assert np.isfinite(target @ target) and np.isfinite(rows @ rows.T).all()
+            fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+            members = [(m.id, m.values) for m in fam.members]
+            want_step = scalar_select(members, target, -1.0)
+            want_path, want_stopped = scalar_fit(members, target, 5)
+            for operand, screen in SCREENS.items():
+                with screen():
+                    got = select_step(fam, Series("__residual__", target), _config(1))
+                    model, _ = fit(fam, Series("__target__", target), _config(5))
+                assert got == want_step[1], operand
+                got_path = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
+                assert got_path == want_path, operand
+                assert model.stopped_early == want_stopped, operand
+            # a target whose sum of squares leaves the range is a typed error
+            with pytest.raises(NumericOverflow, match="target"):
+                fit(fam, Series("__target__", target * 1e2), _config(5))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fit_path_on_generated_panels(self, seed):

@@ -235,8 +235,9 @@ class TestPredictCommand:
             b"[" * 200_000,  # nested past the parser's recursion limit
             # past int()'s digit limit, which json.loads raises as a plain ValueError
             b'{"format_version": 1, "grid": {"start": ' + b"9" * 5000 + b"}}",
+            b"[]",  # valid JSON, but not an object
         ],
-        ids=["not-utf8", "deeply-nested", "integer-past-digit-limit"],
+        ids=["not-utf8", "deeply-nested", "integer-past-digit-limit", "top-level-array"],
     )
     def test_unreadable_model_file_is_a_parse_error(self, tmp_path, capsys, content):
         data = _gen(tmp_path)
@@ -338,3 +339,28 @@ class TestUsageErrors:
         code, _ = _fit(tmp_path, tmp_path / "absent.csv")
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestDataErrors:
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("eval", "t,x\n0,1\n1,2\n", "ParseError: {path}: no '__prediction__' column"),
+            ("fit", "t\n0\n1\n2\n",
+             "EmptyFamily: {path}: no member columns and no explicit target"),
+        ],
+        ids=["prediction-without-its-column", "panel-without-members"],
+    )
+    def test_a_file_without_the_columns_it_needs_exits_1(self, tmp_path, capsys, command,
+                                                         text, message):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        if command == "eval":
+            data = _gen(tmp_path)
+            capsys.readouterr()
+            code = main(["eval", "--pred", str(bad), "--data", str(data),
+                         "--report", str(tmp_path / "e.csv")])
+        else:
+            code, _ = _fit(tmp_path, bad)
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message.format(path=bad)}"]

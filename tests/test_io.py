@@ -16,12 +16,15 @@ from panelboost import (
     GenSpec,
     IrregularGrid,
     MissingValue,
+    Metrics,
     PanelBoostError,
     PanelModel,
     PanelTerm,
     ParseError,
     ReservedId,
     Series,
+    SweepResult,
+    SweepRow,
     TimeGrid,
     TransformKind,
     UnsupportedVersion,
@@ -33,6 +36,7 @@ from panelboost import (
     write_model,
     write_panel_csv,
     write_prediction_csv,
+    write_sweep_report,
 )
 from panelboost.dataio import (
     _fmt,
@@ -410,6 +414,21 @@ def _outcome(read, path):
     except Exception as exc:
         return type(exc), str(exc)
     return header, columns.shape, columns.tobytes()
+
+
+class TestAtomicWrites:
+    def test_a_write_that_fails_midway_leaves_the_old_file(self, tmp_path):
+        # the second row's cells are formatted after the header and the first
+        # row are written, and "x" is no number
+        good = Metrics(1.0, 1.0, None, float("nan"), 2.0)
+        config = BoostConfig(1, RECIP)
+        rows = (SweepRow(config, good, good, False),
+                SweepRow(config, good, Metrics("x", 1.0, None, 0.0, 2.0), False))
+        path = _write(tmp_path / "report.csv", "old report\n")
+        with pytest.raises(ValueError, match="'x'"):
+            write_sweep_report(SweepResult(rows, 0), path)
+        assert path.read_bytes() == b"old report\n"
+        assert list(tmp_path.iterdir()) == [path]  # no temp file is left behind
 
 
 class TestReaderEquivalence:

@@ -69,6 +69,10 @@ class TestSeries:
         with pytest.raises(ValueError):
             Series("a", [1.0, float("inf")])
 
+    def test_rejects_two_dimensional_values(self):
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Series("a", [[1.0, 2.0], [3.0, 4.0]])
+
     def test_values_are_readonly(self):
         s = Series("a", [1.0, 2.0])
         with pytest.raises(ValueError):
@@ -282,6 +286,10 @@ class TestRestrict:
     def test_empty_range_rejected(self):
         with pytest.raises(RangeError):
             restrict(Series("a", [1, 2, 3]), range(2, 2))
+
+    def test_strided_range_rejected(self):
+        with pytest.raises(RangeError, match="step 1"):
+            restrict(Series("a", [1, 2, 3, 4]), range(0, 4, 2))
 
     def test_out_of_bounds_rejected(self):
         with pytest.raises(RangeError):

@@ -373,6 +373,8 @@ CLI_CHECKS = [
     (_sweep(lbounds="x"), "could not convert string to float: 'x'"),
     (_sweep(transforms="parabola"), "'parabola' is not a valid TransformKind"),
     (_sweep(alphas=","), "empty list argument: ','"),
+    (_sweep(panel_sizes="2,,4"), "empty item in list argument: '2,,4'"),
+    (_sweep(panel_sizes="2,4,"), "empty item in list argument: '2,4,'"),
     (_sweep(panel_sizes="0"), "panel_size must be at least 1, got 0"),
     (_sweep(val="1.5"), "validation_fraction must lie in (0, 1), got 1.5"),
 ]
@@ -387,6 +389,17 @@ def test_cli_parameter_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys
     where = ["--out", "x.csv"] if argv[0] == "gen" else ["--data", str(data)]
     assert main([argv[0], *where, *argv[1:]]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: InvalidParameter: {message}"]
+
+
+def test_cli_list_items_may_be_padded_with_whitespace(tmp_path, monkeypatch):
+    data = _gen(tmp_path, days=30)
+    monkeypatch.chdir(tmp_path)
+    reports = []
+    for sizes, transforms in ((" 1 , 2 ", " witch "), ("1,2", "witch")):
+        argv = _sweep(panel_sizes=sizes, transforms=transforms)
+        assert main([argv[0], "--data", str(data), *argv[1:]]) == 0
+        reports.append((tmp_path / "r.csv").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_gen_whose_noise_overflows_is_a_runtime_error(tmp_path, capsys):
