@@ -72,7 +72,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -566,21 +566,23 @@ def predict(model: PanelModel, family: Family) -> Series:
     return Series(PREDICTION_ID, _running_sums(model.terms, family)[-1])
 
 
-def _running_sums(terms: Iterable, family: Family) -> list[np.ndarray]:
-    """Prediction of every prefix of ``terms``: element k sums the first k terms.
+def _running_sums(terms: Sequence, family: Family) -> np.ndarray:
+    """Prediction of every prefix of ``terms``: row k sums the first k terms.
 
-    The sum starts from zeros and adds ``weight * row`` term by term, as
-    ``_path`` does, on a family the path did not walk: ``predict`` takes the
-    last prefix, the sweep every prefix on validation. Once a prefix is not
-    finite, every longer one is not either, so checking the last covers all.
+    The cumulative sum down the rows of ``[zeros; weight_k * row_k]`` adds
+    the terms one after another, from zeros, as ``_path`` does, on a family
+    the path did not walk: ``predict`` takes the last row, the sweep every
+    row it reads on validation. Once a prefix is not finite, every longer
+    one is not either, so checking the last covers all.
     """
-    sums = [np.zeros(family.grid.count)]
+    rows = [family.index_of(term.member_id) for term in terms]
+    if None in rows:
+        raise MissingPanelMember(terms[rows.index(None)].member_id)
+    sums = np.zeros((len(rows) + 1, family.grid.count))
     with np.errstate(over="ignore", invalid="ignore"):
-        for term in terms:
-            row = family.index_of(term.member_id)
-            if row is None:
-                raise MissingPanelMember(term.member_id)
-            sums.append(sums[-1] + term.weight * family.values[row])
+        weights = np.array([term.weight for term in terms])
+        np.multiply(weights[:, None], family.values[rows], out=sums[1:])
+        sums = sums.cumsum(axis=0)
     if not np.isfinite(sums[-1]).all():
         raise NumericOverflow("the prediction overflows")
     return sums

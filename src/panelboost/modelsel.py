@@ -54,7 +54,10 @@ def evaluate(
     where ``psi`` is NaN.
     """
     _check_kind(kind)
-    return _scored(_agreement(prediction.values, _reference(target.values), grid_step), kind)
+    (agreement,) = _agreements(prediction.values[None], _reference(target.values), grid_step)
+    if isinstance(agreement, NumericOverflow):
+        raise agreement
+    return _scored(agreement, kind)
 
 
 class _Reference(NamedTuple):
@@ -82,38 +85,65 @@ class _Agreement(NamedTuple):
     cumulative_abs_error: float
 
 
-def _agreement(p: np.ndarray, ref: _Reference, grid_step: float) -> _Agreement:
-    """Squared error, rmse, mae, correlation and cumulative gap of ``p`` against a target.
+def _agreements(
+    predictions: np.ndarray, ref: _Reference, grid_step: float
+) -> list[_Agreement | NumericOverflow]:
+    """Squared error, rmse, mae, correlation and cumulative gap of each row against a target.
 
-    The correlation is ``pearson(p, y)`` from the target's centring in
-    ``ref``, None when either side is constant. ``p`` is centred before the
-    two sums of squares are checked, so a constant ``p`` against an
-    overflowing target is degenerate, as in ``pearson``.
+    ``predictions`` is a C-contiguous ``(K, T)`` matrix. Each row's result is
+    what measuring that row alone gives, bit for bit: numpy sums each row of
+    a C-contiguous matrix pairwise, as it sums the row alone, and each sum
+    of squares and correlation dot of a centred row is a BLAS dot of its
+    own. A row whose squared error, centred sum of squares or cumulative gap
+    overflows holds the NumericOverflow that measuring it alone raises
+    first, so that each caller raises the first failure in its own order.
+
+    The correlation of a row ``p`` is ``pearson(p, y)`` from the target's
+    centring in ``ref``, None when either side is constant. ``p`` is centred
+    before the two sums of squares are checked, so a constant ``p`` against
+    an overflowing target is degenerate, as in ``pearson``.
     """
     y = ref.values
-    if len(p) != len(y):
-        raise ShapeError(f"length mismatch: {len(p)} vs {len(y)}")
-    if len(p) < 2:
+    k, count = predictions.shape
+    if count != len(y):
+        raise ShapeError(f"length mismatch: {count} vs {len(y)}")
+    if count < 2:
         raise ShapeError("need at least 2 samples to evaluate")
-    # ndarray.sum is np.sum bit for bit at less cost, and np.mean is that sum
-    # divided by the count
+    # ndarray.sum is np.sum bit for bit at less cost, np.mean is that sum
+    # over the count, and max - min is np.ptp
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = p - y
-        sse = float((diff**2).sum())
-    if not math.isfinite(sse):
-        raise NumericOverflow("the squared error overflows")
-    rmse = math.sqrt(sse / len(p))
-    mae = float(np.abs(diff).sum()) / len(p)
-    corr = None
-    if ref.centred is not None:
-        try:
-            corr = _correlation(*_centred(p, "left"), *ref.centred)
-        except DegenerateCorrelation:
-            pass
-    cumulative_gap = abs(float(diff.sum())) * grid_step
-    if not math.isfinite(cumulative_gap):  # a Python float product overflows silently
-        raise NumericOverflow("the cumulative absolute error overflows")
-    return _Agreement(sse, rmse, mae, corr, cumulative_gap)
+        diff = predictions - y
+        sse = (diff**2).sum(axis=1).tolist()
+        abs_sums = np.abs(diff).sum(axis=1).tolist()
+        gaps = diff.sum(axis=1).tolist()
+        if ref.centred is not None:
+            # _centred of each row, each row starting 16-byte aligned as a
+            # fresh array does: OpenBLAS's Prescott ddot sums a misaligned
+            # vector in another order, so an odd row length would move the
+            # last bit of every other row's dots
+            centred = np.empty((k, count + count % 2))[:, :count]
+            np.subtract(predictions, predictions.sum(axis=1, keepdims=True) / count, out=centred)
+            flat = (predictions.max(axis=1) - predictions.min(axis=1) == 0).tolist()
+            spp = [float(pc @ pc) for pc in centred]
+    results: list[_Agreement | NumericOverflow] = []
+    for i in range(k):
+        if not math.isfinite(sse[i]):
+            results.append(NumericOverflow("the squared error overflows"))
+            continue
+        corr = None
+        if ref.centred is not None and not flat[i] and spp[i] != 0.0:
+            try:
+                corr = _correlation(centred[i], spp[i], *ref.centred)
+            except NumericOverflow as error:
+                results.append(error)
+                continue
+        cumulative_gap = abs(gaps[i]) * grid_step
+        if not math.isfinite(cumulative_gap):  # a Python float product overflows silently
+            results.append(NumericOverflow("the cumulative absolute error overflows"))
+            continue
+        rmse = math.sqrt(sse[i] / count)
+        results.append(_Agreement(sse[i], rmse, abs_sums[i] / count, corr, cumulative_gap))
+    return results
 
 
 def _scored(agreement: _Agreement, kind: TransformKind) -> Metrics:
@@ -202,19 +232,22 @@ def sweep(
     no term, model or trace is built. The paths share what does not depend
     on alpha: the screen constants of the train family, the rows it has
     centred for the rescore, and the first step, taken against the target.
-    Each distinct (alpha, panel size, lbound) takes its accepted prefix of
-    the path once, and the rows that differ only in their transform share
-    it. A prefix predicts train with its last step's prediction, and
-    validation with one running sum per alpha in ``predict``'s order. Each
-    (alpha, prefix, transform) is measured once, on train and validation,
-    against targets centred once per segment.
+    A row's prefix runs up to its path's first score below its lbound, and
+    at most its panel size; the rows that differ only in their transform
+    share it. A prefix predicts train with its last step's prediction, and
+    validation with one cumulative sum per alpha in ``predict``'s order,
+    taken only as far as some row reads it. The distinct (alpha, prefix)
+    pairs are measured as the rows of one matrix per segment, against
+    targets centred once per segment, and each (alpha, prefix, transform)
+    gets its ``Metrics`` once. If several prefixes fail to measure, the
+    error raised is the one of the first row that reads a failing prefix,
+    train before validation.
     """
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)
     tgt_train = restrict(target, train_range)
     fam_val = restrict_family(family, val_range)
     tgt_val = restrict(target, val_range)
-    step = family.grid.step
 
     longest = max(config.panel_size for config in grid.cells)
     start = _start(fam_train, tgt_train)
@@ -222,41 +255,56 @@ def sweep(
         alpha: _accepted(_path(fam_train, tgt_train, alpha, False, start), longest, -1.0)
         for alpha in dict.fromkeys(config.alpha for config in grid.cells)
     }
-    keys = dict.fromkeys((c.alpha, c.panel_size, c.lbound) for c in grid.cells)
-    lengths = {(a, size, lb): len(_accepted(paths[a], size, lb)) for a, size, lb in keys}
-    # validation prefixes are summed only as far as some cell reads them, so
-    # a longer prefix that no cell uses cannot overflow the sweep
-    val_sums = {}
-    for alpha, path in paths.items():
-        prefix = path[: max(n for (a, _, _), n in lengths.items() if a == alpha)]
-        val_sums[alpha] = _running_sums(prefix, fam_val)
+    # a row reads its path up to the first score below its lbound, and at
+    # most panel_size steps of it: the length _accepted gives
+    reach = {}
+    for alpha, lbound in dict.fromkeys((c.alpha, c.lbound) for c in grid.cells):
+        scores = [s.score for s in paths[alpha]]
+        reach[alpha, lbound] = next(
+            (k for k, score in enumerate(scores) if not score >= lbound), len(scores)
+        )
+    lengths = [min(c.panel_size, reach[c.alpha, c.lbound]) for c in grid.cells]
+    # the (alpha, prefix) pairs some row reads, in the order of their first row
+    read = list(dict.fromkeys((c.alpha, n) for c, n in zip(grid.cells, lengths) if n))
+    if not read:
+        raise SweepFailed("every configuration failed to accept a member")
+    # validation is summed only as far as some row reads it, so a longer
+    # prefix that no row uses cannot overflow the sweep
+    depth: dict[float, int] = {}
+    for alpha, n in read:
+        depth[alpha] = max(depth.get(alpha, 0), n)
+    val_sums = {alpha: _running_sums(paths[alpha][:n], fam_val) for alpha, n in depth.items()}
 
-    refs = (_reference(tgt_train.values), _reference(tgt_val.values))
-    # every (alpha, prefix) a row reads is read with each of the grid's
-    # transforms, by the rows that differ from it only there
+    step = family.grid.step
+    train = _agreements(
+        np.array([paths[alpha][n - 1].prediction for alpha, n in read]),
+        _reference(tgt_train.values), step,
+    )
+    val = _agreements(
+        np.array([val_sums[alpha][n] for alpha, n in read]), _reference(tgt_val.values), step
+    )
+    # every prefix a row reads is read with each of the grid's transforms,
+    # by the rows that differ from it only there
     metrics = {}
-    rows: list[SweepRow] = []
-    for config in grid.cells:
-        n = lengths[(config.alpha, config.panel_size, config.lbound)]
-        if n == 0:
-            rows.append(SweepRow(config, None, None, False, error="NoAdmissibleMember"))
-            continue
-        if (config.alpha, n) not in metrics:
-            predictions = (paths[config.alpha][n - 1].prediction, val_sums[config.alpha][n])
-            agreements = [_agreement(p, ref, step) for p, ref in zip(predictions, refs)]
-            metrics[config.alpha, n] = {
-                kind: tuple(_scored(a, kind) for a in agreements)
-                for kind in dict.fromkeys(grid.transforms)
-            }
-        train, val = metrics[config.alpha, n][config.transform]
-        rows.append(SweepRow(config, train, val, n < config.panel_size))
+    for key, agreements in zip(read, zip(train, val)):
+        for agreement in agreements:
+            if isinstance(agreement, NumericOverflow):
+                raise agreement
+        metrics[key] = {
+            kind: tuple(_scored(a, kind) for a in agreements)
+            for kind in dict.fromkeys(grid.transforms)
+        }
+    rows = [
+        SweepRow(config, *metrics[config.alpha, n][config.transform], n < config.panel_size)
+        if n
+        else SweepRow(config, None, None, False, error="NoAdmissibleMember")
+        for config, n in zip(grid.cells, lengths)
+    ]
 
     ranked = [
         (row.validation.rmse, row.config.panel_size, row.config.alpha, i)
         for i, row in enumerate(rows)
         if row.error is None
     ]
-    if not ranked:
-        raise SweepFailed("every configuration failed to accept a member")
-    best = min(ranked)[3]
-    return SweepResult(tuple(rows), best)
+    return SweepResult(tuple(rows), min(ranked)[3])
+

@@ -25,6 +25,7 @@ from panelboost import (
     fit,
     generate,
     modelsel,
+    pearson,
     psi,
     restrict,
     restrict_family,
@@ -83,6 +84,20 @@ class TestEvaluate:
                 y = rng.standard_normal(20) * rng.uniform(0.1, 100.0)
                 p = y + rng.standard_normal(20) * rng.uniform(0.01, 10.0)
                 assert evaluate(_series(p), _series(y), kind, 1.0).psi == psi(kind, y, p)
+
+    @pytest.mark.parametrize("count", [2, 7, 8, 73, 219, 300])
+    def test_each_metric_is_its_one_dimensional_formula_bit_for_bit(self, count):
+        # odd and even lengths, and lengths on both sides of numpy's
+        # unrolled and pairwise summation blocks
+        rng = np.random.default_rng(count)
+        for _ in range(20):
+            y = rng.standard_normal(count) * rng.uniform(0.1, 1e3) + rng.uniform(-1e3, 1e3)
+            p = y + rng.standard_normal(count) * rng.uniform(1e-3, 10.0)
+            m = evaluate(_series(p), _series(y), WITCH, 0.25)
+            assert m.rmse == np.sqrt(np.sum((p - y) ** 2) / count)
+            assert m.mae == np.sum(np.abs(p - y)) / count
+            assert m.pearson == pearson(p, y)
+            assert m.cumulative_abs_error == abs(np.sum(p - y)) * 0.25
 
     def test_zero_rmse_iff_identical(self):
         rng = np.random.default_rng(31)
@@ -221,6 +236,78 @@ class TestSweep:
         assert 3 in stops and 10 in stops
         assert any(row.error is None and not row.stopped_early for row in result.rows)
 
+    def test_matches_the_from_scratch_oracle_at_the_benchmark_shape(self):
+        # the sweep-grid benchmark's first panel and grid: 100 x 365, sizes
+        # 1-16, five lbounds, two alphas and two transforms, 100 cells
+        fam, target = generate(GenSpec(n_series=100, days=365, archetypes=5,
+                                       noise_sd=0.05, seed=4001))
+        grid = SweepGrid((1, 2, 4, 8, 16), (-1.0, 0.0, 0.5, 0.9, 0.99), (1.0, 0.5),
+                         (RECIP, WITCH))
+        result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        want = scratch_sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        assert [repr(row) for row in result.rows] == [repr(row) for row in want.rows]
+        assert result.best == want.best
+        assert sum(row.error is not None for row in result.rows) == 20
+        assert sum(row.stopped_early for row in result.rows) == 34
+
+    def test_the_first_failure_in_row_order_is_raised(self):
+        # Members orthogonal on train, in exact arithmetic: the first step
+        # leaves a residual whose sum, times the grid step of 1e306,
+        # overflows the cumulative gap; the second fits train exactly. On
+        # validation, member a reaches 1e160, so the squared error of the
+        # second prefix overflows. The first row's prefix decides.
+        days = np.arange(1.0, 11.0)
+        a = np.r_[2.0**20 * days, 1e160 * np.array([1.0, 2.0, 3.0, 1.0, 2.0, 3.0]), np.ones(4)]
+        b = np.r_[2.0**20 * np.r_[2.0, -1.0, np.zeros(8)], np.ones(10)]
+        fam = Family(TimeGrid(0.0, 1e306, 20), (Series("a", a), Series("b", b)))
+        target = Series("__target__", np.r_[a[:10] + 3.0 * b[:10], np.ones(10)])
+
+        def raised(sizes):
+            grid = SweepGrid(sizes, (-1.0,), (1.0,), (RECIP,))
+            with pytest.raises(NumericOverflow) as info:
+                sweep(fam, target, SplitSpec(0.5, 0.3), grid)
+            return str(info.value)
+
+        assert raised((1,)) == raised((1, 2)) == "the cumulative absolute error overflows"
+        assert raised((2,)) == raised((2, 1)) == "the squared error overflows"
+
+    def test_an_unread_validation_prefix_may_overflow(self):
+        # the second step's weight, about 1.74, takes member b's 1.5e308 on
+        # validation past the float range; an lbound between the two steps'
+        # scores keeps every row on the first, which the sweep walks past
+        rng = np.random.default_rng(3)
+        days = np.arange(1.0, 11.0)
+        a = np.r_[days, np.arange(1.0, 7.0), np.ones(4)]
+        b = np.r_[0.5 * np.tile([1.0, -1.0], 5), np.full(6, 1.5e308), np.ones(4)]
+        fam = Family(TimeGrid(0.0, 1.0, 20), (Series("a", a), Series("b", b)))
+        target = Series("__target__", np.r_[a[:10] + 2.0 * b[:10] + 2.0 * rng.standard_normal(10),
+                                            np.arange(1.0, 7.0), np.ones(4)])
+        split_spec = SplitSpec(0.5, 0.3)
+        model, _ = fit(restrict_family(fam, range(10)), restrict(target, range(10)),
+                       BoostConfig(2, RECIP))
+        first, second = model.terms
+        assert second.score < first.score
+        with pytest.raises(NumericOverflow, match="the prediction overflows"):
+            sweep(fam, target, split_spec, SweepGrid((2,), (-1.0,), (1.0,), (RECIP,)))
+        grid = SweepGrid((1, 2), (first.score,), (1.0,), (RECIP,))
+        result = sweep(fam, target, split_spec, grid)
+        assert [row.stopped_early for row in result.rows] == [False, True]
+        assert result.rows[0].validation == result.rows[1].validation
+
+    @pytest.mark.parametrize("constant_target", [False, True])
+    def test_a_grid_that_reads_no_prefix_fails(self, constant_target):
+        # every alpha's path starts with the same step, so either every
+        # alpha reads a prefix or none does: here none, and nothing is
+        # measured, so no empty matrix reaches the metrics
+        rng = np.random.default_rng(33)
+        members = tuple(Series(f"n{i}", rng.standard_normal(40)) for i in range(20))
+        fam = Family(TimeGrid(0.0, 1.0, 40), members)
+        values = np.full(40, 2.0) if constant_target else sum(m.values for m in members)
+        lbound = -1.0 if constant_target else 0.99
+        grid = SweepGrid((1, 2), (lbound,), (1.0, 0.5), (RECIP, WITCH))
+        with pytest.raises(SweepFailed):
+            sweep(fam, Series("__target__", values), SplitSpec(0.5, 0.3), grid)
+
     def test_one_fit_per_distinct_alpha(self, monkeypatch):
         # the sweep fits by walking the greedy path, once per distinct alpha
         calls = []
@@ -273,15 +360,15 @@ class TestSweep:
 
     def test_metrics_once_per_alpha_and_prefix(self, monkeypatch):
         # the transforms differ only in psi's penalty, so each distinct
-        # (alpha, accepted prefix) is measured once on train and once on val
+        # (alpha, accepted prefix) is one row of one matrix per segment
         calls = []
 
-        def counting_agreement(p, y, grid_step):
-            calls.append(len(p))
-            return agreement(p, y, grid_step)
+        def counting_agreements(predictions, ref, grid_step):
+            calls.append(predictions.shape)
+            return agreements(predictions, ref, grid_step)
 
-        agreement = modelsel._agreement
-        monkeypatch.setattr(modelsel, "_agreement", counting_agreement)
+        agreements = modelsel._agreements
+        monkeypatch.setattr(modelsel, "_agreements", counting_agreements)
         fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
                                        noise_sd=0.3, seed=41))
         grid = SweepGrid((3, 1, 10), (0.95, -1.0, 0.28), (1.0, 0.6, 1.0), (RECIP, WITCH))
@@ -294,7 +381,7 @@ class TestSweep:
                 model, _ = fit(f_train, t_train, row.config)
                 prefixes.add((row.config.alpha, len(model.terms)))
         assert len(prefixes) > 2
-        assert calls == [len(train), len(val)] * len(prefixes)
+        assert calls == [(len(prefixes), len(train)), (len(prefixes), len(val))]
 
     def test_scored_once_per_alpha_prefix_and_transform(self, monkeypatch):
         # rows that share alpha, accepted prefix and transform share Metrics
@@ -336,11 +423,10 @@ class TestSweep:
         grid = SweepGrid((1, 3, 10), (-1.0, 0.28), (1.0, 0.6), (RECIP, WITCH))
         sweep(fam, target, SplitSpec(0.6, 0.2), grid)
         train, val, _ = split(fam.grid, SplitSpec(0.6, 0.2))
-        targets = [x for side, x in calls if side == "right"]
-        assert len(targets) == 2
-        np.testing.assert_array_equal(targets[0], restrict(target, train).values)
-        np.testing.assert_array_equal(targets[1], restrict(target, val).values)
-        assert len(calls) > 2  # the predictions are centred too, on the left
+        # the predictions are centred as the rows of one matrix per segment
+        assert [side for side, _ in calls] == ["right", "right"]
+        np.testing.assert_array_equal(calls[0][1], restrict(target, train).values)
+        np.testing.assert_array_equal(calls[1][1], restrict(target, val).values)
 
     def test_sweep_builds_no_model_or_trace(self, monkeypatch):
         built = []
@@ -353,21 +439,31 @@ class TestSweep:
         assert len(result.rows) == 36 and built == []
 
     def test_sweep_sums_only_validation_prefixes_once_per_alpha(self, monkeypatch):
-        families = []
+        calls = []
 
         def counting_sums(terms, family):
-            families.append(family)
+            calls.append((len(terms), family))
             return running_sums(terms, family)
 
         running_sums = modelsel._running_sums
         monkeypatch.setattr(modelsel, "_running_sums", counting_sums)
         fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
                                        noise_sd=0.3, seed=41))
-        # alpha 1 twice: the sums follow the distinct alphas, not the grid's
-        grid = SweepGrid((1, 3, 10), (-1.0, 0.28), (1.0, 0.6, 1.0), (RECIP, WITCH))
-        sweep(fam, target, SplitSpec(0.6, 0.2), grid)
-        _, val, _ = split(fam.grid, SplitSpec(0.6, 0.2))
-        assert families == [restrict_family(fam, val)] * 2
+        # alpha 1 twice: the sums follow the distinct alphas, not the grid's.
+        # Both paths are walked 8 steps, the panel size 10 outrunning the 8
+        # members, but lbound 0.28 lets the rows read only 2 and 5 of them.
+        grid = SweepGrid((1, 3, 10), (0.28, 0.95), (1.0, 0.6, 1.0), (RECIP, WITCH))
+        result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        train, val, _ = split(fam.grid, SplitSpec(0.6, 0.2))
+        f_train, t_train = restrict_family(fam, train), restrict(target, train)
+        read = {1.0: 0, 0.6: 0}
+        for row in result.rows:
+            if row.error is None:
+                model, _ = fit(f_train, t_train, row.config)
+                read[row.config.alpha] = max(read[row.config.alpha], len(model.terms))
+        assert read == {1.0: 2, 0.6: 5}
+        f_val = restrict_family(fam, val)
+        assert calls == [(2, f_val), (5, f_val)]
 
     def test_a_validation_prediction_beyond_the_float_range_overflows(self):
         # fitted on tiny train values, the weight is about 1e10; on validation

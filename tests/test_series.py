@@ -312,3 +312,13 @@ class TestRestrict:
         np.testing.assert_array_equal(sub.members[0].values, [3, 4, 5, 6])
         assert sub.values.flags.c_contiguous
         assert not sub.values.flags.writeable
+
+    @pytest.mark.parametrize("window", [range(2, 6), range(0, 6), range(4, 6)])
+    def test_restrict_family_is_the_family_of_its_rows(self, window):
+        fam = _family([1, 2, 3, 4, 5, 6], [6, 5, 4, 3, 2, 1], [0, 0, 1, 1, 0, 0])
+        sub = restrict_family(fam, window)
+        rebuilt = Family(sub.grid, (restrict(m, window) for m in fam.members))
+        assert sub == rebuilt and sub.ids == rebuilt.ids == ("m0", "m1", "m2")
+        assert sub.index_of("m2") == 2
+        assert sub.values.flags.c_contiguous
+        assert not sub.values.flags.writeable
