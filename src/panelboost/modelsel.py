@@ -232,9 +232,9 @@ def sweep(
     no term, model or trace is built. The paths share what does not depend
     on alpha: the screen constants of the train family, the rows it has
     centred for the rescore, and the first step, taken against the target.
-    A row's prefix runs up to its path's first score below its lbound, and
-    at most its panel size; the rows that differ only in their transform
-    share it. A prefix predicts train with its last step's prediction, and
+    A row's prefix is the path's ``_accepted`` prefix for its lbound, taken
+    once per distinct (alpha, lbound) and cut at its panel size; the rows
+    that differ only in their transform share it. A prefix predicts train with its last step's prediction, and
     validation with one cumulative sum per alpha in ``predict``'s order,
     taken only as far as some row reads it. The distinct (alpha, prefix)
     pairs are measured as the rows of one matrix per segment, against
@@ -255,14 +255,12 @@ def sweep(
         alpha: _accepted(_path(fam_train, tgt_train, alpha, False, start), longest, -1.0)
         for alpha in dict.fromkeys(config.alpha for config in grid.cells)
     }
-    # a row reads its path up to the first score below its lbound, and at
-    # most panel_size steps of it: the length _accepted gives
-    reach = {}
-    for alpha, lbound in dict.fromkeys((c.alpha, c.lbound) for c in grid.cells):
-        scores = [s.score for s in paths[alpha]]
-        reach[alpha, lbound] = next(
-            (k for k, score in enumerate(scores) if not score >= lbound), len(scores)
-        )
+    # the accepted prefix within panel_size is the one within the longest
+    # size, cut at panel_size
+    reach = {
+        (alpha, lbound): len(_accepted(paths[alpha], longest, lbound))
+        for alpha, lbound in dict.fromkeys((c.alpha, c.lbound) for c in grid.cells)
+    }
     lengths = [min(c.panel_size, reach[c.alpha, c.lbound]) for c in grid.cells]
     # the (alpha, prefix) pairs some row reads, in the order of their first row
     read = list(dict.fromkeys((c.alpha, n) for c, n in zip(grid.cells, lengths) if n))

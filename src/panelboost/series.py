@@ -207,10 +207,6 @@ class Family:
             if member_id in seen:
                 raise ValueError(f"duplicate member id {member_id!r}")
             seen.add(member_id)
-        self._adopt(grid, ids, values)
-
-    def _adopt(self, grid: TimeGrid, ids: tuple[str, ...], values: np.ndarray) -> None:
-        """Take over ``values``, whose rows and ids have been checked, as they are."""
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "ids", ids)
@@ -375,11 +371,9 @@ def restrict_family(family: Family, index_range: range) -> Family:
         step=family.grid.step,
         count=len(index_range),
     )
-    # the rows are finite and the ids distinct: the family checked both
-    restricted = Family.__new__(Family)
-    values = family.values[:, index_range.start : index_range.stop]
-    restricted._adopt(grid, family.ids, np.ascontiguousarray(values))
-    return restricted
+    return Family._from_matrix(
+        grid, family.ids, family.values[:, index_range.start : index_range.stop]
+    )
 
 
 def _check_range(index_range: range, n: int) -> None:
