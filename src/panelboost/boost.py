@@ -17,14 +17,24 @@ depends on the family alone is computed once per fit (``_checked_rows``),
 and each step only scales those by scalars of its residual, in units of
 ``1 / spread(r)`` so that it never divides. A row whose sign of ``raw_rho``
 the screen cannot tell gets an infinite interval, so it is always rescored.
-The rescore centres a row with its cached sum, once per fit. The outer loop
-is inherently sequential because each iteration consumes the previous
-residual, and it ends when a count of the pool's rows reaches 0 or the
-residual is degenerate. Each step carries its weight and its prediction,
-from which ``fit`` takes its terms and trace and the sweep its train
-predictions. The sweep's paths, one per distinct alpha, share the screen
-quantities, the rows centred for the rescore and the first step
-(``_start``): none of them depends on alpha.
+The rescore reads each row from a per-fit cache: a fresh copy of the row,
+which starts on a 16-byte boundary wherever the row sits in the matrix,
+its sum of squares, its centred copy and that copy's sum of squares (see
+``_best``). A residual is compared value by value for constancy only where
+its centred sum of squares is small enough for a constant one to give it
+(``_constant``), and the pool gives each row outside it a NaN slack, so
+that the floor of the rows' intervals is one plain reduction (``_Pool``).
+Dots of two vectors are ``ndarray.dot``, the BLAS call of ``@`` bit for
+bit, without the dispatch of the matmul ufunc (about 0.4 us a call at the
+benchmark's shapes). The screen's matrix-vector product stays ``@``:
+``ndarray.dot`` takes another OpenBLAS gemv path there, which raised a CLI
+fit's peak RSS by about 0.25 MB. The outer loop is inherently sequential
+because each iteration consumes the previous residual, and it ends when a
+count of the pool's rows reaches 0 or the residual is degenerate. Each
+step carries its weight and its prediction, from which ``fit`` takes its
+terms and trace and the sweep its train predictions. The sweep's paths,
+one per distinct alpha, share the screen quantities, the rescore's cache
+and the first step (``_start``): none of them depends on alpha.
 
 The screen has two operands, chosen by the size of the family's matrix and
 by how often it has been screened. Below ``SCREEN32_MIN_BYTES`` (2 MiB, the
@@ -72,6 +82,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -88,7 +99,7 @@ from .errors import (
     ShapeError,
     ZeroCandidate,
 )
-from .functional import TransformKind, _check_kind, _correlation, argmin_rho
+from .functional import TransformKind, _check_kind, _correlation, _weight
 from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid, _integer, _real
 
 WEIGHT_TOLERANCE = 1e-12
@@ -125,7 +136,8 @@ class BoostConfig:
     ``panel_size`` is stored as a plain ``int``, ``lbound`` and ``alpha`` as
     plain ``float``s and ``with_replacement`` as a ``bool``. A field of the
     wrong type (a bool is neither an integer nor a real number here) and a
-    value outside its range are an InvalidParameter.
+    value outside its range are an InvalidParameter. ``panel_size`` lies in
+    [1, sys.maxsize], the largest count a path can be cut at.
     """
 
     panel_size: int
@@ -139,6 +151,10 @@ class BoostConfig:
         object.__setattr__(self, "panel_size", size)
         if self.panel_size < 1:
             raise InvalidParameter(f"panel_size must be at least 1, got {self.panel_size}")
+        if self.panel_size > sys.maxsize:
+            raise InvalidParameter(
+                f"panel_size must be at most {sys.maxsize}, got {self.panel_size}"
+            )
         _check_kind(self.transform)
         for name in ("lbound", "alpha"):
             object.__setattr__(self, name, _real(name, getattr(self, name), InvalidParameter))
@@ -307,8 +323,10 @@ class _Rows(NamedTuple):
     never be selected, but their screen interval is the whole range, so
     without the mask they would be rescored every iteration.
 
-    ``rescore`` maps a row already rescored to its ``_centred`` pair
-    ``(hc, shh)``, which depends on the family alone; ``_best`` fills it.
+    ``rescore`` maps a row already rescored to ``(h, h @ h, hc, hc @
+    hc)``: a fresh copy of the row, so it starts on a 16-byte boundary, and
+    its ``_centred`` pair, all of which depend on the family alone;
+    ``_best`` fills it.
     ``screens`` is the family's count of screens on its matrix
     (``Family._float64_screens``), which ``_best`` counts up. The module
     docstring gives the reasons for the operand's rules and derives the
@@ -322,7 +340,7 @@ class _Rows(NamedTuple):
     sign_gain: np.ndarray
     slack_factor: np.ndarray
     usable: np.ndarray
-    rescore: dict[int, tuple[np.ndarray, float]]
+    rescore: dict[int, tuple[np.ndarray, float, np.ndarray, float]]
     screens: list[int]
 
 
@@ -337,21 +355,20 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
         raise EmptyFamily("no candidates to select from")
     if len(y) != count:
         raise ShapeError(f"{name} has {len(y)} samples, grid expects {count}")
-    with np.errstate(over="ignore"):
-        if not math.isfinite(y @ y):
-            raise NumericOverflow(f"the {name}'s sum of squares overflows")
-    sq_norm, total = family.row_sums
-    with np.errstate(over="ignore", invalid="ignore"):
-        centred_sq = sq_norm - total * (total / count)
-    overflowed = [family.ids[i] for i in np.flatnonzero(~np.isfinite(centred_sq))]
-    if overflowed:
-        raise NumericOverflow(f"member {overflowed[0]!r}: its sum of squares overflows")
     unit = ROUNDING_MARGIN * count * EPS
-    unresolved = (centred_sq <= unit * sq_norm) | (centred_sq < RESOLVED_FLOOR)
-    usable = sq_norm > 0.0
-    suspects = np.flatnonzero(unresolved)
-    usable[suspects] &= np.ptp(family.values[suspects], axis=1) != 0
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        if not math.isfinite(y.dot(y)):
+            raise NumericOverflow(f"the {name}'s sum of squares overflows")
+        sq_norm, total = family.row_sums
+        centred_sq = sq_norm - total * (total / count)
+        if not np.isfinite(centred_sq).all():
+            member = family.ids[np.flatnonzero(~np.isfinite(centred_sq))[0]]
+            raise NumericOverflow(f"member {member!r}: its sum of squares overflows")
+        unresolved = (centred_sq <= unit * sq_norm) | (centred_sq < RESOLVED_FLOOR)
+        usable = sq_norm > 0.0
+        if unresolved.any():
+            suspects = np.flatnonzero(unresolved)
+            usable[suspects] &= np.ptp(family.values[suspects], axis=1) != 0
         h_norm, h_spread = np.sqrt(sq_norm), np.sqrt(centred_sq)
         slack_factor = np.where(unresolved, np.inf, unit * (1.0 + h_norm / h_spread) ** 2)
         inv_spread = np.where(unresolved, 0.0, 1.0 / h_spread)
@@ -365,13 +382,14 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
 
 
 def _best(
-    family: Family, rows: _Rows, r: np.ndarray, pool: np.ndarray
+    family: Family, rows: _Rows, r: np.ndarray, pool: _Pool
 ) -> tuple[int, Selection] | None:
     """Row and selection of the best candidate among the pool rows, whatever its score.
 
-    ``pool`` marks the rows to consider: a nonempty subset of
+    ``pool.mask`` marks the rows to consider: a nonempty subset of
     ``rows.usable``. None only when the residual ``r`` is degenerate:
-    constant, or srr == 0.
+    constant, or srr == 0. ``r`` is a fresh array, so it starts on a 16-byte
+    boundary, as ``argmin_rho``'s copies do.
 
     One matrix-vector product of ``rows.operand`` with the centred residual
     ``rc`` (scaled by a power of two into [0.5, 1) on the float32 copy)
@@ -384,46 +402,66 @@ def _best(
     bounds the module docstring derives. A row whose sign of raw_rho the
     product cannot tell gets an infinite interval, and so does every row
     when ``srr`` is near underflow, where the bounds fail and the product is
-    skipped. The rows whose interval reaches the highest lower end are
+    skipped. The floor is the highest lower end over the pool: one
+    ``np.fmax`` reduction over every row, since a row outside the pool has a
+    NaN slack in ``pool.slack_factor``, so a NaN lower end, which fmax
+    skips, or -inf where its sign is uncertain (if no pool row has a lower
+    end that is not NaN, the floor is NaN or -inf, and every pool row is
+    rescored). The pool rows whose upper end is not below the floor are
     rescored with that pair, in family order; a NaN bound never excludes a
-    row. The result is exactly what scoring every row with the scalar
-    functionals gives, ties included, on either operand. Usually one row is
-    rescored, a few on the float32 one.
+    pool row, and never admits a row outside the pool. The result is
+    exactly what scoring every row with the scalar functionals gives, ties
+    included, on either operand. Usually one row is rescored, a few on the
+    float32 one.
 
-    The rescore centres a row as ``h - total / T``, once per fit (in
-    ``rows.rescore``). That is ``_centred(h)`` bit for bit: numpy sums each
-    row of the C-contiguous matrix pairwise, as it sums the row alone. Usable
-    rows are never constant, so of ``_centred``'s checks only ``shh == 0``
-    is left.
+    ``mean(r)`` is ``sum(r) / T``, ``r.mean()`` bit for bit, and ``|r|**2``
+    is taken as ``srr + T * mean(r)**2``. That is ``sum((r - mean(r))**2) +
+    T * mean(r)**2`` but for rounding, within a relative ``3 * T * eps`` of
+    ``|r|**2``, as a computed ``r @ r`` is within ``T * eps``: the slack's
+    margin covers either. Whether ``r`` is constant is asked of
+    ``_constant``, which compares its values only where ``srr`` is small
+    enough for a constant ``r`` to give it (the bound is derived there); the
+    float32 screen reads them for its scale.
+
+    The rescore takes each row from ``rows.rescore``, filled the first time
+    the row is rescored in a fit (or a sweep): a fresh copy ``h`` of the
+    row, which starts on a 16-byte boundary wherever the row sits in the
+    matrix, ``h @ h``, and ``hc = h - total / T`` with ``hc @ hc``.
+    ``raw_rho`` is then ``_weight(h @ r, h @ h)``, which is ``argmin_rho(h,
+    r)`` bit for bit, and ``hc`` is ``_centred(h)`` bit for bit: numpy sums
+    each row of the C-contiguous matrix pairwise, as it sums the row alone.
+    Usable rows are never zero or constant, so of ``_centred``'s checks only
+    ``hc @ hc == 0`` is left.
     """
-    # max - min is np.ptp, and the sum over the count is r.mean(), bit for
-    # bit, each at less cost
-    r_max, r_min = r.max(), r.min()
-    if r_max - r_min == 0:
-        return None
     count = len(r)
-    r_mean = r.sum() / count
+    # the sum over the count is r.mean(), bit for bit, at less cost;
+    # np.add.reduce is ndarray.sum without its Python wrapper
+    r_mean = float(np.add.reduce(r)) / count
     rc = r - r_mean
-    srr = float(rc @ rc)
+    srr = float(rc.dot(rc))
     if srr == 0.0:  # pearson(r, h) is degenerate for every h
         return None
-
+    # |r|**2, but for rounding, without a pass over r
+    rr = srr + count * r_mean * r_mean
+    if _constant(r, srr, rr):
+        return None
     X = family.values
+
     if srr < RESOLVED_FLOOR:  # the screen's rounding bounds fail: rescore every row
-        near = pool.nonzero()[0]
+        near = pool.mask.nonzero()[0]
     else:
-        r_norm, r_spread = math.sqrt(float(r @ r)), math.sqrt(srr)
+        r_norm, r_spread = math.sqrt(rr), math.sqrt(srr)
         # est, slack and the bounds below are in units of 1 / r_spread: a
         # score times r_spread. The score's error is about slack / 4.
-        slack = rows.slack_factor * r_norm
+        slack = pool.slack_factor * r_norm
         sign_bound = rows.sign_gain * r_norm
         if rows.operand is X:
             rows.screens[0] += 1
             est = (X @ rc) * rows.gain
         else:
-            # rc scaled as the rows are: its largest |value| is r_max's or
-            # r_min's distance from r_mean
-            _, exponent = math.frexp(max(r_max - r_mean, r_mean - r_min))
+            # rc scaled as the rows are: its largest |value| is r's largest
+            # or smallest value's distance from r_mean
+            _, exponent = math.frexp(max(r.max() - r_mean, r_mean - r.min()))
             r32 = np.ldexp(rc, -exponent).astype(np.float32)
             rounding = ROUNDING_MARGIN * count * UNIT_ROUNDOFF32 * r_spread
             est = (rows.operand @ r32) * rows.gain * math.ldexp(1.0, exponent)
@@ -435,24 +473,25 @@ def _best(
         wide = np.where(np.abs(hr) > sign_bound, slack, np.inf)
         est = np.sign(hr) * est
         # fmax skips NaN, and a NaN bound never excludes a row
-        floor = np.fmax.reduce((est - wide)[pool])
-        near = (pool & ~(est + wide < floor)).nonzero()[0]
+        floor = np.fmax.reduce(est - wide)
+        # pool rows whose upper end is not below the floor (True > False)
+        near = (pool.mask > (est + wide < floor)).nonzero()[0]
 
     best: tuple[int, Selection] | None = None
-    for i in near:
-        h = X[i]
-        centred = rows.rescore.get(i)
-        if centred is None:
+    for i in near.tolist():
+        cached = rows.rescore.get(i)
+        if cached is None:
+            h = X[i].copy()
             # as in _centred, a sum of squares that overflows is left for
             # _correlation to reject
             with np.errstate(over="ignore", invalid="ignore"):
                 hc = h - rows.total[i] / count
-                centred = rows.rescore[i] = (hc, float(hc @ hc))
-        hc, shh = centred
+                cached = rows.rescore[i] = (h, float(h.dot(h)), hc, float(hc.dot(hc)))
+        h, hh, hc, shh = cached
         if shh == 0.0:  # _centred's DegenerateCorrelation
             continue
         try:
-            raw_rho = argmin_rho(h, r)
+            raw_rho = _weight(float(h.dot(r)), hh)
         except ZeroCandidate:
             continue
         # pearson(r, h), on the residual centred above
@@ -461,8 +500,54 @@ def _best(
         score = sign * corr_i
         # strict improvement keeps the earliest row on ties
         if best is None or score > best[1].score:
-            best = (int(i), Selection(family.ids[i], raw_rho, score))
+            best = (i, Selection(family.ids[i], raw_rho, score))
     return best
+
+
+def _constant(x: np.ndarray, ss: float, sq: float) -> bool:
+    """Whether ``x`` is constant, given ``ss``, its centred sum of squares.
+
+    ``ss`` is computed as ``_centred`` does, and ``sq`` is ``x``'s sum of
+    squares, or the estimate ``ss + T * mean**2``, which is within a
+    relative ``3 * T * eps`` of it. Only where ``ss <= (ROUNDING_MARGIN * T
+    * eps)**2 * sq``, or where ``ss`` is below ``RESOLVED_FLOOR``, can ``x``
+    be constant, so only there are its largest and smallest values compared
+    (their difference is ``np.ptp``, bit for bit).
+
+    For a constant ``x = c`` of length ``T``, the mean is within ``(T + 1)
+    * eps * |c|`` of ``c`` (the sum's rounding and the division's), so
+    every centred value is the same ``d``, with ``|d| <= (T + 2) * eps *
+    |c|``: once the mean is within a factor 2 of ``c``, the subtraction is
+    exact. Then ``ss`` is ``T * d**2`` and ``sq`` is ``T * c**2``, each
+    within a relative ``3 * T * eps``, so ``ss <= ((T + 2) * eps)**2 * (1 +
+    7 * T * eps) * sq``: under the bound by a factor of more than 60 for
+    any ``T >= 2`` whose rounding bounds hold at all. Above
+    ``RESOLVED_FLOOR`` each ``d**2`` and ``c**2`` is a normal float, so no
+    underflow breaks that relative bound, and an ``sq`` that overflows makes
+    the bound infinite.
+    """
+    unit = ROUNDING_MARGIN * len(x) * EPS
+    if ss < RESOLVED_FLOOR or ss <= unit * unit * sq:
+        return x.max() - x.min() == 0
+    return False
+
+
+class _Pool(NamedTuple):
+    """The rows a path may still select, as ``_best`` reads them.
+
+    ``mask`` marks them. ``slack_factor`` is ``_Rows.slack_factor`` on them
+    and NaN on every other row, so that a row outside the pool has a NaN
+    lower end, which the floor's ``np.fmax`` reduction skips. A row leaves
+    the pool by being cleared in both.
+    """
+
+    mask: np.ndarray
+    slack_factor: np.ndarray
+
+
+def _pool(rows: _Rows) -> _Pool:
+    """A fresh pool of every usable row."""
+    return _Pool(rows.usable.copy(), np.where(rows.usable, rows.slack_factor, np.nan))
 
 
 class _Start(NamedTuple):
@@ -484,7 +569,8 @@ def _start(family: Family, target: Series, name: str = "target") -> _Start:
     rows = _checked_rows(family, target.values, name)
     if not rows.usable.any():
         return _Start(rows, None)
-    return _Start(rows, _best(family, rows, target.values, rows.usable))
+    # a copy, as _best asks: the target may be a row view of a family
+    return _Start(rows, _best(family, rows, target.values.copy(), _pool(rows)))
 
 
 def _path(
@@ -505,8 +591,8 @@ def _path(
     """
     rows, found = _start(family, target) if start is None else start
     # zero and constant members can never be selected, so they start outside
-    pool = rows.usable.copy()
-    left = int(np.count_nonzero(pool))
+    pool = _pool(rows)
+    left = int(np.count_nonzero(pool.mask))
     prediction = np.zeros(family.grid.count)
     while found is not None:
         index, chosen = found
@@ -514,7 +600,8 @@ def _path(
         prediction = prediction + weight * family.values[index]
         yield _Step(chosen.member_id, weight, chosen.raw_rho, chosen.score, prediction)
         if not with_replacement:
-            pool[index] = False
+            pool.mask[index] = False
+            pool.slack_factor[index] = np.nan
             left -= 1
             if not left:
                 return

@@ -61,11 +61,15 @@ def mean(values) -> float:
 
 
 def inner(f, g) -> float:
-    """Discrete inner product: sum of f[i] * g[i]."""
+    """Discrete inner product: sum of f[i] * g[i].
+
+    Like ``argmin_rho``, it reads fresh copies of its operands, so the
+    result does not depend on where they sit in memory.
+    """
     fa, ga = _as_pair(f, g)
     if len(fa) == 0:
         raise EmptyInput("inner product of empty sequences")
-    return float(fa @ ga)
+    return float(fa.copy() @ ga.copy())
 
 
 def pearson(f, g) -> float:
@@ -111,7 +115,8 @@ def _correlation(fc: np.ndarray, sff: float, gc: np.ndarray, sgg: float) -> floa
         # split form is only a fallback because it moves the last bit of
         # ordinary scores
         denom = math.sqrt(sff) * math.sqrt(sgg)
-    r = float(fc @ gc) / denom
+    # ndarray.dot is @ bit for bit, without the dispatch of the matmul ufunc
+    r = float(fc.dot(gc)) / denom
     return max(-1.0, min(1.0, r))
 
 
@@ -135,6 +140,14 @@ def transform(kind: TransformKind, x: float) -> float:
         raise DomainError(f"transform argument {x} outside [-1, 1]")
     x = max(-1.0, min(1.0, x))
     _check_kind(kind)
+    return _penalty(kind, x)
+
+
+def _penalty(kind: TransformKind, x: float) -> float:
+    """``transform``'s formula, unchecked.
+
+    ``kind`` must be a ``TransformKind`` and ``x`` a float in [-1, 1].
+    """
     if kind is TransformKind.RECIPROCAL:
         return 1.0 / (2.0 + x) - 1.0 / 3.0
     return 1.0 / (1.0 + x * x) - 0.5
@@ -159,16 +172,40 @@ def psi(kind: TransformKind, f, g) -> float:
 
 
 def lambda_err(rho: float, h, y) -> float:
-    """Squared error of the one-candidate model rho * h against y."""
+    """Squared error of the one-candidate model rho * h against y.
+
+    Its one dot is of a fresh array, so, as for ``argmin_rho``, the result
+    does not depend on where ``h`` and ``y`` sit in memory.
+    """
     ha, ya = _as_pair(h, y)
     d = ya - rho * ha
     return float(d @ d)
 
 
 def argmin_rho(h, y) -> float:
-    """Least-squares weight <h, y> / <h, h>; minimizes lambda_err over rho."""
+    """Least-squares weight <h, y> / <h, h>; minimizes lambda_err over rho.
+
+    The result depends on the values alone, not on where they sit in
+    memory: both operands are copied to fresh arrays, which start on a
+    16-byte boundary, before the two dots. OpenBLAS's Katmai (Prescott)
+    ddot sums a vector that starts elsewhere in another order, so on those
+    kernels the dots of a row view into a matrix, misaligned when the row
+    length and the row index are both odd, could differ in their last bit
+    from the dots of a copy. Copying a row of 219 floats costs less than
+    reading its address (about 0.3 us against 1.4 us through ``ctypes``).
+    The formula after the checks is ``_weight``, which the selection
+    rescore in ``boost`` calls on its own fresh copies.
+    """
     ha, ya = _as_pair(h, y)
-    denom = float(ha @ ha)
-    if denom == 0.0:
+    ha, ya = ha.copy(), ya.copy()
+    return _weight(float(ha @ ya), float(ha @ ha))
+
+
+def _weight(hy: float, hh: float) -> float:
+    """``argmin_rho``'s formula, unchecked: the weight from <h, y> and <h, h>.
+
+    A zero ``hh`` raises ZeroCandidate.
+    """
+    if hh == 0.0:
         raise ZeroCandidate("candidate is identically zero")
-    return float(ha @ ya) / denom
+    return hy / hh

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boost import BoostConfig, _accepted, _path, _running_sums, _start
+from .boost import BoostConfig, _accepted, _constant, _path, _running_sums, _start
 from .errors import (
     DegenerateCorrelation,
     EmptyInput,
@@ -18,7 +18,7 @@ from .errors import (
     ShapeError,
     SweepFailed,
 )
-from .functional import TransformKind, _centred, _check_kind, _correlation, transform
+from .functional import TransformKind, _centred, _check_kind, _correlation, _penalty
 from .series import (
     Family,
     Series,
@@ -109,29 +109,35 @@ def _agreements(
         raise ShapeError(f"length mismatch: {count} vs {len(y)}")
     if count < 2:
         raise ShapeError("need at least 2 samples to evaluate")
-    # ndarray.sum is np.sum bit for bit at less cost, np.mean is that sum
-    # over the count, and max - min is np.ptp
+    # ndarray.sum is np.sum bit for bit at less cost, and np.mean is that
+    # sum over the count
     with np.errstate(over="ignore", invalid="ignore"):
-        diff = predictions - y
-        sse = (diff**2).sum(axis=1).tolist()
-        abs_sums = np.abs(diff).sum(axis=1).tolist()
-        gaps = diff.sum(axis=1).tolist()
+        # the squared, absolute and plain differences as the rows of one
+        # C-contiguous array, so one reduction sums each row pairwise, as
+        # summing it alone does
+        parts = np.empty((3, k, count))
+        diff = np.subtract(predictions, y, out=parts[2])
+        np.square(diff, out=parts[0])
+        np.abs(diff, out=parts[1])
+        sse, abs_sums, gaps = np.add.reduce(parts, axis=2).tolist()
         if ref.centred is not None:
             # _centred of each row, each row starting 16-byte aligned as a
             # fresh array does: OpenBLAS's Prescott ddot sums a misaligned
             # vector in another order, so an odd row length would move the
             # last bit of every other row's dots
             centred = np.empty((k, count + count % 2))[:, :count]
-            np.subtract(predictions, predictions.sum(axis=1, keepdims=True) / count, out=centred)
-            flat = (predictions.max(axis=1) - predictions.min(axis=1) == 0).tolist()
-            spp = [float(pc @ pc) for pc in centred]
+            row_means = predictions.sum(axis=1, keepdims=True) / count
+            np.subtract(predictions, row_means, out=centred)
+            spp = [float(pc.dot(pc)) for pc in centred]
+            means = row_means[:, 0].tolist()
     results: list[_Agreement | NumericOverflow] = []
     for i in range(k):
         if not math.isfinite(sse[i]):
             results.append(NumericOverflow("the squared error overflows"))
             continue
         corr = None
-        if ref.centred is not None and not flat[i] and spp[i] != 0.0:
+        if (ref.centred is not None and spp[i] != 0.0
+                and not _constant(predictions[i], spp[i], spp[i] + count * means[i] * means[i])):
             try:
                 corr = _correlation(centred[i], spp[i], *ref.centred)
             except NumericOverflow as error:
@@ -150,8 +156,9 @@ def _scored(agreement: _Agreement, kind: TransformKind) -> Metrics:
     """``Metrics`` of an agreement, with ``psi`` for the transform ``kind``."""
     sse, rmse, mae, corr, cumulative_gap = agreement
     # psi(kind, y, p), from the correlation above: pearson is symmetric bit
-    # for bit, and so is the squared difference
-    cost = float("nan") if corr is None else 0.5 * sse + transform(kind, corr)
+    # for bit, and so is the squared difference. _correlation has clamped
+    # it, and every caller has checked kind, so transform's checks are left
+    cost = float("nan") if corr is None else 0.5 * sse + _penalty(kind, corr)
     return Metrics(rmse, mae, corr, cost, cumulative_gap)
 
 
@@ -282,18 +289,19 @@ def sweep(
         np.array([val_sums[alpha][n] for alpha, n in read]), _reference(tgt_val.values), step
     )
     # every prefix a row reads is read with each of the grid's transforms,
-    # by the rows that differ from it only there
+    # by the rows that differ from it only there. A row finds its transform
+    # by position in kinds, which compares identities, since an enum member
+    # hashes through a Python-level __hash__
+    kinds = tuple(dict.fromkeys(grid.transforms))
     metrics = {}
     for key, agreements in zip(read, zip(train, val)):
         for agreement in agreements:
             if isinstance(agreement, NumericOverflow):
                 raise agreement
-        metrics[key] = {
-            kind: tuple(_scored(a, kind) for a in agreements)
-            for kind in dict.fromkeys(grid.transforms)
-        }
+        metrics[key] = [tuple(_scored(a, kind) for a in agreements) for kind in kinds]
     rows = [
-        SweepRow(config, *metrics[config.alpha, n][config.transform], n < config.panel_size)
+        SweepRow(config, *metrics[config.alpha, n][kinds.index(config.transform)],
+                 n < config.panel_size)
         if n
         else SweepRow(config, None, None, False, error="NoAdmissibleMember")
         for config, n in zip(grid.cells, lengths)

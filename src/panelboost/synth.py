@@ -9,6 +9,7 @@ therefore exist by construction, which makes recovery testable.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,9 @@ class GenSpec:
     The counts and the seed are stored as plain ``int``s and ``noise_sd`` as
     a plain ``float``. A count or seed that is not an integer, or a
     ``noise_sd`` that is not a real number (a bool is neither), is an
-    InvalidParameter, as is a value outside its range.
+    InvalidParameter, as is a value outside its range. The panel's
+    ``n_series * days`` float64 values must fit in one numpy array, at most
+    ``sys.maxsize`` bytes; that is checked before anything is allocated.
     """
 
     n_series: int
@@ -41,6 +44,12 @@ class GenSpec:
             raise InvalidParameter(f"n_series must be at least 1, got {self.n_series}")
         if self.days < 14:
             raise InvalidParameter(f"days must be at least 14, got {self.days}")
+        largest = sys.maxsize // np.dtype(float).itemsize
+        if self.n_series * self.days > largest:
+            raise InvalidParameter(
+                f"a panel of {self.n_series} x {self.days} values exceeds the largest "
+                f"array, {largest} values"
+            )
         if not 1 <= self.archetypes <= self.n_series:
             raise InvalidParameter(
                 f"archetypes must lie in [1, n_series], got {self.archetypes}"

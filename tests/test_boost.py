@@ -32,7 +32,6 @@ from panelboost import (
     SweepGrid,
     TimeGrid,
     TransformKind,
-    argmin_rho,
     boost,
     fit,
     generate,
@@ -42,7 +41,7 @@ from panelboost import (
     series,
     sweep,
 )
-from panelboost.functional import _centred
+from panelboost.functional import _centred, _weight
 
 RECIP = TransformKind.RECIPROCAL
 
@@ -339,11 +338,11 @@ class TestMatchesScalarOracle:
         resid = np.random.default_rng(1).standard_normal(40) * 1e-150
         rescored = []
 
-        def counting_argmin_rho(h, y):
-            rescored.append(len(h))
-            return argmin_rho(h, y)
+        def counting_weight(hy, hh):
+            rescored.append(hh)
+            return _weight(hy, hh)
 
-        monkeypatch.setattr(boost, "argmin_rho", counting_argmin_rho)
+        monkeypatch.setattr(boost, "_weight", counting_weight)
         got = select_step(fam, Series("__residual__", resid), _config(1))
         assert len(rescored) == len(fam) == 12
         want = scalar_select([(m.id, m.values) for m in fam.members], resid, -1.0)
@@ -356,11 +355,11 @@ class TestMatchesScalarOracle:
         # is -inf, and every pool row is rescored, on either operand
         rescored = []
 
-        def counting_argmin_rho(h, y):
-            rescored.append(len(h))
-            return argmin_rho(h, y)
+        def counting_weight(hy, hh):
+            rescored.append(hh)
+            return _weight(hy, hh)
 
-        monkeypatch.setattr(boost, "argmin_rho", counting_argmin_rho)
+        monkeypatch.setattr(boost, "_weight", counting_weight)
         for seed in range(10):
             rng = np.random.default_rng(seed)
             rows = rng.standard_normal((6, 40)) + rng.uniform(-3.0, 3.0, (6, 1))
@@ -377,6 +376,50 @@ class TestMatchesScalarOracle:
                     got = select_step(fam, Series("__residual__", resid), _config(1))
                 assert len(rescored) == len(fam), (seed, operand)
                 assert got == want[1], (seed, operand)
+
+    @pytest.mark.parametrize("count", [2, 3, 219])
+    @pytest.mark.parametrize("value", [1e150, -3.7, 1e-140, 1e-150, 5e-324])
+    def test_a_constant_residual_is_degenerate(self, count, value):
+        # the mean of a constant residual may round, so its centred sum of
+        # squares may be tiny rather than 0: above RESOLVED_FLOOR at T = 3
+        # and -3.7, and at T = 219 and 1e150 or -3.7, below it at T = 3 and
+        # 1e-140; only the comparison of its values tells
+        rng = np.random.default_rng(count)
+        fam = _family({f"c{i}": rng.standard_normal(count) for i in range(3)})
+        resid = np.full(count, value)
+        for operand, screen in SCREENS.items():
+            with screen():
+                rows = boost._checked_rows(fam, resid, "residual")
+                assert boost._best(fam, rows, resid, boost._pool(rows)) is None, operand
+                with pytest.raises(DegenerateResidual):
+                    select_step(fam, Series("__residual__", resid), _config(1))
+                with pytest.raises(NoAdmissibleMember):
+                    fit(fam, Series("__target__", resid), _config(2))
+
+    @pytest.mark.parametrize("field", ["gain", "slack_factor"])
+    def test_a_nan_bound_rescores_a_pool_row_and_no_other(self, field):
+        # a NaN estimate (through the gain) or a NaN slack gives row 3 a NaN
+        # interval: it is rescored, as the row whose interval sets the floor
+        # is, while row 5, outside the pool, never is, NaN or not
+        rng = np.random.default_rng(7)
+        values = rng.standard_normal((6, 40))
+        resid = values[0] + 0.1 * rng.standard_normal(40)
+        fam = _family({f"c{i}": v for i, v in enumerate(values)})
+        rows = boost._checked_rows(fam, resid, "residual")
+        pool = boost._pool(rows)
+        pool.mask[5] = False
+        pool.slack_factor[5] = np.nan
+        if field == "gain":
+            gain = rows.gain.copy()
+            gain[[3, 5]] = np.nan
+            rows = rows._replace(gain=gain)
+        else:
+            pool.slack_factor[3] = np.nan
+        found = boost._best(fam, rows, resid, pool)
+        assert sorted(rows.rescore) == [0, 3]
+        members = [(m.id, m.values) for m in fam.members]
+        want = scalar_select(members[:5], resid, -1.0)
+        assert found == (want[0], want[1])
 
     @pytest.mark.parametrize("count", [40, 64])
     def test_rows_and_target_near_the_top_of_the_float_range(self, count):

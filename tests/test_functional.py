@@ -314,3 +314,23 @@ class TestArgminRho:
             resid_inner = inner(h, y - rho * h)
             bound = 1e-8 * float(np.linalg.norm(h)) * float(np.linalg.norm(y))
             assert abs(resid_inner) <= bound
+
+
+@pytest.mark.parametrize("count", [37, 53, 219])
+def test_results_do_not_depend_on_where_a_row_sits(count):
+    # a row of a matrix with an odd row length starts off a 16-byte boundary
+    # when its index is odd; OpenBLAS's Katmai (Prescott) ddot sums such a
+    # vector in another order, so a dot of the view could differ from a dot
+    # of a fresh copy in its last bit
+    rng = np.random.default_rng(count)
+    matrix = rng.standard_normal((16, count))
+    y = rng.standard_normal(count)
+    assert any(row.ctypes.data % 16 for row in matrix)
+    for row in matrix:
+        copy = row.copy()
+        assert argmin_rho(row, y) == argmin_rho(copy, y)
+        assert argmin_rho(y, row) == argmin_rho(y, copy)
+        assert inner(row, row) == inner(copy, copy)
+        assert inner(row, y) == inner(copy, y)
+        assert lambda_err(0.7, row, y) == lambda_err(0.7, copy, y)
+        assert lambda_err(0.7, y, row) == lambda_err(0.7, y, copy)

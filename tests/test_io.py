@@ -592,6 +592,7 @@ class TestStrictModelTypes:
             ("config", "with_replacement", 0),
             ("config", "panel_size", 3.9),  # int(3.9) is 3
             ("config", "panel_size", True),
+            ("config", "panel_size", 2**63),  # past sys.maxsize
             ("config", "lbound", "-1"),
             ("config", "alpha", float("nan")),
             ("config", "transform", 1),

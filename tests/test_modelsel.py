@@ -335,8 +335,8 @@ class TestSweep:
             return checked_rows(family, y, name)
 
         def counting_best(family, rows, r, pool):
-            if np.array_equal(r, t_train.values) and pool.all():
-                first_steps.append(len(pool))
+            if np.array_equal(r, t_train.values) and pool.mask.all():
+                first_steps.append(len(pool.mask))
             return best(family, rows, r, pool)
 
         def counting_path(*args):

@@ -7,6 +7,7 @@ pins the one stderr line the CLI prints.
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -197,6 +198,13 @@ LIBRARY_CHECKS = [
     (lambda: GenSpec(2, 30, 1, seed=-1), "seed must be an unsigned 64-bit integer"),
     (lambda: SweepGrid((), (-1.0,), (1.0,), (RECIP,)), "panel_sizes must not be empty"),
     (lambda: SweepGrid((1,), (-1.0,), (), (RECIP,)), "alphas must not be empty"),
+    # islice, which cuts the path at panel_size, takes no larger count
+    (lambda: BoostConfig(sys.maxsize + 1, RECIP),
+     f"panel_size must be at most {sys.maxsize}, got {sys.maxsize + 1}"),
+    # numpy holds no array of more than sys.maxsize bytes
+    (lambda: GenSpec(sys.maxsize // 8 // 14 + 1, 14, 1),
+     f"a panel of {sys.maxsize // 8 // 14 + 1} x 14 values exceeds the largest array, "
+     f"{sys.maxsize // 8} values"),
 ]
 
 
@@ -245,6 +253,12 @@ TYPE_CHECKS = [
 def test_parameters_of_the_wrong_type_are_typed_errors(build, message):
     with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_the_largest_panel_size_fits():
+    family, target = generate(GenSpec(4, 20, 2, 0.1, 3))
+    model, _ = fit(family, target, BoostConfig(sys.maxsize, RECIP))
+    assert len(model.terms) <= len(family) and model.stopped_early
 
 
 def test_a_numpy_integer_panel_size_is_stored_as_an_int(tmp_path):
@@ -377,6 +391,15 @@ CLI_CHECKS = [
     (_sweep(panel_sizes="2,4,"), "empty item in list argument: '2,4,'"),
     (_sweep(panel_sizes="0"), "panel_size must be at least 1, got 0"),
     (_sweep(val="1.5"), "validation_fraction must lie in (0, 1), got 1.5"),
+    # each of these once ended in a traceback, from islice or from numpy
+    ([*FIT, "--panel-size", str(10**20 - 1)],
+     f"panel_size must be at most {sys.maxsize}, got {10**20 - 1}"),
+    (_sweep(panel_sizes=str(10**20 - 1)),
+     f"panel_size must be at most {sys.maxsize}, got {10**20 - 1}"),
+    ([*GEN, "--n", str(10**20), "--days", "14"],
+     f"a panel of {10**20} x 14 values exceeds the largest array, {sys.maxsize // 8} values"),
+    ([*GEN, "--days", str(10**20)],
+     f"a panel of 3 x {10**20} values exceeds the largest array, {sys.maxsize // 8} values"),
 ]
 
 
