@@ -105,6 +105,7 @@ from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid, _integ
 WEIGHT_TOLERANCE = 1e-12
 
 EPS = float(np.finfo(float).eps)
+FLOAT_MAX = float(np.finfo(float).max)
 # Bound, in units of T * eps, on the rounding error of the length-T sums and
 # dot products that screen candidates (relative to the scales the module
 # docstring and ``_Rows`` state); rounding analyses of those uses give at
@@ -202,6 +203,7 @@ class Selection(NamedTuple):
 
 class _Step(NamedTuple):
     member_id: str
+    row: int  # the member's row in the family's matrix
     weight: float  # alpha * raw_rho
     raw_rho: float
     score: float
@@ -432,6 +434,22 @@ def _best(
     each row of the C-contiguous matrix pairwise, as it sums the row alone.
     Usable rows are never zero or constant, so of ``_centred``'s checks only
     ``hc @ hc == 0`` is left.
+
+    Neither fill dot overflows unless the row's sum of squares ``s`` (from
+    ``Family.row_sums``) lies within a relative ``(T + 3) * eps`` of the
+    float maximum, so only such rows fill under ``np.errstate``. With the
+    unit roundoff ``u = eps / 2``, a sum of T nonnegative rounded products
+    lies within a factor ``(1 +- u)**T`` of its exact value in any order of
+    summation: ``s >= S * (1 - u)**T`` for ``S = sum(h**2)``, and ``h @ h
+    <= S * (1 + u)**T``. For the centred copy, with ``m`` the computed mean,
+    ``sum((h - m)**2) = S - T * mean(h)**2 + T * (mean(h) - m)**2``, and the
+    sum's rounding puts ``|mean(h) - m|`` within about ``u * sum(|h|)``, so
+    the last term is at most ``(T * u)**2 * S`` (Cauchy-Schwarz). Each
+    ``hc`` value rounds once more, so ``hc @ hc <= S * (1 + (T * u)**2) *
+    (1 + u)**(T + 2)``. Both dots are then at most ``s * (1 + (T + 1) *
+    eps)`` to first order, which leaves ``2 * eps`` for the higher orders.
+    No ``hc`` value overflows: ``|h|`` and ``|m|`` are at most ``sqrt(s)``
+    but for rounding, far below the maximum.
     """
     count = len(r)
     # the sum over the count is r.mean(), bit for bit, at less cost;
@@ -482,11 +500,15 @@ def _best(
         cached = rows.rescore.get(i)
         if cached is None:
             h = X[i].copy()
+            hc = h - rows.total[i] / count
             # as in _centred, a sum of squares that overflows is left for
-            # _correlation to reject
-            with np.errstate(over="ignore", invalid="ignore"):
-                hc = h - rows.total[i] / count
-                cached = rows.rescore[i] = (h, float(h.dot(h)), hc, float(hc.dot(hc)))
+            # _correlation to reject; only near the float maximum can one
+            if family.row_sums[0][i] < FLOAT_MAX / (1.0 + (count + 3) * EPS):
+                cached = (h, float(h.dot(h)), hc, float(hc.dot(hc)))
+            else:
+                with np.errstate(over="ignore"):
+                    cached = (h, float(h.dot(h)), hc, float(hc.dot(hc)))
+            rows.rescore[i] = cached
         h, hh, hc, shh = cached
         if shh == 0.0:  # _centred's DegenerateCorrelation
             continue
@@ -598,7 +620,7 @@ def _path(
         index, chosen = found
         weight = alpha * chosen.raw_rho
         prediction = prediction + weight * family.values[index]
-        yield _Step(chosen.member_id, weight, chosen.raw_rho, chosen.score, prediction)
+        yield _Step(chosen.member_id, index, weight, chosen.raw_rho, chosen.score, prediction)
         if not with_replacement:
             pool.mask[index] = False
             pool.slack_factor[index] = np.nan
@@ -650,25 +672,27 @@ def predict(model: PanelModel, family: Family) -> Series:
     order, the order in which ``fit`` accumulated them. A prediction beyond
     the float range is a NumericOverflow.
     """
-    return Series(PREDICTION_ID, _running_sums(model.terms, family)[-1])
-
-
-def _running_sums(terms: Sequence, family: Family) -> np.ndarray:
-    """Prediction of every prefix of ``terms``: row k sums the first k terms.
-
-    The cumulative sum down the rows of ``[zeros; weight_k * row_k]`` adds
-    the terms one after another, from zeros, as ``_path`` does, on a family
-    the path did not walk: ``predict`` takes the last row, the sweep every
-    row it reads on validation. Once a prefix is not finite, every longer
-    one is not either, so checking the last covers all.
-    """
-    rows = [family.index_of(term.member_id) for term in terms]
+    rows = [family.index_of(term.member_id) for term in model.terms]
     if None in rows:
-        raise MissingPanelMember(terms[rows.index(None)].member_id)
-    sums = np.zeros((len(rows) + 1, family.grid.count))
+        raise MissingPanelMember(model.terms[rows.index(None)].member_id)
+    weights = [term.weight for term in model.terms]
+    return Series(PREDICTION_ID, _running_sums(weights, family.values[rows])[-1])
+
+
+def _running_sums(weights: Sequence[float], values: np.ndarray) -> np.ndarray:
+    """Prediction of every prefix of a panel: row k sums its first k terms.
+
+    Term k is ``weights[k]`` times row k of ``values``, the ``(K, T)``
+    matrix of the members' observations. The cumulative sum down the rows
+    of ``[zeros; weight_k * row_k]`` adds the terms one after another, from
+    zeros, as ``_path`` does, on observations the path did not walk:
+    ``predict`` takes the last row, the sweep every row it reads on
+    validation. Once a prefix is not finite, every longer one is not
+    either, so checking the last covers all.
+    """
+    sums = np.zeros((len(weights) + 1, values.shape[1]))
     with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.array([term.weight for term in terms])
-        np.multiply(weights[:, None], family.values[rows], out=sums[1:])
+        np.multiply(np.array(weights)[:, None], values, out=sums[1:])
         sums = sums.cumsum(axis=0)
     if not np.isfinite(sums[-1]).all():
         raise NumericOverflow("the prediction overflows")

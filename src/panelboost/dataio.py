@@ -29,7 +29,6 @@ see a partial file; it gets the mode a plain open() would give it.
 from __future__ import annotations
 
 import csv
-import dataclasses
 import hashlib
 import itertools
 import json
@@ -440,7 +439,7 @@ def _fields(doc, names: tuple[str, ...], path: Path, where: str) -> dict:
 
 # ------------------------------------------------------------------ reports
 
-EVAL_REPORT_HEADER = [f.name for f in dataclasses.fields(Metrics)]
+EVAL_REPORT_HEADER = list(Metrics._fields)
 
 SWEEP_REPORT_HEADER = [
     "panel_size",
@@ -459,7 +458,7 @@ def _metric_cells(metrics: Metrics | None) -> list[str]:
     """One cell per Metrics field; a missing value is an empty cell."""
     if metrics is None:
         return [""] * len(EVAL_REPORT_HEADER)
-    return ["" if v is None else _fmt(v) for v in dataclasses.astuple(metrics)]
+    return ["" if v is None else _fmt(v) for v in metrics]
 
 
 def write_sweep_report(result: SweepResult, path) -> None:

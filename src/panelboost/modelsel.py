@@ -29,13 +29,14 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     """Pointwise and integral agreement between a prediction and a target.
 
     ``pearson`` is None when either side is constant; ``psi`` is NaN in that
     case. ``cumulative_abs_error`` is the absolute gap between the two
-    running integrals at the horizon end, in value-units times days.
+    running integrals at the horizon end, in value-units times days. A
+    named tuple, so it is immutable and compares and hashes as the tuple of
+    its fields.
     """
 
     rmse: float
@@ -204,12 +205,11 @@ class SweepGrid:
         object.__setattr__(self, "cells", cells)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep cell: a config plus its train/validation metrics.
 
     ``error`` carries the error code when fitting failed; the metric fields
-    are then None.
+    are then None. A named tuple, like ``Metrics``.
     """
 
     config: BoostConfig
@@ -240,37 +240,59 @@ def sweep(
     on alpha: the screen constants of the train family, the rows it has
     centred for the rescore, and the first step, taken against the target.
     A row's prefix is the path's ``_accepted`` prefix for its lbound, taken
-    once per distinct (alpha, lbound) and cut at its panel size; the rows
-    that differ only in their transform share it. A prefix predicts train with its last step's prediction, and
-    validation with one cumulative sum per alpha in ``predict``'s order,
-    taken only as far as some row reads it. The distinct (alpha, prefix)
-    pairs are measured as the rows of one matrix per segment, against
-    targets centred once per segment, and each (alpha, prefix, transform)
-    gets its ``Metrics`` once. If several prefixes fail to measure, the
-    error raised is the one of the first row that reads a failing prefix,
-    train before validation.
+    once per distinct (alpha, lbound) of the grid and cut at its panel size;
+    the rows that differ only in their transform share it. A prefix predicts
+    train with its last step's prediction, and validation with one
+    cumulative sum per alpha in ``predict``'s order, over the validation
+    columns of the family's matrix (no other segment is read), taken only
+    as far as some row reads it. The distinct (alpha, prefix) pairs are
+    measured as the rows of one matrix per segment, against targets centred
+    once per segment, and each (alpha, prefix, transform) gets its
+    ``Metrics`` once. The rows reading one prefix share its validation
+    RMSE, so the ranking compares, per prefix, only its reader with the
+    smallest panel, the earliest of those. If several prefixes fail to
+    measure, the error raised is the one of the first row that reads a
+    failing prefix, train before validation.
     """
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)
     tgt_train = restrict(target, train_range)
-    fam_val = restrict_family(family, val_range)
     tgt_val = restrict(target, val_range)
 
-    longest = max(config.panel_size for config in grid.cells)
+    # the cells are the product of the sizes, lbounds, alphas and
+    # transforms, in that order, so strides through them give each field's
+    # values as the configs hold them. A group is a run of cells that differ
+    # only in their transform
+    cells, kinds = grid.cells, len(grid.transforms)
+    groups_per_size = len(grid.lbounds) * len(grid.alphas)
+    sizes = [c.panel_size for c in cells[:: groups_per_size * kinds]]
+    lbounds = [c.lbound for c in cells[: groups_per_size * kinds : len(grid.alphas) * kinds]]
+    alphas = [c.alpha for c in cells[: len(grid.alphas) * kinds : kinds]]
+
+    longest = max(sizes)
     start = _start(fam_train, tgt_train)
     paths = {
         alpha: _accepted(_path(fam_train, tgt_train, alpha, False, start), longest, -1.0)
-        for alpha in dict.fromkeys(config.alpha for config in grid.cells)
+        for alpha in dict.fromkeys(alphas)
     }
     # the accepted prefix within panel_size is the one within the longest
     # size, cut at panel_size
     reach = {
         (alpha, lbound): len(_accepted(paths[alpha], longest, lbound))
-        for alpha, lbound in dict.fromkeys((c.alpha, c.lbound) for c in grid.cells)
+        for lbound in dict.fromkeys(lbounds) for alpha in paths
     }
-    lengths = [min(c.panel_size, reach[c.alpha, c.lbound]) for c in grid.cells]
-    # the (alpha, prefix) pairs some row reads, in the order of their first row
-    read = list(dict.fromkeys((c.alpha, n) for c, n in zip(grid.cells, lengths) if n))
+    # each group's (alpha, prefix) read key, None when it accepts nothing,
+    # and the first row that reads each key, by panel size and then position,
+    # in the order of the keys' first rows
+    groups: list[tuple[tuple[float, int] | None, bool]] = []
+    first: dict[tuple[float, int], tuple[int, int]] = {}
+    for g, (size, lbound, alpha) in enumerate(itertools.product(sizes, lbounds, alphas)):
+        n = min(size, reach[alpha, lbound])
+        key = (alpha, n) if n else None
+        groups.append((key, n < size))
+        if key is not None and (key not in first or size < first[key][0]):
+            first[key] = (size, g * kinds)
+    read = list(first)
     if not read:
         raise SweepFailed("every configuration failed to accept a member")
     # validation is summed only as far as some row reads it, so a longer
@@ -278,7 +300,13 @@ def sweep(
     depth: dict[float, int] = {}
     for alpha, n in read:
         depth[alpha] = max(depth.get(alpha, 0), n)
-    val_sums = {alpha: _running_sums(paths[alpha][:n], fam_val) for alpha, n in depth.items()}
+    columns = slice(val_range.start, val_range.stop)
+    val_sums = {}
+    for alpha, n in depth.items():
+        steps = paths[alpha][:n]
+        val_sums[alpha] = _running_sums(
+            [s.weight for s in steps], family.values[[s.row for s in steps], columns]
+        )
 
     step = family.grid.step
     train = _agreements(
@@ -289,28 +317,27 @@ def sweep(
         np.array([val_sums[alpha][n] for alpha, n in read]), _reference(tgt_val.values), step
     )
     # every prefix a row reads is read with each of the grid's transforms,
-    # by the rows that differ from it only there. A row finds its transform
-    # by position in kinds, which compares identities, since an enum member
-    # hashes through a Python-level __hash__
-    kinds = tuple(dict.fromkeys(grid.transforms))
+    # by the rows of its group. The metrics are scored once per distinct
+    # transform, and a transform listed twice shares its first listing's
+    distinct = tuple(dict.fromkeys(grid.transforms))
+    position = [distinct.index(kind) for kind in grid.transforms]
     metrics = {}
     for key, agreements in zip(read, zip(train, val)):
         for agreement in agreements:
             if isinstance(agreement, NumericOverflow):
                 raise agreement
-        metrics[key] = [tuple(_scored(a, kind) for a in agreements) for kind in kinds]
-    rows = [
-        SweepRow(config, *metrics[config.alpha, n][kinds.index(config.transform)],
-                 n < config.panel_size)
-        if n
-        else SweepRow(config, None, None, False, error="NoAdmissibleMember")
-        for config, n in zip(grid.cells, lengths)
-    ]
+        scored = [tuple(_scored(a, kind) for a in agreements) for kind in distinct]
+        metrics[key] = [scored[p] for p in position]
+    rows: list[SweepRow] = []
+    for g, (key, early) in enumerate(groups):
+        configs = cells[g * kinds : (g + 1) * kinds]
+        if key is None:
+            rows += [SweepRow(c, None, None, False, "NoAdmissibleMember") for c in configs]
+        else:
+            rows += [SweepRow(c, t, v, early) for c, (t, v) in zip(configs, metrics[key])]
 
-    ranked = [
-        (row.validation.rmse, row.config.panel_size, row.config.alpha, i)
-        for i, row in enumerate(rows)
-        if row.error is None
-    ]
-    return SweepResult(tuple(rows), min(ranked)[3])
-
+    best = min(
+        (agreement.rmse, size, alpha, row)
+        for agreement, ((alpha, _), (size, row)) in zip(val, first.items())
+    )
+    return SweepResult(tuple(rows), best[3])

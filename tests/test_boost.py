@@ -458,6 +458,41 @@ class TestMatchesScalarOracle:
             with pytest.raises(NumericOverflow, match="target"):
                 fit(fam, Series("__target__", target * 1e2), _config(5))
 
+    def test_a_row_whose_sum_of_squares_nears_the_float_maximum(self, monkeypatch):
+        # the family's row sum of squares is finite, at the float maximum,
+        # and on the default kernels BLAS's dot of the row with itself,
+        # summed in another order, overflows: the rescore must fill the row
+        # without a warning escaping (warnings are errors here)
+        big = [-7.08931656633448e153, -6.714810202786941e153, -2.0894799564845383e153,
+               -8.18647823236241e153, -2.5311907926738426e153, -2.499277741186979e153,
+               6.2012874072384725e152]
+        fam = _family({"big": big, "small": [1.0, 2.0, 3.0, 1.0, 2.0, 5.0, 1.0]})
+        sq_norm = fam.row_sums[0][0]
+        assert math.isfinite(sq_norm)
+        assert sq_norm >= np.finfo(float).max / (1.0 + 10 * np.finfo(float).eps)
+        members = [(m.id, m.values) for m in fam.members]
+        fills = []
+
+        def counting_weight(hy, hh):
+            fills.append(hh)
+            return _weight(hy, hh)
+
+        monkeypatch.setattr(boost, "_weight", counting_weight)
+        for target in ([1.0, -2.0, 3.0, 4.0, 1.0, 0.0, 2.0], [3.0, 1.0, -1.0, 2.0, 0.5, 1.0, 4.0]):
+            with np.errstate(over="ignore"):  # the oracle's argmin_rho takes h @ h
+                want_step = scalar_select(members, target, -1.0)
+                want_path, want_stopped = scalar_fit(members, target, 2)
+            for operand, screen in SCREENS.items():
+                with screen():
+                    got = select_step(fam, Series("__residual__", target), _config(1))
+                    model, _ = fit(fam, Series("__target__", target), _config(2))
+                assert got == want_step[1], operand
+                got_path = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
+                assert got_path == want_path, operand
+                assert model.stopped_early == want_stopped, operand
+        # the big row was rescored: its h @ h is the maximum or inf
+        assert any(hh >= sq_norm for hh in fills)
+
     @pytest.mark.parametrize("seed", range(5))
     def test_fit_path_on_generated_panels(self, seed):
         # noise-free panels hold exact multiples, whose scores tie in exact arithmetic

@@ -10,6 +10,7 @@ from panelboost import (
     EmptyInput,
     Family,
     GenSpec,
+    Metrics,
     NoAdmissibleMember,
     NumericOverflow,
     Series,
@@ -17,6 +18,7 @@ from panelboost import (
     SplitSpec,
     SweepFailed,
     SweepGrid,
+    SweepRow,
     TimeGrid,
     TransformKind,
     boost,
@@ -32,6 +34,7 @@ from panelboost import (
     split,
     sweep,
 )
+from panelboost.dataio import EVAL_REPORT_HEADER, SWEEP_REPORT_HEADER
 
 RECIP = TransformKind.RECIPROCAL
 WITCH = TransformKind.WITCH
@@ -294,6 +297,28 @@ class TestSweep:
         assert [row.stopped_early for row in result.rows] == [False, True]
         assert result.rows[0].validation == result.rows[1].validation
 
+    def test_a_member_past_the_float_range_on_the_test_segment_only(self):
+        # the second step's weight, about 1.74, would take member b's 1.5e308
+        # past the float range, but only on the test segment, which the
+        # sweep never reads
+        rng = np.random.default_rng(3)
+        days = np.arange(1.0, 11.0)
+        a = np.r_[days, np.arange(1.0, 7.0), np.ones(4)]
+        b = np.r_[0.5 * np.tile([1.0, -1.0], 5), np.ones(6), np.full(4, 1.5e308)]
+        fam = Family(TimeGrid(0.0, 1.0, 20), (Series("a", a), Series("b", b)))
+        target = Series("__target__", np.r_[a[:10] + 2.0 * b[:10] + 2.0 * rng.standard_normal(10),
+                                            np.arange(1.0, 7.0), np.ones(4)])
+        split_spec = SplitSpec(0.5, 0.3)
+        model, _ = fit(restrict_family(fam, range(10)), restrict(target, range(10)),
+                       BoostConfig(2, RECIP))
+        assert [t.member_id for t in model.terms] == ["a", "b"]
+        assert abs(model.terms[1].weight) * 1.5e308 > np.finfo(float).max
+        grid = SweepGrid((1, 2), (-1.0,), (1.0, 0.5), (RECIP, WITCH))
+        result = sweep(fam, target, split_spec, grid)
+        want = scratch_sweep(fam, target, split_spec, grid)
+        assert [repr(row) for row in result.rows] == [repr(row) for row in want.rows]
+        assert result.best == want.best
+
     @pytest.mark.parametrize("constant_target", [False, True])
     def test_a_grid_that_reads_no_prefix_fails(self, constant_target):
         # every alpha's path starts with the same step, so either every
@@ -441,9 +466,9 @@ class TestSweep:
     def test_sweep_sums_only_validation_prefixes_once_per_alpha(self, monkeypatch):
         calls = []
 
-        def counting_sums(terms, family):
-            calls.append((len(terms), family))
-            return running_sums(terms, family)
+        def counting_sums(weights, values):
+            calls.append((len(weights), values))
+            return running_sums(weights, values)
 
         running_sums = modelsel._running_sums
         monkeypatch.setattr(modelsel, "_running_sums", counting_sums)
@@ -462,8 +487,12 @@ class TestSweep:
                 model, _ = fit(f_train, t_train, row.config)
                 read[row.config.alpha] = max(read[row.config.alpha], len(model.terms))
         assert read == {1.0: 2, 0.6: 5}
-        f_val = restrict_family(fam, val)
-        assert calls == [(2, f_val), (5, f_val)]
+        assert [depth for depth, _ in calls] == [2, 5]
+        # the validation columns of the family's own rows, no validation family
+        for (depth, values), alpha in zip(calls, (1.0, 0.6)):
+            model, _ = fit(f_train, t_train, BoostConfig(depth, RECIP, -1.0, alpha))
+            rows = [fam.index_of(t.member_id) for t in model.terms]
+            np.testing.assert_array_equal(values, fam.values[rows, val.start:val.stop])
 
     def test_a_validation_prediction_beyond_the_float_range_overflows(self):
         # fitted on tiny train values, the weight is about 1e10; on validation
@@ -482,6 +511,69 @@ class TestSweep:
             SweepGrid((1,), (-2.0,), (1.0,), (RECIP,))
         with pytest.raises(ValueError):
             SweepGrid((1,), (-1.0,), (0.0,), (RECIP,))
+
+
+class TestRecords:
+    """``Metrics`` and ``SweepRow`` are named tuples with the fields, repr and
+    value semantics the frozen records they replaced had."""
+
+    def test_fields_defaults_and_repr(self):
+        metrics = Metrics(0.5, 0.25, None, float("nan"), 2.0)
+        assert Metrics._fields == ("rmse", "mae", "pearson", "psi", "cumulative_abs_error")
+        assert repr(metrics) == ("Metrics(rmse=0.5, mae=0.25, pearson=None, psi=nan, "
+                                 "cumulative_abs_error=2.0)")
+        config = BoostConfig(3, RECIP, 0.5, 0.25)
+        row = SweepRow(config, metrics, None, True)
+        assert SweepRow._fields == ("config", "train", "validation", "stopped_early", "error")
+        assert row.error is None
+        assert repr(row) == (
+            "SweepRow(config=BoostConfig(panel_size=3, transform=<TransformKind.RECIPROCAL: "
+            "'reciprocal'>, lbound=0.5, alpha=0.25, with_replacement=False), "
+            "train=Metrics(rmse=0.5, mae=0.25, pearson=None, psi=nan, "
+            "cumulative_abs_error=2.0), validation=None, stopped_early=True, error=None)"
+        )
+        failed = SweepRow(config, None, None, False, "NoAdmissibleMember")
+        assert failed.error == "NoAdmissibleMember"
+
+    def test_equal_values_compare_and_hash_equal(self):
+        one, two = Metrics(0.5, 0.25, -0.125, 3.0, 2.0), Metrics(0.5, 0.25, -0.125, 3.0, 2.0)
+        assert one == two and hash(one) == hash(two)
+        assert one != Metrics(0.5, 0.25, -0.125, 3.0, 2.5)
+        config = BoostConfig(3, RECIP, 0.5, 0.25)
+        row, same = SweepRow(config, one, two, False), SweepRow(config, two, one, False)
+        assert row == same and hash(row) == hash(same)
+        assert row != SweepRow(config, one, two, True)
+
+    def test_fields_cannot_be_assigned(self):
+        metrics = Metrics(0.5, 0.25, None, float("nan"), 2.0)
+        row = SweepRow(BoostConfig(3, RECIP), metrics, metrics, False)
+        with pytest.raises(AttributeError):
+            metrics.rmse = 1.0
+        with pytest.raises(AttributeError):
+            row.error = "NoAdmissibleMember"
+
+    def test_report_headers(self):
+        assert EVAL_REPORT_HEADER == ["rmse", "mae", "pearson", "psi", "cumulative_abs_error"]
+        assert SWEEP_REPORT_HEADER == [
+            "panel_size", "lbound", "alpha", "transform", "error", "stopped_early",
+            "train_rmse", "train_mae", "train_pearson", "train_psi",
+            "train_cumulative_abs_error",
+            "val_rmse", "val_mae", "val_pearson", "val_psi", "val_cumulative_abs_error",
+            "best",
+        ]
+
+    def test_rows_that_share_alpha_prefix_and_transform_share_metrics(self):
+        # a transform listed twice reads the metrics of its first listing
+        fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        grid = SweepGrid((3, 10), (-1.0, 0.28), (1.0, 0.6), (RECIP, WITCH, RECIP))
+        result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        for group in zip(*[iter(result.rows)] * 3):
+            first, witch, again = group
+            assert again.train is first.train and again.validation is first.validation
+            assert witch.train is not first.train
+        want = scratch_sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        assert [repr(row) for row in result.rows] == [repr(row) for row in want.rows]
 
 
 # Sweeps on random families (zero, constant and duplicate rows next to plain

@@ -5,6 +5,8 @@ raises ``InvalidParameter``, which the CLI maps to exit 2. Each case also
 pins the one stderr line the CLI prints.
 """
 
+import contextlib
+import io
 import math
 import re
 import sys
@@ -12,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelboost import (
     BoostConfig,
@@ -445,3 +449,77 @@ def test_a_stray_value_error_is_a_bug_not_an_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(cli.dataio, "read_panel_csv", broken)
     with pytest.raises(ValueError, match="not a parameter problem"):
         main(["fit", "--data", str(data), *FIT[1:]])
+
+
+# Every numeric option of gen, fit and sweep, driven with extreme values in
+# process: each run exits 0, 1 or 2, prints exactly one error line when it
+# fails and none when it succeeds, and raises nothing (a warning would raise
+# too: warnings are errors here). A run changes one or two options of a
+# valid command, so that each value meets each option's own check. Sizes
+# are drawn only where they fail before anything is allocated: the largest
+# panel gen can build from these values is 10 x 20, and fit and sweep read
+# a 6 x 30 panel. --with-replacement is never drawn, since a path with
+# replacement and a huge panel size is walked until the panel is full.
+EXTREMES = ("0", "0.0", "-0.0", "-1", str(sys.maxsize), str(sys.maxsize + 1), str(10**20),
+            "nan", "inf", "-inf", "5e-324", "1e400", "", "1_0", "0x10")
+
+
+@st.composite
+def _options(draw, defaults, lists=(), optional=()):
+    """``defaults`` with one or two options set to an extreme value.
+
+    An option in ``lists`` gets a list of one to three items, each extreme,
+    empty or its default; one in ``optional`` may also be left out (None).
+    """
+    options = dict(defaults)
+    for name in draw(st.sets(st.sampled_from(sorted(defaults)), min_size=1, max_size=2)):
+        if name in lists:
+            items = st.sampled_from(EXTREMES + (defaults[name],))
+            value = st.lists(items, min_size=1, max_size=3).map(",".join)
+        else:
+            value = st.sampled_from(EXTREMES + ((None,) if name in optional else ()))
+        options[name] = draw(value)
+    return [f"{name}={value}" for name, value in options.items() if value is not None]
+
+
+@pytest.fixture(scope="module")
+def cli_dir(tmp_path_factory):
+    where = tmp_path_factory.mktemp("cli")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["gen", "--out", str(where / "panel.csv"), "--n", "6", "--days", "30",
+                     "--seed", "4"]) == 0
+    return where
+
+
+def _run_cli(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    assert code in (0, 1, 2), (argv, code)
+    assert len(errors) == (0 if code == 0 else 1), (argv, err.getvalue())
+    if code == 0:
+        assert out.getvalue().startswith("wrote "), argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_options({"--n": "4", "--days": "20", "--archetypes": "2", "--noise": "0.05",
+                 "--seed": "0"}))
+def test_gen_with_extreme_numbers(cli_dir, options):
+    _run_cli(["gen", f"--out={cli_dir / 'gen.csv'}", *options])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_options({"--panel-size": "2", "--lbound": "-1", "--alpha": "1", "--train": "0.6",
+                 "--val": "0.2"}, optional=("--train", "--val")))
+def test_fit_with_extreme_numbers(cli_dir, options):
+    _run_cli(["fit", f"--data={cli_dir / 'panel.csv'}", f"--model-out={cli_dir / 'm.json'}",
+              "--transform=witch", *options])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(_options({"--train": "0.6", "--val": "0.2", "--panel-sizes": "1,2", "--lbounds": "-1",
+                 "--alphas": "1"}, lists=("--panel-sizes", "--lbounds", "--alphas")))
+def test_sweep_with_extreme_numbers(cli_dir, options):
+    _run_cli(["sweep", f"--data={cli_dir / 'panel.csv'}", f"--report={cli_dir / 'r.csv'}",
+              "--transforms=witch,reciprocal", *options])
