@@ -17,13 +17,13 @@ depends on the family alone is computed once per fit (``_checked_rows``),
 and each step only scales those by scalars of its residual, in units of
 ``1 / spread(r)`` so that it never divides. A row whose sign of ``raw_rho``
 the screen cannot tell gets an infinite interval, so it is always rescored.
-The rescore reads each row from a per-fit cache: a fresh copy of the row,
-which starts on a 16-byte boundary wherever the row sits in the matrix,
-its sum of squares, its centred copy and that copy's sum of squares (see
-``_best``). A residual is compared value by value for constancy only where
-its centred sum of squares is small enough for a constant one to give it
-(``_constant``), and the pool gives each row outside it a NaN slack, so
-that the floor of the rows' intervals is one plain reduction (``_Pool``).
+The rescore copies each row it reads, so the copy starts on a 16-byte
+boundary wherever the row sits in the matrix, and centres the copy with
+the row's sum (see ``_best``). A residual is compared value by value for
+constancy only where its centred sum of squares is small enough for a
+constant one to give it (``_constant``), and the pool gives each row
+outside it a NaN slack, so that the floor of the rows' intervals is one
+plain reduction (``_Pool``).
 Dots of two vectors are ``ndarray.dot``, the BLAS call of ``@`` bit for
 bit, without the dispatch of the matmul ufunc (about 0.4 us a call at the
 benchmark's shapes). The screen's matrix-vector product stays ``@``:
@@ -33,8 +33,8 @@ because each iteration consumes the previous residual, and it ends when a
 count of the pool's rows reaches 0 or the residual is degenerate. Each
 step carries its weight and its prediction, from which ``fit`` takes its
 terms and trace and the sweep its train predictions. The sweep's paths,
-one per distinct alpha, share the screen quantities, the rescore's cache
-and the first step (``_start``): none of them depends on alpha.
+one per distinct alpha, share the screen quantities and the first step
+(``_start``): neither depends on alpha.
 
 The screen has two operands, chosen by the size of the family's matrix and
 by how often it has been screened. Below ``SCREEN32_MIN_BYTES`` (2 MiB, the
@@ -323,14 +323,7 @@ class _Rows(NamedTuple):
     neither zero nor constant; it is exact (only unresolved rows can be
     constant, and those are checked value by value). The other rows can
     never be selected, but their screen interval is the whole range, so
-    without the mask they would be rescored every iteration.
-
-    ``rescore`` maps a row already rescored to ``(h, h @ h, hc, hc @
-    hc)``: a fresh copy of the row, so it starts on a 16-byte boundary, and
-    its ``_centred`` pair, all of which depend on the family alone;
-    ``_best`` fills it.
-    ``screens`` is the family's count of screens on its matrix
-    (``Family._float64_screens``), which ``_best`` counts up. The module
+    without the mask they would be rescored every iteration. The module
     docstring gives the reasons for the operand's rules and derives the
     screen's rounding bound.
     """
@@ -342,15 +335,31 @@ class _Rows(NamedTuple):
     sign_gain: np.ndarray
     slack_factor: np.ndarray
     usable: np.ndarray
-    rescore: dict[int, tuple[np.ndarray, float, np.ndarray, float]]
-    screens: list[int]
 
 
 def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
     """Per-row quantities of the candidates, checked against each other and ``y``.
 
-    A sum of squares that is not finite, of ``y`` or of a candidate, is a
-    NumericOverflow: every score computed from it would be meaningless.
+    A sum of squares of ``y`` that is not finite is a NumericOverflow, and
+    so is a candidate's sum of squares ``s`` (from ``Family.row_sums``)
+    that is not below ``FLOAT_MAX / (1 + (T + 3) * eps)``: every score
+    computed from it would be meaningless, or the rescore's dots could
+    overflow. Below that bound, ``centred_sq`` is finite too, since its
+    subtracted term is at most ``s`` but for one rounding.
+
+    The bound keeps the rescore's two sums of squares in ``_best`` finite.
+    With the unit roundoff ``u = eps / 2``, a sum of T nonnegative rounded
+    products lies within a factor ``(1 +- u)**T`` of its exact value in any
+    order of summation: ``s >= S * (1 - u)**T`` for ``S = sum(h**2)``, and
+    ``h @ h <= S * (1 + u)**T``. For the centred copy, with ``m`` the
+    computed mean, ``sum((h - m)**2) = S - T * mean(h)**2 + T * (mean(h) -
+    m)**2``, and the sum's rounding puts ``|mean(h) - m|`` within about ``u
+    * sum(|h|)``, so the last term is at most ``(T * u)**2 * S``
+    (Cauchy-Schwarz). Each ``hc`` value rounds once more, so ``hc @ hc <= S
+    * (1 + (T * u)**2) * (1 + u)**(T + 2)``. Both dots are then at most ``s
+    * (1 + (T + 1) * eps)`` to first order, which leaves ``2 * eps`` for the
+    higher orders. No ``hc`` value overflows: ``|h|`` and ``|m|`` are at
+    most ``sqrt(s)`` but for rounding, far below the maximum.
     """
     count = family.grid.count
     if not len(family):
@@ -362,10 +371,11 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
         if not math.isfinite(y.dot(y)):
             raise NumericOverflow(f"the {name}'s sum of squares overflows")
         sq_norm, total = family.row_sums
-        centred_sq = sq_norm - total * (total / count)
-        if not np.isfinite(centred_sq).all():
-            member = family.ids[np.flatnonzero(~np.isfinite(centred_sq))[0]]
+        bounded = sq_norm < FLOAT_MAX / (1.0 + (count + 3) * EPS)
+        if not bounded.all():
+            member = family.ids[np.flatnonzero(~bounded)[0]]
             raise NumericOverflow(f"member {member!r}: its sum of squares overflows")
+        centred_sq = sq_norm - total * (total / count)
         unresolved = (centred_sq <= unit * sq_norm) | (centred_sq < RESOLVED_FLOOR)
         usable = sq_norm > 0.0
         if unresolved.any():
@@ -375,12 +385,12 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
         slack_factor = np.where(unresolved, np.inf, unit * (1.0 + h_norm / h_spread) ** 2)
         inv_spread = np.where(unresolved, 0.0, 1.0 / h_spread)
     operand, gain = family.values, inv_spread
-    screens = family._float64_screens
-    if family.values.nbytes >= SCREEN32_MIN_BYTES and screens[0] >= SCREEN32_AFTER_SCREENS:
+    if (family.values.nbytes >= SCREEN32_MIN_BYTES
+            and family._float64_screens[0] >= SCREEN32_AFTER_SCREENS):
         operand, scale = family._centred32
         gain = scale * inv_spread
     return _Rows(total, operand, gain, total * inv_spread, unit * h_norm * inv_spread,
-                 slack_factor, usable, {}, screens)
+                 slack_factor, usable)
 
 
 def _best(
@@ -425,31 +435,14 @@ def _best(
     enough for a constant ``r`` to give it (the bound is derived there); the
     float32 screen reads them for its scale.
 
-    The rescore takes each row from ``rows.rescore``, filled the first time
-    the row is rescored in a fit (or a sweep): a fresh copy ``h`` of the
-    row, which starts on a 16-byte boundary wherever the row sits in the
-    matrix, ``h @ h``, and ``hc = h - total / T`` with ``hc @ hc``.
-    ``raw_rho`` is then ``_weight(h @ r, h @ h)``, which is ``argmin_rho(h,
-    r)`` bit for bit, and ``hc`` is ``_centred(h)`` bit for bit: numpy sums
-    each row of the C-contiguous matrix pairwise, as it sums the row alone.
-    Usable rows are never zero or constant, so of ``_centred``'s checks only
-    ``hc @ hc == 0`` is left.
-
-    Neither fill dot overflows unless the row's sum of squares ``s`` (from
-    ``Family.row_sums``) lies within a relative ``(T + 3) * eps`` of the
-    float maximum, so only such rows fill under ``np.errstate``. With the
-    unit roundoff ``u = eps / 2``, a sum of T nonnegative rounded products
-    lies within a factor ``(1 +- u)**T`` of its exact value in any order of
-    summation: ``s >= S * (1 - u)**T`` for ``S = sum(h**2)``, and ``h @ h
-    <= S * (1 + u)**T``. For the centred copy, with ``m`` the computed mean,
-    ``sum((h - m)**2) = S - T * mean(h)**2 + T * (mean(h) - m)**2``, and the
-    sum's rounding puts ``|mean(h) - m|`` within about ``u * sum(|h|)``, so
-    the last term is at most ``(T * u)**2 * S`` (Cauchy-Schwarz). Each
-    ``hc`` value rounds once more, so ``hc @ hc <= S * (1 + (T * u)**2) *
-    (1 + u)**(T + 2)``. Both dots are then at most ``s * (1 + (T + 1) *
-    eps)`` to first order, which leaves ``2 * eps`` for the higher orders.
-    No ``hc`` value overflows: ``|h|`` and ``|m|`` are at most ``sqrt(s)``
-    but for rounding, far below the maximum.
+    The rescore reads a fresh copy ``h`` of each row, which starts on a
+    16-byte boundary wherever the row sits in the matrix, and its centred
+    copy ``hc = h - total / T``. ``raw_rho`` is ``_weight(h @ r, h @ h)``,
+    which is ``argmin_rho(h, r)`` bit for bit, and ``hc`` is ``_centred(h)``
+    bit for bit: numpy sums each row of the C-contiguous matrix pairwise, as
+    it sums the row alone. Usable rows are never zero or constant, so of
+    ``_centred``'s checks only ``hc @ hc == 0`` is left. Neither sum of
+    squares overflows, by the bound ``_checked_rows`` puts on the rows.
     """
     count = len(r)
     # the sum over the count is r.mean(), bit for bit, at less cost;
@@ -474,7 +467,7 @@ def _best(
         slack = pool.slack_factor * r_norm
         sign_bound = rows.sign_gain * r_norm
         if rows.operand is X:
-            rows.screens[0] += 1
+            family._float64_screens[0] += 1
             est = (X @ rc) * rows.gain
         else:
             # rc scaled as the rows are: its largest |value| is r's largest
@@ -497,23 +490,13 @@ def _best(
 
     best: tuple[int, Selection] | None = None
     for i in near.tolist():
-        cached = rows.rescore.get(i)
-        if cached is None:
-            h = X[i].copy()
-            hc = h - rows.total[i] / count
-            # as in _centred, a sum of squares that overflows is left for
-            # _correlation to reject; only near the float maximum can one
-            if family.row_sums[0][i] < FLOAT_MAX / (1.0 + (count + 3) * EPS):
-                cached = (h, float(h.dot(h)), hc, float(hc.dot(hc)))
-            else:
-                with np.errstate(over="ignore"):
-                    cached = (h, float(h.dot(h)), hc, float(hc.dot(hc)))
-            rows.rescore[i] = cached
-        h, hh, hc, shh = cached
+        h = X[i].copy()
+        hc = h - rows.total[i] / count
+        shh = float(hc.dot(hc))
         if shh == 0.0:  # _centred's DegenerateCorrelation
             continue
         try:
-            raw_rho = _weight(float(h.dot(r)), hh)
+            raw_rho = _weight(float(h.dot(r)), float(h.dot(h)))
         except ZeroCandidate:
             continue
         # pearson(r, h), on the residual centred above
@@ -575,8 +558,8 @@ def _pool(rows: _Rows) -> _Pool:
 class _Start(NamedTuple):
     """What every path on one family and target shares, whatever its alpha.
 
-    The screen constants with their rescore cache, and the first step:
-    its residual is the target and its pool every usable row.
+    The screen constants and the first step: its residual is the target
+    and its pool every usable row.
     """
 
     rows: _Rows

@@ -194,18 +194,27 @@ def argmin_rho(h, y) -> float:
     from the dots of a copy. Copying a row of 219 floats costs less than
     reading its address (about 0.3 us against 1.4 us through ``ctypes``).
     The formula after the checks is ``_weight``, which the selection
-    rescore in ``boost`` calls on its own fresh copies.
+    rescore in ``boost`` calls on its own fresh copies. A dot or a weight
+    that overflows is a NumericOverflow, with no warning, as in ``pearson``.
     """
     ha, ya = _as_pair(h, y)
     ha, ya = ha.copy(), ya.copy()
-    return _weight(float(ha @ ya), float(ha @ ha))
+    with np.errstate(over="ignore"):
+        hy, hh = float(ha @ ya), float(ha @ ha)
+    return _weight(hy, hh)
 
 
 def _weight(hy: float, hh: float) -> float:
-    """``argmin_rho``'s formula, unchecked: the weight from <h, y> and <h, h>.
+    """``argmin_rho``'s formula: the weight from <h, y> and <h, h>.
 
-    A zero ``hh`` raises ZeroCandidate.
+    A zero ``hh`` raises ZeroCandidate, and an infinite ``hh`` (a dot that
+    overflowed) or weight NumericOverflow.
     """
     if hh == 0.0:
         raise ZeroCandidate("candidate is identically zero")
-    return hy / hh
+    if hh == math.inf:
+        raise NumericOverflow("the candidate's sum of squares overflows")
+    weight = hy / hh
+    if abs(weight) == math.inf:
+        raise NumericOverflow("the candidate's least-squares weight overflows")
+    return weight

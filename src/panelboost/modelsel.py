@@ -237,62 +237,47 @@ def sweep(
     Each row is ``_accepted`` of the path ``fit`` uses. That path is walked
     once per distinct alpha, as far as the largest panel size with lbound -1;
     no term, model or trace is built. The paths share what does not depend
-    on alpha: the screen constants of the train family, the rows it has
-    centred for the rescore, and the first step, taken against the target.
-    A row's prefix is the path's ``_accepted`` prefix for its lbound, taken
-    once per distinct (alpha, lbound) of the grid and cut at its panel size;
-    the rows that differ only in their transform share it. A prefix predicts
-    train with its last step's prediction, and validation with one
-    cumulative sum per alpha in ``predict``'s order, over the validation
-    columns of the family's matrix (no other segment is read), taken only
-    as far as some row reads it. The distinct (alpha, prefix) pairs are
-    measured as the rows of one matrix per segment, against targets centred
-    once per segment, and each (alpha, prefix, transform) gets its
-    ``Metrics`` once. The rows reading one prefix share its validation
-    RMSE, so the ranking compares, per prefix, only its reader with the
-    smallest panel, the earliest of those. If several prefixes fail to
-    measure, the error raised is the one of the first row that reads a
-    failing prefix, train before validation.
+    on alpha: the screen constants of the train family and the first step,
+    taken against the target. The rows that differ only in their transform
+    form a group and read one prefix: the path's ``_accepted`` prefix for
+    their lbound, taken once per distinct (alpha, lbound) and cut at their
+    panel size. A prefix predicts train with its last step's prediction,
+    and validation with one cumulative sum per alpha in ``predict``'s
+    order, over the validation columns of the family's matrix (no other
+    segment is read), taken only as far as some row reads it. The distinct
+    (alpha, prefix) pairs are measured as the rows of one matrix per
+    segment, against targets centred once per segment, and each (alpha,
+    prefix, transform) gets its ``Metrics`` once. The ranking compares the
+    groups by their first rows, which carry each group's smallest (rmse,
+    size, alpha, row). If several prefixes fail to measure, the error
+    raised is the one of the first row that reads a failing prefix, train
+    before validation.
     """
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)
     tgt_train = restrict(target, train_range)
     tgt_val = restrict(target, val_range)
 
-    # the cells are the product of the sizes, lbounds, alphas and
-    # transforms, in that order, so strides through them give each field's
-    # values as the configs hold them. A group is a run of cells that differ
-    # only in their transform
-    cells, kinds = grid.cells, len(grid.transforms)
-    groups_per_size = len(grid.lbounds) * len(grid.alphas)
-    sizes = [c.panel_size for c in cells[:: groups_per_size * kinds]]
-    lbounds = [c.lbound for c in cells[: groups_per_size * kinds : len(grid.alphas) * kinds]]
-    alphas = [c.alpha for c in cells[: len(grid.alphas) * kinds : kinds]]
-
-    longest = max(sizes)
+    # a group is a run of cells that differ only in their transform, the
+    # last field of the product; its first cell stands for it
+    kinds = len(grid.transforms)
+    heads = grid.cells[::kinds]
+    longest = max(c.panel_size for c in heads)
     start = _start(fam_train, tgt_train)
     paths = {
         alpha: _accepted(_path(fam_train, tgt_train, alpha, False, start), longest, -1.0)
-        for alpha in dict.fromkeys(alphas)
+        for alpha in dict.fromkeys(c.alpha for c in heads)
     }
     # the accepted prefix within panel_size is the one within the longest
     # size, cut at panel_size
     reach = {
         (alpha, lbound): len(_accepted(paths[alpha], longest, lbound))
-        for lbound in dict.fromkeys(lbounds) for alpha in paths
+        for alpha, lbound in dict.fromkeys((c.alpha, c.lbound) for c in heads)
     }
-    # each group's (alpha, prefix) read key, None when it accepts nothing,
-    # and the first row that reads each key, by panel size and then position,
-    # in the order of the keys' first rows
-    groups: list[tuple[tuple[float, int] | None, bool]] = []
-    first: dict[tuple[float, int], tuple[int, int]] = {}
-    for g, (size, lbound, alpha) in enumerate(itertools.product(sizes, lbounds, alphas)):
-        n = min(size, reach[alpha, lbound])
-        key = (alpha, n) if n else None
-        groups.append((key, n < size))
-        if key is not None and (key not in first or size < first[key][0]):
-            first[key] = (size, g * kinds)
-    read = list(first)
+    # each group's (alpha, prefix length) read key, a length of 0 when it
+    # accepts nothing, and the keys some group reads, in order
+    keys = [(c.alpha, min(c.panel_size, reach[c.alpha, c.lbound])) for c in heads]
+    read = [key for key in dict.fromkeys(keys) if key[1]]
     if not read:
         raise SweepFailed("every configuration failed to accept a member")
     # validation is summed only as far as some row reads it, so a longer
@@ -329,15 +314,17 @@ def sweep(
         scored = [tuple(_scored(a, kind) for a in agreements) for kind in distinct]
         metrics[key] = [scored[p] for p in position]
     rows: list[SweepRow] = []
-    for g, (key, early) in enumerate(groups):
-        configs = cells[g * kinds : (g + 1) * kinds]
-        if key is None:
-            rows += [SweepRow(c, None, None, False, "NoAdmissibleMember") for c in configs]
-        else:
+    for g, (head, key) in enumerate(zip(heads, keys)):
+        configs = grid.cells[g * kinds : (g + 1) * kinds]
+        if key[1]:
+            early = key[1] < head.panel_size
             rows += [SweepRow(c, t, v, early) for c, (t, v) in zip(configs, metrics[key])]
+        else:
+            rows += [SweepRow(c, None, None, False, "NoAdmissibleMember") for c in configs]
 
+    rmse = {key: agreement.rmse for key, agreement in zip(read, val)}
     best = min(
-        (agreement.rmse, size, alpha, row)
-        for agreement, ((alpha, _), (size, row)) in zip(val, first.items())
+        (rmse[key], head.panel_size, head.alpha, g * kinds)
+        for g, (head, key) in enumerate(zip(heads, keys)) if key[1]
     )
     return SweepResult(tuple(rows), best[3])

@@ -41,7 +41,7 @@ from panelboost import (
     series,
     sweep,
 )
-from panelboost.functional import _centred, _weight
+from panelboost.functional import _centred, _weight, argmin_rho
 
 RECIP = TransformKind.RECIPROCAL
 
@@ -397,10 +397,17 @@ class TestMatchesScalarOracle:
                     fit(fam, Series("__target__", resid), _config(2))
 
     @pytest.mark.parametrize("field", ["gain", "slack_factor"])
-    def test_a_nan_bound_rescores_a_pool_row_and_no_other(self, field):
+    def test_a_nan_bound_rescores_a_pool_row_and_no_other(self, field, monkeypatch):
         # a NaN estimate (through the gain) or a NaN slack gives row 3 a NaN
         # interval: it is rescored, as the row whose interval sets the floor
         # is, while row 5, outside the pool, never is, NaN or not
+        rescored = []
+
+        def counting_weight(hy, hh):
+            rescored.append(hh)
+            return _weight(hy, hh)
+
+        monkeypatch.setattr(boost, "_weight", counting_weight)
         rng = np.random.default_rng(7)
         values = rng.standard_normal((6, 40))
         resid = values[0] + 0.1 * rng.standard_normal(40)
@@ -416,7 +423,9 @@ class TestMatchesScalarOracle:
         else:
             pool.slack_factor[3] = np.nan
         found = boost._best(fam, rows, resid, pool)
-        assert sorted(rows.rescore) == [0, 3]
+        # each rescored row is told by its sum of squares, all distinct here
+        sums_of_squares = [float(h.copy() @ h.copy()) for h in fam.values]
+        assert [sums_of_squares.index(hh) for hh in rescored] == [0, 3]
         members = [(m.id, m.values) for m in fam.members]
         want = scalar_select(members[:5], resid, -1.0)
         assert found == (want[0], want[1])
@@ -458,30 +467,58 @@ class TestMatchesScalarOracle:
             with pytest.raises(NumericOverflow, match="target"):
                 fit(fam, Series("__target__", target * 1e2), _config(5))
 
-    def test_a_row_whose_sum_of_squares_nears_the_float_maximum(self, monkeypatch):
-        # the family's row sum of squares is finite, at the float maximum,
-        # and on the default kernels BLAS's dot of the row with itself,
-        # summed in another order, overflows: the rescore must fill the row
-        # without a warning escaping (warnings are errors here)
-        big = [-7.08931656633448e153, -6.714810202786941e153, -2.0894799564845383e153,
-               -8.18647823236241e153, -2.5311907926738426e153, -2.499277741186979e153,
-               6.2012874072384725e152]
-        fam = _family({"big": big, "small": [1.0, 2.0, 3.0, 1.0, 2.0, 5.0, 1.0]})
+    # a row whose sum of squares from Family.row_sums is finite but within a
+    # relative (T + 3) * eps of the float maximum, and on the default kernels
+    # BLAS's dot of the row with itself, summed in another order, overflows
+    NEAR_MAX_ROW = [-7.08931656633448e153, -6.714810202786941e153, -2.0894799564845383e153,
+                    -8.18647823236241e153, -2.5311907926738426e153, -2.499277741186979e153,
+                    6.2012874072384725e152]
+    SMALL_ROW = [1.0, 2.0, 3.0, 1.0, 2.0, 5.0, 1.0]
+    TARGETS = ([1.0, -2.0, 3.0, 4.0, 1.0, 0.0, 2.0], [3.0, 1.0, -1.0, 2.0, 0.5, 1.0, 4.0])
+
+    def test_a_row_whose_sum_of_squares_nears_the_float_maximum(self):
+        # such a row is a NumericOverflow naming it, on either operand, and
+        # argmin_rho raises one wherever its dot with itself overflows, with
+        # no warning escaping (warnings are errors here)
+        big = self.NEAR_MAX_ROW
+        fam = _family({"big": big, "small": self.SMALL_ROW})
         sq_norm = fam.row_sums[0][0]
         assert math.isfinite(sq_norm)
         assert sq_norm >= np.finfo(float).max / (1.0 + 10 * np.finfo(float).eps)
+        h = np.array(big)
+        with np.errstate(over="ignore"):
+            overflows = math.isinf(h.copy() @ h.copy())
+        for target in self.TARGETS:
+            for operand, screen in SCREENS.items():
+                with screen():
+                    with pytest.raises(NumericOverflow, match="'big'"):
+                        select_step(fam, Series("__residual__", target), _config(1))
+                    with pytest.raises(NumericOverflow, match="'big'"):
+                        fit(fam, Series("__target__", target), _config(2))
+            if overflows:
+                with pytest.raises(NumericOverflow, match="sum of squares overflows"):
+                    argmin_rho(big, target)
+            else:
+                assert math.isfinite(argmin_rho(big, target))
+
+    def test_a_row_near_half_the_float_maximum(self, monkeypatch):
+        # every dot of the row stays finite: it is rescored and matches the
+        # scalar oracle, with no warning escaping
+        half = np.array(self.NEAR_MAX_ROW) / math.sqrt(2.0)
+        fam = _family({"half": half, "small": self.SMALL_ROW})
+        sq_norm = fam.row_sums[0][0]
+        assert 0.4 * np.finfo(float).max < sq_norm < 0.6 * np.finfo(float).max
         members = [(m.id, m.values) for m in fam.members]
-        fills = []
+        rescored = []
 
         def counting_weight(hy, hh):
-            fills.append(hh)
+            rescored.append(hh)
             return _weight(hy, hh)
 
         monkeypatch.setattr(boost, "_weight", counting_weight)
-        for target in ([1.0, -2.0, 3.0, 4.0, 1.0, 0.0, 2.0], [3.0, 1.0, -1.0, 2.0, 0.5, 1.0, 4.0]):
-            with np.errstate(over="ignore"):  # the oracle's argmin_rho takes h @ h
-                want_step = scalar_select(members, target, -1.0)
-                want_path, want_stopped = scalar_fit(members, target, 2)
+        for target in self.TARGETS:
+            want_step = scalar_select(members, target, -1.0)
+            want_path, want_stopped = scalar_fit(members, target, 2)
             for operand, screen in SCREENS.items():
                 with screen():
                     got = select_step(fam, Series("__residual__", target), _config(1))
@@ -490,8 +527,7 @@ class TestMatchesScalarOracle:
                 got_path = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
                 assert got_path == want_path, operand
                 assert model.stopped_early == want_stopped, operand
-        # the big row was rescored: its h @ h is the maximum or inf
-        assert any(hh >= sq_norm for hh in fills)
+        assert any(hh > 0.4 * np.finfo(float).max for hh in rescored)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_fit_path_on_generated_panels(self, seed):

@@ -348,8 +348,11 @@ class TestDataErrors:
             ("eval", "t,x\n0,1\n1,2\n", "ParseError: {path}: no '__prediction__' column"),
             ("fit", "t\n0\n1\n2\n",
              "EmptyFamily: {path}: no member columns and no explicit target"),
+            ("fit", "", "ParseError: {path}: empty file"),
+            ("eval", "", "ParseError: {path}: empty file"),
         ],
-        ids=["prediction-without-its-column", "panel-without-members"],
+        ids=["prediction-without-its-column", "panel-without-members", "empty-panel",
+             "empty-prediction"],
     )
     def test_a_file_without_the_columns_it_needs_exits_1(self, tmp_path, capsys, command,
                                                          text, message):

@@ -77,6 +77,10 @@ class TestMean:
         with pytest.raises(EmptyInput):
             mean([])
 
+    def test_two_dimensional_input(self):
+        with pytest.raises(ShapeError, match="one-dimensional"):
+            mean([[1.0, 2.0], [3.0, 4.0]])
+
 
 class TestInner:
     def test_orthogonal(self):
@@ -94,6 +98,10 @@ class TestInner:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             inner([1, 2], [1, 2, 3])
+
+    def test_empty(self):
+        with pytest.raises(EmptyInput):
+            inner([], [])
 
 
 class TestPearson:
@@ -122,6 +130,13 @@ class TestPearson:
             f = rng.standard_normal(30)
             g = rng.standard_normal(30)
             assert abs(pearson(f, g) - pearson(g, f)) <= 1e-12
+
+    @pytest.mark.parametrize("f, g", [([[1.0, 2.0], [3.0, 4.0]], [1.0, 2.0]),
+                                      ([1.0, 2.0], [[1.0, 2.0], [3.0, 4.0]])],
+                             ids=["left", "right"])
+    def test_two_dimensional_input(self, f, g):
+        with pytest.raises(ShapeError, match="one-dimensional"):
+            pearson(f, g)
 
     def test_bounds_after_clamping(self):
         rng = np.random.default_rng(4)
@@ -300,6 +315,20 @@ class TestArgminRho:
     def test_zero_candidate(self):
         with pytest.raises(ZeroCandidate):
             argmin_rho([0.0, 0.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "h, y, message",
+        [
+            ([1e200, 1.0], [1.0, 2.0], "sum of squares overflows"),
+            ([1e150, 0.0], [1e200, 0.0], "weight overflows"),  # <h, y> overflows
+            ([1e-160, 0.0], [1e200, 1.0], "weight overflows"),  # only the quotient does
+        ],
+        ids=["sum-of-squares", "dot", "quotient"],
+    )
+    def test_an_overflow_is_a_typed_error_without_a_warning(self, h, y, message):
+        # warnings are errors here
+        with pytest.raises(NumericOverflow, match=message):
+            argmin_rho(h, y)
 
     def test_beats_random_weights_and_zeroes_the_normal_equation(self):
         rng = np.random.default_rng(12)

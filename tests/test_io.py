@@ -179,6 +179,12 @@ class TestReadPanelCsv:
         with pytest.raises(IrregularGrid, match="need at least 2 data rows"):
             read_panel_csv(_write(tmp_path / "p.csv", text))
 
+    @pytest.mark.parametrize("read", [read_panel_csv, read_prediction_csv],
+                             ids=["panel", "prediction"])
+    def test_empty_file_is_a_parse_error(self, tmp_path, read):
+        with pytest.raises(ParseError, match="empty file"):
+            read(_write(tmp_path / "p.csv", ""))
+
     def test_whitespace_line_of_a_one_column_file_is_a_missing_value(self, tmp_path):
         path = _write(tmp_path / "p.csv", "t\n0\n \t\n1\n")
         with pytest.raises(MissingValue) as err:

@@ -79,6 +79,8 @@ class TestEvaluate:
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             evaluate(_series([1.0, 2.0]), _series([1.0]), RECIP, 1.0)
+        with pytest.raises(ShapeError, match="need at least 2 samples"):
+            evaluate(_series([1.0]), _series([1.0]), RECIP, 1.0)
 
     def test_psi_is_the_composite_cost_bit_for_bit(self):
         rng = np.random.default_rng(36)
