@@ -8,12 +8,18 @@ other dunder names are reserved and rejected as members. Values render with
 17 significant digits, so a write/read round trip is exact. Errors name the
 file line of the bad row, the header being line 1.
 
-Reading streams the data rows through numpy's parser; a file it declines,
-or one with anything unusual in it, is read again cell by cell, the one
-place that builds an error. So the reader accepts exactly the files it
-always did, under the csv module's field limit, with the same errors and
-line numbers. Each data row is written with one format string; the header
-goes through the csv module, which quotes ids.
+Reading parses the data rows through numpy's parser, a block of lines at a
+time, straight into the one ``(columns, rows)`` matrix whose member rows
+the family then takes over; the file's line count bounds its rows, so that
+matrix is allocated once. A file numpy's parser declines, or one with
+anything unusual in it, is read again cell by cell, the one place that
+builds an error. So the reader accepts exactly the files it always did,
+under the csv module's field limit, with the same errors and line numbers.
+Writing formats the rows from a block of time steps of the matrix at a
+time, each data row with one format string; the header goes through the
+csv module, which quotes ids. So a command holds about one copy of its
+panel; an explicit "__target__" column costs one more, as the members are
+copied out from beside it.
 
 Model JSON: format_version 1 with grid, config, terms, and provenance
 objects, whose fields are the tables below. Other versions, and unknown
@@ -29,7 +35,6 @@ see a partial file; it gets the mode a plain open() would give it.
 from __future__ import annotations
 
 import csv
-import hashlib
 import itertools
 import json
 import math
@@ -68,6 +73,11 @@ from .series import (
 
 FORMAT_VERSION = 1
 STEP_TOLERANCE = 1e-9
+# Rows per block of a panel file read or written are chosen so that a block's
+# values take about this many bytes; with the text of the block's lines, a
+# block adds a small part of the panel's bytes to the one copy a file is read
+# into or written from.
+CSV_BLOCK_BYTES = 64 * 1024
 
 
 def _fmt(x: float) -> str:
@@ -111,6 +121,10 @@ def _write_table(path, header: list[str], rows) -> None:
 
 def file_digest(path) -> str:
     """sha256 digest of a file, prefixed with the algorithm name."""
+    # imported here, as only fit needs it: hashlib loads OpenSSL, which costs
+    # every other command a few MB and milliseconds at start-up
+    import hashlib
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
@@ -176,35 +190,40 @@ def check_prediction_grid(grid: TimeGrid, data_grid: TimeGrid) -> None:
 
 def write_panel_csv(family: Family, path, target: Series | None = None) -> None:
     """Write a family (and optionally an explicit target column) to CSV."""
-    ids, values = list(family.ids), family.values
+    ids, parts = list(family.ids), [family.values]
     if target is not None:
         ids.append(TARGET_ID)
-        values = np.vstack([values, target.values])
-    _write_series(path, family.grid, ids, values)
+        parts.append(target.values)
+    _write_series(path, family.grid, ids, parts)
 
 
 def write_prediction_csv(
     grid: TimeGrid, prediction: Series, cumulative: Series | None, path
 ) -> None:
-    ids, values = [PREDICTION_ID], [prediction.values]
+    ids, parts = [PREDICTION_ID], [prediction.values]
     if cumulative is not None:
         ids.append(CUMULATIVE_ID)
-        values.append(cumulative.values)
-    _write_series(path, grid, ids, values)
+        parts.append(cumulative.values)
+    _write_series(path, grid, ids, parts)
 
 
-def _write_series(path, grid: TimeGrid, ids: list[str], values) -> None:
-    """Write the ``(N, T)`` values as the columns after t.
+def _write_series(path, grid: TimeGrid, ids: list[str], parts: list[np.ndarray]) -> None:
+    """Write the series of ``parts``, each ``(T,)`` or ``(N, T)``, as the columns after t.
 
-    The ``(T, 1+N)`` table is formatted one row at a time, so the text of
-    only one row exists at once. A number never needs quoting, and "%.17g"
-    renders each cell as ``_fmt`` does.
+    The rows are formatted from one block of time steps at a time, a small
+    ``(rows, 1+N)`` table cut from the parts, so no full-size table, and
+    the text of only one row, exists at once. A number never needs quoting,
+    and "%.17g" renders each cell as ``_fmt`` does.
     """
-    table = np.column_stack([grid.times(), np.transpose(values)])
-    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    times = grid.times()
+    row_format = ",".join(["%.17g"] * (1 + len(ids))) + "\n"
+    block = max(1, CSV_BLOCK_BYTES // (8 * (1 + len(ids))))
     with _csv_file(path, ["t", *ids]) as fh:
-        for row in table:
-            fh.write(row_format % tuple(row.tolist()))
+        for lo in range(0, len(times), block):
+            cut = slice(lo, lo + block)
+            table = np.column_stack([times[cut], *(np.transpose(p[..., cut]) for p in parts)])
+            for row in table:
+                fh.write(row_format % tuple(row.tolist()))
 
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -216,13 +235,12 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     parsed = _read_numeric(path)
     if parsed is None:
         return _read_cells(path)
-    header, table = parsed
-    _check_header(path, header)
-    return header, table.T
+    _check_header(path, parsed[0])
+    return parsed
 
 
 def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
-    """The header and ``(rows, cells)`` values of an ordinary file, through numpy's parser.
+    """The header and ``(cells, rows)`` values of an ordinary file, through numpy's parser.
 
     None when the file is anything else, for ``_read_cells`` to read: not
     UTF-8 or without a header; a data line holding a quote or a "_", or a
@@ -231,12 +249,18 @@ def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
     numpy cannot parse or that is not finite. Blank lines are skipped, as
     csv.reader skips them, and numpy must return one row per line it was
     handed, so no line it might skip goes unread.
+
+    The file's line count bounds its rows, so the C-contiguous matrix is
+    allocated once and numpy parses blocks of lines straight into it; only
+    a file with blank lines (or a header over several lines) is cut to its
+    rows by a copy.
     """
+    bound = _count_lines(path) - 1  # the header takes a line at least
+    if bound < 2:
+        return None
     limit = csv.field_size_limit()
-    count = 0
 
     def plain(lines):
-        nonlocal count
         for line in lines:
             if line[0] in "\r\n":
                 continue
@@ -244,23 +268,46 @@ def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
                 len(line) > limit and max(map(len, line.split(","))) > limit
             ):
                 raise ValueError("not a plain line of numbers")
-            count += 1
             yield line
 
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             header = next(csv.reader(fh))
-            lines = plain(fh)
-            first = list(itertools.islice(lines, 2))  # numpy warns on a file without data
-            if len(first) < 2:
+            if not header:  # a blank first line; no width to parse to
                 return None
-            table = np.loadtxt(itertools.chain(first, lines), delimiter=",", dtype=float,
-                               comments=None, ndmin=2)
+            columns = np.empty((len(header), bound))
+            block = max(1, CSV_BLOCK_BYTES // (8 * len(header)))
+            lines = plain(fh)
+            count = 0
+            while chunk := list(itertools.islice(lines, block)):
+                part = np.loadtxt(chunk, delimiter=",", dtype=float, comments=None, ndmin=2)
+                if part.shape != (len(chunk), len(header)) or not np.isfinite(part).all():
+                    return None
+                columns[:, count : count + len(chunk)] = part.T
+                count += len(chunk)
     except (ValueError, csv.Error, StopIteration):  # ValueError covers UnicodeDecodeError
         return None
-    if table.shape != (count, len(header)) or not np.isfinite(table).all():
+    if count < 2:
         return None
-    return header, table
+    return header, columns if count == bound else columns[:, :count].copy()
+
+
+def _count_lines(path: Path) -> int:
+    """Lines in a file, each ended by "\n", "\r" or "\r\n" or by the end of the file.
+
+    They are the lines that reading with ``newline=""`` yields, so the data
+    rows are fewer than this count.
+    """
+    lines, last = 0, b""
+    with path.open("rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            lines += chunk.count(b"\n")
+            if b"\r" in chunk:  # rare, and a tenth of the cost of counting
+                lines += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":  # a "\r\n" split across chunks
+                lines -= 1
+            last = chunk[-1:]
+    return lines + (last not in (b"", b"\r", b"\n"))
 
 
 def _check_header(path: Path, header: list[str]) -> None:

@@ -52,24 +52,34 @@ def _as_pair(f, g) -> tuple[np.ndarray, np.ndarray]:
     return fa, ga
 
 
+def _finite(value: float, message: str) -> float:
+    """``value`` when it is finite; otherwise a NumericOverflow with ``message``."""
+    if not math.isfinite(value):
+        raise NumericOverflow(message)
+    return value
+
+
 def mean(values) -> float:
-    """Arithmetic mean."""
+    """Arithmetic mean; a sum that overflows is a NumericOverflow, with no warning."""
     arr = _as_array(values)
     if len(arr) == 0:
         raise EmptyInput("mean of an empty sequence")
-    return float(arr.mean())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(arr.mean()), "the sum overflows")
 
 
 def inner(f, g) -> float:
     """Discrete inner product: sum of f[i] * g[i].
 
     Like ``argmin_rho``, it reads fresh copies of its operands, so the
-    result does not depend on where they sit in memory.
+    result does not depend on where they sit in memory. A dot that
+    overflows is a NumericOverflow, with no warning.
     """
     fa, ga = _as_pair(f, g)
     if len(fa) == 0:
         raise EmptyInput("inner product of empty sequences")
-    return float(fa.copy() @ ga.copy())
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(float(fa.copy() @ ga.copy()), "the inner product overflows")
 
 
 def pearson(f, g) -> float:
@@ -165,9 +175,7 @@ def psi(kind: TransformKind, f, g) -> float:
     """
     fa, ga = _as_pair(f, g)
     with np.errstate(over="ignore", invalid="ignore"):
-        distance = 0.5 * float(np.sum((fa - ga) ** 2))
-    if not math.isfinite(distance):
-        raise NumericOverflow("the squared error overflows")
+        distance = _finite(0.5 * float(np.sum((fa - ga) ** 2)), "the squared error overflows")
     return distance + phi(kind, fa, ga)
 
 
@@ -175,11 +183,14 @@ def lambda_err(rho: float, h, y) -> float:
     """Squared error of the one-candidate model rho * h against y.
 
     Its one dot is of a fresh array, so, as for ``argmin_rho``, the result
-    does not depend on where ``h`` and ``y`` sit in memory.
+    does not depend on where ``h`` and ``y`` sit in memory. A difference or
+    a dot that overflows, or a difference that is ``inf - inf``, is a
+    NumericOverflow, with no warning.
     """
     ha, ya = _as_pair(h, y)
-    d = ya - rho * ha
-    return float(d @ d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        d = ya - rho * ha
+        return _finite(float(d @ d), "the squared error overflows")
 
 
 def argmin_rho(h, y) -> float:

@@ -1,10 +1,15 @@
 import csv
+import hashlib
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import panelboost
 from panelboost.cli import main
 
 
@@ -250,6 +255,24 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ParseError: ")
         assert err.count("\n") == 1
+
+
+class TestStartup:
+    def test_only_fit_loads_hashlib(self, tmp_path):
+        # hashlib loads OpenSSL; only fit's input digest needs it
+        env = dict(os.environ, PYTHONPATH=str(Path(panelboost.__file__).parents[1]))
+        probe = "import sys, panelboost.cli; print(sorted(set(sys.modules) & {'hashlib'}))"
+        loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                                capture_output=True, text=True).stdout
+        assert loaded == "[]\n"
+        data = _gen(tmp_path)
+        model = tmp_path / "model.json"
+        subprocess.run([sys.executable, "-m", "panelboost.cli", "fit", "--data", str(data),
+                        "--model-out", str(model), "--panel-size", "2", "--lbound=-1",
+                        "--alpha", "1", "--transform", "reciprocal"],
+                       env=env, check=True, capture_output=True)
+        digest = json.loads(model.read_text())["provenance"]["input_digest"]
+        assert digest == "sha256:" + hashlib.sha256(data.read_bytes()).hexdigest()
 
 
 class TestOutputFiles:

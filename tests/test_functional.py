@@ -81,6 +81,11 @@ class TestMean:
         with pytest.raises(ShapeError, match="one-dimensional"):
             mean([[1.0, 2.0], [3.0, 4.0]])
 
+    def test_an_overflowing_sum_is_a_typed_error_without_a_warning(self):
+        # warnings are errors here
+        with pytest.raises(NumericOverflow, match="sum overflows"):
+            mean([1e308, 1e308])
+
 
 class TestInner:
     def test_orthogonal(self):
@@ -102,6 +107,10 @@ class TestInner:
     def test_empty(self):
         with pytest.raises(EmptyInput):
             inner([], [])
+
+    def test_an_overflowing_dot_is_a_typed_error_without_a_warning(self):
+        with pytest.raises(NumericOverflow, match="inner product overflows"):
+            inner([1e200], [1e200])
 
 
 class TestPearson:
@@ -293,6 +302,16 @@ class TestLambdaErr:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
             lambda_err(1.0, [1.0], [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "rho, h, y",
+        [(1.0, [1e200, 0.0], [0.0, 1.0]),  # the dot overflows
+         (2.0, [1e308], [math.inf])],  # rho * h overflows, and y - rho * h is inf - inf
+        ids=["dot", "inf-minus-inf"],
+    )
+    def test_an_overflow_is_a_typed_error_without_a_warning(self, rho, h, y):
+        with pytest.raises(NumericOverflow, match="squared error overflows"):
+            lambda_err(rho, h, y)
 
 
 class TestArgminRho:

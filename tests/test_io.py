@@ -1,8 +1,10 @@
+import contextlib
 import csv
 import functools
 import io
 import json
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,6 +40,7 @@ from panelboost import (
     write_prediction_csv,
     write_sweep_report,
 )
+from panelboost import dataio
 from panelboost.dataio import (
     _fmt,
     _read_cells,
@@ -47,6 +50,20 @@ from panelboost.dataio import (
 )
 
 RECIP = TransformKind.RECIPROCAL
+
+
+@contextlib.contextmanager
+def _small_blocks():
+    # 48 bytes of values: blocks of 6 rows of 1 cell, 3 rows of 2, 2 rows of 3
+    # and 1 row of 4, so the files drawn here span several blocks
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "CSV_BLOCK_BYTES", 48)
+        yield
+
+
+# The block sizes a panel file is read and written in: the drawn files fit in
+# one block of the default size.
+BLOCKS = {"default": contextlib.nullcontext, "small": _small_blocks}
 
 
 def _write(path, text):
@@ -332,13 +349,15 @@ class TestRowWriter:
     def test_random_panels(self, tmp_path, case):
         family, target = case
         path = tmp_path / "p.csv"
-        write_panel_csv(family, path, target=target)
         rows = [family.grid.times(), *family.values]
         header = ["t", *family.ids]
         if target is not None:
             rows.append(target.values)
             header.append("__target__")
-        assert _written(path) == _reference_csv(header, np.array(rows).T.tolist())
+        for size, blocks in BLOCKS.items():
+            with blocks():
+                write_panel_csv(family, path, target=target)
+            assert _written(path) == _reference_csv(header, np.array(rows).T.tolist()), size
 
     def test_prediction_file(self, tmp_path):
         grid = TimeGrid(0.0, 1.0, 3)
@@ -447,9 +466,11 @@ class TestReaderEquivalence:
         path = tmp_path / "p.csv"
         path.write_bytes(content)
         expected = _outcome(_read_cells, path)
-        assert _outcome(_read_csv, path) == expected
-        if isinstance(expected[0], list):  # read by numpy, not by the fallback
-            assert _read_numeric(path) is not None
+        for size, blocks in BLOCKS.items():
+            with blocks():
+                assert _outcome(_read_csv, path) == expected, size
+                if isinstance(expected[0], list):  # read by numpy, not by the fallback
+                    assert _read_numeric(path) is not None, size
 
     @settings(max_examples=400, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -457,7 +478,50 @@ class TestReaderEquivalence:
     def test_corrupted_files_raise_the_same_error(self, tmp_path, content):
         path = tmp_path / "p.csv"
         path.write_bytes(content)
-        assert _outcome(_read_csv, path) == _outcome(_read_cells, path)
+        expected = _outcome(_read_cells, path)
+        for size, blocks in BLOCKS.items():
+            with blocks():
+                assert _outcome(_read_csv, path) == expected, size
+
+
+def test_the_line_count_is_that_of_the_text_reader(tmp_path):
+    # a "\r\n" across the count's 1 MiB chunks ends one line, and a last
+    # line needs no line end
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"t" * ((1 << 20) - 1) + b"\r\n0\r\r\n\n1")
+    with path.open(newline="") as fh:
+        assert dataio._count_lines(path) == len(fh.readlines()) == 5
+
+
+def _peak_bytes(call) -> int:
+    """The most memory that ``call()`` holds at once, as tracemalloc counts it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestPanelFileMemory:
+    """A panel file is parsed straight into its member matrix and written from it."""
+
+    @pytest.fixture(scope="class")
+    def family(self):
+        spec = GenSpec(n_series=1000, days=365, archetypes=2, noise_sd=0.05, seed=3)
+        family, _ = generate(spec)
+        return family
+
+    def test_reading_holds_about_one_copy_of_the_panel(self, tmp_path, family):
+        # the matrix is the file's one copy; a full-size table of parsed rows
+        # beside it would take all of its bytes again
+        path = tmp_path / "p.csv"
+        write_panel_csv(family, path)
+        assert _peak_bytes(lambda: read_panel_csv(path)) < 1.5 * family.values.nbytes
+
+    def test_writing_holds_no_full_size_table(self, tmp_path, family):
+        peak = _peak_bytes(lambda: write_panel_csv(family, tmp_path / "p.csv"))
+        assert peak < 0.5 * family.values.nbytes
 
 
 def _fitted_model():
