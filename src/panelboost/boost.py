@@ -439,10 +439,11 @@ def _best(
     16-byte boundary wherever the row sits in the matrix, and its centred
     copy ``hc = h - total / T``. ``raw_rho`` is ``_weight(h @ r, h @ h)``,
     which is ``argmin_rho(h, r)`` bit for bit, and ``hc`` is ``_centred(h)``
-    bit for bit: numpy sums each row of the C-contiguous matrix pairwise, as
-    it sums the row alone. Usable rows are never zero or constant, so of
-    ``_centred``'s checks only ``hc @ hc == 0`` is left. Neither sum of
-    squares overflows, by the bound ``_checked_rows`` puts on the rows.
+    bit for bit: each row of the matrix is contiguous, and numpy sums it
+    pairwise as it sums the row alone, wherever the row starts. Usable rows
+    are never zero or constant, so of ``_centred``'s checks only ``hc @ hc
+    == 0`` is left. Neither sum of squares overflows, by the bound
+    ``_checked_rows`` puts on the rows.
     """
     count = len(r)
     # the sum over the count is r.mean(), bit for bit, at less cost;
@@ -516,8 +517,9 @@ def _constant(x: np.ndarray, ss: float, sq: float) -> bool:
     squares, or the estimate ``ss + T * mean**2``, which is within a
     relative ``3 * T * eps`` of it. Only where ``ss <= (ROUNDING_MARGIN * T
     * eps)**2 * sq``, or where ``ss`` is below ``RESOLVED_FLOOR``, can ``x``
-    be constant, so only there are its largest and smallest values compared
-    (their difference is ``np.ptp``, bit for bit).
+    be constant, so only there are its largest and smallest values compared.
+    They are compared for equality, which for finite values is ``np.ptp(x)
+    == 0`` and, unlike that difference, cannot overflow.
 
     For a constant ``x = c`` of length ``T``, the mean is within ``(T + 1)
     * eps * |c|`` of ``c`` (the sum's rounding and the division's), so
@@ -533,7 +535,7 @@ def _constant(x: np.ndarray, ss: float, sq: float) -> bool:
     """
     unit = ROUNDING_MARGIN * len(x) * EPS
     if ss < RESOLVED_FLOOR or ss <= unit * unit * sq:
-        return x.max() - x.min() == 0
+        return x.max() == x.min()
     return False
 
 

@@ -18,8 +18,9 @@ under the csv module's field limit, with the same errors and line numbers.
 Writing formats the rows from a block of time steps of the matrix at a
 time, each data row with one format string; the header goes through the
 csv module, which quotes ids. So a command holds about one copy of its
-panel; an explicit "__target__" column costs one more, as the members are
-copied out from beside it.
+panel. An explicit "__target__" column in the last place, where the writer
+puts it, costs nothing more; anywhere else it costs one more copy, as the
+members are copied out from around it.
 
 Model JSON: format_version 1 with grid, config, terms, and provenance
 objects, whose fields are the tables below. Other versions, and unknown
@@ -148,9 +149,14 @@ def read_panel_csv(path) -> tuple[Family, Series]:
             raise ReservedId(f"{path}: {name!r} is reserved and cannot be a member")
     grid = _infer_grid(columns[0], path)
 
+    # both readers reject a value that is not finite, so the family takes
+    # the matrix's member rows over as they are
     ids = [name for name in header[1:] if name != TARGET_ID]
     if TARGET_ID in header:
-        members = columns[1:][[name != TARGET_ID for name in header[1:]]]
+        if header[-1] == TARGET_ID:  # where write_panel_csv puts it: a view
+            members = columns[1:-1]
+        else:
+            members = columns[1:][[name != TARGET_ID for name in header[1:]]]
         target = Series(TARGET_ID, columns[header.index(TARGET_ID)])
         return Family._from_matrix(grid, ids, members), target
     if not ids:

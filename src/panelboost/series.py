@@ -163,11 +163,14 @@ class Series:
 class Family:
     """Ordered candidate series sharing one grid, held as one ``(N, T)`` matrix.
 
-    Row ``i`` of the read-only, C-contiguous ``values`` matrix is member
-    ``ids[i]``. Member order is stable and acts as the tie-breaking order
-    during selection. Ids must be pairwise distinct. ``Family(grid, members)``
-    copies the members' values into a new matrix, which the family owns;
-    ``members`` hands the rows back as ``Series`` views without copying.
+    Row ``i`` of the read-only float ``values`` matrix is member ``ids[i]``;
+    each row is contiguous (the inner stride is the item size), and the rows
+    may sit apart, as in a column slice of a wider matrix. Member order is
+    stable and acts as the tie-breaking order during selection. Ids must be
+    pairwise distinct. ``Family(grid, members)`` copies the members' values
+    into a new matrix, which the family owns; ``members`` hands the rows back
+    as ``Series`` views without copying, and ``restrict_family`` a window of
+    the columns as a family over a view.
     """
 
     def __init__(self, grid: TimeGrid, members=()):
@@ -184,15 +187,13 @@ class Family:
 
     @classmethod
     def _from_matrix(cls, grid: TimeGrid, ids, values) -> Family:
-        """Family over the rows of an ``(N, T)`` array of finite values.
+        """Family over the rows of an ``(N, T)`` float array, taken over uncopied.
 
-        For the package's own builders, which hand over an array nothing
-        else holds: a C-contiguous float array is taken over as it is (and
-        made read-only) rather than copied; anything else is copied.
+        For the package's own builders, which hand over an array whose
+        values they have checked finite and whose rows are contiguous, and
+        which nothing else writes to: it is made read-only, not copied or
+        scanned again.
         """
-        values = np.ascontiguousarray(values, dtype=float)
-        if not np.isfinite(values).all():
-            raise ValueError("series values must be finite (no NaN/inf)")
         family = cls.__new__(cls)
         family._init(grid, tuple(ids), values)
         return family
@@ -207,6 +208,10 @@ class Family:
             if member_id in seen:
                 raise ValueError(f"duplicate member id {member_id!r}")
             seen.add(member_id)
+        self._hold(grid, ids, values)
+
+    def _hold(self, grid: TimeGrid, ids: tuple[str, ...], values: np.ndarray) -> None:
+        """Take ``values`` over read-only; its shape and the ids are already checked."""
         values.setflags(write=False)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "ids", ids)
@@ -364,16 +369,24 @@ def restrict(series: Series, index_range: range) -> Series:
 
 
 def restrict_family(family: Family, index_range: range) -> Family:
-    """Restrict every member to an index range; the grid shifts accordingly."""
+    """Restrict every member to an index range; the grid shifts accordingly.
+
+    The result shares the family's ids and reads its values through a
+    read-only view of the matrix's columns in the range: nothing is copied,
+    and the values are not checked again. So holding a window keeps the
+    whole parent matrix alive.
+    """
     _check_range(index_range, family.grid.count)
     grid = TimeGrid(
         start=family.grid.start + index_range.start * family.grid.step,
         step=family.grid.step,
         count=len(index_range),
     )
-    return Family._from_matrix(
-        grid, family.ids, family.values[:, index_range.start : index_range.stop]
-    )
+    window = Family.__new__(Family)
+    # the parent's ids are distinct and its values finite, so neither is
+    # checked again
+    window._hold(grid, family.ids, family.values[:, index_range.start : index_range.stop])
+    return window
 
 
 def _check_range(index_range: range, n: int) -> None:

@@ -86,7 +86,10 @@ def generate(spec: GenSpec) -> tuple[Family, Series]:
             noisy = capacity * shape * (1.0 + spec.noise_sd * eps)
             np.clip(noisy, 0.0, None, out=values[n])
     # values are clipped at 0 and an overflow is +inf, so the maximum shows it
-    # without a temporary array the size of the panel
+    # without a temporary array the size of the panel. No value is NaN: the
+    # capacity and the shape are finite and positive and noise_sd is finite,
+    # so 1 + noise_sd * eps is a number or an infinity, and so is the
+    # product. So the matrix the family takes over is finite past this check.
     if values.max() == math.inf:
         raise NumericOverflow(f"noise_sd {spec.noise_sd} overflows the generated values")
 

@@ -257,6 +257,26 @@ class TestPredictCommand:
         assert err.count("\n") == 1
 
 
+def test_eval_of_a_prediction_spanning_the_float_range_prints_one_error(tmp_path):
+    # run as a process, so that a numpy warning would reach stderr as it
+    # does for a user, not be raised by the suite's warning filter
+    data = tmp_path / "panel.csv"
+    data.write_text("t,a,__target__\n0,1e308,1e308\n1,-1e308,-1e308\n2,0,0\n")
+    pred = tmp_path / "pred.csv"
+    pred.write_text("t,__prediction__\n0,1e308\n1,-1e308\n2,0\n")
+    report = tmp_path / "eval.csv"
+    env = dict(os.environ, PYTHONPATH=str(Path(panelboost.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    done = subprocess.run([sys.executable, "-m", "panelboost.cli", "eval", "--pred", str(pred),
+                           "--data", str(data), "--report", str(report)],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == [
+        "error: NumericOverflow: a centred sum of squares overflows"
+    ]
+    assert not report.exists()
+
+
 class TestStartup:
     def test_only_fit_loads_hashlib(self, tmp_path):
         # hashlib loads OpenSSL; only fit's input digest needs it

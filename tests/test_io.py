@@ -30,6 +30,7 @@ from panelboost import (
     TimeGrid,
     TransformKind,
     UnsupportedVersion,
+    aggregate_target,
     fit,
     generate,
     read_model,
@@ -86,6 +87,19 @@ class TestReadPanelCsv:
         family, target = read_panel_csv(path)
         assert [m.id for m in family.members] == ["a"]
         np.testing.assert_array_equal(target.values, [100, 200])
+
+    @pytest.mark.parametrize("header", ["t,__target__,a,b", "t,a,__target__,b",
+                                        "t,a,b,__target__"])
+    def test_target_column_in_any_place(self, tmp_path, header):
+        cells = {"a": ["1", "2"], "b": ["3", "5"], "__target__": ["100", "200"]}
+        names = header.split(",")[1:]
+        lines = [",".join([str(k), *(cells[name][k] for name in names)]) for k in range(2)]
+        family, target = read_panel_csv(_write(tmp_path / "p.csv", "\n".join([header, *lines])))
+        assert family.ids == ("a", "b")
+        np.testing.assert_array_equal(family.values, [[1, 2], [3, 5]])
+        np.testing.assert_array_equal(target.values, [100, 200])
+        assert not family.values.flags.writeable
+        assert family.values.strides[1] == family.values.itemsize
 
     def test_irregular_grid(self, tmp_path):
         path = _write(tmp_path / "p.csv", "t,a\n0,1\n1,2\n2.5,3\n")
@@ -518,6 +532,15 @@ class TestPanelFileMemory:
         path = tmp_path / "p.csv"
         write_panel_csv(family, path)
         assert _peak_bytes(lambda: read_panel_csv(path)) < 1.5 * family.values.nbytes
+
+    def test_a_trailing_target_column_costs_no_copy_of_the_members(self, tmp_path, family):
+        # the writer puts the target last, where the members are a view of
+        # the parsed matrix; copying them out would take all of its bytes again
+        plain, with_target = tmp_path / "p.csv", tmp_path / "t.csv"
+        write_panel_csv(family, plain)
+        write_panel_csv(family, with_target, target=aggregate_target(family))
+        without = _peak_bytes(lambda: read_panel_csv(plain))
+        assert _peak_bytes(lambda: read_panel_csv(with_target)) < 1.1 * without
 
     def test_writing_holds_no_full_size_table(self, tmp_path, family):
         peak = _peak_bytes(lambda: write_panel_csv(family, tmp_path / "p.csv"))

@@ -76,6 +76,14 @@ class TestEvaluate:
         assert np.isnan(m.psi)
         assert m.rmse > 0
 
+    def test_a_prediction_spanning_the_float_range_overflows_without_a_warning(self):
+        # the constant test on a prediction whose centred sum of squares
+        # overflows compares its largest and smallest values; their
+        # difference, 2e308, would overflow (the suite runs warnings as errors)
+        values = [1e308, -1e308, 0.0]
+        with pytest.raises(NumericOverflow, match="a centred sum of squares overflows"):
+            evaluate(_series(values), _series(values), RECIP, 1.0)
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             evaluate(_series([1.0, 2.0]), _series([1.0]), RECIP, 1.0)

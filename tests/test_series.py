@@ -2,21 +2,32 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panelboost import (
+    BoostConfig,
     DegenerateSplit,
     EmptyFamily,
     Family,
     NumericOverflow,
+    PanelBoostError,
     RangeError,
     Series,
     SplitSpec,
+    SweepGrid,
     TimeGrid,
+    TransformKind,
     aggregate_target,
+    fit,
+    predict,
     restrict,
     restrict_family,
+    select_step,
     split,
+    sweep,
 )
+from panelboost import boost
 
 
 def _family(*value_lists, start=0.0, step=1.0):
@@ -166,10 +177,13 @@ class TestFamily:
             Family._from_matrix(TimeGrid(0.0, 1.0, 2), ["a"], values)
         with pytest.raises(ValueError):
             Family._from_matrix(TimeGrid(0.0, 1.0, 2), ["a", "a"], values.copy())
-        with pytest.raises(ValueError):
-            Family._from_matrix(
-                TimeGrid(0.0, 1.0, 2), ["a", "b"], [[1.0, np.nan], [0, 1]]
-            )
+        # the builders hand over values they have checked finite, and a
+        # matrix whose rows are contiguous is taken over as it is, even a
+        # column slice of a wider one
+        wide = np.array([[0.0, 1.0, 2.0, 9.0], [0.0, 3.0, 4.0, 9.0]])
+        view = Family._from_matrix(TimeGrid(0.0, 1.0, 2), ["a", "b"], wide[:, 1:3])
+        assert np.shares_memory(view.values, wide) and view == fam
+        assert wide.flags.writeable and not view.values.flags.writeable
 
     def test_equality_and_immutability(self):
         assert _family([1, 2], [3, 4]) == _family([1, 2], [3, 4])
@@ -310,8 +324,7 @@ class TestRestrict:
         sub = restrict_family(fam, range(2, 6))
         assert sub.grid == TimeGrid(11.0, 0.5, 4)
         np.testing.assert_array_equal(sub.members[0].values, [3, 4, 5, 6])
-        assert sub.values.flags.c_contiguous
-        assert not sub.values.flags.writeable
+        _assert_window_view(sub, fam)
 
     @pytest.mark.parametrize("window", [range(2, 6), range(0, 6), range(4, 6)])
     def test_restrict_family_is_the_family_of_its_rows(self, window):
@@ -320,5 +333,116 @@ class TestRestrict:
         rebuilt = Family(sub.grid, (restrict(m, window) for m in fam.members))
         assert sub == rebuilt and sub.ids == rebuilt.ids == ("m0", "m1", "m2")
         assert sub.index_of("m2") == 2
-        assert sub.values.flags.c_contiguous
-        assert not sub.values.flags.writeable
+        _assert_window_view(sub, fam)
+
+
+def _assert_window_view(sub, parent):
+    """``sub`` reads the parent's matrix through a read-only view of contiguous rows."""
+    assert np.shares_memory(sub.values, parent.values)
+    assert sub.ids is parent.ids
+    assert not sub.values.flags.writeable
+    assert sub.values.strides[1] == sub.values.itemsize
+
+
+def _outcome(call):
+    """repr of what ``call()`` returns, or the type and message of its PanelBoostError."""
+    try:
+        return repr(call())
+    except PanelBoostError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _bits(*arrays):
+    return [(a.dtype, a.shape, a.tobytes()) for a in arrays]
+
+
+_CONFIG = BoostConfig(panel_size=4, transform=TransformKind.RECIPROCAL, lbound=-1.0,
+                      alpha=0.7)
+_GRID = SweepGrid(panel_sizes=(1, 3), lbounds=(-1.0, 0.0), alphas=(1.0, 0.5),
+                  transforms=(TransformKind.RECIPROCAL, TransformKind.WITCH))
+
+
+def _same_results(sub, rebuilt, target):
+    """Everything the library computes from the two families is the same, bit for bit."""
+    assert sub.grid == rebuilt.grid and sub.ids == rebuilt.ids
+    assert _bits(sub.values) == _bits(rebuilt.values)
+    assert _bits(*sub.row_sums) == _bits(*rebuilt.row_sums)
+    assert _bits(*sub._centred32) == _bits(*rebuilt._centred32)
+    assert _outcome(lambda: select_step(sub, target, _CONFIG)) == _outcome(
+        lambda: select_step(rebuilt, target, _CONFIG))
+    fitted = [_outcome(lambda: fit(family, target, _CONFIG)) for family in (sub, rebuilt)]
+    assert fitted[0] == fitted[1]
+    try:
+        model, _ = fit(sub, target, _CONFIG)
+    except PanelBoostError:
+        pass
+    else:
+        assert _bits(predict(model, sub).values) == _bits(predict(model, rebuilt).values)
+    swept = [_outcome(lambda: sweep(family, target, SplitSpec(0.6, 0.2), _GRID))
+             for family in (sub, rebuilt)]
+    assert swept[0] == swept[1]
+
+
+class TestWindowView:
+    """A window of a family is a view of its matrix that computes as a copy would."""
+
+    @pytest.mark.parametrize("odd", [0, 1])
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_window_is_the_family_of_its_restricted_members(self, odd, data):
+        # an odd start puts every row of a window off a 16-byte boundary
+        count = data.draw(st.integers(11, 40), label="count")
+        length = data.draw(st.integers(10, count - 1), label="length")
+        start = 2 * data.draw(st.integers(0, (count - length - odd) // 2), label="half") + odd
+        kinds = data.draw(st.lists(st.sampled_from(["noise", "offset", "constant", "zero"]),
+                                   min_size=1, max_size=6), label="kinds")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        values = rng.standard_normal((len(kinds), count)) * 10.0 ** rng.integers(
+            -3, 4, (len(kinds), 1))
+        for row, kind in zip(values, kinds):
+            if kind == "offset":
+                row += 1e4
+            elif kind != "noise":
+                row[:] = 0.0 if kind == "zero" else rng.standard_normal()
+        fam = Family._from_matrix(TimeGrid(2.5, 0.5, count), [f"m{i}" for i in range(len(kinds))],
+                                  values)
+        window = range(start, start + length)
+        target = restrict(Series("__target__", values[:3].sum(axis=0)
+                                 + rng.standard_normal(count)), window)
+        sub = restrict_family(fam, window)
+        _assert_window_view(sub, fam)
+        rebuilt = Family(sub.grid, (restrict(m, window) for m in fam.members))
+        _same_results(sub, rebuilt, target)
+
+    def test_the_float32_screen_reads_a_window_as_a_copy(self):
+        # 600x438 floats take just over SCREEN32_MIN_BYTES, so the later fits
+        # screen with the float32 copy; the window starts at an odd column
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal((600, 877))
+        fam = Family._from_matrix(TimeGrid(0.0, 1.0, 877), [f"m{i}" for i in range(600)],
+                                  values)
+        window = range(1, 439)
+        sub = restrict_family(fam, window)
+        rebuilt = Family(sub.grid, (restrict(m, window) for m in fam.members))
+        assert sub.values.nbytes >= boost.SCREEN32_MIN_BYTES
+        target = restrict(Series("__target__", values[:5].sum(axis=0)), window)
+        config = BoostConfig(panel_size=10, transform=TransformKind.RECIPROCAL, lbound=-1.0,
+                             alpha=0.8)
+        fits = [[repr(fit(family, target, config)) for _ in range(3)]
+                for family in (sub, rebuilt)]
+        assert fits[0] == fits[1]
+        assert sub._float64_screens[0] >= boost.SCREEN32_AFTER_SCREENS
+        assert "_centred32" in vars(sub)
+
+    def test_restricting_copies_nothing(self):
+        values = np.random.default_rng(0).standard_normal((2000, 730))
+        fam = Family._from_matrix(TimeGrid(0.0, 1.0, 730), [f"m{i}" for i in range(2000)],
+                                  values)
+        tracemalloc.start()
+        try:
+            sub = restrict_family(fam, range(1, 439))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        _assert_window_view(sub, fam)
+        assert peak < 64 * 1024
