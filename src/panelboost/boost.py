@@ -21,8 +21,8 @@ The rescore copies each row it reads, so the copy starts on a 16-byte
 boundary wherever the row sits in the matrix, and centres the copy with
 the row's sum (see ``_best``). A residual is compared value by value for
 constancy only where its centred sum of squares is small enough for a
-constant one to give it (``_constant``), and the pool gives each row
-outside it a NaN slack, so that the floor of the rows' intervals is one
+constant one to give it (``functional._constant``), and the pool gives each
+row outside it a NaN slack, so that the floor of the rows' intervals is one
 plain reduction (``_Pool``).
 Dots of two vectors are ``ndarray.dot``, the BLAS call of ``@`` bit for
 bit, without the dispatch of the matmul ufunc (about 0.4 us a call at the
@@ -99,20 +99,21 @@ from .errors import (
     ShapeError,
     ZeroCandidate,
 )
-from .functional import TransformKind, _check_kind, _correlation, _weight
+from .functional import (
+    EPS,
+    RESOLVED_FLOOR,
+    ROUNDING_MARGIN,
+    TransformKind,
+    _check_kind,
+    _constant,
+    _correlation,
+    _weight,
+)
 from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid, _integer, _real
 
 WEIGHT_TOLERANCE = 1e-12
 
-EPS = float(np.finfo(float).eps)
 FLOAT_MAX = float(np.finfo(float).max)
-# Bound, in units of T * eps, on the rounding error of the length-T sums and
-# dot products that screen candidates (relative to the scales the module
-# docstring and ``_Rows`` state); rounding analyses of those uses give at
-# most about 4, so this leaves at least a factor of 4 to spare.
-ROUNDING_MARGIN = 16.0
-# Below this, underflow in those sums breaks the relative bound.
-RESOLVED_FLOOR = float(np.finfo(float).tiny) / EPS
 # float32's unit roundoff, for the rounding bound of the float32 screen.
 UNIT_ROUNDOFF32 = 2.0**-24
 # A family whose matrix takes at least this many bytes (the L2 cache per core
@@ -283,11 +284,12 @@ def select_step(
     toward the earliest family position.
     """
     _, found = _start(candidates, residual, "residual")
-    if np.ptp(residual.values) == 0:
+    values = residual.values
+    if values.max() == values.min():
         raise DegenerateResidual("residual has zero variance")
-    accepted = _accepted(() if found is None else (found[1],), config.panel_size,
-                         config.lbound)
-    return accepted[0] if accepted else None
+    if found is None or found[1].score < config.lbound:
+        return None
+    return found[1]
 
 
 class _Rows(NamedTuple):
@@ -431,9 +433,9 @@ def _best(
     T * mean(r)**2`` but for rounding, within a relative ``3 * T * eps`` of
     ``|r|**2``, as a computed ``r @ r`` is within ``T * eps``: the slack's
     margin covers either. Whether ``r`` is constant is asked of
-    ``_constant``, which compares its values only where ``srr`` is small
-    enough for a constant ``r`` to give it (the bound is derived there); the
-    float32 screen reads them for its scale.
+    ``functional._constant``, which compares its values only where ``srr``
+    is small enough for a constant ``r`` to give it (the bound is derived
+    there); the float32 screen reads them for its scale.
 
     The rescore reads a fresh copy ``h`` of each row, which starts on a
     16-byte boundary wherever the row sits in the matrix, and its centred
@@ -508,35 +510,6 @@ def _best(
         if best is None or score > best[1].score:
             best = (i, Selection(family.ids[i], raw_rho, score))
     return best
-
-
-def _constant(x: np.ndarray, ss: float, sq: float) -> bool:
-    """Whether ``x`` is constant, given ``ss``, its centred sum of squares.
-
-    ``ss`` is computed as ``_centred`` does, and ``sq`` is ``x``'s sum of
-    squares, or the estimate ``ss + T * mean**2``, which is within a
-    relative ``3 * T * eps`` of it. Only where ``ss <= (ROUNDING_MARGIN * T
-    * eps)**2 * sq``, or where ``ss`` is below ``RESOLVED_FLOOR``, can ``x``
-    be constant, so only there are its largest and smallest values compared.
-    They are compared for equality, which for finite values is ``np.ptp(x)
-    == 0`` and, unlike that difference, cannot overflow.
-
-    For a constant ``x = c`` of length ``T``, the mean is within ``(T + 1)
-    * eps * |c|`` of ``c`` (the sum's rounding and the division's), so
-    every centred value is the same ``d``, with ``|d| <= (T + 2) * eps *
-    |c|``: once the mean is within a factor 2 of ``c``, the subtraction is
-    exact. Then ``ss`` is ``T * d**2`` and ``sq`` is ``T * c**2``, each
-    within a relative ``3 * T * eps``, so ``ss <= ((T + 2) * eps)**2 * (1 +
-    7 * T * eps) * sq``: under the bound by a factor of more than 60 for
-    any ``T >= 2`` whose rounding bounds hold at all. Above
-    ``RESOLVED_FLOOR`` each ``d**2`` and ``c**2`` is a normal float, so no
-    underflow breaks that relative bound, and an ``sq`` that overflows makes
-    the bound infinite.
-    """
-    unit = ROUNDING_MARGIN * len(x) * EPS
-    if ss < RESOLVED_FLOOR or ss <= unit * unit * sq:
-        return x.max() == x.min()
-    return False
 
 
 class _Pool(NamedTuple):

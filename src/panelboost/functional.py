@@ -22,8 +22,19 @@ from .errors import (
     ShapeError,
     ZeroCandidate,
 )
+from .series import _real
 
 DOMAIN_TOLERANCE = 1e-9
+
+EPS = float(np.finfo(float).eps)
+# Bound, in units of T * eps, on the rounding error of the length-T sums and
+# dot products that ``_constant`` and the selection screen in ``boost`` rely
+# on (relative to the scales stated where they are used); rounding analyses
+# of those uses give at most about 4, so this leaves at least a factor of 4
+# to spare.
+ROUNDING_MARGIN = 16.0
+# Below this, underflow in those sums breaks the relative bound.
+RESOLVED_FLOOR = float(np.finfo(float).tiny) / EPS
 
 
 class TransformKind(enum.Enum):
@@ -100,15 +111,51 @@ def _centred(x: np.ndarray, side: str) -> tuple[np.ndarray, float]:
     naming ``side``. A sum of squares that overflows is returned as it is,
     for ``_correlation`` to reject.
     """
+    count = len(x)
+    if count < 2:
+        raise DegenerateCorrelation(side)
     with np.errstate(over="ignore", invalid="ignore"):
         # the sum over the count is ndarray.mean bit for bit, at less cost
-        xc = x - x.sum() / len(x)
+        x_mean = float(x.sum()) / count
+        xc = x - x_mean
         sxx = float(xc @ xc)
-        # ptp()==0 catches exact-constant input whose float mean leaves
-        # residues; max - min is np.ptp, bit for bit, at less cost
-        if len(x) < 2 or x.max() - x.min() == 0 or sxx == 0.0:
-            raise DegenerateCorrelation(side)
+    # an exact-constant x whose float mean leaves residues has a small but
+    # nonzero sxx, which _constant tells from a spread one
+    if sxx == 0.0 or _constant(x, sxx, sxx + count * x_mean * x_mean):
+        raise DegenerateCorrelation(side)
     return xc, sxx
+
+
+def _constant(x: np.ndarray, ss: float, sq: float) -> bool:
+    """Whether ``x`` is constant, given ``ss``, its centred sum of squares.
+
+    ``ss`` is computed as ``_centred`` does, and ``sq`` is ``x``'s sum of
+    squares, or the estimate ``ss + T * mean**2``, which is within a
+    relative ``3 * T * eps`` of it. Only where ``ss <= (ROUNDING_MARGIN * T
+    * eps)**2 * sq``, or where ``ss`` is below ``RESOLVED_FLOOR``, can ``x``
+    be constant, so only there are its largest and smallest values compared.
+    They are compared for equality, which for finite values is ``np.ptp(x)
+    == 0`` and, unlike that difference, cannot overflow.
+
+    For a constant ``x = c`` of length ``T``, the mean is within ``(T + 1)
+    * eps * |c|`` of ``c`` (the sum's rounding and the division's), so
+    every centred value is the same ``d``, with ``|d| <= (T + 2) * eps *
+    |c|``: once the mean is within a factor 2 of ``c``, the subtraction is
+    exact. Then ``ss`` is ``T * d**2`` and ``sq`` is ``T * c**2``, each
+    within a relative ``3 * T * eps``, so ``ss <= ((T + 2) * eps)**2 * (1 +
+    7 * T * eps) * sq``: under the bound by a factor of more than 60 for
+    any ``T >= 2`` whose rounding bounds hold at all. Above
+    ``RESOLVED_FLOOR`` each ``d**2`` and ``c**2`` is a normal float, so no
+    underflow breaks that relative bound, and an ``sq`` that overflows makes
+    the bound infinite. A constant ``x`` whose sum overflows has an
+    infinite ``ss`` and ``sq``, so it is compared too. An ``ss`` that is NaN
+    (``x`` holds NaN or an infinity) never is, and ``x`` is not constant,
+    as ``np.ptp(x)``, then NaN, is not 0.
+    """
+    unit = ROUNDING_MARGIN * len(x) * EPS
+    if ss < RESOLVED_FLOOR or ss <= unit * unit * sq:
+        return x.max() == x.min()
+    return False
 
 
 def _correlation(fc: np.ndarray, sff: float, gc: np.ndarray, sgg: float) -> float:
@@ -143,9 +190,10 @@ def transform(kind: TransformKind, x: float) -> float:
     Arguments outside the interval by more than 1e-9, and NaN, raise
     DomainError; smaller overshoots are clamped to the endpoint. A ``kind``
     that is not a ``TransformKind`` (its string value, say) is an
-    InvalidParameter.
+    InvalidParameter, and so is an ``x`` that is not a real number (a bool
+    or a string, say).
     """
-    x = float(x)
+    x = _real("transform argument", x, InvalidParameter)
     if not abs(x) <= 1.0 + DOMAIN_TOLERANCE:  # NaN included
         raise DomainError(f"transform argument {x} outside [-1, 1]")
     x = max(-1.0, min(1.0, x))
@@ -219,13 +267,14 @@ def _weight(hy: float, hh: float) -> float:
     """``argmin_rho``'s formula: the weight from <h, y> and <h, h>.
 
     A zero ``hh`` raises ZeroCandidate, and an infinite ``hh`` (a dot that
-    overflowed) or weight NumericOverflow.
+    overflowed) or a weight that is not finite (an overflow, or a NaN in
+    either operand) NumericOverflow.
     """
     if hh == 0.0:
         raise ZeroCandidate("candidate is identically zero")
     if hh == math.inf:
         raise NumericOverflow("the candidate's sum of squares overflows")
     weight = hy / hh
-    if abs(weight) == math.inf:
+    if not math.isfinite(weight):
         raise NumericOverflow("the candidate's least-squares weight overflows")
     return weight

@@ -9,7 +9,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .boost import BoostConfig, _accepted, _constant, _path, _running_sums, _start
+from .boost import BoostConfig, _accepted, _path, _running_sums, _start
 from .errors import (
     DegenerateCorrelation,
     EmptyInput,
@@ -18,11 +18,19 @@ from .errors import (
     ShapeError,
     SweepFailed,
 )
-from .functional import TransformKind, _centred, _check_kind, _correlation, _penalty
+from .functional import (
+    TransformKind,
+    _centred,
+    _check_kind,
+    _constant,
+    _correlation,
+    _penalty,
+)
 from .series import (
     Family,
     Series,
     SplitSpec,
+    _real,
     restrict,
     restrict_family,
     split,
@@ -51,29 +59,24 @@ def evaluate(
 ) -> Metrics:
     """Compute all metrics of a prediction against a target.
 
-    A ``kind`` that is not a ``TransformKind`` is an InvalidParameter, even
-    where ``psi`` is NaN.
+    A ``kind`` that is not a ``TransformKind``, and a ``grid_step`` that is
+    not a positive, finite real number, are an InvalidParameter, even where
+    ``psi`` is NaN.
     """
     _check_kind(kind)
-    (agreement,) = _agreements(prediction.values[None], _reference(target.values), grid_step)
+    (agreement,) = _agreements(prediction.values[None], target.values,
+                               _checked_step(grid_step))
     if isinstance(agreement, NumericOverflow):
         raise agreement
     return _scored(agreement, kind)
 
 
-class _Reference(NamedTuple):
-    """A target and its ``_centred`` form, None when the target is degenerate."""
-
-    values: np.ndarray
-    centred: tuple[np.ndarray, float] | None
-
-
-def _reference(y: np.ndarray) -> _Reference:
-    """``y`` with its centring, computed once for every prediction scored against it."""
-    try:
-        return _Reference(y, _centred(y, "right"))
-    except DegenerateCorrelation:
-        return _Reference(y, None)
+def _checked_step(grid_step) -> float:
+    """``grid_step`` as a float; anything but a positive, finite real is an InvalidParameter."""
+    step = _real("grid_step", grid_step, InvalidParameter)
+    if not 0.0 < step < math.inf:
+        raise InvalidParameter(f"grid_step must be positive and finite, got {step}")
+    return step
 
 
 class _Agreement(NamedTuple):
@@ -87,7 +90,7 @@ class _Agreement(NamedTuple):
 
 
 def _agreements(
-    predictions: np.ndarray, ref: _Reference, grid_step: float
+    predictions: np.ndarray, y: np.ndarray, grid_step: float
 ) -> list[_Agreement | NumericOverflow]:
     """Squared error, rmse, mae, correlation and cumulative gap of each row against a target.
 
@@ -99,17 +102,20 @@ def _agreements(
     overflows holds the NumericOverflow that measuring it alone raises
     first, so that each caller raises the first failure in its own order.
 
-    The correlation of a row ``p`` is ``pearson(p, y)`` from the target's
-    centring in ``ref``, None when either side is constant. ``p`` is centred
-    before the two sums of squares are checked, so a constant ``p`` against
-    an overflowing target is degenerate, as in ``pearson``.
+    The correlation of a row ``p`` is ``pearson(p, y)``, None when either
+    side is constant. The target ``y`` is centred once, for every row. ``p``
+    is centred before the two sums of squares are checked, so a constant
+    ``p`` against an overflowing target is degenerate, as in ``pearson``.
     """
-    y = ref.values
     k, count = predictions.shape
     if count != len(y):
         raise ShapeError(f"length mismatch: {count} vs {len(y)}")
     if count < 2:
         raise ShapeError("need at least 2 samples to evaluate")
+    try:
+        reference = _centred(y, "right")
+    except DegenerateCorrelation:
+        reference = None
     # ndarray.sum is np.sum bit for bit at less cost, and np.mean is that
     # sum over the count
     with np.errstate(over="ignore", invalid="ignore"):
@@ -121,7 +127,7 @@ def _agreements(
         np.square(diff, out=parts[0])
         np.abs(diff, out=parts[1])
         sse, abs_sums, gaps = np.add.reduce(parts, axis=2).tolist()
-        if ref.centred is not None:
+        if reference is not None:
             # _centred of each row, each row starting 16-byte aligned as a
             # fresh array does: OpenBLAS's Prescott ddot sums a misaligned
             # vector in another order, so an odd row length would move the
@@ -137,10 +143,10 @@ def _agreements(
             results.append(NumericOverflow("the squared error overflows"))
             continue
         corr = None
-        if (ref.centred is not None and spp[i] != 0.0
+        if (reference is not None and spp[i] != 0.0
                 and not _constant(predictions[i], spp[i], spp[i] + count * means[i] * means[i])):
             try:
-                corr = _correlation(centred[i], spp[i], *ref.centred)
+                corr = _correlation(centred[i], spp[i], *reference)
             except NumericOverflow as error:
                 results.append(error)
                 continue
@@ -164,11 +170,16 @@ def _scored(agreement: _Agreement, kind: TransformKind) -> Metrics:
 
 
 def cumulative(series: Series, grid_step: float) -> Series:
-    """Running left-endpoint integral: out[k] = sum(values[:k+1]) * grid_step."""
+    """Running left-endpoint integral: out[k] = sum(values[:k+1]) * grid_step.
+
+    A ``grid_step`` that is not a positive, finite real number is an
+    InvalidParameter.
+    """
     if len(series.values) == 0:
         raise EmptyInput("cumulative of an empty series")
+    step = _checked_step(grid_step)
     with np.errstate(over="ignore", invalid="ignore"):
-        running = np.cumsum(series.values) * grid_step
+        running = np.cumsum(series.values) * step
     if not np.isfinite(running).all():
         raise NumericOverflow("the running integral overflows")
     return Series(series.id, running)
@@ -295,12 +306,9 @@ def sweep(
 
     step = family.grid.step
     train = _agreements(
-        np.array([paths[alpha][n - 1].prediction for alpha, n in read]),
-        _reference(tgt_train.values), step,
+        np.array([paths[alpha][n - 1].prediction for alpha, n in read]), tgt_train.values, step
     )
-    val = _agreements(
-        np.array([val_sums[alpha][n] for alpha, n in read]), _reference(tgt_val.values), step
-    )
+    val = _agreements(np.array([val_sums[alpha][n] for alpha, n in read]), tgt_val.values, step)
     # every prefix a row reads is read with each of the grid's transforms,
     # by the rows of its group. The metrics are scored once per distinct
     # transform, and a transform listed twice shares its first listing's

@@ -28,6 +28,14 @@ from panelboost import (
 
 KINDS = [TransformKind.RECIPROCAL, TransformKind.WITCH]
 
+FLOAT_MAX = float(np.finfo(float).max)
+# values at the edges of the float range: zeros of both signs, subnormals,
+# values whose squares underflow (1e-160) or whose sums of squares overflow
+# (1e154, 1e200), and values whose sum of two overflows (1e308 and the
+# largest float)
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 1e-160, 1e154, 1e200, 1e308, -1e308,
+         FLOAT_MAX, -FLOAT_MAX, 1.0, -2.5)
+
 
 def _outcome(correlation, f, g):
     try:
@@ -40,14 +48,18 @@ def _outcome(correlation, f, g):
 
 @st.composite
 def _pearson_side(draw, count):
-    """A side for pearson: plain, constant, offset far beyond its spread, or
+    """A side for pearson: plain, constant, offset far beyond its spread,
     scaled so that its sum of squares nears overflow (values near 1e154) or
-    underflow (values near 1e-160).
+    underflow (values near 1e-160), or drawn from ``EDGES``. A constant side
+    may be an edge value too: the sum of 1e308s overflows, 5e-324 is the
+    smallest subnormal, and -0.0 equals 0.0.
     """
     values = draw(arrays(float, count, elements=st.floats(-10.0, 10.0)))
-    kind = draw(st.sampled_from(("plain", "constant", "offset", "huge", "tiny")))
+    kind = draw(st.sampled_from(("plain", "constant", "offset", "huge", "tiny", "edge")))
     if kind == "constant":
-        return np.full(count, draw(st.floats(-1e6, 1e6)))
+        return np.full(count, draw(st.floats(-1e6, 1e6) | st.sampled_from((1e308, 5e-324, -0.0))))
+    if kind == "edge":
+        return np.array(draw(st.lists(st.sampled_from(EDGES), min_size=count, max_size=count)))
     if kind == "offset":
         return draw(st.floats(-1e17, 1e17)) + values
     if kind == "huge":
@@ -341,8 +353,11 @@ class TestArgminRho:
             ([1e200, 1.0], [1.0, 2.0], "sum of squares overflows"),
             ([1e150, 0.0], [1e200, 0.0], "weight overflows"),  # <h, y> overflows
             ([1e-160, 0.0], [1e200, 1.0], "weight overflows"),  # only the quotient does
+            # a NaN weight was returned, where inner and pearson raise
+            ([1.0, 2.0], [math.nan, 1.0], "weight overflows"),
+            ([math.nan, 1.0], [1.0, 2.0], "weight overflows"),
         ],
-        ids=["sum-of-squares", "dot", "quotient"],
+        ids=["sum-of-squares", "dot", "quotient", "nan-y", "nan-h"],
     )
     def test_an_overflow_is_a_typed_error_without_a_warning(self, h, y, message):
         # warnings are errors here

@@ -84,6 +84,15 @@ class TestEvaluate:
         with pytest.raises(NumericOverflow, match="a centred sum of squares overflows"):
             evaluate(_series(values), _series(values), RECIP, 1.0)
 
+    def test_a_constant_prediction_whose_sum_overflows_is_degenerate(self):
+        # the sums of 1e308s overflow, so only the value-by-value comparison
+        # tells the prediction is constant
+        values = [1e308] * 4
+        m = evaluate(_series(values), _series(values), RECIP, 1.0)
+        assert m.pearson is None
+        assert np.isnan(m.psi)
+        assert m.rmse == 0.0
+
     def test_shape_errors(self):
         with pytest.raises(ShapeError):
             evaluate(_series([1.0, 2.0]), _series([1.0]), RECIP, 1.0)

@@ -30,6 +30,7 @@ from panelboost import (
     SweepGrid,
     TimeGrid,
     TransformKind,
+    cumulative,
     evaluate,
     fit,
     generate,
@@ -186,6 +187,9 @@ class TestEvalGrid:
                      "--report", str(tmp_path / "eval.csv")]) == 0
 
 
+_PAIR = (Series("p", [1.0, 2.0, 4.0]), Series("y", [1.0, 3.0, 2.0]))
+_FLAT = (Series("p", [2.0, 2.0, 2.0]), Series("y", [1.0, 3.0, 2.0]))
+
 LIBRARY_CHECKS = [
     (lambda: BoostConfig(0, RECIP), "panel_size must be at least 1, got 0"),
     (lambda: BoostConfig(1, RECIP, lbound=1.5), "lbound must lie in [-1, 1], got 1.5"),
@@ -209,6 +213,12 @@ LIBRARY_CHECKS = [
     (lambda: GenSpec(sys.maxsize // 8 // 14 + 1, 14, 1),
      f"a panel of {sys.maxsize // 8 // 14 + 1} x 14 values exceeds the largest array, "
      f"{sys.maxsize // 8} values"),
+    # a step of -1.0 gave a negative cumulative absolute error, and one of NaN
+    # a NumericOverflow
+    (lambda: evaluate(*_PAIR, RECIP, -1.0), "grid_step must be positive and finite, got -1.0"),
+    (lambda: evaluate(*_PAIR, RECIP, math.nan), "grid_step must be positive and finite, got nan"),
+    (lambda: cumulative(_PAIR[0], 0.0), "grid_step must be positive and finite, got 0.0"),
+    (lambda: cumulative(_PAIR[0], math.inf), "grid_step must be positive and finite, got inf"),
 ]
 
 
@@ -219,9 +229,6 @@ def test_library_parameter_checks_are_typed(build, message):
         build()
     assert isinstance(info.value, ValueError)  # callers catching ValueError keep working
 
-
-_PAIR = (Series("p", [1.0, 2.0, 4.0]), Series("y", [1.0, 3.0, 2.0]))
-_FLAT = (Series("p", [2.0, 2.0, 2.0]), Series("y", [1.0, 3.0, 2.0]))
 
 # Values of the wrong type: each once fitted, swept or evaluated on with a
 # wrong result, or failed later with a raw TypeError or ValueError.
@@ -241,6 +248,13 @@ TYPE_CHECKS = [
      "transform must be a TransformKind, got 'reciprocal'"),
     (lambda: evaluate(*_PAIR, "witch", 1.0), "transform must be a TransformKind, got 'witch'"),
     (lambda: evaluate(*_FLAT, "witch", 1.0), "transform must be a TransformKind, got 'witch'"),
+    (lambda: evaluate(*_PAIR, RECIP, "x"), "grid_step must be a real number, got 'x'"),
+    (lambda: cumulative(_PAIR[0], True), "grid_step must be a real number, got True"),
+    # float() read True as a correlation of 1 and "0.5" as 0.5, and "abc"
+    # raised a bare ValueError
+    (lambda: transform(RECIP, True), "transform argument must be a real number, got True"),
+    (lambda: transform(WITCH, "0.5"), "transform argument must be a real number, got '0.5'"),
+    (lambda: transform(RECIP, "abc"), "transform argument must be a real number, got 'abc'"),
     # each of these fitted, and wrote a model that read_model rejected
     (lambda: BoostConfig(1, RECIP, lbound=False), "lbound must be a real number, got False"),
     (lambda: BoostConfig(1, RECIP, alpha=True), "alpha must be a real number, got True"),
@@ -253,7 +267,9 @@ TYPE_CHECKS = [
 @pytest.mark.parametrize("build, message", TYPE_CHECKS, ids=[
     "size-float", "size-bool", "size-str", "lbound-str", "alpha-str", "config-transform-str",
     "grid-size-float", "grid-transform-str", "transform-str", "evaluate-str",
-    "evaluate-str-flat", "lbound-bool", "alpha-bool", "with-replacement-str"])
+    "evaluate-str-flat", "evaluate-step-str", "cumulative-step-bool", "transform-x-bool",
+    "transform-x-numeric-str", "transform-x-str", "lbound-bool", "alpha-bool",
+    "with-replacement-str"])
 def test_parameters_of_the_wrong_type_are_typed_errors(build, message):
     with pytest.raises(InvalidParameter, match=f"^{re.escape(message)}$"):
         build()
