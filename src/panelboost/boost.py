@@ -8,8 +8,9 @@ whose every score clears the lower bound. Without replacement, selected
 members leave the pool, so a panel never contains the same member twice.
 
 Candidates are the rows of the family's ``(N, T)`` matrix. Each iteration
-scores all of them with one matrix-vector product against the residual and
-rescores only the rows that product cannot separate from the best with the
+scores all of them from the product of the matrix with the residual, which
+moves forward from step to step (below), and rescores only the rows that
+product cannot separate from the best with the
 scalar ``argmin_rho`` and ``pearson``, so selections, weights, scores and
 tie-breaks (earliest family position wins) are exactly those of scoring
 every candidate with the scalar functionals. Every screen quantity that
@@ -26,56 +27,67 @@ row outside it a NaN slack, so that the floor of the rows' intervals is one
 plain reduction (``_Pool``).
 Dots of two vectors are ``ndarray.dot``, the BLAS call of ``@`` bit for
 bit, without the dispatch of the matmul ufunc (about 0.4 us a call at the
-benchmark's shapes). The screen's matrix-vector product stays ``@``:
+benchmark's shapes). The screen's matrix-vector products stay ``@``:
 ``ndarray.dot`` takes another OpenBLAS gemv path there, which raised a CLI
 fit's peak RSS by about 0.25 MB. The outer loop is inherently sequential
 because each iteration consumes the previous residual, and it ends when a
 count of the pool's rows reaches 0 or the residual is degenerate. Each
 step carries its weight and its prediction, from which ``fit`` takes its
 terms and trace and the sweep its train predictions. The sweep's paths,
-one per distinct alpha, share the screen quantities and the first step
-(``_start``): neither depends on alpha.
+one per distinct alpha, share the screen quantities, the first step and
+the product of the matrix with the target (``_start``): none depends on
+alpha.
 
-The screen has two operands, chosen by the size of the family's matrix and
-by how often it has been screened. Below ``SCREEN32_MIN_BYTES`` (2 MiB, the
-L2 cache per core of the machine the benchmark was defined on) the product
-is a float64 gemv over the matrix itself. From that size on, the float64
-gemv is bound by memory, and once a family has been screened
-``SCREEN32_AFTER_SCREENS`` times, the product is a float32 gemv over the
-family's centred copy (``Family._centred32``, built once per family and
-shared by every later fit on it), against the residual centred and scaled
-the same way. The copy takes as long to build as the float32 gemv saves in
-12-23 screens (600x438 to 4000x438 floats, measured on that machine), so a
-family fit once, by one CLI fit or one ``select_step``, never builds it,
-and a family screened more often builds it after 16 screens, by when its
-float64 screens have cost about one build more than float32 ones would
-have. On select-wide (2000x438, 7 MB) the float32 operand makes a fit of 10
-steps take 0.67x the time; a first fit that built the copy took 1.24x.
-Applied to the 175 KB families of sweep-grid, it made a sweep 1.10-1.24x
-slower, because its extra numpy calls cost more there than the smaller gemv
-saves.
+The screen's product moves with the residual. A step subtracts ``w_k *
+h_k`` from the residual, so it subtracts ``w_k * <h, h_k>`` from every
+row's ``<h, r>``: ``_start`` takes one gemv of the matrix with the target
+``y``, and each later step updates that N-vector by the Gram column of its
+row, ``values @ values[row]``, in place of a gemv over the matrix. The
+columns are a pure function of the family, so ``Family._gram`` keeps them
+for every later path on it, in units of each row's spread. It holds at
+most T of them, the bytes of the matrix, and is emptied when full. A
+column costs one gemv when first used, so a family fit once pays one gemv
+per step, as screening against each residual would; a family fit again
+along the members it has seen pays none. On select-wide (2000x438), where
+every fit steps by the members of the last one, a fit of 10 steps takes
+about 0.4x the time of a fit with a gemv per step.
 
-Both operands screen with one formula. The product is taken against the
-centred residual ``r_c``, which sums to 0, so ``<h, r_c> = <h_c, r_c>``
-whether the rows are centred (the float32 copy) or not (the matrix). Over
-the row's spread that is the estimate of the score times ``spread(r)``, and
-``<h, r> = <h_c, r_c> + mean(r) * sum(h)`` over the same spread gives the
-sign of ``raw_rho``. On float64 the estimate errs by at most about
-``(T + 2) * eps * |h| * |r|`` over the row's spread: the gemv on ``r_c``,
-in any order of summation, plus ``delta * sum(h)``, where ``delta`` is the
-rounding of ``mean(r)``. That is the form each row's score slack covers.
-Adding ``mean(r) * sum(h)`` back errs by a few eps of ``|h| * |r|`` more,
-which the sign's bound ``ROUNDING_MARGIN * T * eps * |h| * |r|`` covers.
-The float32 operand adds only its own rounding: at most about
-``(T + 2) * 2**-24 * |h_c| * |r_c|``, one rounding of each operand to
-float32 and the length-T sum. Values that fall to float32's subnormals add
-at most ``T * 2**-149`` in the same units, because each scaled operand's
-largest value is at least 0.5. So on that operand each row's interval, and
-the sign's bound, widens by ``ROUNDING_MARGIN * T * 2**-24`` per unit of
-``|h_c| * |r_c|``. That is at least 8 times the error, and more than 5
-times once a barely resolved row's ``h_spread``, which may be low by up to
-a factor of sqrt(2), is allowed for. The rescore is the same for both
-operands, so the operand changes only how many rows are rescored.
+``_best`` estimates ``<h_c, r_c>`` as ``<h, r> - mean(r) * sum(h)``:
+``r_c`` sums to 0, so ``<h, r_c> = <h_c, r_c>``. Over the row's spread
+that is the estimate of the score times ``spread(r)``, and ``<h, r>``
+itself gives the sign of ``raw_rho``. Each row's score slack is sized per
+unit of ``|r|`` for an estimate that errs by at most about ``(T + 2) *
+eps * |h| * |r|`` over the row's spread, with ``ROUNDING_MARGIN`` to
+spare, and the sign's bound is ``ROUNDING_MARGIN * T * eps * |h| * |r|``.
+
+With ``u = eps / 2``, weights ``w_j`` of rows ``h_j`` and ``mass = |y| +
+sum(|w_j| * |h_j|)``, which bounds ``|r|`` and every partial prediction,
+after k steps each entry of the estimate differs from what the rescore's
+centred dot gives on the computed residual ``r`` by at most about these
+multiples of ``u * |h| * mass``:
+
+- ``T`` for the gemvs: the first one, on ``y``, and one per column, on
+  ``h_j``, which enters weighted by ``|w_j|``; a length-T dot errs by at
+  most ``T * u`` times the product of its operands' norms, in any order
+  of summation;
+- ``3 * k`` for the updates: a column's scaling by the spread, its
+  weighting and the subtraction round once each, and every partial result
+  is at most ``|h| * mass``;
+- ``k + 1`` for the prediction, whose k additions each round by at most
+  ``u`` of a partial prediction, and 1 for the residual ``y - prediction``;
+- ``2 * T`` for the centring: the row sum and the sum of ``r``, which the
+  rescore centres ``r`` on, each err by at most ``T * u`` times the sum of
+  absolute values, and enter multiplied by a mean of the other side;
+- a few more for the first scaling and ``mean(r) * sum(h)``.
+
+That is about ``(3T + 4k + 6) * u``, at most ``(T + 2) * eps`` per unit
+of ``bound = 2 * max(|r|, mass * (1 + k / T))``, and the sign's error,
+which lacks the centring, is smaller. So each slack and the sign's bound
+scale by ``bound`` in place of ``|r|``. ``_best`` scores a residual with a
+gemv of its own on ``r`` as the case k = 0, ``mass = |r|``. Where the
+residual has collapsed far below ``mass``, the intervals widen until every
+row is rescored. The rescore is unchanged, so the product's error changes
+only how many rows are rescored, never a result.
 """
 
 from __future__ import annotations
@@ -114,14 +126,6 @@ from .series import PREDICTION_ID, RESIDUAL_ID, Family, Series, TimeGrid, _integ
 WEIGHT_TOLERANCE = 1e-12
 
 FLOAT_MAX = float(np.finfo(float).max)
-# float32's unit roundoff, for the rounding bound of the float32 screen.
-UNIT_ROUNDOFF32 = 2.0**-24
-# A family whose matrix takes at least this many bytes (the L2 cache per core
-# of the machine the benchmark was defined on) is screened against its
-# float32 centred copy once it has been screened SCREEN32_AFTER_SCREENS times
-# on the matrix itself; the module docstring gives the measurements.
-SCREEN32_MIN_BYTES = 2 * 2**20
-SCREEN32_AFTER_SCREENS = 16
 
 
 @dataclass(frozen=True)
@@ -283,7 +287,7 @@ def select_step(
     scores at or above ``config.lbound`` (the early-stop signal); ties break
     toward the earliest family position.
     """
-    _, found = _start(candidates, residual, "residual")
+    found = _start(candidates, residual, "residual").first
     values = residual.values
     if values.max() == values.min():
         raise DegenerateResidual("residual has zero variance")
@@ -311,27 +315,21 @@ class _Rows(NamedTuple):
     on unresolved ones, so that ``_best`` multiplies where it would divide
     and no estimate is ever infinite or NaN.
 
-    ``operand`` is the matrix the screen's product reads: ``family.values``,
-    or the family's float32 centred copy (``Family._centred32``) once its
-    matrix takes at least ``SCREEN32_MIN_BYTES`` and it has been screened
-    ``SCREEN32_AFTER_SCREENS`` times. ``gain`` turns a row of that product
-    into units of the row's spread: ``inv_spread``, or ``scale *
-    inv_spread`` on the copy. ``offset`` is ``total * inv_spread`` and
-    ``sign_gain`` is ``unit * sqrt(sq_norm) * inv_spread``, the bound on
-    <h, r> per unit of ``|r|`` in the same units. ``slack_factor`` is
-    ``unit * (1 + sqrt(sq_norm / centred_sq))**2``, the score's rounding
-    bound per unit of ``|r| / spread(r)``, and infinite on unresolved rows,
-    whose score the screen cannot bound. ``usable`` marks the rows that are
-    neither zero nor constant; it is exact (only unresolved rows can be
-    constant, and those are checked value by value). The other rows can
-    never be selected, but their screen interval is the whole range, so
-    without the mask they would be rescored every iteration. The module
-    docstring gives the reasons for the operand's rules and derives the
-    screen's rounding bound.
+    ``gain`` is ``inv_spread``: it puts a row's ``<h, r>`` in units of the
+    row's spread. ``offset`` is ``total * inv_spread`` and ``sign_gain`` is
+    ``unit * sqrt(sq_norm) * inv_spread``, the bound on <h, r> per unit of
+    ``|r|`` in the same units. ``slack_factor`` is ``unit * (1 +
+    sqrt(sq_norm / centred_sq))**2``, the score's rounding bound per unit
+    of ``|r| / spread(r)``, and infinite on unresolved rows, whose score
+    the screen cannot bound. ``usable`` marks the rows that are neither
+    zero nor constant; it is exact (only unresolved rows can be constant,
+    and those are checked value by value). The other rows can never be
+    selected, but their screen interval is the whole range, so without the
+    mask they would be rescored every iteration. The module docstring
+    derives the screen's rounding bound.
     """
 
     total: np.ndarray
-    operand: np.ndarray
     gain: np.ndarray
     offset: np.ndarray
     sign_gain: np.ndarray
@@ -386,17 +384,13 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
         h_norm, h_spread = np.sqrt(sq_norm), np.sqrt(centred_sq)
         slack_factor = np.where(unresolved, np.inf, unit * (1.0 + h_norm / h_spread) ** 2)
         inv_spread = np.where(unresolved, 0.0, 1.0 / h_spread)
-    operand, gain = family.values, inv_spread
-    if (family.values.nbytes >= SCREEN32_MIN_BYTES
-            and family._float64_screens[0] >= SCREEN32_AFTER_SCREENS):
-        operand, scale = family._centred32
-        gain = scale * inv_spread
-    return _Rows(total, operand, gain, total * inv_spread, unit * h_norm * inv_spread,
+    return _Rows(total, inv_spread, total * inv_spread, unit * h_norm * inv_spread,
                  slack_factor, usable)
 
 
 def _best(
-    family: Family, rows: _Rows, r: np.ndarray, pool: _Pool
+    family: Family, rows: _Rows, r: np.ndarray, pool: _Pool,
+    hr: np.ndarray | None = None, drift: float = 0.0,
 ) -> tuple[int, Selection] | None:
     """Row and selection of the best candidate among the pool rows, whatever its score.
 
@@ -405,28 +399,28 @@ def _best(
     constant, or srr == 0. ``r`` is a fresh array, so it starts on a 16-byte
     boundary, as ``argmin_rho``'s copies do.
 
-    One matrix-vector product of ``rows.operand`` with the centred residual
-    ``rc`` (scaled by a power of two into [0.5, 1) on the float32 copy)
-    gives every row's <h_c, r_c>, and ``rows.gain`` puts it in units of the
-    row's spread and of ``1 / spread(r)``: a score times ``spread(r)``, so
-    the screen never divides. One line adds ``mean(r) * sum(h)`` back for
-    <h, r>, whose sign is raw_rho's. Those estimates carry rounding error,
-    so they only screen. Each row gets an interval that provably holds the
-    score the scalar ``argmin_rho``/``pearson`` pair gives it, with the
-    bounds the module docstring derives. A row whose sign of raw_rho the
-    product cannot tell gets an infinite interval, and so does every row
-    when ``srr`` is near underflow, where the bounds fail and the product is
-    skipped. The floor is the highest lower end over the pool: one
-    ``np.fmax`` reduction over every row, since a row outside the pool has a
-    NaN slack in ``pool.slack_factor``, so a NaN lower end, which fmax
-    skips, or -inf where its sign is uncertain (if no pool row has a lower
+    ``hr`` is every row's <h, r> in units of the row's spread, moved forward
+    by k Gram columns along a path, and ``drift`` is ``mass * (1 + k / T)``
+    for the path's ``mass`` (see the module docstring); without them, one
+    matrix-vector product with ``r`` gives ``hr``. Less ``mean(r) *
+    sum(h)`` it is <h_c, r_c> over the row's spread, a score times
+    ``spread(r)``, so the screen never divides, and its sign is raw_rho's.
+    Those estimates carry rounding error, so they only screen. Each row
+    gets an interval that provably holds the score the scalar
+    ``argmin_rho``/``pearson`` pair gives it, with the bounds the module
+    docstring derives. A row whose sign of raw_rho the product cannot tell
+    gets an infinite interval, and so does every row when ``srr`` is near
+    underflow, where the bounds fail and the product is not read. The
+    floor is the highest lower end over the pool: one ``np.fmax`` reduction
+    over every row, since a row outside the pool has a NaN slack in
+    ``pool.slack_factor``, so a NaN lower end, which fmax skips, or -inf
+    where its sign is uncertain (if no pool row has a lower
     end that is not NaN, the floor is NaN or -inf, and every pool row is
     rescored). The pool rows whose upper end is not below the floor are
     rescored with that pair, in family order; a NaN bound never excludes a
     pool row, and never admits a row outside the pool. The result is
     exactly what scoring every row with the scalar functionals gives, ties
-    included, on either operand. Usually one row is rescored, a few on the
-    float32 one.
+    included. Usually one row is rescored.
 
     ``mean(r)`` is ``sum(r) / T``, ``r.mean()`` bit for bit, and ``|r|**2``
     is taken as ``srr + T * mean(r)**2``. That is ``sum((r - mean(r))**2) +
@@ -435,7 +429,7 @@ def _best(
     margin covers either. Whether ``r`` is constant is asked of
     ``functional._constant``, which compares its values only where ``srr``
     is small enough for a constant ``r`` to give it (the bound is derived
-    there); the float32 screen reads them for its scale.
+    there).
 
     The rescore reads a fresh copy ``h`` of each row, which starts on a
     16-byte boundary wherever the row sits in the matrix, and its centred
@@ -464,28 +458,16 @@ def _best(
     if srr < RESOLVED_FLOOR:  # the screen's rounding bounds fail: rescore every row
         near = pool.mask.nonzero()[0]
     else:
-        r_norm, r_spread = math.sqrt(rr), math.sqrt(srr)
-        # est, slack and the bounds below are in units of 1 / r_spread: a
-        # score times r_spread. The score's error is about slack / 4.
-        slack = pool.slack_factor * r_norm
-        sign_bound = rows.sign_gain * r_norm
-        if rows.operand is X:
-            family._float64_screens[0] += 1
-            est = (X @ rc) * rows.gain
-        else:
-            # rc scaled as the rows are: its largest |value| is r's largest
-            # or smallest value's distance from r_mean
-            _, exponent = math.frexp(max(r.max() - r_mean, r_mean - r.min()))
-            r32 = np.ldexp(rc, -exponent).astype(np.float32)
-            rounding = ROUNDING_MARGIN * count * UNIT_ROUNDOFF32 * r_spread
-            est = (rows.operand @ r32) * rows.gain * math.ldexp(1.0, exponent)
-            sign_bound = sign_bound + rounding
-            slack = slack + rounding
-        # <h, r> = <h_c, r_c> + mean(r) * sum(h), here over the row's spread
-        hr = est + rows.offset * r_mean
+        if hr is None:
+            hr = (X @ r) * rows.gain
+        # the module docstring derives the bound; est, slack and the bounds
+        # below are in units of 1 / spread(r): a score times spread(r)
+        bound = 2.0 * max(math.sqrt(rr), drift)
+        slack = pool.slack_factor * bound
         # the sign of raw_rho is only certain where <h, r> clears its bound
-        wide = np.where(np.abs(hr) > sign_bound, slack, np.inf)
-        est = np.sign(hr) * est
+        wide = np.where(np.abs(hr) > rows.sign_gain * bound, slack, np.inf)
+        # <h_c, r_c> = <h, r> - mean(r) * sum(h), here over the row's spread
+        est = np.sign(hr) * (hr - rows.offset * r_mean)
         # fmax skips NaN, and a NaN bound never excludes a row
         floor = np.fmax.reduce(est - wide)
         # pool rows whose upper end is not below the floor (True > False)
@@ -533,11 +515,13 @@ def _pool(rows: _Rows) -> _Pool:
 class _Start(NamedTuple):
     """What every path on one family and target shares, whatever its alpha.
 
-    The screen constants and the first step: its residual is the target
-    and its pool every usable row.
+    The screen constants, the product of the matrix with the target over
+    each row's spread (None when no row is usable), and the first step: its
+    residual is the target and its pool every usable row.
     """
 
     rows: _Rows
+    hr: np.ndarray | None
     first: tuple[int, Selection] | None
 
 
@@ -548,9 +532,26 @@ def _start(family: Family, target: Series, name: str = "target") -> _Start:
     """
     rows = _checked_rows(family, target.values, name)
     if not rows.usable.any():
-        return _Start(rows, None)
+        return _Start(rows, None, None)
     # a copy, as _best asks: the target may be a row view of a family
-    return _Start(rows, _best(family, rows, target.values.copy(), _pool(rows)))
+    y = target.values.copy()
+    hr = (family.values @ y) * rows.gain
+    return _Start(rows, hr, _best(family, rows, y, _pool(rows), hr))
+
+
+def _column(family: Family, rows: _Rows, row: int) -> np.ndarray:
+    """``values @ values[row]`` over each row's spread, from ``Family._gram``.
+
+    A missing column is computed, once the cache has been emptied if it
+    already holds T columns.
+    """
+    gram = family._gram
+    column = gram.get(row)
+    if column is None:
+        if len(gram) >= family.grid.count:
+            gram.clear()
+        column = gram[row] = (family.values @ family.values[row]) * rows.gain
+    return column
 
 
 def _path(
@@ -561,19 +562,27 @@ def _path(
 
     A step's weight is ``alpha * raw_rho`` and its prediction the last one plus
     ``weight * row``, as in ``_running_sums``; the next step selects against
-    the target minus it. Without replacement a step leaves the pool when the
-    next is pulled. The path ends when the pool is empty, which a count of
-    its rows tells without a scan, or when ``_best`` finds the residual
-    degenerate. No prediction overflows: a step removes at most the
-    residual's projection on its row, so the prediction stays within twice
-    the target's norm, which ``_checked_rows`` checked. ``start`` is
-    ``_start(family, target)``, computed once for every alpha of a sweep.
+    the target minus it. The screen's product moves by the step's Gram
+    column (``_column``) and ``mass``, which bounds its rounding, by
+    ``|weight| * |row|`` (see the module docstring). Without replacement a
+    step leaves the pool when the next is pulled. The path ends when the
+    pool is empty, which a count of its rows tells without a scan, or when
+    ``_best`` finds the residual degenerate. No prediction overflows: a
+    step removes at most the residual's projection on its row, so the
+    prediction stays within twice the target's norm, which
+    ``_checked_rows`` checked. ``start`` is ``_start(family, target)``,
+    computed once for every alpha of a sweep.
     """
-    rows, found = _start(family, target) if start is None else start
+    rows, hr, found = _start(family, target) if start is None else start
     # zero and constant members can never be selected, so they start outside
     pool = _pool(rows)
     left = int(np.count_nonzero(pool.mask))
-    prediction = np.zeros(family.grid.count)
+    y = target.values
+    count = family.grid.count
+    prediction = np.zeros(count)
+    sq_norm = family.row_sums[0]
+    mass = math.sqrt(float(y.dot(y)))
+    steps = 0
     while found is not None:
         index, chosen = found
         weight = alpha * chosen.raw_rho
@@ -585,7 +594,11 @@ def _path(
             left -= 1
             if not left:
                 return
-        found = _best(family, rows, target.values - prediction, pool)
+        hr = hr - weight * _column(family, rows, index)
+        mass += abs(weight) * math.sqrt(sq_norm[index])
+        steps += 1
+        drift = mass * (1.0 + steps / count)
+        found = _best(family, rows, y - prediction, pool, hr, drift)
 
 
 def _accepted(path: Iterable, panel_size: int, lbound: float) -> list:

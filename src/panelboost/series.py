@@ -1,10 +1,12 @@
 """Grids, series, families, target construction, and interval partitioning.
 
 All types are immutable after construction and all operations are pure
-functions. A ``Family`` fills three caches on first use: its ``row_sums``,
-its count of selection screens and its float32 centred copy. None of them
-changes a value any function returns, so every type is safe to share across
-threads: two threads may at worst build a cache twice or miss a count.
+functions. A ``Family`` fills four caches on first use: its ``members``, the
+rows of its ids, its ``row_sums`` and the Gram columns of the rows that
+``boost``'s paths step by. None of them changes a value any function
+returns, so every type is safe to share across threads: two threads may at
+worst build a cache or a column twice, each add a column past the Gram
+cache's bound, or empty it while the other still reads a column it took.
 """
 
 from __future__ import annotations
@@ -37,11 +39,6 @@ CUMULATIVE_ID = "__cumulative__"
 # and a step inferred from the end points about 2 more.
 SPACING_ROUNDING_ULPS = 3.0
 TIME_ROUNDING_ULPS = 8.0
-
-# Rows per block of the float32 copy are chosen so that a block of float64
-# temporaries stays this small: the copy adds half the matrix's bytes, and
-# its build adds next to nothing on top.
-CENTRED_BLOCK_BYTES = 128 * 1024
 
 
 def _readonly_values(values) -> np.ndarray:
@@ -260,49 +257,14 @@ class Family:
         return np.einsum("ij,ij->i", self.values, self.values), self.values.sum(axis=1)
 
     @functools.cached_property
-    def _float64_screens(self) -> list[int]:
-        """How many selection screens have read ``values``, as a one-item list.
+    def _gram(self) -> dict[int, np.ndarray]:
+        """Gram columns ``values @ values[row]`` by row, filled by ``boost``.
 
-        ``boost`` counts it up for a large family and builds ``_centred32``
-        once the count shows that the family is fit again and again.
+        ``boost`` keeps each column in units of the rows' spreads, and at
+        most ``grid.count`` of them, so the cache never holds more bytes
+        than ``values``.
         """
-        return [0]
-
-    @functools.cached_property
-    def _centred32(self) -> tuple[np.ndarray, np.ndarray]:
-        """The rows about their means in float32, scaled by powers of two, computed once.
-
-        Row ``i`` of the copy is ``(values[i] - mean_i) / scale[i]`` rounded
-        to float32, the centring done in float64; ``scale[i]`` is the power
-        of two that puts the row's largest ``|value - mean|`` in [0.5, 1).
-        So no row overflows float32, and only its values below 2**-126 of
-        its largest fall to float32's subnormals.
-        """
-        return _scaled_centred_copy(self.values, self.row_sums[1])
-
-
-def _scaled_centred_copy(
-    values: np.ndarray, totals: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``Family._centred32`` of an ``(N, T)`` matrix and its row sums.
-
-    The copy is built a block of rows at a time, so no full-size float64
-    temporary exists.
-    """
-    n, count = values.shape
-    copy = np.empty((n, count), dtype=np.float32)
-    scale = np.empty(n)
-    means = totals / count
-    block = max(1, CENTRED_BLOCK_BYTES // (8 * count))
-    for lo in range(0, n, block):
-        rows = slice(lo, lo + block)
-        centred = values[rows] - means[rows, None]
-        _, exponent = np.frexp(np.maximum(centred.max(axis=1), -centred.min(axis=1)))
-        # exact, but for values below 2**-1022 of the row's largest, which
-        # float32 rounds to 0 anyway
-        copy[rows] = np.ldexp(centred, -exponent[:, None], out=centred)
-        scale[rows] = np.ldexp(1.0, exponent)
-    return copy, scale
+        return {}
 
 
 @dataclass(frozen=True)

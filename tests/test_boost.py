@@ -1,4 +1,3 @@
-import contextlib
 import math
 
 import numpy as np
@@ -24,6 +23,7 @@ from panelboost import (
     MissingPanelMember,
     NoAdmissibleMember,
     NumericOverflow,
+    PanelBoostError,
     PanelModel,
     PanelTerm,
     Series,
@@ -37,8 +37,10 @@ from panelboost import (
     generate,
     predict,
     residual,
+    restrict,
+    restrict_family,
     select_step,
-    series,
+    split,
     sweep,
 )
 from panelboost.functional import _centred, _weight, argmin_rho
@@ -60,18 +62,30 @@ def _config(panel_size, **kwargs):
     return BoostConfig(panel_size=panel_size, **kwargs)
 
 
-@contextlib.contextmanager
-def _float32_screen():
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(boost, "SCREEN32_MIN_BYTES", 0)
-        patch.setattr(boost, "SCREEN32_AFTER_SCREENS", 0)
-        yield
+def _cold(fam):
+    """A fresh copy of ``fam``: its Gram cache is empty."""
+    return Family._from_matrix(fam.grid, fam.ids, fam.values.copy())
 
 
-# The screen's two operands. The oracle tests' families are far below
-# SCREEN32_MIN_BYTES and screened once, so they run on the float64 matrix as
-# they are, and on the float32 centred copy with both rules set to 0.
-SCREENS = {"float64": contextlib.nullcontext, "float32": _float32_screen}
+def _warm(fam):
+    """A fresh copy of ``fam`` after fits to two other targets, which fill its Gram cache.
+
+    Each fit runs until its pool is empty or its residual degenerate, so it
+    steps by every usable row it can, and the cache holds their columns.
+    """
+    fam = _cold(fam)
+    count = fam.grid.count
+    for values in (np.linspace(-1.0, 1.0, count), np.cos(np.arange(count))):
+        try:
+            fit(fam, Series("__target__", values), _config(max(1, len(fam))))
+        except PanelBoostError:
+            pass
+    return fam
+
+
+# The Gram cache's two states. Its columns change only which rows are
+# rescored, so every result must be the same on both, and the scalar oracle's.
+CACHES = {"cold": _cold, "warm": _warm}
 
 
 class TestBoostConfig:
@@ -235,11 +249,12 @@ def _screen_edge_cases(draw):
     return rows, resid, lbound
 
 
-# Rows at the edges of the float32 screen: below float32's normal range
-# (1e-42, and 1e-300, whose squares vanish) and beyond its range (1e39,
-# 1e150), a row holding both 1e30 and 1e-30, and near-duplicate rows, whose
-# scores tie well inside the float32 rounding bound. The residual is built as
-# in _screen_edge_cases, at scales that put it beside those rows.
+# Rows at the edges of float32's range: below its normal range (1e-42, and
+# 1e-300, whose squares vanish) and beyond it (1e39, 1e150), a row holding
+# both 1e30 and 1e-30, and near-duplicate rows, whose scores tie within a
+# relative 1e-9, far inside a float32 rounding bound and far outside the
+# float64 screen's. The residual is built as in _screen_edge_cases, at
+# scales that put it beside those rows.
 @st.composite
 def _float32_edge_cases(draw):
     count = draw(st.integers(2, 12))
@@ -284,14 +299,14 @@ class TestMatchesScalarOracle:
         rows, resid, lbound = case
         fam = _family({f"c{i}": v for i, v in enumerate(rows)})
         want = scalar_select([(m.id, m.values) for m in fam.members], resid, lbound)
-        for operand, screen in SCREENS.items():
-            with screen():
-                got = select_step(fam, Series("__residual__", resid), _config(1, lbound=lbound))
+        for state, prepare in CACHES.items():
+            got = select_step(prepare(fam), Series("__residual__", resid),
+                              _config(1, lbound=lbound))
             if want is None:
-                assert got is None, operand
+                assert got is None, state
             else:
                 # same member (earliest duplicate), and raw_rho and score bit for bit
-                assert got == want[1], operand
+                assert got == want[1], state
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_screen_edge_cases())
@@ -299,10 +314,10 @@ class TestMatchesScalarOracle:
         rows, resid, lbound = case
         fam = _family({f"c{i}": v for i, v in enumerate(rows)})
         want = scalar_select([(m.id, m.values) for m in fam.members], resid, lbound)
-        for operand, screen in SCREENS.items():
-            with screen():
-                got = select_step(fam, Series("__residual__", resid), _config(1, lbound=lbound))
-            assert got == (None if want is None else want[1]), operand
+        for state, prepare in CACHES.items():
+            got = select_step(prepare(fam), Series("__residual__", resid),
+                              _config(1, lbound=lbound))
+            assert got == (None if want is None else want[1]), state
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_float32_edge_cases())
@@ -310,10 +325,10 @@ class TestMatchesScalarOracle:
         rows, resid, lbound = case
         fam = _family({f"c{i}": v for i, v in enumerate(rows)})
         want = scalar_select([(m.id, m.values) for m in fam.members], resid, lbound)
-        for operand, screen in SCREENS.items():
-            with screen():
-                got = select_step(fam, Series("__residual__", resid), _config(1, lbound=lbound))
-            assert got == (None if want is None else want[1]), operand
+        for state, prepare in CACHES.items():
+            got = select_step(prepare(fam), Series("__residual__", resid),
+                              _config(1, lbound=lbound))
+            assert got == (None if want is None else want[1]), state
 
     def test_sign_of_a_vanishing_inner_product(self):
         # <h, r> is zero up to rounding while pearson(r, h) is near 1, so the
@@ -326,10 +341,9 @@ class TestMatchesScalarOracle:
             rows = [rng.standard_normal(40) + resid for _ in range(3)] + [h]
             fam = _family({f"c{i}": v for i, v in enumerate(rows)})
             want = scalar_select([(m.id, m.values) for m in fam.members], resid, -1.0)
-            for operand, screen in SCREENS.items():
-                with screen():
-                    got = select_step(fam, Series("__residual__", resid), _config(1))
-                assert got == want[1], (seed, operand)
+            for state, prepare in CACHES.items():
+                got = select_step(prepare(fam), Series("__residual__", resid), _config(1))
+                assert got == want[1], (seed, state)
 
     def test_a_residual_near_underflow_rescores_every_row(self, monkeypatch):
         # srr is about 3.5e-299, below RESOLVED_FLOOR, where the screen's
@@ -352,7 +366,7 @@ class TestMatchesScalarOracle:
             self, monkeypatch):
         # the residual is orthogonal to every row up to rounding, so no
         # <h, r> clears its sign bound: every interval is infinite, the floor
-        # is -inf, and every pool row is rescored, on either operand
+        # is -inf, and every pool row is rescored, whatever the cache holds
         rescored = []
 
         def counting_weight(hy, hh):
@@ -370,12 +384,12 @@ class TestMatchesScalarOracle:
             assert (np.abs(rows @ resid) < sign_bound * norms).all()
             fam = _family({f"c{i}": v for i, v in enumerate(rows)})
             want = scalar_select([(m.id, m.values) for m in fam.members], resid, -1.0)
-            for operand, screen in SCREENS.items():
+            for state, prepare in CACHES.items():
+                prepared = prepare(fam)
                 rescored.clear()
-                with screen():
-                    got = select_step(fam, Series("__residual__", resid), _config(1))
-                assert len(rescored) == len(fam), (seed, operand)
-                assert got == want[1], (seed, operand)
+                got = select_step(prepared, Series("__residual__", resid), _config(1))
+                assert len(rescored) == len(fam), (seed, state)
+                assert got == want[1], (seed, state)
 
     @pytest.mark.parametrize("count", [2, 3, 219])
     @pytest.mark.parametrize("value", [1e150, -3.7, 1e-140, 1e-150, 5e-324])
@@ -387,14 +401,14 @@ class TestMatchesScalarOracle:
         rng = np.random.default_rng(count)
         fam = _family({f"c{i}": rng.standard_normal(count) for i in range(3)})
         resid = np.full(count, value)
-        for operand, screen in SCREENS.items():
-            with screen():
-                rows = boost._checked_rows(fam, resid, "residual")
-                assert boost._best(fam, rows, resid, boost._pool(rows)) is None, operand
-                with pytest.raises(DegenerateResidual):
-                    select_step(fam, Series("__residual__", resid), _config(1))
-                with pytest.raises(NoAdmissibleMember):
-                    fit(fam, Series("__target__", resid), _config(2))
+        for state, prepare in CACHES.items():
+            prepared = prepare(fam)
+            rows = boost._checked_rows(prepared, resid, "residual")
+            assert boost._best(prepared, rows, resid, boost._pool(rows)) is None, state
+            with pytest.raises(DegenerateResidual):
+                select_step(prepared, Series("__residual__", resid), _config(1))
+            with pytest.raises(NoAdmissibleMember):
+                fit(prepared, Series("__target__", resid), _config(2))
 
     @pytest.mark.parametrize("field", ["gain", "slack_factor"])
     def test_a_nan_bound_rescores_a_pool_row_and_no_other(self, field, monkeypatch):
@@ -435,7 +449,7 @@ class TestMatchesScalarOracle:
         # sums of squares up to about 2e307: every product of two of them,
         # h_spread * r_spread among them, leaves the float range, and the
         # screen must neither warn (warnings are errors here) nor misjudge
-        # a row, on either operand
+        # a row, whatever the cache holds
         rng = np.random.default_rng(count)
         scale = 1e153 * np.sqrt(64 / count)
         rows = rng.uniform(-1.0, 1.0, (6, count)) * scale
@@ -455,14 +469,14 @@ class TestMatchesScalarOracle:
             members = [(m.id, m.values) for m in fam.members]
             want_step = scalar_select(members, target, -1.0)
             want_path, want_stopped = scalar_fit(members, target, 5)
-            for operand, screen in SCREENS.items():
-                with screen():
-                    got = select_step(fam, Series("__residual__", target), _config(1))
-                    model, _ = fit(fam, Series("__target__", target), _config(5))
-                assert got == want_step[1], operand
+            for state, prepare in CACHES.items():
+                prepared = prepare(fam)
+                got = select_step(prepared, Series("__residual__", target), _config(1))
+                model, _ = fit(prepared, Series("__target__", target), _config(5))
+                assert got == want_step[1], state
                 got_path = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
-                assert got_path == want_path, operand
-                assert model.stopped_early == want_stopped, operand
+                assert got_path == want_path, state
+                assert model.stopped_early == want_stopped, state
             # a target whose sum of squares leaves the range is a typed error
             with pytest.raises(NumericOverflow, match="target"):
                 fit(fam, Series("__target__", target * 1e2), _config(5))
@@ -477,7 +491,7 @@ class TestMatchesScalarOracle:
     TARGETS = ([1.0, -2.0, 3.0, 4.0, 1.0, 0.0, 2.0], [3.0, 1.0, -1.0, 2.0, 0.5, 1.0, 4.0])
 
     def test_a_row_whose_sum_of_squares_nears_the_float_maximum(self):
-        # such a row is a NumericOverflow naming it, on either operand, and
+        # such a row is a NumericOverflow naming it, whatever the cache holds, and
         # argmin_rho raises one wherever its dot with itself overflows, with
         # no warning escaping (warnings are errors here)
         big = self.NEAR_MAX_ROW
@@ -489,12 +503,12 @@ class TestMatchesScalarOracle:
         with np.errstate(over="ignore"):
             overflows = math.isinf(h.copy() @ h.copy())
         for target in self.TARGETS:
-            for operand, screen in SCREENS.items():
-                with screen():
-                    with pytest.raises(NumericOverflow, match="'big'"):
-                        select_step(fam, Series("__residual__", target), _config(1))
-                    with pytest.raises(NumericOverflow, match="'big'"):
-                        fit(fam, Series("__target__", target), _config(2))
+            for prepare in CACHES.values():
+                prepared = prepare(fam)
+                with pytest.raises(NumericOverflow, match="'big'"):
+                    select_step(prepared, Series("__residual__", target), _config(1))
+                with pytest.raises(NumericOverflow, match="'big'"):
+                    fit(prepared, Series("__target__", target), _config(2))
             if overflows:
                 with pytest.raises(NumericOverflow, match="sum of squares overflows"):
                     argmin_rho(big, target)
@@ -519,14 +533,14 @@ class TestMatchesScalarOracle:
         for target in self.TARGETS:
             want_step = scalar_select(members, target, -1.0)
             want_path, want_stopped = scalar_fit(members, target, 2)
-            for operand, screen in SCREENS.items():
-                with screen():
-                    got = select_step(fam, Series("__residual__", target), _config(1))
-                    model, _ = fit(fam, Series("__target__", target), _config(2))
-                assert got == want_step[1], operand
+            for state, prepare in CACHES.items():
+                prepared = prepare(fam)
+                got = select_step(prepared, Series("__residual__", target), _config(1))
+                model, _ = fit(prepared, Series("__target__", target), _config(2))
+                assert got == want_step[1], state
                 got_path = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
-                assert got_path == want_path, operand
-                assert model.stopped_early == want_stopped, operand
+                assert got_path == want_path, state
+                assert model.stopped_early == want_stopped, state
         assert any(hh > 0.4 * np.finfo(float).max for hh in rescored)
 
     @pytest.mark.parametrize("seed", range(5))
@@ -545,18 +559,62 @@ class TestMatchesScalarOracle:
         path, stopped = scalar_fit(
             [(m.id, m.values) for m in fam.members], target.values, 8, **options
         )
-        for operand, screen in SCREENS.items():
+        for state, prepare in CACHES.items():
             try:
-                with screen():
-                    model, _ = fit(fam, target, _config(8, **options))
+                model, _ = fit(prepare(fam), target, _config(8, **options))
             except NoAdmissibleMember:
                 model = None
             if model is None:
-                assert path == [], operand
+                assert path == [], state
             else:
                 got = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
-                assert got == path, operand
-                assert model.stopped_early == stopped, operand
+                assert got == path, state
+                assert model.stopped_early == stopped, state
+
+    def test_a_residual_that_collapses_while_the_mass_stays_large(self, monkeypatch):
+        # the target 2a + 3b on disjoint supports: after a and b, the residual
+        # is only the rounding of 3b, far below the mass the screen's product
+        # carries, so its bound widens until every pool row is rescored, and
+        # each later step must still be the oracle's
+        rng = np.random.default_rng(12)
+        a, b = np.zeros(40), np.zeros(40)
+        a[:20], b[20:] = rng.standard_normal(20), rng.standard_normal(20)
+        fam = _family({"a": a, "b": b, **{f"n{i}": v
+                                          for i, v in enumerate(rng.standard_normal((6, 40)))}})
+        target = 2 * a + 3 * b
+        want_path, want_stopped = scalar_fit([(m.id, m.values) for m in fam.members], target, 6)
+        assert len(want_path) == 6 and {want_path[0][0], want_path[1][0]} == {"a", "b"}
+        rescored = []
+
+        def counting_weight(hy, hh):
+            rescored.append(hh)
+            return _weight(hy, hh)
+
+        monkeypatch.setattr(boost, "_weight", counting_weight)
+        for state, prepare in CACHES.items():
+            prepared = prepare(fam)
+            rescored.clear()
+            model, trace = fit(prepared, Series("__target__", target), _config(6))
+            got = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
+            assert got == want_path, state
+            assert model.stopped_early == want_stopped, state
+            assert trace.records[1].squared_error_after < 1e-25 * float(target @ target)
+            # steps 3 to 6 rescore their whole pools: 6, 5, 4 and 3 rows
+            assert len(rescored) >= 18, state
+
+    def test_a_long_path_with_replacement_at_a_small_alpha(self):
+        # 200 steps of weight 0.05 move the product by 199 columns
+        fam, target = generate(GenSpec(20, 60, 3, 0.05, 7))
+        want_path, want_stopped = scalar_fit([(m.id, m.values) for m in fam.members],
+                                             target.values, 200, alpha=0.05,
+                                             with_replacement=True)
+        assert len(want_path) == 200
+        for state, prepare in CACHES.items():
+            model, _ = fit(prepare(fam), target,
+                           _config(200, alpha=0.05, with_replacement=True))
+            got = [(t.member_id, t.weight, t.raw_rho, t.score) for t in model.terms]
+            assert got == want_path, state
+            assert model.stopped_early == want_stopped, state
 
 
 # Families for the fit invariants: plain rows next to zero, constant and
@@ -595,10 +653,9 @@ class TestFitInvariants:
         rows, target_values, config = case
         fam = _family({f"c{i}": v for i, v in enumerate(rows)})
         target = Series("__target__", target_values)
-        for screen in SCREENS.values():
+        for prepare in CACHES.values():
             try:
-                with screen():
-                    model, trace = fit(fam, target, config)
+                model, trace = fit(prepare(fam), target, config)
             except NoAdmissibleMember:
                 continue
             self._check_invariants(fam, target_values, config, model, trace)
@@ -622,6 +679,82 @@ class TestFitInvariants:
             prefix = PanelModel(model.terms[: k + 1], config, model.grid)
             prediction = predict(prefix, fam).values
             assert error == float(np.sum((target_values - prediction) ** 2))
+
+
+FLOAT_MAX = float(np.finfo(float).max)
+# values at the edges of the float range: zeros of both signs, subnormals,
+# values whose squares underflow (1e-160) or whose sums of squares overflow
+# (1e154, 1e200), and values whose sum of two overflows (1e308 and the
+# largest float)
+EDGES = (0.0, -0.0, 5e-324, -5e-324, 2e-310, 1e-160, 1e154, 1e200, 1e308, -1e308,
+         FLOAT_MAX, -FLOAT_MAX, 1.0, -2.5)
+
+
+@st.composite
+def _edge_cases(draw):
+    """Rows and a target of plain values at one scale, or of values drawn
+    from ``EDGES`` one by one; the target may mix two rows,
+    which a path can then bring near zero. The weights are for a model of
+    its own."""
+    count = draw(st.integers(2, 7))
+    # half the cases at a scale whose fits can run for several steps
+    scale = draw(st.sampled_from(EDGES) | st.sampled_from((1e-150, 1e100, 1e150, 3e153)))
+
+    def vector():
+        if draw(st.integers(0, 5)) == 0:
+            return np.array(draw(st.lists(st.sampled_from(EDGES), min_size=count,
+                                          max_size=count)))
+        return draw(arrays(float, count, elements=st.floats(-1.0, 1.0))) * scale
+
+    rows = [vector() for _ in range(draw(st.integers(1, 5)))]
+    with np.errstate(all="ignore"):
+        target = (draw(st.sampled_from((0.0, 1.0, -0.5))) * rows[0]
+                  + draw(st.sampled_from((0.0, 3.0))) * rows[-1] + vector())
+    assume(np.isfinite(target).all())
+    config = _config(
+        draw(st.integers(1, 6)),
+        lbound=draw(st.sampled_from((-1.0, 0.0))),
+        alpha=draw(st.sampled_from((1.0, 0.5, 0.05))),
+        with_replacement=draw(st.booleans()),
+    )
+    weights = draw(st.lists(st.sampled_from(EDGES), min_size=1, max_size=4))
+    return rows, target, config, weights
+
+
+class TestEdgeAlphabet:
+    """Under warnings-as-errors, ``fit`` and ``predict`` on values from the
+    edges of the float range return finite results or raise a PanelBoostError."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_edge_cases())
+    def test_fit_and_predict_are_finite_or_typed_errors(self, case):
+        rows, target_values, config, weights = case
+        fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+        target = Series("__target__", target_values)
+        outcomes = []
+        for prepare in CACHES.values():
+            try:
+                model, trace = fit(prepare(fam), target, config)
+            except PanelBoostError as err:
+                outcomes.append((type(err), str(err)))
+                continue
+            outcomes.append(repr((model, trace)))
+            assert all(math.isfinite(e) for e in trace.squared_errors())
+            try:
+                prediction = predict(model, fam)
+            except PanelBoostError:
+                continue
+            assert np.isfinite(prediction.values).all()
+        assert outcomes[0] == outcomes[1]
+        # weights from the alphabet on the same rows
+        terms = tuple(PanelTerm(f"c{k % len(rows)}", w, w, 0.0, k)
+                      for k, w in enumerate(weights))
+        model = PanelModel(terms, _config(len(terms), with_replacement=True), fam.grid)
+        try:
+            prediction = predict(model, fam)
+        except PanelBoostError:
+            return
+        assert np.isfinite(prediction.values).all()
 
 
 # Row lengths from 2 to 1025 (one past a power of two, where numpy's pairwise
@@ -657,67 +790,73 @@ class TestRescoreCentring:
             assert hc.tobytes() == want.tobytes()  # -0.0 included
 
 
-class TestFloat32Copy:
+class TestGramCache:
     @pytest.fixture
-    def builds(self, monkeypatch):
-        built = []
-        build = series._scaled_centred_copy
+    def columns(self, monkeypatch):
+        """Every Gram column read, as (matrix shape, row, whether it was computed)."""
+        read = []
+        column = boost._column
 
-        def counting(values, totals):
-            built.append(values.shape)
-            return build(values, totals)
+        def counting(family, rows, row):
+            read.append((family.values.shape, row, row not in family._gram))
+            return column(family, rows, row)
 
-        monkeypatch.setattr(series, "_scaled_centred_copy", counting)
-        return built
+        monkeypatch.setattr(boost, "_column", counting)
+        return read
 
-    def test_not_built_for_a_family_screened_a_few_times(self, builds):
-        # 600x438 floats take just over SCREEN32_MIN_BYTES
-        values = np.random.default_rng(0).standard_normal((600, 438))
-        fam = Family._from_matrix(TimeGrid(0.0, 1.0, 438), [f"m{i}" for i in range(600)],
-                                  values)
-        assert fam.values.nbytes >= boost.SCREEN32_MIN_BYTES
-        target = Series("__target__", values[:3].sum(axis=0))
-        fit(fam, target, _config(10, lbound=-1.0))
-        for _ in range(boost.SCREEN32_AFTER_SCREENS - 11):
-            select_step(fam, target, _config(1))
-        assert builds == []
-        # the last screen on the matrix, then the first on the copy
-        select_step(fam, target, _config(1))
-        assert builds == []
-        select_step(fam, target, _config(1))
-        assert builds == [(600, 438)]
-        fit(fam, target, _config(10, lbound=-1.0))
-        assert builds == [(600, 438)]
-
-    def test_built_once_per_family_and_shared_by_a_sweeps_paths(self, builds, monkeypatch):
+    def test_never_built_by_select_step(self, columns):
         fam, target = generate(GenSpec(30, 60, 3, 0.05, 1))
-        monkeypatch.setattr(boost, "SCREEN32_AFTER_SCREENS", 0)
+        for _ in range(3):
+            select_step(fam, target, _config(1))
+        assert columns == [] and fam._gram == {}
+
+    def test_built_once_per_family_and_shared_by_a_sweeps_paths(self, columns):
+        fam, target = generate(GenSpec(30, 60, 3, 0.05, 1))
+        model, _ = fit(fam, target, _config(4))
+        # a column for each step another step follows
+        stepped = [fam.index_of(member) for member in model.member_ids()[:-1]]
+        assert columns == [((30, 60), row, True) for row in stepped]
         fit(fam, target, _config(4))
-        assert builds == []  # far below SCREEN32_MIN_BYTES
-        monkeypatch.setattr(boost, "SCREEN32_MIN_BYTES", 0)
-        fit(fam, target, _config(4))
-        fit(fam, target, _config(6, alpha=0.5, with_replacement=True))
-        select_step(fam, target, _config(1))
-        assert builds == [(30, 60)]
-        # the train family's copy serves the paths of both alphas
+        assert columns[3:] == [((30, 60), row, False) for row in stepped]
+        # the train family's columns serve the paths of both alphas, which
+        # share the first step
+        columns.clear()
         sweep(fam, target, SplitSpec(0.6, 0.2),
               SweepGrid((1, 4), (-1.0, 0.0), (1.0, 0.5), (RECIP,)))
-        assert builds == [(30, 60), (30, 36)]
+        built = [row for shape, row, new in columns if new]
+        assert {shape for shape, _, _ in columns} == {(30, 36)}
+        assert len(built) == len(set(built)) < len(columns)
 
-    def test_rows_centred_and_scaled_by_powers_of_two(self):
-        rng = np.random.default_rng(3)
-        values = rng.standard_normal((5, 20)) * np.array([[1e-42], [1.0], [1e39], [1e150], [0.0]])
-        values[1] += 1e6
-        fam = Family._from_matrix(TimeGrid(0.0, 1.0, 20), list("abcde"), values)
-        copy, scale = fam._centred32
-        assert copy.dtype == np.float32 and copy.flags.c_contiguous
-        np.testing.assert_array_equal(np.frexp(scale[:4])[0], 0.5)
-        top = np.abs(copy[:4]).max(axis=1)
-        assert ((0.5 <= top) & (top < 1.0)).all()
-        centred = values[:4] - values[:4].mean(axis=1, keepdims=True)
-        error = np.abs(copy[:4] * scale[:4, None] - centred)
-        assert (error <= 1e-7 * np.abs(centred).max(axis=1, keepdims=True)).all()
-        np.testing.assert_array_equal(copy[4], 0.0)
+    def test_holds_at_most_t_columns_and_is_emptied_when_full(self):
+        rng = np.random.default_rng(4)
+        values = rng.standard_normal((12, 5))
+        fam = Family._from_matrix(TimeGrid(0.0, 1.0, 5), [f"m{i}" for i in range(12)], values)
+        rows = boost._checked_rows(fam, values[0], "target")
+        for i in range(12):
+            column = boost._column(fam, rows, i)
+            assert list(fam._gram) == list(range(i - i % 5, i + 1))
+            assert column is fam._gram[i]
+            assert column.tobytes() == ((values @ values[i]) * rows.gain).tobytes()
+        fam = _cold(fam)
+        fit(fam, Series("__target__", rng.standard_normal(5)),
+            _config(40, alpha=0.3, with_replacement=True))
+        assert 0 < len(fam._gram) <= 5
+
+    def test_a_select_wide_fit_is_the_same_cold_warm_and_on_a_fresh_copy(self):
+        # the shape of the benchmark's select-wide train split, a window of
+        # a 2000x730 family
+        fam, target = generate(GenSpec(2000, 730, 5, 0.05, 901))
+        train, _, _ = split(fam.grid, SplitSpec(0.6, 0.2))
+        sub, t_train = restrict_family(fam, train), restrict(target, train)
+        config = _config(10)
+        cold = repr(fit(sub, t_train, config))
+        assert len(sub._gram) == 9
+        for members in (slice(0, 100), slice(1000, 1003)):
+            other = Series("__target__", sub.values[members].sum(axis=0))
+            fit(sub, other, _config(10, alpha=0.5))
+        assert len(sub._gram) > 9
+        warm = repr(fit(sub, t_train, config))
+        assert cold == warm == repr(fit(_cold(sub), t_train, config))
 
 
 class TestOverflow:

@@ -27,7 +27,6 @@ from panelboost import (
     split,
     sweep,
 )
-from panelboost import boost
 
 
 def _family(*value_lists, start=0.0, step=1.0):
@@ -101,21 +100,6 @@ class TestSeries:
 
 
 class TestFamily:
-    def test_the_float32_copy_has_no_full_size_float64_temporary(self):
-        # the copy itself takes half the matrix's bytes; a full-size float64
-        # temporary would take all of them again
-        values = np.random.default_rng(0).standard_normal((2000, 438))
-        fam = Family._from_matrix(TimeGrid(0.0, 1.0, 438), [f"m{i}" for i in range(2000)],
-                                  values)
-        tracemalloc.start()
-        try:
-            copy, _ = fam._centred32
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert copy.nbytes == fam.values.nbytes // 2
-        assert peak < 0.6 * fam.values.nbytes
-
     def test_duplicate_ids_rejected(self):
         grid = TimeGrid(0.0, 1.0, 2)
         with pytest.raises(ValueError):
@@ -367,11 +351,11 @@ def _same_results(sub, rebuilt, target):
     assert sub.grid == rebuilt.grid and sub.ids == rebuilt.ids
     assert _bits(sub.values) == _bits(rebuilt.values)
     assert _bits(*sub.row_sums) == _bits(*rebuilt.row_sums)
-    assert _bits(*sub._centred32) == _bits(*rebuilt._centred32)
     assert _outcome(lambda: select_step(sub, target, _CONFIG)) == _outcome(
         lambda: select_step(rebuilt, target, _CONFIG))
     fitted = [_outcome(lambda: fit(family, target, _CONFIG)) for family in (sub, rebuilt)]
     assert fitted[0] == fitted[1]
+    _same_gram(sub, rebuilt)
     try:
         model, _ = fit(sub, target, _CONFIG)
     except PanelBoostError:
@@ -381,6 +365,12 @@ def _same_results(sub, rebuilt, target):
     swept = [_outcome(lambda: sweep(family, target, SplitSpec(0.6, 0.2), _GRID))
              for family in (sub, rebuilt)]
     assert swept[0] == swept[1]
+
+
+def _same_gram(sub, rebuilt):
+    """The two families hold the same Gram columns, bit for bit."""
+    assert list(sub._gram) == list(rebuilt._gram)
+    assert all(_bits(sub._gram[row]) == _bits(rebuilt._gram[row]) for row in sub._gram)
 
 
 class TestWindowView:
@@ -414,25 +404,29 @@ class TestWindowView:
         rebuilt = Family(sub.grid, (restrict(m, window) for m in fam.members))
         _same_results(sub, rebuilt, target)
 
-    def test_the_float32_screen_reads_a_window_as_a_copy(self):
-        # 600x438 floats take just over SCREEN32_MIN_BYTES, so the later fits
-        # screen with the float32 copy; the window starts at an odd column
+    def test_a_window_fills_its_own_gram_cache(self):
+        # the window starts at an odd column, so none of its rows starts on a
+        # 16-byte boundary, and its parent's columns are dots over other columns
         rng = np.random.default_rng(11)
         values = rng.standard_normal((600, 877))
         fam = Family._from_matrix(TimeGrid(0.0, 1.0, 877), [f"m{i}" for i in range(600)],
                                   values)
-        window = range(1, 439)
-        sub = restrict_family(fam, window)
-        rebuilt = Family(sub.grid, (restrict(m, window) for m in fam.members))
-        assert sub.values.nbytes >= boost.SCREEN32_MIN_BYTES
-        target = restrict(Series("__target__", values[:5].sum(axis=0)), window)
         config = BoostConfig(panel_size=10, transform=TransformKind.RECIPROCAL, lbound=-1.0,
                              alpha=0.8)
+        fit(fam, Series("__target__", values[:5].sum(axis=0)), config)
+        parent = {row: _bits(column) for row, column in fam._gram.items()}
+        assert len(parent) == 9
+        window = range(1, 439)
+        sub = restrict_family(fam, window)
+        assert sub._gram == {}
+        rebuilt = Family(sub.grid, (restrict(m, window) for m in fam.members))
+        target = restrict(Series("__target__", values[:5].sum(axis=0)), window)
         fits = [[repr(fit(family, target, config)) for _ in range(3)]
                 for family in (sub, rebuilt)]
         assert fits[0] == fits[1]
-        assert sub._float64_screens[0] >= boost.SCREEN32_AFTER_SCREENS
-        assert "_centred32" in vars(sub)
+        assert len(sub._gram) == 9
+        _same_gram(sub, rebuilt)
+        assert {row: _bits(column) for row, column in fam._gram.items()} == parent
 
     def test_restricting_copies_nothing(self):
         values = np.random.default_rng(0).standard_normal((2000, 730))
