@@ -14,10 +14,11 @@ product cannot separate from the best with the
 scalar ``argmin_rho`` and ``pearson``, so selections, weights, scores and
 tie-breaks (earliest family position wins) are exactly those of scoring
 every candidate with the scalar functionals. Every screen quantity that
-depends on the family alone is computed once per fit (``_checked_rows``),
-and each step only scales those by scalars of its residual, in units of
-``1 / spread(r)`` so that it never divides. A row whose sign of ``raw_rho``
-the screen cannot tell gets an infinite interval, so it is always rescored.
+depends on the family alone is computed on its first fit and kept
+(``_checked_rows``), and each step only scales those by scalars of its
+residual, in units of ``1 / spread(r)`` so that it never divides. A row
+whose sign of ``raw_rho`` the screen cannot tell gets an infinite
+interval, so it is always rescored.
 The rescore copies each row it reads, so the copy starts on a 16-byte
 boundary wherever the row sits in the matrix, and centres the copy with
 the row's sum (see ``_best``). A residual is compared value by value for
@@ -43,14 +44,16 @@ h_k`` from the residual, so it subtracts ``w_k * <h, h_k>`` from every
 row's ``<h, r>``: ``_start`` takes one gemv of the matrix with the target
 ``y``, and each later step updates that N-vector by the Gram column of its
 row, ``values @ values[row]``, in place of a gemv over the matrix. The
-columns are a pure function of the family, so ``Family._gram`` keeps them
-for every later path on it, in units of each row's spread. It holds at
-most T of them, the bytes of the matrix, and is emptied when full. A
-column costs one gemv when first used, so a family fit once pays one gemv
-per step, as screening against each residual would; a family fit again
-along the members it has seen pays none. On select-wide (2000x438), where
-every fit steps by the members of the last one, a fit of 10 steps takes
-about 0.4x the time of a fit with a gemv per step.
+columns are a pure function of the family, so its screen constants keep
+them for every later path on it (``_Rows.gram``), in units of each row's
+spread: at most T of them, the bytes of the matrix, emptied when full.
+Threads sharing a family may at worst build its constants or a column
+twice, or each add a column past the bound. A column costs one gemv when
+first used, so a family fit once pays one gemv per step, as screening
+against each residual would; a family fit again along the members it has
+seen pays none. On select-wide (2000x438), where every fit steps by the
+members of the last one, a fit of 10 steps takes about 0.4x the time of a
+fit with a gemv per step.
 
 ``_best`` estimates ``<h_c, r_c>`` as ``<h, r> - mean(r) * sum(h)``:
 ``r_c`` sums to 0, so ``<h, r_c> = <h_c, r_c>``. Over the row's spread
@@ -83,8 +86,8 @@ multiples of ``u * |h| * mass``:
 That is about ``(3T + 4k + 6) * u``, at most ``(T + 2) * eps`` per unit
 of ``bound = 2 * max(|r|, mass * (1 + k / T))``, and the sign's error,
 which lacks the centring, is smaller. So each slack and the sign's bound
-scale by ``bound`` in place of ``|r|``. ``_best`` scores a residual with a
-gemv of its own on ``r`` as the case k = 0, ``mass = |r|``. Where the
+scale by ``bound`` in place of ``|r|``. ``_start``'s gemv on the target is
+the case k = 0, ``mass = |r|``, where ``bound`` is ``2 * |r|``. Where the
 residual has collapsed far below ``mass``, the intervals widen until every
 row is rescored. The rescore is unchanged, so the product's error changes
 only how many rows are rescored, never a result.
@@ -299,53 +302,58 @@ def select_step(
 class _Rows(NamedTuple):
     """Per-row quantities of a family that the selection screen reuses.
 
-    Everything here depends on the family alone, so ``_checked_rows``
-    computes it once per fit (once per sweep, for all of its paths) and
-    ``_best`` only scales it by its residual's scalars. With
-    ``unit = ROUNDING_MARGIN * T * eps``:
+    All of it depends on the matrix alone: ``_checked_rows`` builds it once
+    per family, and ``_best`` only scales it by its residual's scalars.
+    With ``unit = ROUNDING_MARGIN * T * eps``:
 
-    ``total`` is the row sum. ``centred_sq = sq_norm - total * (total / T)``
+    ``total`` is the row sum and ``norm`` the square root of the row's sum
+    of squares ``sq_norm``. ``centred_sq = sq_norm - total * (total / T)``
     is the sum of squares about the row mean, cheap but cancelling when the
     mean dominates the spread. Its error is at most ``unit * sq_norm``: the
     subtracted term is at most ``sq_norm`` (Cauchy-Schwarz), and dividing
     before multiplying, which keeps ``total * total`` from overflowing, adds
     only one rounding of it. A row is unresolved where that bound reaches
     centred_sq itself, or where centred_sq is small enough to underflow.
-    ``inv_spread`` below is ``1 / sqrt(centred_sq)`` on resolved rows and 0
-    on unresolved ones, so that ``_best`` multiplies where it would divide
-    and no estimate is ever infinite or NaN.
-
-    ``gain`` is ``inv_spread``: it puts a row's ``<h, r>`` in units of the
-    row's spread. ``offset`` is ``total * inv_spread`` and ``sign_gain`` is
-    ``unit * sqrt(sq_norm) * inv_spread``, the bound on <h, r> per unit of
-    ``|r|`` in the same units. ``slack_factor`` is ``unit * (1 +
-    sqrt(sq_norm / centred_sq))**2``, the score's rounding bound per unit
-    of ``|r| / spread(r)``, and infinite on unresolved rows, whose score
-    the screen cannot bound. ``usable`` marks the rows that are neither
-    zero nor constant; it is exact (only unresolved rows can be constant,
-    and those are checked value by value). The other rows can never be
-    selected, but their screen interval is the whole range, so without the
-    mask they would be rescored every iteration. The module docstring
-    derives the screen's rounding bound.
+    ``inv_spread``, which puts a row's ``<h, r>`` in units of its spread,
+    is ``1 / sqrt(centred_sq)`` on resolved rows and 0 on unresolved ones,
+    so that ``_best`` multiplies where it would divide and no estimate is
+    ever infinite or NaN. ``offset`` is ``total * inv_spread`` and
+    ``sign_gain`` is ``unit * norm * inv_spread``, the bound on <h, r> per
+    unit of ``|r|`` in the same units. ``usable`` marks the rows that are
+    neither zero nor constant; it is exact (only unresolved rows can be
+    constant, and those are checked value by value). The other rows can
+    never be selected, but their screen interval is the whole range, so
+    without the mask they would be rescored every iteration.
+    ``slack_factor`` is ``unit * (1 + sqrt(sq_norm / centred_sq))**2``, the
+    score's rounding bound per unit of ``|r| / spread(r)``: infinite on
+    unresolved rows, whose score the screen cannot bound, and NaN on rows
+    that are not usable, as a fresh ``_Pool`` holds it. ``gram`` holds
+    ``_column``'s Gram columns. The module docstring derives the screen's
+    rounding bound.
     """
 
     total: np.ndarray
-    gain: np.ndarray
+    norm: np.ndarray
+    inv_spread: np.ndarray
     offset: np.ndarray
     sign_gain: np.ndarray
     slack_factor: np.ndarray
     usable: np.ndarray
+    gram: dict[int, np.ndarray]
 
 
 def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
-    """Per-row quantities of the candidates, checked against each other and ``y``.
+    """The family's screen constants, once the family and ``y`` pass their checks.
 
-    A sum of squares of ``y`` that is not finite is a NumericOverflow, and
-    so is a candidate's sum of squares ``s`` (from ``Family.row_sums``)
-    that is not below ``FLOAT_MAX / (1 + (T + 3) * eps)``: every score
-    computed from it would be meaningless, or the rescore's dots could
-    overflow. Below that bound, ``centred_sq`` is finite too, since its
-    subtracted term is at most ``s`` but for one rounding.
+    In order: an empty family, a ``y`` off the grid, a sum of squares of
+    ``y`` that is not finite, and a candidate's sum of squares ``s`` that is
+    not below ``FLOAT_MAX / (1 + (T + 3) * eps)`` raise, the last two a
+    NumericOverflow: every score computed from such an ``s`` would be
+    meaningless, or the rescore's dots could overflow. Below that bound,
+    ``centred_sq`` is finite too, since its subtracted term is at most ``s``
+    but for one rounding. The first call past every check keeps the
+    constants in ``family._derived``, so a family with such a candidate
+    keeps nothing, and every call on it raises.
 
     The bound keeps the rescore's two sums of squares in ``_best`` finite.
     With the unit roundoff ``u = eps / 2``, a sum of T nonnegative rounded
@@ -366,11 +374,16 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
         raise EmptyFamily("no candidates to select from")
     if len(y) != count:
         raise ShapeError(f"{name} has {len(y)} samples, grid expects {count}")
-    unit = ROUNDING_MARGIN * count * EPS
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore"):
         if not math.isfinite(y.dot(y)):
             raise NumericOverflow(f"the {name}'s sum of squares overflows")
-        sq_norm, total = family.row_sums
+    rows = family._derived.get(_Rows)
+    if rows is not None:
+        return rows
+    values = family.values
+    unit = ROUNDING_MARGIN * count * EPS
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        sq_norm, total = np.einsum("ij,ij->i", values, values), values.sum(axis=1)
         bounded = sq_norm < FLOAT_MAX / (1.0 + (count + 3) * EPS)
         if not bounded.all():
             member = family.ids[np.flatnonzero(~bounded)[0]]
@@ -380,17 +393,19 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
         usable = sq_norm > 0.0
         if unresolved.any():
             suspects = np.flatnonzero(unresolved)
-            usable[suspects] &= np.ptp(family.values[suspects], axis=1) != 0
+            usable[suspects] &= np.ptp(values[suspects], axis=1) != 0
         h_norm, h_spread = np.sqrt(sq_norm), np.sqrt(centred_sq)
         slack_factor = np.where(unresolved, np.inf, unit * (1.0 + h_norm / h_spread) ** 2)
+        slack_factor[~usable] = np.nan
         inv_spread = np.where(unresolved, 0.0, 1.0 / h_spread)
-    return _Rows(total, inv_spread, total * inv_spread, unit * h_norm * inv_spread,
-                 slack_factor, usable)
+    rows = family._derived[_Rows] = _Rows(
+        total, h_norm, inv_spread, total * inv_spread, unit * h_norm * inv_spread,
+        slack_factor, usable, {})
+    return rows
 
 
 def _best(
-    family: Family, rows: _Rows, r: np.ndarray, pool: _Pool,
-    hr: np.ndarray | None = None, drift: float = 0.0,
+    family: Family, rows: _Rows, r: np.ndarray, pool: _Pool, hr: np.ndarray, drift: float,
 ) -> tuple[int, Selection] | None:
     """Row and selection of the best candidate among the pool rows, whatever its score.
 
@@ -399,12 +414,12 @@ def _best(
     constant, or srr == 0. ``r`` is a fresh array, so it starts on a 16-byte
     boundary, as ``argmin_rho``'s copies do.
 
-    ``hr`` is every row's <h, r> in units of the row's spread, moved forward
-    by k Gram columns along a path, and ``drift`` is ``mass * (1 + k / T)``
-    for the path's ``mass`` (see the module docstring); without them, one
-    matrix-vector product with ``r`` gives ``hr``. Less ``mean(r) *
-    sum(h)`` it is <h_c, r_c> over the row's spread, a score times
-    ``spread(r)``, so the screen never divides, and its sign is raw_rho's.
+    ``hr`` is every row's <h, r> over the row's spread: ``_start``'s product
+    with the target, moved forward by k Gram columns along a path, and
+    ``drift`` is ``mass * (1 + k / T)`` for the path's ``mass``, 0 at k = 0
+    (see the module docstring). Less ``mean(r) * sum(h)`` it is <h_c, r_c>
+    over the row's spread, a score times ``spread(r)``, so the screen never
+    divides, and its sign is raw_rho's.
     Those estimates carry rounding error, so they only screen. Each row
     gets an interval that provably holds the score the scalar
     ``argmin_rho``/``pearson`` pair gives it, with the bounds the module
@@ -458,8 +473,6 @@ def _best(
     if srr < RESOLVED_FLOOR:  # the screen's rounding bounds fail: rescore every row
         near = pool.mask.nonzero()[0]
     else:
-        if hr is None:
-            hr = (X @ r) * rows.gain
         # the module docstring derives the bound; est, slack and the bounds
         # below are in units of 1 / spread(r): a score times spread(r)
         bound = 2.0 * max(math.sqrt(rr), drift)
@@ -509,7 +522,7 @@ class _Pool(NamedTuple):
 
 def _pool(rows: _Rows) -> _Pool:
     """A fresh pool of every usable row."""
-    return _Pool(rows.usable.copy(), np.where(rows.usable, rows.slack_factor, np.nan))
+    return _Pool(rows.usable.copy(), rows.slack_factor.copy())
 
 
 class _Start(NamedTuple):
@@ -535,22 +548,22 @@ def _start(family: Family, target: Series, name: str = "target") -> _Start:
         return _Start(rows, None, None)
     # a copy, as _best asks: the target may be a row view of a family
     y = target.values.copy()
-    hr = (family.values @ y) * rows.gain
-    return _Start(rows, hr, _best(family, rows, y, _pool(rows), hr))
+    hr = (family.values @ y) * rows.inv_spread
+    return _Start(rows, hr, _best(family, rows, y, _pool(rows), hr, 0.0))
 
 
 def _column(family: Family, rows: _Rows, row: int) -> np.ndarray:
-    """``values @ values[row]`` over each row's spread, from ``Family._gram``.
+    """``values @ values[row]`` over each row's spread, from ``rows.gram``.
 
     A missing column is computed, once the cache has been emptied if it
     already holds T columns.
     """
-    gram = family._gram
+    gram = rows.gram
     column = gram.get(row)
     if column is None:
         if len(gram) >= family.grid.count:
             gram.clear()
-        column = gram[row] = (family.values @ family.values[row]) * rows.gain
+        column = gram[row] = (family.values @ family.values[row]) * rows.inv_spread
     return column
 
 
@@ -580,7 +593,6 @@ def _path(
     y = target.values
     count = family.grid.count
     prediction = np.zeros(count)
-    sq_norm = family.row_sums[0]
     mass = math.sqrt(float(y.dot(y)))
     steps = 0
     while found is not None:
@@ -595,7 +607,7 @@ def _path(
             if not left:
                 return
         hr = hr - weight * _column(family, rows, index)
-        mass += abs(weight) * math.sqrt(sq_norm[index])
+        mass += abs(weight) * float(rows.norm[index])
         steps += 1
         drift = mass * (1.0 + steps / count)
         found = _best(family, rows, y - prediction, pool, hr, drift)

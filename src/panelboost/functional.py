@@ -181,7 +181,6 @@ def _check_kind(kind) -> None:
     """Anything but a ``TransformKind`` is an InvalidParameter."""
     if not isinstance(kind, TransformKind):
         raise InvalidParameter(f"transform must be a TransformKind, got {kind!r}")
-    return kind
 
 
 def transform(kind: TransformKind, x: float) -> float:

@@ -1,12 +1,10 @@
 """Grids, series, families, target construction, and interval partitioning.
 
 All types are immutable after construction and all operations are pure
-functions. A ``Family`` fills four caches on first use: its ``members``, the
-rows of its ids, its ``row_sums`` and the Gram columns of the rows that
-``boost``'s paths step by. None of them changes a value any function
-returns, so every type is safe to share across threads: two threads may at
-worst build a cache or a column twice, each add a column past the Gram
-cache's bound, or empty it while the other still reads a column it took.
+functions. A ``Family`` fills three caches on first use: its ``members``,
+the rows of its ids, and ``_derived``, a memo of values other modules
+derive from its ``values``. None of them changes a value any function
+returns, so every type is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -252,18 +250,8 @@ class Family:
         return None if i is None else Series._view(member_id, self.values[i])
 
     @functools.cached_property
-    def row_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-member sum of squares and sum of values, computed once."""
-        return np.einsum("ij,ij->i", self.values, self.values), self.values.sum(axis=1)
-
-    @functools.cached_property
-    def _gram(self) -> dict[int, np.ndarray]:
-        """Gram columns ``values @ values[row]`` by row, filled by ``boost``.
-
-        ``boost`` keeps each column in units of the rows' spreads, and at
-        most ``grid.count`` of them, so the cache never holds more bytes
-        than ``values``.
-        """
+    def _derived(self) -> dict:
+        """Memo of values derived from ``values``, filled by the modules that use them."""
         return {}
 
 

@@ -63,15 +63,16 @@ def _config(panel_size, **kwargs):
 
 
 def _cold(fam):
-    """A fresh copy of ``fam``: its Gram cache is empty."""
+    """A fresh copy of ``fam``: it holds no screen constants and no Gram columns."""
     return Family._from_matrix(fam.grid, fam.ids, fam.values.copy())
 
 
 def _warm(fam):
-    """A fresh copy of ``fam`` after fits to two other targets, which fill its Gram cache.
+    """A fresh copy of ``fam`` after fits to two other targets, which fill its caches.
 
     Each fit runs until its pool is empty or its residual degenerate, so it
-    steps by every usable row it can, and the cache holds their columns.
+    steps by every usable row it can, and the family holds its screen
+    constants and their columns.
     """
     fam = _cold(fam)
     count = fam.grid.count
@@ -83,9 +84,19 @@ def _warm(fam):
     return fam
 
 
-# The Gram cache's two states. Its columns change only which rows are
+# The family's two states. Its Gram columns change only which rows are
 # rescored, so every result must be the same on both, and the scalar oracle's.
 CACHES = {"cold": _cold, "warm": _warm}
+
+
+def _screen(fam):
+    """The screen constants ``fam`` holds, or None before its first fit."""
+    return fam._derived.get(boost._Rows)
+
+
+def _sums_of_squares(fam):
+    """Each row's sum of squares, summed as the screen sums it."""
+    return np.einsum("ij,ij->i", fam.values, fam.values)
 
 
 class TestBoostConfig:
@@ -403,18 +414,18 @@ class TestMatchesScalarOracle:
         resid = np.full(count, value)
         for state, prepare in CACHES.items():
             prepared = prepare(fam)
-            rows = boost._checked_rows(prepared, resid, "residual")
-            assert boost._best(prepared, rows, resid, boost._pool(rows)) is None, state
+            first = boost._start(prepared, Series("__residual__", resid), "residual").first
+            assert first is None, state
             with pytest.raises(DegenerateResidual):
                 select_step(prepared, Series("__residual__", resid), _config(1))
             with pytest.raises(NoAdmissibleMember):
                 fit(prepared, Series("__target__", resid), _config(2))
 
-    @pytest.mark.parametrize("field", ["gain", "slack_factor"])
+    @pytest.mark.parametrize("field", ["spread", "slack_factor"])
     def test_a_nan_bound_rescores_a_pool_row_and_no_other(self, field, monkeypatch):
-        # a NaN estimate (through the gain) or a NaN slack gives row 3 a NaN
-        # interval: it is rescored, as the row whose interval sets the floor
-        # is, while row 5, outside the pool, never is, NaN or not
+        # a NaN estimate (through the spread) or a NaN slack gives row 3 a
+        # NaN interval: it is rescored, as the row whose interval sets the
+        # floor is, while row 5, outside the pool, never is, NaN or not
         rescored = []
 
         def counting_weight(hy, hh):
@@ -427,16 +438,18 @@ class TestMatchesScalarOracle:
         resid = values[0] + 0.1 * rng.standard_normal(40)
         fam = _family({f"c{i}": v for i, v in enumerate(values)})
         rows = boost._checked_rows(fam, resid, "residual")
-        pool = boost._pool(rows)
-        pool.mask[5] = False
-        pool.slack_factor[5] = np.nan
-        if field == "gain":
-            gain = rows.gain.copy()
-            gain[[3, 5]] = np.nan
-            rows = rows._replace(gain=gain)
+        usable, inv_spread, slack_factor = (
+            rows.usable.copy(), rows.inv_spread.copy(), rows.slack_factor.copy())
+        # row 5 starts outside the pool, as a row that is not usable does
+        usable[5] = False
+        slack_factor[5] = np.nan
+        if field == "spread":
+            inv_spread[[3, 5]] = np.nan
         else:
-            pool.slack_factor[3] = np.nan
-        found = boost._best(fam, rows, resid, pool)
+            slack_factor[3] = np.nan
+        rows = rows._replace(usable=usable, inv_spread=inv_spread, slack_factor=slack_factor)
+        monkeypatch.setattr(boost, "_checked_rows", lambda *args: rows)
+        found = boost._start(fam, Series("__residual__", resid), "residual").first
         # each rescored row is told by its sum of squares, all distinct here
         sums_of_squares = [float(h.copy() @ h.copy()) for h in fam.values]
         assert [sums_of_squares.index(hh) for hh in rescored] == [0, 3]
@@ -481,7 +494,7 @@ class TestMatchesScalarOracle:
             with pytest.raises(NumericOverflow, match="target"):
                 fit(fam, Series("__target__", target * 1e2), _config(5))
 
-    # a row whose sum of squares from Family.row_sums is finite but within a
+    # a row whose sum of squares, as the screen sums it, is finite but within a
     # relative (T + 3) * eps of the float maximum, and on the default kernels
     # BLAS's dot of the row with itself, summed in another order, overflows
     NEAR_MAX_ROW = [-7.08931656633448e153, -6.714810202786941e153, -2.0894799564845383e153,
@@ -491,12 +504,12 @@ class TestMatchesScalarOracle:
     TARGETS = ([1.0, -2.0, 3.0, 4.0, 1.0, 0.0, 2.0], [3.0, 1.0, -1.0, 2.0, 0.5, 1.0, 4.0])
 
     def test_a_row_whose_sum_of_squares_nears_the_float_maximum(self):
-        # such a row is a NumericOverflow naming it, whatever the cache holds, and
-        # argmin_rho raises one wherever its dot with itself overflows, with
-        # no warning escaping (warnings are errors here)
+        # such a row is a NumericOverflow naming it on every call, whatever
+        # the family holds, and argmin_rho raises one wherever its dot with
+        # itself overflows, with no warning escaping (warnings are errors here)
         big = self.NEAR_MAX_ROW
         fam = _family({"big": big, "small": self.SMALL_ROW})
-        sq_norm = fam.row_sums[0][0]
+        sq_norm = _sums_of_squares(fam)[0]
         assert math.isfinite(sq_norm)
         assert sq_norm >= np.finfo(float).max / (1.0 + 10 * np.finfo(float).eps)
         h = np.array(big)
@@ -509,6 +522,7 @@ class TestMatchesScalarOracle:
                     select_step(prepared, Series("__residual__", target), _config(1))
                 with pytest.raises(NumericOverflow, match="'big'"):
                     fit(prepared, Series("__target__", target), _config(2))
+                assert _screen(prepared) is None
             if overflows:
                 with pytest.raises(NumericOverflow, match="sum of squares overflows"):
                     argmin_rho(big, target)
@@ -520,7 +534,7 @@ class TestMatchesScalarOracle:
         # scalar oracle, with no warning escaping
         half = np.array(self.NEAR_MAX_ROW) / math.sqrt(2.0)
         fam = _family({"half": half, "small": self.SMALL_ROW})
-        sq_norm = fam.row_sums[0][0]
+        sq_norm = _sums_of_squares(fam)[0]
         assert 0.4 * np.finfo(float).max < sq_norm < 0.6 * np.finfo(float).max
         members = [(m.id, m.values) for m in fam.members]
         rescored = []
@@ -691,12 +705,12 @@ EDGES = (0.0, -0.0, 5e-324, -5e-324, 2e-310, 1e-160, 1e154, 1e200, 1e308, -1e308
 
 
 @st.composite
-def _edge_cases(draw):
+def _edge_cases(draw, counts=st.integers(2, 7)):
     """Rows and a target of plain values at one scale, or of values drawn
     from ``EDGES`` one by one; the target may mix two rows,
     which a path can then bring near zero. The weights are for a model of
     its own."""
-    count = draw(st.integers(2, 7))
+    count = draw(counts)
     # half the cases at a scale whose fits can run for several steps
     scale = draw(st.sampled_from(EDGES) | st.sampled_from((1e-150, 1e100, 1e150, 3e153)))
 
@@ -722,8 +736,9 @@ def _edge_cases(draw):
 
 
 class TestEdgeAlphabet:
-    """Under warnings-as-errors, ``fit`` and ``predict`` on values from the
-    edges of the float range return finite results or raise a PanelBoostError."""
+    """Under warnings-as-errors, ``fit``, ``predict``, ``select_step`` and
+    ``sweep`` on values from the edges of the float range return finite
+    results or raise a PanelBoostError, whatever the family holds."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(_edge_cases())
@@ -756,6 +771,53 @@ class TestEdgeAlphabet:
             return
         assert np.isfinite(prediction.values).all()
 
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_edge_cases())
+    def test_select_step_is_finite_or_a_typed_error(self, case):
+        rows, residual_values, config, _ = case
+        fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+        residual = Series("__residual__", residual_values)
+        outcomes = []
+        for prepare in CACHES.values():
+            try:
+                chosen = select_step(prepare(fam), residual, config)
+            except PanelBoostError as err:
+                outcomes.append((type(err), str(err)))
+                continue
+            outcomes.append(chosen)
+            if chosen is not None:
+                assert math.isfinite(chosen.raw_rho) and math.isfinite(chosen.score)
+        assert outcomes[0] == outcomes[1]
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(_edge_cases(counts=st.integers(10, 14)))
+    def test_sweep_is_finite_or_a_typed_error(self, case):
+        # a sweep fits its own train window, which starts without the
+        # family's constants and columns, warm or not
+        rows, target_values, _, _ = case
+        fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+        target = Series("__target__", target_values)
+        grid = SweepGrid((1, 3), (-1.0, 0.0), (1.0, 0.05), (RECIP, TransformKind.WITCH))
+        outcomes = []
+        for prepare in CACHES.values():
+            try:
+                result = sweep(prepare(fam), target, SplitSpec(0.6, 0.2), grid)
+            except PanelBoostError as err:
+                outcomes.append((type(err), str(err)))
+                continue
+            outcomes.append(repr(result))
+            for row in result.rows:
+                for m in (row.train, row.validation):
+                    if m is None:
+                        continue
+                    assert all(map(math.isfinite, (m.rmse, m.mae, m.cumulative_abs_error)))
+                    # psi is NaN exactly where pearson is undefined, as documented
+                    if m.pearson is None:
+                        assert math.isnan(m.psi)
+                    else:
+                        assert math.isfinite(m.pearson) and math.isfinite(m.psi)
+        assert outcomes[0] == outcomes[1]
+
 
 # Row lengths from 2 to 1025 (one past a power of two, where numpy's pairwise
 # summation splits its blocks), at scales from 1e-300 to 1e150.
@@ -776,7 +838,10 @@ class TestRescoreCentring:
         # that must be _centred's centring bit for bit
         count = values.shape[1]
         fam = Family._from_matrix(TimeGrid(0.0, 1.0, count), ["a", "b", "c"], values)
-        total = fam.row_sums[1]
+        try:
+            total = boost._checked_rows(fam, np.zeros(count), "target").total
+        except NumericOverflow:  # no fit reads these rows; their centring still must hold
+            total = fam.values.sum(axis=1)
         for i, h in enumerate(fam.values):
             assert total[i] == h.sum()
             hc = h - total[i] / count
@@ -790,6 +855,66 @@ class TestRescoreCentring:
             assert hc.tobytes() == want.tobytes()  # -0.0 included
 
 
+class TestScreenConstants:
+    def test_built_once_per_family_and_shared_by_later_fits_and_a_sweeps_paths(
+            self, monkeypatch):
+        fam, target = generate(GenSpec(30, 60, 3, 0.05, 1))
+        assert _screen(fam) is None
+        fit(fam, target, _config(4))
+        rows = _screen(fam)
+        assert rows is not None
+        constants = [array.tobytes() for array in rows[:-1]]  # every field but the columns
+        other = Series("__target__", fam.values[:3].sum(axis=0))
+        fit(fam, other, _config(6, alpha=0.5, with_replacement=True))
+        select_step(fam, Series("__residual__", other.values), _config(1))
+        fit(fam, target, _config(8))
+        assert _screen(fam) is rows
+        # a path takes rows out of its own pool, never out of the constants
+        assert [array.tobytes() for array in rows[:-1]] == constants
+        # every score of a sweep, on each of its alpha paths, reads the one
+        # set of constants of its train window
+        read = []
+        best = boost._best
+
+        def recording(family, rows, *args):
+            read.append((family, rows))
+            return best(family, rows, *args)
+
+        monkeypatch.setattr(boost, "_best", recording)
+        sweep(fam, target, SplitSpec(0.6, 0.2),
+              SweepGrid((1, 4), (-1.0, 0.0), (1.0, 0.5), (RECIP,)))
+        window = read[0][0]
+        assert window is not fam and window.values.shape == (30, 36)
+        assert len(read) > 4  # the first step, then at least 3 more per alpha
+        assert all(family is window and r is _screen(window) for family, r in read)
+
+    def test_a_family_with_an_overflowing_member_keeps_nothing_and_raises_every_fit(self):
+        # the checks run in order on every call: an empty family, a target
+        # off the grid, a target whose sum of squares overflows, then a
+        # member whose sum of squares does
+        grid = TimeGrid(0.0, 1.0, 3)
+        short, huge = Series("__target__", [1e300, 1e300]), Series("__target__", [1e300] * 3)
+        with pytest.raises(EmptyFamily):
+            fit(Family(grid, ()), short, _config(1))
+        target = Series("__target__", [1.0, 2.0, 3.0])
+        bad = _family({"a": [1.0, 2.0, 4.0], "b": [1e300, -1e300, 1e300]})
+        good = _family({"a": [1.0, 2.0, 4.0], "b": [0.5, -1.0, 2.0]})
+        fit(good, target, _config(2))
+        rows = _screen(good)
+        for _ in range(3):
+            for fam in (bad, good):
+                with pytest.raises(ShapeError):
+                    fit(fam, short, _config(2))
+                with pytest.raises(NumericOverflow, match="target"):
+                    fit(fam, huge, _config(2))
+            with pytest.raises(NumericOverflow, match="member 'b'"):
+                fit(bad, target, _config(2))
+            with pytest.raises(NumericOverflow, match="member 'b'"):
+                select_step(bad, Series("__residual__", target.values), _config(1))
+            assert bad._derived == {}
+        assert _screen(good) is rows
+
+
 class TestGramCache:
     @pytest.fixture
     def columns(self, monkeypatch):
@@ -798,7 +923,7 @@ class TestGramCache:
         column = boost._column
 
         def counting(family, rows, row):
-            read.append((family.values.shape, row, row not in family._gram))
+            read.append((family.values.shape, row, row not in rows.gram))
             return column(family, rows, row)
 
         monkeypatch.setattr(boost, "_column", counting)
@@ -808,7 +933,7 @@ class TestGramCache:
         fam, target = generate(GenSpec(30, 60, 3, 0.05, 1))
         for _ in range(3):
             select_step(fam, target, _config(1))
-        assert columns == [] and fam._gram == {}
+        assert columns == [] and _screen(fam).gram == {}
 
     def test_built_once_per_family_and_shared_by_a_sweeps_paths(self, columns):
         fam, target = generate(GenSpec(30, 60, 3, 0.05, 1))
@@ -834,13 +959,13 @@ class TestGramCache:
         rows = boost._checked_rows(fam, values[0], "target")
         for i in range(12):
             column = boost._column(fam, rows, i)
-            assert list(fam._gram) == list(range(i - i % 5, i + 1))
-            assert column is fam._gram[i]
-            assert column.tobytes() == ((values @ values[i]) * rows.gain).tobytes()
+            assert list(rows.gram) == list(range(i - i % 5, i + 1))
+            assert column is rows.gram[i]
+            assert column.tobytes() == ((values @ values[i]) * rows.inv_spread).tobytes()
         fam = _cold(fam)
         fit(fam, Series("__target__", rng.standard_normal(5)),
             _config(40, alpha=0.3, with_replacement=True))
-        assert 0 < len(fam._gram) <= 5
+        assert 0 < len(_screen(fam).gram) <= 5
 
     def test_a_select_wide_fit_is_the_same_cold_warm_and_on_a_fresh_copy(self):
         # the shape of the benchmark's select-wide train split, a window of
@@ -850,11 +975,11 @@ class TestGramCache:
         sub, t_train = restrict_family(fam, train), restrict(target, train)
         config = _config(10)
         cold = repr(fit(sub, t_train, config))
-        assert len(sub._gram) == 9
+        assert len(_screen(sub).gram) == 9
         for members in (slice(0, 100), slice(1000, 1003)):
             other = Series("__target__", sub.values[members].sum(axis=0))
             fit(sub, other, _config(10, alpha=0.5))
-        assert len(sub._gram) > 9
+        assert len(_screen(sub).gram) > 9
         warm = repr(fit(sub, t_train, config))
         assert cold == warm == repr(fit(_cold(sub), t_train, config))
 

@@ -19,6 +19,7 @@ from panelboost import (
     TimeGrid,
     TransformKind,
     aggregate_target,
+    boost,
     fit,
     predict,
     restrict,
@@ -140,13 +141,13 @@ class TestFamily:
     def test_writes_to_the_source_array_cannot_reach_the_family(self):
         big = np.arange(12.0).reshape(4, 3)
         fam = Family(TimeGrid(0.0, 1.0, 3), (Series("a", big[0]), Series("b", big[1])))
-        sums = fam.row_sums
+        rows = boost._checked_rows(fam, np.zeros(3), "target")
         big[:2] = -1.0
         assert big.flags.writeable  # the caller's array is left as it was
         np.testing.assert_array_equal(fam.values, [[0, 1, 2], [3, 4, 5]])
-        np.testing.assert_array_equal(fam.row_sums[0], [5.0, 50.0])
-        np.testing.assert_array_equal(fam.row_sums[1], [3.0, 12.0])
-        assert fam.row_sums is sums  # computed once
+        np.testing.assert_array_equal(rows.norm, np.sqrt([5.0, 50.0]))
+        np.testing.assert_array_equal(rows.total, [3.0, 12.0])
+        assert boost._checked_rows(fam, np.zeros(3), "target") is rows  # computed once
 
     def test_internal_matrix_constructor(self):
         values = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -350,12 +351,11 @@ def _same_results(sub, rebuilt, target):
     """Everything the library computes from the two families is the same, bit for bit."""
     assert sub.grid == rebuilt.grid and sub.ids == rebuilt.ids
     assert _bits(sub.values) == _bits(rebuilt.values)
-    assert _bits(*sub.row_sums) == _bits(*rebuilt.row_sums)
     assert _outcome(lambda: select_step(sub, target, _CONFIG)) == _outcome(
         lambda: select_step(rebuilt, target, _CONFIG))
     fitted = [_outcome(lambda: fit(family, target, _CONFIG)) for family in (sub, rebuilt)]
     assert fitted[0] == fitted[1]
-    _same_gram(sub, rebuilt)
+    _same_screen(sub, rebuilt)
     try:
         model, _ = fit(sub, target, _CONFIG)
     except PanelBoostError:
@@ -367,10 +367,21 @@ def _same_results(sub, rebuilt, target):
     assert swept[0] == swept[1]
 
 
-def _same_gram(sub, rebuilt):
-    """The two families hold the same Gram columns, bit for bit."""
-    assert list(sub._gram) == list(rebuilt._gram)
-    assert all(_bits(sub._gram[row]) == _bits(rebuilt._gram[row]) for row in sub._gram)
+def _screen(family):
+    """The screen constants ``family`` holds, or None before its first fit."""
+    return family._derived.get(boost._Rows)
+
+
+def _same_screen(sub, rebuilt):
+    """The two families hold the same screen constants and Gram columns, bit for bit."""
+    ours, theirs = _screen(sub), _screen(rebuilt)
+    assert (ours is None) == (theirs is None)
+    if ours is None:
+        return
+    # every field but the last, the Gram columns
+    assert _bits(*ours[:-1]) == _bits(*theirs[:-1])
+    assert list(ours.gram) == list(theirs.gram)
+    assert all(_bits(ours.gram[row]) == _bits(theirs.gram[row]) for row in ours.gram)
 
 
 class TestWindowView:
@@ -414,19 +425,19 @@ class TestWindowView:
         config = BoostConfig(panel_size=10, transform=TransformKind.RECIPROCAL, lbound=-1.0,
                              alpha=0.8)
         fit(fam, Series("__target__", values[:5].sum(axis=0)), config)
-        parent = {row: _bits(column) for row, column in fam._gram.items()}
+        parent = {row: _bits(column) for row, column in _screen(fam).gram.items()}
         assert len(parent) == 9
         window = range(1, 439)
         sub = restrict_family(fam, window)
-        assert sub._gram == {}
+        assert sub._derived == {}  # no constants and no columns yet
         rebuilt = Family(sub.grid, (restrict(m, window) for m in fam.members))
         target = restrict(Series("__target__", values[:5].sum(axis=0)), window)
         fits = [[repr(fit(family, target, config)) for _ in range(3)]
                 for family in (sub, rebuilt)]
         assert fits[0] == fits[1]
-        assert len(sub._gram) == 9
-        _same_gram(sub, rebuilt)
-        assert {row: _bits(column) for row, column in fam._gram.items()} == parent
+        assert len(_screen(sub).gram) == 9
+        _same_screen(sub, rebuilt)
+        assert {row: _bits(column) for row, column in _screen(fam).gram.items()} == parent
 
     def test_restricting_copies_nothing(self):
         values = np.random.default_rng(0).standard_normal((2000, 730))
