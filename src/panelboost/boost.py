@@ -23,9 +23,10 @@ The rescore copies each row it reads, so the copy starts on a 16-byte
 boundary wherever the row sits in the matrix, and centres the copy with
 the row's sum (see ``_best``). A residual is compared value by value for
 constancy only where its centred sum of squares is small enough for a
-constant one to give it (``functional._constant``), and the pool gives each
-row outside it a NaN slack, so that the floor of the rows' intervals is one
-plain reduction (``_Pool``).
+constant one to give it (``functional._constant``), and a path's pool is
+two arrays: ``mask`` marks its rows, and ``slack`` gives each row outside
+it a NaN slack, so that the floor of the rows' intervals is one plain
+reduction (``_best``).
 Dots of two vectors are ``ndarray.dot``, the BLAS call of ``@`` bit for
 bit, without the dispatch of the matmul ufunc (about 0.4 us a call at the
 benchmark's shapes). The screen's matrix-vector products stay ``@``:
@@ -327,7 +328,7 @@ class _Rows(NamedTuple):
     ``slack_factor`` is ``unit * (1 + sqrt(sq_norm / centred_sq))**2``, the
     score's rounding bound per unit of ``|r| / spread(r)``: infinite on
     unresolved rows, whose score the screen cannot bound, and NaN on rows
-    that are not usable, as a fresh ``_Pool`` holds it. ``gram`` holds
+    that are not usable, as a path's fresh ``slack`` holds it. ``gram`` holds
     ``_column``'s Gram columns. The module docstring derives the screen's
     rounding bound.
     """
@@ -404,38 +405,55 @@ def _checked_rows(family: Family, y: np.ndarray, name: str) -> _Rows:
     return rows
 
 
+def _intervals(
+    rows: _Rows, hr: np.ndarray, slack: np.ndarray, r_mean: float, bound: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's screen interval ``[est - wide, est + wide]``, as ``_best`` reads it.
+
+    ``hr`` less ``r_mean * sum(h)`` is <h_c, r_c> over the row's spread, so
+    ``est``, signed as raw_rho is, estimates the score times ``spread(r)``,
+    and the screen never divides. ``wide`` is ``slack * bound`` (NaN outside
+    the pool) where ``|hr|`` clears the sign's bound, and infinite where it
+    does not. Where ``wide`` is finite, the interval holds the scalar
+    ``argmin_rho``/``pearson`` score times ``spread(r)``, by the bound the
+    module docstring derives.
+    """
+    width = slack * bound
+    # the sign of raw_rho is only certain where <h, r> clears its bound
+    wide = np.where(np.abs(hr) > rows.sign_gain * bound, width, np.inf)
+    # <h_c, r_c> = <h, r> - mean(r) * sum(h), here over the row's spread
+    est = np.sign(hr) * (hr - rows.offset * r_mean)
+    return est, wide
+
+
 def _best(
-    family: Family, rows: _Rows, r: np.ndarray, pool: _Pool, hr: np.ndarray, drift: float,
+    family: Family, rows: _Rows, r: np.ndarray, mask: np.ndarray, slack: np.ndarray,
+    hr: np.ndarray, drift: float,
 ) -> tuple[int, Selection] | None:
     """Row and selection of the best candidate among the pool rows, whatever its score.
 
-    ``pool.mask`` marks the rows to consider: a nonempty subset of
-    ``rows.usable``. None only when the residual ``r`` is degenerate:
-    constant, or srr == 0. ``r`` is a fresh array, so it starts on a 16-byte
-    boundary, as ``argmin_rho``'s copies do.
+    The pool is two arrays: ``mask`` marks the rows to consider, a nonempty
+    subset of ``rows.usable``, and ``slack`` is ``rows.slack_factor`` on
+    them and NaN on every other row. None only when the residual ``r`` is
+    degenerate: constant, or srr == 0. ``r`` is a fresh array, so it starts
+    on a 16-byte boundary, as ``argmin_rho``'s copies do.
 
     ``hr`` is every row's <h, r> over the row's spread: ``_start``'s product
     with the target, moved forward by k Gram columns along a path, and
     ``drift`` is ``mass * (1 + k / T)`` for the path's ``mass``, 0 at k = 0
-    (see the module docstring). Less ``mean(r) * sum(h)`` it is <h_c, r_c>
-    over the row's spread, a score times ``spread(r)``, so the screen never
-    divides, and its sign is raw_rho's.
-    Those estimates carry rounding error, so they only screen. Each row
-    gets an interval that provably holds the score the scalar
-    ``argmin_rho``/``pearson`` pair gives it, with the bounds the module
-    docstring derives. A row whose sign of raw_rho the product cannot tell
-    gets an infinite interval, and so does every row when ``srr`` is near
-    underflow, where the bounds fail and the product is not read. The
-    floor is the highest lower end over the pool: one ``np.fmax`` reduction
-    over every row, since a row outside the pool has a NaN slack in
-    ``pool.slack_factor``, so a NaN lower end, which fmax skips, or -inf
-    where its sign is uncertain (if no pool row has a lower
-    end that is not NaN, the floor is NaN or -inf, and every pool row is
-    rescored). The pool rows whose upper end is not below the floor are
-    rescored with that pair, in family order; a NaN bound never excludes a
-    pool row, and never admits a row outside the pool. The result is
-    exactly what scoring every row with the scalar functionals gives, ties
-    included. Usually one row is rescored.
+    (see the module docstring). It only screens: ``_intervals`` gives each
+    row an interval that provably holds its scalar score, and every row
+    gets an infinite one when ``srr`` is near underflow, where the bounds
+    fail and the product is not read. The floor is the highest lower end
+    over the pool: one ``np.fmax`` reduction over every row, since a row
+    outside the pool has a NaN lower end, which fmax skips, or -inf where
+    its sign is uncertain (if no pool row has a lower end that is not NaN,
+    the floor is NaN or -inf, and every pool row is rescored). The pool
+    rows whose upper end is not below the floor are rescored with the
+    scalar ``argmin_rho``/``pearson`` pair, in family order; a NaN bound
+    never excludes a pool row, and never admits a row outside the pool.
+    The result is exactly what scoring every row with the scalar
+    functionals gives, ties included. Usually one row is rescored.
 
     ``mean(r)`` is ``sum(r) / T``, ``r.mean()`` bit for bit, and ``|r|**2``
     is taken as ``srr + T * mean(r)**2``. That is ``sum((r - mean(r))**2) +
@@ -471,20 +489,15 @@ def _best(
     X = family.values
 
     if srr < RESOLVED_FLOOR:  # the screen's rounding bounds fail: rescore every row
-        near = pool.mask.nonzero()[0]
+        near = mask.nonzero()[0]
     else:
-        # the module docstring derives the bound; est, slack and the bounds
-        # below are in units of 1 / spread(r): a score times spread(r)
+        # the module docstring derives the bound
         bound = 2.0 * max(math.sqrt(rr), drift)
-        slack = pool.slack_factor * bound
-        # the sign of raw_rho is only certain where <h, r> clears its bound
-        wide = np.where(np.abs(hr) > rows.sign_gain * bound, slack, np.inf)
-        # <h_c, r_c> = <h, r> - mean(r) * sum(h), here over the row's spread
-        est = np.sign(hr) * (hr - rows.offset * r_mean)
+        est, wide = _intervals(rows, hr, slack, r_mean, bound)
         # fmax skips NaN, and a NaN bound never excludes a row
         floor = np.fmax.reduce(est - wide)
         # pool rows whose upper end is not below the floor (True > False)
-        near = (pool.mask > (est + wide < floor)).nonzero()[0]
+        near = (mask > (est + wide < floor)).nonzero()[0]
 
     best: tuple[int, Selection] | None = None
     for i in near.tolist():
@@ -505,24 +518,6 @@ def _best(
         if best is None or score > best[1].score:
             best = (i, Selection(family.ids[i], raw_rho, score))
     return best
-
-
-class _Pool(NamedTuple):
-    """The rows a path may still select, as ``_best`` reads them.
-
-    ``mask`` marks them. ``slack_factor`` is ``_Rows.slack_factor`` on them
-    and NaN on every other row, so that a row outside the pool has a NaN
-    lower end, which the floor's ``np.fmax`` reduction skips. A row leaves
-    the pool by being cleared in both.
-    """
-
-    mask: np.ndarray
-    slack_factor: np.ndarray
-
-
-def _pool(rows: _Rows) -> _Pool:
-    """A fresh pool of every usable row."""
-    return _Pool(rows.usable.copy(), rows.slack_factor.copy())
 
 
 class _Start(NamedTuple):
@@ -549,7 +544,8 @@ def _start(family: Family, target: Series, name: str = "target") -> _Start:
     # a copy, as _best asks: the target may be a row view of a family
     y = target.values.copy()
     hr = (family.values @ y) * rows.inv_spread
-    return _Start(rows, hr, _best(family, rows, y, _pool(rows), hr, 0.0))
+    # the pool of every usable row, read and never written
+    return _Start(rows, hr, _best(family, rows, y, rows.usable, rows.slack_factor, hr, 0.0))
 
 
 def _column(family: Family, rows: _Rows, row: int) -> np.ndarray:
@@ -587,9 +583,10 @@ def _path(
     computed once for every alpha of a sweep.
     """
     rows, hr, found = _start(family, target) if start is None else start
-    # zero and constant members can never be selected, so they start outside
-    pool = _pool(rows)
-    left = int(np.count_nonzero(pool.mask))
+    # zero and constant members can never be selected, so they start outside;
+    # a row leaves the pool by being cleared in both arrays
+    mask, slack = rows.usable.copy(), rows.slack_factor.copy()
+    left = int(np.count_nonzero(mask))
     y = target.values
     count = family.grid.count
     prediction = np.zeros(count)
@@ -601,8 +598,8 @@ def _path(
         prediction = prediction + weight * family.values[index]
         yield _Step(chosen.member_id, index, weight, chosen.raw_rho, chosen.score, prediction)
         if not with_replacement:
-            pool.mask[index] = False
-            pool.slack_factor[index] = np.nan
+            mask[index] = False
+            slack[index] = np.nan
             left -= 1
             if not left:
                 return
@@ -610,7 +607,7 @@ def _path(
         mass += abs(weight) * float(rows.norm[index])
         steps += 1
         drift = mass * (1.0 + steps / count)
-        found = _best(family, rows, y - prediction, pool, hr, drift)
+        found = _best(family, rows, y - prediction, mask, slack, hr, drift)
 
 
 def _accepted(path: Iterable, panel_size: int, lbound: float) -> list:

@@ -302,12 +302,13 @@ def _count_lines(path: Path) -> int:
     """Lines in a file, each ended by "\n", "\r" or "\r\n" or by the end of the file.
 
     They are the lines that reading with ``newline=""`` yields, so the data
-    rows are fewer than this count.
+    rows are fewer than this count. numpy counts a chunk's "\n" bytes
+    faster than ``bytes.count`` does.
     """
     lines, last = 0, b""
     with path.open("rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
-            lines += chunk.count(b"\n")
+            lines += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == 10))
             if b"\r" in chunk:  # rare, and a tenth of the cost of counting
                 lines += chunk.count(b"\r") - chunk.count(b"\r\n")
             if last == b"\r" and chunk[:1] == b"\n":  # a "\r\n" split across chunks

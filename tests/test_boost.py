@@ -1,4 +1,8 @@
+import contextlib
 import math
+import sys
+import threading
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -32,9 +36,11 @@ from panelboost import (
     SweepGrid,
     TimeGrid,
     TransformKind,
+    ZeroCandidate,
     boost,
     fit,
     generate,
+    pearson,
     predict,
     residual,
     restrict,
@@ -260,12 +266,14 @@ def _screen_edge_cases(draw):
     return rows, resid, lbound
 
 
-# Rows at the edges of float32's range: below its normal range (1e-42, and
-# 1e-300, whose squares vanish) and beyond it (1e39, 1e150), a row holding
-# both 1e30 and 1e-30, and near-duplicate rows, whose scores tie within a
-# relative 1e-9, far inside a float32 rounding bound and far outside the
-# float64 screen's. The residual is built as in _screen_edge_cases, at
-# scales that put it beside those rows.
+# Rows far from unit scale, where the float64 screen's sums are at their
+# edges (the scales once bracketed float32's range, hence the name): tiny
+# rows (1e-42, and 1e-300, whose squares underflow to 0), large ones (1e39,
+# and 1e150, whose sums of squares near 1e300), a row holding both 1e30 and
+# 1e-30, whose small values vanish from its sums, and near-duplicate rows,
+# whose scores tie within a relative 1e-9, far outside the screen's rounding
+# bound, which must still tell them apart. The residual is built as in
+# _screen_edge_cases, at scales that put it beside those rows.
 @st.composite
 def _float32_edge_cases(draw):
     count = draw(st.integers(2, 12))
@@ -631,6 +639,132 @@ class TestMatchesScalarOracle:
             assert model.stopped_early == want_stopped, state
 
 
+class _Screened(NamedTuple):
+    """One ``_best`` call: what it was given, its intervals and its result."""
+
+    family: Family
+    r: np.ndarray
+    mask: np.ndarray
+    intervals: tuple[np.ndarray, np.ndarray] | None  # (est, wide); None if not taken
+    found: tuple | None
+
+
+@contextlib.contextmanager
+def _screening(calls):
+    """A context in which every ``_best`` call appends a ``_Screened`` to ``calls``."""
+    best, intervals = boost._best, boost._intervals
+    taken = []
+
+    def recording_intervals(*args):
+        est, wide = intervals(*args)
+        taken.append((est.copy(), wide.copy()))
+        return est, wide
+
+    def recording_best(family, rows, r, mask, slack, hr, drift):
+        taken.clear()
+        r_given, mask_given = r.copy(), mask.copy()
+        found = best(family, rows, r, mask, slack, hr, drift)
+        assert len(taken) <= 1
+        calls.append(_Screened(family, r_given, mask_given, taken[0] if taken else None, found))
+        return found
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(boost, "_intervals", recording_intervals)
+        patch.setattr(boost, "_best", recording_best)
+        yield
+
+
+def _check_containment(calls):
+    """Every pool row's scalar score lies in its finite interval, and the winner was rescored.
+
+    The score is ``sign(argmin_rho) * pearson`` times ``spread(r)``, as
+    ``_intervals`` bounds it; a pool row whose centred values vanish has
+    none. Returns the number of scores checked.
+    """
+    checked = 0
+    for family, r, mask, intervals, found in calls:
+        if intervals is None:  # a degenerate residual, or srr near underflow
+            continue
+        est, wide = intervals
+        rc = r - r.mean()
+        spread = math.sqrt(rc @ rc)
+        scores = {}
+        for i in np.flatnonzero(mask).tolist():
+            try:
+                raw_rho = argmin_rho(family.values[i], r)
+                corr = pearson(r, family.values[i])
+            except (ZeroCandidate, DegenerateCorrelation):
+                continue
+            scores[i] = float(np.sign(raw_rho)) * corr
+            if math.isfinite(wide[i]):
+                assert est[i] - wide[i] <= scores[i] * spread <= est[i] + wide[i], (
+                    i, scores[i] * spread, est[i], wide[i])
+                checked += 1
+        if not scores:
+            assert found is None
+            continue
+        # the rows _best rescores: pool rows whose upper end is not below the floor
+        floor = np.fmax.reduce(est - wide)
+        rescored = np.flatnonzero(mask > (est + wide < floor)).tolist()
+        best = max(scores.values())
+        assert found is not None and found[0] in rescored
+        assert found[0] == min(i for i, score in scores.items() if score == best)
+        assert found[1].score == best
+    return checked
+
+
+class TestScreenContainment:
+    """The screen's intervals hold every pool row's exact score, not only the winner's.
+
+    Each ``_intervals`` call on a fit's path is recorded with the residual and
+    pool ``_best`` was given, and every finite interval is checked against the
+    scalar ``argmin_rho``/``pearson`` score of its row.
+    """
+
+    @staticmethod
+    def _fit_and_check(rows, resid, with_replacement):
+        fam = _family({f"c{i}": v for i, v in enumerate(rows)})
+        config = _config(2 * len(rows), with_replacement=with_replacement)
+        for prepare in CACHES.values():
+            prepared, calls = prepare(fam), []
+            with _screening(calls):
+                try:
+                    fit(prepared, Series("__target__", resid), config)
+                except PanelBoostError:
+                    pass
+            _check_containment(calls)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_selection_cases(), st.booleans())
+    def test_on_selection_cases(self, case, with_replacement):
+        rows, resid, _ = case
+        self._fit_and_check(rows, resid, with_replacement)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_screen_edge_cases(), st.booleans())
+    def test_on_rows_at_the_screen_edges(self, case, with_replacement):
+        rows, resid, _ = case
+        self._fit_and_check(rows, resid, with_replacement)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_float32_edge_cases(), st.booleans())
+    def test_on_rows_far_from_unit_scale(self, case, with_replacement):
+        rows, resid, _ = case
+        self._fit_and_check(rows, resid, with_replacement)
+
+    def test_on_a_long_path_with_replacement(self):
+        # 200 steps of weight 0.05 move the product by 199 columns, and the
+        # mass grows while the residual shrinks
+        fam, target = generate(GenSpec(20, 60, 3, 0.05, 7))
+        for state, prepare in CACHES.items():
+            prepared, calls = prepare(fam), []
+            with _screening(calls):
+                model, _ = fit(prepared, target, _config(200, alpha=0.05, with_replacement=True))
+            assert len(model.terms) == len(calls) == 200, state
+            assert sum(c.intervals is not None for c in calls) == 200, state
+            assert _check_containment(calls) > 100 * 20, state
+
+
 # Families for the fit invariants: plain rows next to zero, constant and
 # duplicate rows, with a target that mixes the rows plus noise.
 @st.composite
@@ -982,6 +1116,45 @@ class TestGramCache:
         assert len(_screen(sub).gram) > 9
         warm = repr(fit(sub, t_train, config))
         assert cold == warm == repr(fit(_cold(sub), t_train, config))
+
+
+class TestThreads:
+    def test_threads_sharing_a_family_fit_as_a_serial_fit_on_a_fresh_family(self):
+        # four threads fit at once on one cold family, so that they may build
+        # its constants and Gram columns side by side; a thread fits with
+        # replacement, 40 terms, to targets that mix three members
+        fam, _ = generate(GenSpec(300, 200, 5, 0.05, 17))
+        rng = np.random.default_rng(17)
+        targets = [Series("__target__", fam.values[rng.choice(300, 3, replace=False)].sum(axis=0)
+                          + 0.1 * rng.standard_normal(200)) for _ in range(64)]
+        config = _config(40, alpha=0.5, with_replacement=True)
+        want = [repr(fit(_cold(fam), target, config)) for target in targets]
+        shared, got = _cold(fam), [None] * len(targets)
+        start, failures = threading.Barrier(4, timeout=60), []
+
+        def work(first):
+            try:
+                start.wait()
+                for k in range(first, len(targets), 4):
+                    got[k] = repr(fit(shared, targets[k], config))
+            except Exception as err:  # reported by the main thread
+                failures.append(err)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        # switch threads often, so that they interleave inside a fit
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert got == want
+        assert 0 < len(_screen(shared).gram) <= shared.grid.count
 
 
 class TestOverflow:

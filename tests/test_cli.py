@@ -1,16 +1,23 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import panelboost
 from panelboost.cli import main
+from test_boost import EDGES
 
 
 def _gen(tmp_path, name="panel.csv", n=6, days=40, archetypes=2, noise=0.05, seed=11):
@@ -410,3 +417,73 @@ class TestDataErrors:
             code, _ = _fit(tmp_path, bad)
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [f"error: {message.format(path=bad)}"]
+
+
+# Panel files of 1-4 members and a target over 2-6 or 10-14 steps, whose
+# values all come from the edge alphabet of the library's property, or in
+# about 60 % of the cells from a uniform draw at one scale and in the rest
+# from the alphabet; the fit's options vary with the case.
+@st.composite
+def _edge_panels(draw):
+    members = draw(st.integers(1, 4))
+    steps = draw(st.integers(2, 6) | st.integers(10, 14))
+    # a few letters of the alphabet, so that some files hold no value whose
+    # square overflows, and their fits and sweeps get to run
+    alphabet = st.sampled_from(draw(st.lists(st.sampled_from(EDGES), min_size=1, max_size=5)))
+    if draw(st.booleans()):
+        cell = alphabet
+    else:
+        scale = draw(st.sampled_from((1.0, 1e-150, 1e150)))
+        uniform = st.floats(-1.0, 1.0).map(lambda x: x * scale)
+        cell = st.integers(0, 9).flatmap(lambda k: uniform if k < 6 else alphabet)
+    rows = [[draw(cell) for _ in range(members + 1)] for _ in range(steps)]
+    names = [f"m{i}" for i in range(members)] + ["__target__"]
+    text = "t," + ",".join(names) + "\n" + "".join(
+        f"{t}," + ",".join(map(repr, row)) + "\n" for t, row in enumerate(rows))
+    fit_flags = [
+        "--panel-size", str(draw(st.integers(1, 4))),
+        f"--lbound={draw(st.sampled_from((-1.0, 0.0)))}",
+        "--alpha", str(draw(st.sampled_from((1.0, 0.5, 0.05)))),
+        "--transform", draw(st.sampled_from(("reciprocal", "witch"))),
+    ]
+    if draw(st.booleans()):
+        fit_flags.append("--with-replacement")
+    if draw(st.booleans()):
+        fit_flags += ["--train", "0.6", "--val", "0.2"]
+    return text, fit_flags
+
+
+class TestEdgeValueChains:
+    """Under warnings-as-errors, each command of a chain on edge values exits
+    0 with nothing on stderr, or 1 with one ``error:`` line."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_edge_panels())
+    def test_every_command_exits_0_quietly_or_1_with_one_error_line(self, case):
+        text, fit_flags = case
+        with tempfile.TemporaryDirectory() as tmp:
+            data, model, pred = (os.path.join(tmp, name)
+                                 for name in ("panel.csv", "model.json", "pred.csv"))
+            Path(data).write_text(text)
+            chain = [
+                ["fit", "--data", data, "--model-out", model, *fit_flags],
+                ["predict", "--data", data, "--model", model, "--out", pred, "--cumulative"],
+                ["eval", "--pred", pred, "--data", data,
+                 "--report", os.path.join(tmp, "eval.csv")],
+                ["sweep", "--data", data, "--train", "0.6", "--val", "0.2",
+                 "--panel-sizes", "1,3", "--lbounds=-1,0", "--alphas", "1,0.05",
+                 "--transforms", "reciprocal,witch",
+                 "--report", os.path.join(tmp, "sweep.csv")],
+            ]
+            for argv in chain:
+                err = io.StringIO()
+                with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+                        contextlib.redirect_stdout(io.StringIO()):
+                    warnings.simplefilter("error")
+                    code = main(argv)
+                lines = err.getvalue().splitlines()
+                if code == 0:
+                    assert lines == [], argv[0]
+                else:
+                    assert code == 1, (argv[0], lines)
+                    assert len(lines) == 1 and lines[0].startswith("error: "), argv[0]

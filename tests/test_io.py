@@ -118,6 +118,14 @@ class TestReadPanelCsv:
         with pytest.raises(DuplicateId):
             read_panel_csv(path)
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_a_blank_first_line_is_a_header_without_its_t_column(self, tmp_path, end):
+        # the fast reader has no width to parse a blank header to, and declines
+        # the file; the cell reader names the missing column
+        path = _write(tmp_path / "p.csv", end + "t,a\n0,1\n1,2\n")
+        with pytest.raises(ParseError, match="first column must be 't', got '<nothing>'"):
+            read_panel_csv(path)
+
     def test_blank_cell(self, tmp_path):
         path = _write(tmp_path / "p.csv", "t,a,b\n0,1,4\n1,,5\n")
         with pytest.raises(MissingValue) as err:

@@ -378,10 +378,10 @@ class TestSweep:
             checked.append(name)
             return checked_rows(family, y, name)
 
-        def counting_best(family, rows, r, pool, hr, drift):
-            if np.array_equal(r, t_train.values) and pool.mask.all():
-                first_steps.append(len(pool.mask))
-            return best(family, rows, r, pool, hr, drift)
+        def counting_best(family, rows, r, mask, slack, hr, drift):
+            if np.array_equal(r, t_train.values) and mask.all():
+                first_steps.append(len(mask))
+            return best(family, rows, r, mask, slack, hr, drift)
 
         def counting_path(*args):
             walked.append(args[2])

@@ -99,6 +99,13 @@ class TestSeries:
         assert a == b and hash(a) == hash(b)
         assert len({a, b}) == 1
 
+    def test_length_and_comparison_with_another_type(self):
+        s = Series("a", [1.0, 2.0, 3.0])
+        assert len(s) == 3
+        # another type is left to compare itself, and so is never equal
+        assert s.__eq__("a") is NotImplemented
+        assert s != "a" and s != [1.0, 2.0, 3.0]
+
 
 class TestFamily:
     def test_duplicate_ids_rejected(self):
@@ -175,6 +182,14 @@ class TestFamily:
         assert _family([1, 2], [3, 4]) != _family([1, 2], [3, 5])
         with pytest.raises(AttributeError):
             _family([1, 2]).grid = TimeGrid(0.0, 2.0, 2)
+
+    def test_hash_repr_and_comparison_with_another_type(self):
+        fam = _family([1, 2], [3, 4])
+        assert hash(fam) == hash(_family([1, 2], [3, 4]))
+        assert len({fam, _family([1, 2], [3, 4])}) == 1
+        assert repr(fam) == "Family(grid=TimeGrid(start=0.0, step=1.0, count=2), members=2)"
+        assert fam.__eq__(fam.members[0]) is NotImplemented
+        assert fam != fam.members[0] and fam != "m0"
 
 
 class TestAggregateTarget:
