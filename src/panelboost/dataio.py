@@ -8,13 +8,13 @@ other dunder names are reserved and rejected as members. Values render with
 17 significant digits, so a write/read round trip is exact. Errors name the
 file line of the bad row, the header being line 1.
 
-Reading parses the data rows through numpy's parser, a block of lines at a
-time, straight into the one ``(columns, rows)`` matrix whose member rows
-the family then takes over; the file's line count bounds its rows, so that
-matrix is allocated once. A file numpy's parser declines, or one with
-anything unusual in it, is read again cell by cell, the one place that
-builds an error. So the reader accepts exactly the files it always did,
-under the csv module's field limit, with the same errors and line numbers.
+Reading parses the data rows, quoted cells too, through numpy's parser, a
+block of lines at a time, straight into the one ``(columns, rows)`` matrix
+whose member rows the family then takes over; the file's line count bounds
+its rows, so that matrix is allocated once. A file numpy's parser declines,
+or one with a quoted line break or a cell over the csv module's field
+limit, is read again cell by cell, the one place that builds an error, so
+both read every file alike. A numeral is ASCII, with no "_".
 Writing formats the rows from a block of time steps of the matrix at a
 time, each data row with one format string; the header goes through the
 csv module, which quotes ids. So a command holds about one copy of its
@@ -249,12 +249,13 @@ def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
     """The header and ``(cells, rows)`` values of an ordinary file, through numpy's parser.
 
     None when the file is anything else, for ``_read_cells`` to read: not
-    UTF-8 or without a header; a data line holding a quote or a "_", or a
-    cell beyond the csv module's field limit, which numpy's parser lacks; a
-    row whose cell count is not the header's; fewer than 2 rows; or a value
-    numpy cannot parse or that is not finite. Blank lines are skipped, as
-    csv.reader skips them, and numpy must return one row per line it was
-    handed, so no line it might skip goes unread.
+    UTF-8 or without a header; a data line with an odd number of quotes (a
+    quoted cell runs on past it, where numpy would end the cell) or a cell
+    beyond the csv module's field limit, which numpy lacks; a row whose cell
+    count is not the header's; fewer than 2 rows; or a value numpy cannot
+    parse or that is not finite. Blank lines are skipped, as csv.reader
+    skips them, and numpy must return one row per line it was handed, so no
+    line it might skip goes unread.
 
     The file's line count bounds its rows, so the C-contiguous matrix is
     allocated once and numpy parses blocks of lines straight into it; only
@@ -270,9 +271,8 @@ def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
         for line in lines:
             if line[0] in "\r\n":
                 continue
-            if '"' in line or "_" in line or (
-                len(line) > limit and max(map(len, line.split(","))) > limit
-            ):
+            wide = len(line) > limit and max(map(len, line.split(","))) > limit
+            if wide or '"' in line and line.count('"') % 2:  # "in" scans faster than count
                 raise ValueError("not a plain line of numbers")
             yield line
 
@@ -286,7 +286,7 @@ def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
             lines = plain(fh)
             count = 0
             while chunk := list(itertools.islice(lines, block)):
-                part = np.loadtxt(chunk, delimiter=",", dtype=float, comments=None, ndmin=2)
+                part = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2, quotechar='"')
                 if part.shape != (len(chunk), len(header)) or not np.isfinite(part).all():
                     return None
                 columns[:, count : count + len(chunk)] = part.T
@@ -358,8 +358,8 @@ def _read_cells(path: Path) -> tuple[list[str], np.ndarray]:
             text = cell.strip()
             if text == "":
                 raise MissingValue(line, header[j])
-            try:
-                if "_" in text:  # float() would accept 1_000; the format does not
+            try:  # float() also takes 1_000 and non-ASCII digits; the format does not
+                if "_" in text or not text.isascii():
                     raise ValueError(text)
                 value = float(text)
             except ValueError:

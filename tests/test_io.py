@@ -154,6 +154,14 @@ class TestReadPanelCsv:
         with pytest.raises(ParseError):
             read_panel_csv(path)
 
+    @pytest.mark.parametrize("digit", ["\u0663", "\uff13", '"\u0663"'],
+                             ids=["arabic-indic", "fullwidth", "quoted"])
+    def test_non_ascii_digits_rejected(self, tmp_path, digit):
+        # float() reads both as 3; the format's numerals are ASCII
+        path = _write(tmp_path / "p.csv", f"t,a,b\n0,1,2\n1,{digit},4\n2,5,6\n")
+        with pytest.raises(ParseError, match=r"row 3, column 'a': not a number"):
+            read_panel_csv(path)
+
     def test_missing_time_column(self, tmp_path):
         path = _write(tmp_path / "p.csv", "x,a\n0,1\n1,2\n")
         with pytest.raises(ParseError):
@@ -284,6 +292,17 @@ class TestCsvRoundTrip:
         _, again = read_panel_csv(path)
         np.testing.assert_array_equal(again.values, target.values)
 
+    def test_a_copy_with_every_cell_quoted_reads_through_numpy(self, tmp_path):
+        family, _ = generate(GenSpec(n_series=30, days=40, archetypes=3, seed=3))
+        path, quoted = tmp_path / "p.csv", tmp_path / "quoted.csv"
+        write_panel_csv(family, path)
+        with path.open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        with quoted.open("w", newline="") as fh:
+            csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
+        assert _read_numeric(quoted) is not None
+        assert read_panel_csv(quoted) == read_panel_csv(path)
+
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=_panels())
@@ -396,9 +415,11 @@ class TestRowWriter:
 _ODD_NUMBERS = ["+1", ".5", "5.", "1E3", "-0", "0e0", "00012", "1e-400", "-2.5e+07"]
 _PADDING = ["", " ", "\t", "  \t", "\x0b", "\x0c", "\u3000", "\x85"]
 _LINE_ENDS = ["\n", "\r\n", "\r"]
+# Digits float() reads as 3, 0 and 9: Arabic-Indic, fullwidth and mathematical bold.
+_NON_ASCII_DIGITS = ["\u0663", "\uff10", "\U0001d7d7"]
 _CORRUPTIONS = ["underscore", "nan", "inf", "1e400", "quote", "extra cell", "missing cell",
                 "empty cell", "whitespace line", "nul", "non-utf-8", "extra column",
-                "missing column"]
+                "missing column", "non-ASCII digit"]
 
 
 @st.composite
@@ -413,9 +434,10 @@ def _csv_files(draw, corrupt):
         st.sampled_from(_ODD_NUMBERS),
     )
     pad = st.sampled_from(_PADDING)
+    padded = st.tuples(pad, number, pad).map("".join)
+    field = st.one_of(padded, padded.map('"{}"'.format))  # a quoted cell keeps its padding
     rows = draw(st.lists(
-        st.lists(st.tuples(pad, number, pad).map("".join),
-                 min_size=1 + len(ids), max_size=1 + len(ids)),
+        st.lists(field, min_size=1 + len(ids), max_size=1 + len(ids)),
         min_size=2, max_size=6))
     if corrupt:
         kind = draw(st.sampled_from(_CORRUPTIONS))
@@ -423,8 +445,9 @@ def _csv_files(draw, corrupt):
         col = draw(st.integers(0, len(rows[row]) - 1))
         cell = rows[row][col]
         at = draw(st.integers(0, len(cell)))
-        if kind in ("underscore", "quote", "nul", "non-utf-8"):
-            mark = {"underscore": "_", "quote": '"', "nul": "\x00", "non-utf-8": "\udcff"}
+        if kind in ("underscore", "quote", "nul", "non-utf-8", "non-ASCII digit"):
+            mark = {"underscore": "_", "quote": '"', "nul": "\x00", "non-utf-8": "\udcff",
+                    "non-ASCII digit": draw(st.sampled_from(_NON_ASCII_DIGITS))}
             rows[row][col] = cell[:at] + mark[kind] + cell[at:]
         elif kind in ("nan", "inf", "1e400"):
             rows[row][col] = draw(pad) + kind + draw(pad)
@@ -503,6 +526,22 @@ class TestReaderEquivalence:
         expected = _outcome(_read_cells, path)
         for size, blocks in BLOCKS.items():
             with blocks():
+                assert _outcome(_read_csv, path) == expected, size
+
+    @pytest.mark.parametrize("end", _LINE_ENDS, ids=repr)
+    @pytest.mark.parametrize(("after", "first"), [('"\n3,3', ["t", "a"]),
+                                                  ('3,"3"\n4,4', ParseError)],
+                             ids=["closed", "row-like"])
+    def test_a_quoted_line_break_is_read_by_the_cell_reader(self, tmp_path, end, after, first):
+        # the break ends the third data line, and with it a block of 3 rows
+        # under small blocks, where numpy would end the quoted cell; the next
+        # line closes the cell, or would read as a row of its own
+        path = _write(tmp_path / "p.csv", f't,a\n0,0\n1,1\n2,"1.5{end}{after}\n')
+        expected = _outcome(_read_cells, path)
+        assert expected[0] == first
+        for size, blocks in BLOCKS.items():
+            with blocks():
+                assert _read_numeric(path) is None, size
                 assert _outcome(_read_csv, path) == expected, size
 
 
