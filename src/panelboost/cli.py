@@ -16,11 +16,20 @@ from .boost import BoostConfig, fit, predict
 from .errors import InvalidParameter, PanelBoostError
 from .functional import TransformKind
 from .modelsel import SweepGrid, cumulative, evaluate, sweep
-from .series import SplitSpec, restrict, restrict_family, split
+from .series import SplitSpec, _numeral, restrict, restrict_family, split
 from .synth import GenSpec, generate
 
 # psi in eval reports uses this transform (the eval command exposes no flag)
 EVAL_TRANSFORM = TransformKind.RECIPROCAL
+
+
+# argparse names a flag's type by these names: "invalid integer value: '1_0'"
+def integer(text: str) -> int:
+    return _numeral(text, int)
+
+
+def real(text: str) -> float:
+    return _numeral(text, float)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,25 +43,25 @@ def build_parser() -> argparse.ArgumentParser:
     gen = sub.add_parser("gen", help="generate a synthetic hotel panel CSV",
                          allow_abbrev=False)
     gen.add_argument("--out", required=True, help="output panel CSV")
-    gen.add_argument("--n", type=int, required=True, help="number of hotels")
-    gen.add_argument("--days", type=int, required=True, help="number of daily samples")
-    gen.add_argument("--archetypes", type=int, default=2, help="latent seasonal shapes")
-    gen.add_argument("--noise", type=float, default=0.05, help="relative noise level")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--n", type=integer, required=True, help="number of hotels")
+    gen.add_argument("--days", type=integer, required=True, help="number of daily samples")
+    gen.add_argument("--archetypes", type=integer, default=2, help="latent seasonal shapes")
+    gen.add_argument("--noise", type=real, default=0.05, help="relative noise level")
+    gen.add_argument("--seed", type=integer, default=0)
 
     fit_p = sub.add_parser("fit", help="fit a panel model to a data file",
                            allow_abbrev=False)
     fit_p.add_argument("--data", required=True, help="input panel CSV")
     fit_p.add_argument("--model-out", required=True, help="output model JSON")
-    fit_p.add_argument("--panel-size", type=int, required=True)
-    fit_p.add_argument("--lbound", type=float, required=True)
-    fit_p.add_argument("--alpha", type=float, required=True)
+    fit_p.add_argument("--panel-size", type=integer, required=True)
+    fit_p.add_argument("--lbound", type=real, required=True)
+    fit_p.add_argument("--alpha", type=real, required=True)
     fit_p.add_argument(
         "--transform", required=True, choices=[k.value for k in TransformKind]
     )
     fit_p.add_argument("--with-replacement", action="store_true")
-    fit_p.add_argument("--train", type=float, help="train fraction (with --val)")
-    fit_p.add_argument("--val", type=float, help="validation fraction (with --train)")
+    fit_p.add_argument("--train", type=real, help="train fraction (with --val)")
+    fit_p.add_argument("--val", type=real, help="validation fraction (with --train)")
 
     pred = sub.add_parser("predict", help="predict the aggregate from a model",
                           allow_abbrev=False)
@@ -66,8 +75,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p = sub.add_parser("sweep", help="grid-search metaparameters on a split",
                              allow_abbrev=False)
     sweep_p.add_argument("--data", required=True)
-    sweep_p.add_argument("--train", type=float, required=True)
-    sweep_p.add_argument("--val", type=float, required=True)
+    sweep_p.add_argument("--train", type=real, required=True)
+    sweep_p.add_argument("--val", type=real, required=True)
     sweep_p.add_argument("--panel-sizes", required=True, help="comma-separated ints")
     sweep_p.add_argument("--lbounds", required=True, help="comma-separated floats")
     sweep_p.add_argument("--alphas", required=True, help="comma-separated floats")
@@ -161,9 +170,9 @@ def _cmd_predict(args) -> int:
 def _cmd_sweep(args) -> int:
     family, target = dataio.read_panel_csv(args.data)
     grid = SweepGrid(
-        panel_sizes=_parse_list(args.panel_sizes, int),
-        lbounds=_parse_list(args.lbounds, float),
-        alphas=_parse_list(args.alphas, float),
+        panel_sizes=_parse_list(args.panel_sizes, integer),
+        lbounds=_parse_list(args.lbounds, real),
+        alphas=_parse_list(args.alphas, real),
         transforms=_parse_list(args.transforms, TransformKind),
     )
     result = sweep(family, target, SplitSpec(args.train, args.val), grid)
@@ -198,7 +207,7 @@ def _parse_list(text: str, parse) -> tuple:
         raise InvalidParameter(f"empty item in list argument: {text!r}")
     try:
         return tuple(parse(item) for item in items)
-    except ValueError as exc:  # int(), float() and TransformKind() raise it
+    except ValueError as exc:  # the numeral grammar and TransformKind() raise it
         raise InvalidParameter(str(exc)) from None
 
 

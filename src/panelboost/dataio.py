@@ -14,7 +14,7 @@ whose member rows the family then takes over; the file's line count bounds
 its rows, so that matrix is allocated once. A file numpy's parser declines,
 or one with a quoted line break or a cell over the csv module's field
 limit, is read again cell by cell, the one place that builds an error, so
-both read every file alike. A numeral is ASCII, with no "_".
+both read every file alike. Cells and CLI numbers share ``series._numeral``.
 Writing formats the rows from a block of time steps of the matrix at a
 time, each data row with one format string; the header goes through the
 csv module, which quotes ids. So a command holds about one copy of its
@@ -69,6 +69,7 @@ from .series import (
     Family,
     Series,
     TimeGrid,
+    _numeral,
     aggregate_target,
 )
 
@@ -355,19 +356,11 @@ def _read_cells(path: Path) -> tuple[list[str], np.ndarray]:
                 f"{path}: row {line} has {len(row)} cells, expected {n_cols}"
             )
         for j, cell in enumerate(row):
-            text = cell.strip()
-            if text == "":
-                raise MissingValue(line, header[j])
-            try:  # float() also takes 1_000 and non-ASCII digits; the format does not
-                if "_" in text or not text.isascii():
-                    raise ValueError(text)
-                value = float(text)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: row {line}, column {header[j]!r}: "
-                    f"not a number: {text!r}"
-                ) from None
-            if not math.isfinite(value):
+            try:
+                value = _numeral(cell, float) if cell.strip() else math.nan
+            except ValueError as exc:
+                raise ParseError(f"{path}: row {line}, column {header[j]!r}: {exc}") from None
+            if not math.isfinite(value):  # a blank cell, or an inf or nan word
                 raise MissingValue(line, header[j])
             columns[j, i] = value
     return header, columns

@@ -84,7 +84,7 @@ class DuplicateId(PanelBoostError):
 
 
 class MissingValue(PanelBoostError):
-    """A CSV cell is blank or non-finite. Carries row and column context."""
+    """A CSV cell is blank, or a `nan`/`inf` word. Carries row and column context."""
 
     def __init__(self, row: int, column: str, message: str | None = None):
         self.row = row

@@ -79,6 +79,24 @@ def _real(name: str, value, error: type[Exception]) -> float:
     raise error(f"{name} must be a real number, got {value!r}")
 
 
+def _numeral(text: str, parse: type[int] | type[float]) -> int | float:
+    """``text`` read by ``parse`` (``int`` or ``float``): the one grammar of numbers as text.
+
+    Whitespace around it, Unicode spaces too, is dropped; the rest must be ASCII with no
+    "_". Digits that overflow a float are "out of range"; inf and nan pass, for value checks.
+    """
+    text = text.strip()
+    try:
+        if not text.isascii() or "_" in text:
+            raise ValueError(text)
+        value = parse(text)
+    except ValueError:
+        raise ValueError(f"not {'an integer' if parse is int else 'a number'}: {text!r}") from None
+    if abs(value) == math.inf and any(map(str.isdigit, text)):
+        raise ValueError(f"out of range: {text!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sampling: sample k sits at start + k*step for k in [0, count).

@@ -3,6 +3,7 @@ import csv
 import functools
 import io
 import json
+import math
 import operator
 import tracemalloc
 
@@ -16,6 +17,7 @@ from panelboost import (
     DuplicateId,
     Family,
     GenSpec,
+    InvalidParameter,
     IrregularGrid,
     MissingValue,
     Metrics,
@@ -42,6 +44,7 @@ from panelboost import (
     write_sweep_report,
 )
 from panelboost import dataio
+from panelboost.cli import _parse_list, build_parser, real
 from panelboost.dataio import (
     _fmt,
     _read_cells,
@@ -161,6 +164,16 @@ class TestReadPanelCsv:
         path = _write(tmp_path / "p.csv", f"t,a,b\n0,1,2\n1,{digit},4\n2,5,6\n")
         with pytest.raises(ParseError, match=r"row 3, column 'a': not a number"):
             read_panel_csv(path)
+
+    @pytest.mark.parametrize("read, column", [(read_panel_csv, "a"),
+                                              (read_prediction_csv, "__prediction__")],
+                             ids=["panel", "prediction"])
+    @pytest.mark.parametrize("cell", ["1e400", "-1e400"])
+    def test_an_overflowing_cell_is_out_of_range(self, tmp_path, read, column, cell):
+        # float() reads it as inf, but only the words inf and nan are missing values
+        path = _write(tmp_path / "p.csv", f"t,{column}\n0,1\n\n1,{cell}\n2,3\n")
+        with pytest.raises(ParseError, match=f"row 4, column '{column}': out of range: '{cell}'"):
+            read(path)
 
     def test_missing_time_column(self, tmp_path):
         path = _write(tmp_path / "p.csv", "x,a\n0,1\n1,2\n")
@@ -543,6 +556,62 @@ class TestReaderEquivalence:
             with blocks():
                 assert _read_numeric(path) is None, size
                 assert _outcome(_read_csv, path) == expected, size
+
+
+# Strings near numerals: random pieces, numeral-shaped ones (some overflow, or hold a
+# "_" or a non-ASCII digit, which float() reads), and the words and edge values
+_NUMERAL_PIECES = [*"0123456789+-.eE_", " ", "\u3000", "\u0663", "\uff10", "inf", "nan", "x"]
+_NUMERALS = st.one_of(
+    st.lists(st.sampled_from(_NUMERAL_PIECES), max_size=8).map("".join),
+    st.from_regex(r"[ \u3000]?[+-]?[0-9_\u0663\uff10]{0,4}\.?[0-9]{0,3}([eE][+-]?[0-9]{1,3})?"
+                  r"[ \u3000]?", fullmatch=True),
+    st.sampled_from(["inf", "-inf", " nan ", "+Infinity", "-nan", "1e400", "-1e400", "1e-400"]),
+)
+
+
+def _bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+def _float_flag(text):
+    """The value argparse gives a float flag set to ``text``, or None when it refuses it.
+
+    argparse drops a value that is "--" itself before its type sees it, and
+    stores [], which the generator's check then refuses as a usage error.
+    """
+    argv = ["gen", "--out", "x.csv", "--n", "1", "--days", "2", f"--noise={text}"]
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            value = build_parser().parse_args(argv).noise
+    except SystemExit:
+        return None
+    return None if value == [] else value
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=_NUMERALS)
+def test_a_cell_a_flag_and_a_list_item_take_the_same_numerals(tmp_path, text):
+    flag = _float_flag(text)
+    try:
+        (item,) = _parse_list(text, real)
+    except InvalidParameter:
+        item = None
+    assert _bits(item) == _bits(flag)
+
+    path = _write(tmp_path / "p.csv", f"t,a\n0,1\n1,{text}\n2,3\n")
+    try:
+        cell = _bits(read_panel_csv(path)[0].values[0, 1])
+    except ParseError:
+        cell = None
+    except MissingValue:
+        cell = "missing"
+    if not text.strip() or flag is not None and not math.isfinite(flag):
+        assert cell == "missing"  # a blank cell, or an inf or nan word
+    else:
+        assert cell == _bits(flag)
+    numeric = _read_numeric(path)
+    assert numeric is None or _bits(numeric[1][1, 1]) == cell
 
 
 def test_the_line_count_is_that_of_the_text_reader(tmp_path):

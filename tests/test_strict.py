@@ -403,8 +403,12 @@ CLI_CHECKS = [
      "train_fraction + validation_fraction must not exceed 1"),
     ([*GEN, "--archetypes", "5"], "archetypes must lie in [1, n_series], got 5"),
     ([*GEN, "--noise", "nan"], "noise_sd must be non-negative, got nan"),
-    (_sweep(panel_sizes="1.5"), "invalid literal for int() with base 10: '1.5'"),
-    (_sweep(lbounds="x"), "could not convert string to float: 'x'"),
+    (_sweep(panel_sizes="1.5"), "not an integer: '1.5'"),
+    (_sweep(lbounds="x"), "not a number: 'x'"),
+    # Python's int() and float() read these three; the panel CSV's grammar does not
+    (_sweep(panel_sizes="1_0"), "not an integer: '1_0'"),
+    (_sweep(alphas="\u0660.5"), "not a number: '\u0660.5'"),
+    (_sweep(lbounds="1e400"), "out of range: '1e400'"),
     (_sweep(transforms="parabola"), "'parabola' is not a valid TransformKind"),
     (_sweep(alphas=","), "empty list argument: ','"),
     (_sweep(panel_sizes="2,,4"), "empty item in list argument: '2,,4'"),
@@ -445,6 +449,22 @@ def test_cli_list_items_may_be_padded_with_whitespace(tmp_path, monkeypatch):
     assert reports[0] == reports[1]
 
 
+@pytest.mark.parametrize("argv, error", [
+    ([*GEN, "--n", "1_0"], "argument --n: invalid integer value: '1_0'"),
+    ([*FIT, "--alpha", "\u0663"], "argument --alpha: invalid real value: '\u0663'"),
+], ids=["gen-n", "fit-alpha"])
+def test_cli_numbers_outside_the_grammar_are_usage_errors(tmp_path, monkeypatch, capsys,
+                                                          argv, error):
+    # Python's int() and float() read both; a flag's number is a panel CSV's numeral
+    data = _gen(tmp_path, days=30)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    where = ["--out", "x.csv"] if argv[0] == "gen" else ["--data", str(data)]
+    assert main([argv[0], *where, *argv[1:]]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"panelboost {argv[0]}: error: {error}"
+    assert not (tmp_path / "x.csv").exists() and not (tmp_path / "m.json").exists()
+
+
 def test_gen_whose_noise_overflows_is_a_runtime_error(tmp_path, capsys):
     assert main([*GEN, "--out", str(tmp_path / "x.csv"), "--noise", "1e306"]) == 1
     assert capsys.readouterr().err.splitlines() == [
@@ -477,7 +497,7 @@ def test_a_stray_value_error_is_a_bug_not_an_exit_code(tmp_path, monkeypatch):
 # a 6 x 30 panel. --with-replacement is never drawn, since a path with
 # replacement and a huge panel size is walked until the panel is full.
 EXTREMES = ("0", "0.0", "-0.0", "-1", str(sys.maxsize), str(sys.maxsize + 1), str(10**20),
-            "nan", "inf", "-inf", "5e-324", "1e400", "", "1_0", "0x10")
+            "nan", "inf", "-inf", "5e-324", "1e400", "", "1_0", "0x10", "\u0663", "\uff10")
 
 
 @st.composite
