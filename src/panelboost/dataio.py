@@ -3,8 +3,12 @@
 Panel CSV: UTF-8, comma-separated, '.' decimal, one header row. Column 1
 must be named "t" and hold uniformly spaced time coordinates (the grid is
 inferred from it); every other column is one member series with its header
-as the id. A column named "__target__" is the explicit aggregate target;
-other dunder names are reserved and rejected as members. Values render with
+as the id. A column named "__target__" is the explicit aggregate target. A
+member may not be named "t" (DuplicateId) or take a dunder name (ReservedId),
+and a file needs a member or a target (EmptyFamily). The reader checks a
+header by ``_check_header`` and ``_check_panel_columns``, and the writer
+checks a family by both before it opens a file, so it refuses what the
+reader would reject or misread, with the reader's error. Values render with
 17 significant digits, so a write/read round trip is exact. Errors name the
 file line of the bad row, the header being line 1.
 
@@ -145,14 +149,12 @@ def read_panel_csv(path) -> tuple[Family, Series]:
     """
     path = Path(path)
     header, columns = _read_csv(path)
-    for name in header[1:]:
-        if name.startswith("__") and name.endswith("__") and name != TARGET_ID:
-            raise ReservedId(f"{path}: {name!r} is reserved and cannot be a member")
+    ids = [name for name in header[1:] if name != TARGET_ID]
+    _check_panel_columns(path, ids, TARGET_ID in header)
     grid = _infer_grid(columns[0], path)
 
     # both readers reject a value that is not finite, so the family takes
     # the matrix's member rows over as they are
-    ids = [name for name in header[1:] if name != TARGET_ID]
     if TARGET_ID in header:
         if header[-1] == TARGET_ID:  # where write_panel_csv puts it: a view
             members = columns[1:-1]
@@ -160,8 +162,6 @@ def read_panel_csv(path) -> tuple[Family, Series]:
             members = columns[1:][[name != TARGET_ID for name in header[1:]]]
         target = Series(TARGET_ID, columns[header.index(TARGET_ID)])
         return Family._from_matrix(grid, ids, members), target
-    if not ids:
-        raise EmptyFamily(f"{path}: no member columns and no explicit target")
     family = Family._from_matrix(grid, ids, columns[1:])
     try:
         return family, aggregate_target(family)
@@ -196,11 +196,18 @@ def check_prediction_grid(grid: TimeGrid, data_grid: TimeGrid) -> None:
 
 
 def write_panel_csv(family: Family, path, target: Series | None = None) -> None:
-    """Write a family (and optionally an explicit target column) to CSV."""
+    """Write a family (and optionally an explicit target column, last) to CSV.
+
+    Before it opens a file, it raises the reader's error for a family the
+    file cannot hold, and ShapeError for a target of another length.
+    """
     ids, parts = list(family.ids), [family.values]
     if target is not None:
         ids.append(TARGET_ID)
         parts.append(target.values)
+    path = Path(path)
+    _check_header(path, ["t", *ids])
+    _check_panel_columns(path, family.ids, target is not None)
     _write_series(path, family.grid, ids, parts)
 
 
@@ -220,8 +227,17 @@ def _write_series(path, grid: TimeGrid, ids: list[str], parts: list[np.ndarray])
     The rows are formatted from one block of time steps at a time, a small
     ``(rows, 1+N)`` table cut from the parts, so no full-size table, and
     the text of only one row, exists at once. A number never needs quoting,
-    and "%.17g" renders each cell as ``_fmt`` does.
+    and "%.17g" renders each cell as ``_fmt`` does. A part whose rows are
+    not ``grid.count`` long raises ShapeError before a file is opened.
     """
+    first = 0  # the column of each part's first row
+    for part in parts:
+        if part.shape[-1] != grid.count:
+            raise ShapeError(
+                f"{path}: column {ids[first]!r} has {part.shape[-1]} values, "
+                f"grid expects {grid.count}"
+            )
+        first += len(part) if part.ndim == 2 else 1
     times = grid.times()
     row_format = ",".join(["%.17g"] * (1 + len(ids))) + "\n"
     block = max(1, CSV_BLOCK_BYTES // (8 * (1 + len(ids))))
@@ -327,6 +343,20 @@ def _check_header(path: Path, header: list[str]) -> None:
         if name in seen:
             raise DuplicateId(f"{path}: duplicate column {name!r}")
         seen.add(name)
+
+
+def _check_panel_columns(path: Path, ids, target: bool) -> None:
+    """The panel file's column rule, for its member ids and whether "__target__" follows.
+
+    The reader and the writer call it after ``_check_header``, to which a
+    member named "t" is a duplicate. No member may take a dunder name,
+    "__target__" included, and a file needs a member or the target.
+    """
+    for name in ids:
+        if name.startswith("__") and name.endswith("__"):
+            raise ReservedId(f"{path}: {name!r} is reserved and cannot be a member")
+    if not ids and not target:
+        raise EmptyFamily(f"{path}: no member columns and no explicit target")
 
 
 def _read_cells(path: Path) -> tuple[list[str], np.ndarray]:

@@ -93,7 +93,7 @@ class MissingValue(PanelBoostError):
 
 
 class ReservedId(PanelBoostError):
-    """A reserved identifier (dunder form) was used for a member column."""
+    """A reserved identifier (dunder form, "__target__" too) names a member, read or written."""
 
 
 class UnsupportedVersion(PanelBoostError):

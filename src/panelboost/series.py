@@ -49,6 +49,11 @@ def _readonly_values(values) -> np.ndarray:
     return arr
 
 
+def _check_id(series_id) -> None:
+    if not isinstance(series_id, str):
+        raise ValueError(f"series id must be a str, got {series_id!r}")
+
+
 def _integer(name: str, value, error: type[Exception]) -> int:
     """``value`` as a plain ``int``, so that a numpy integer writes to JSON.
 
@@ -144,12 +149,13 @@ class TimeGrid:
 
 @dataclass(frozen=True, eq=False)
 class Series:
-    """One component series: a stable id plus finite real values."""
+    """One component series: a stable ``str`` id plus finite real values."""
 
     id: str
     values: np.ndarray
 
     def __post_init__(self):
+        _check_id(self.id)
         object.__setattr__(self, "values", _readonly_values(self.values))
 
     def __len__(self) -> int:
@@ -180,10 +186,10 @@ class Family:
     each row is contiguous (the inner stride is the item size), and the rows
     may sit apart, as in a column slice of a wider matrix. Member order is
     stable and acts as the tie-breaking order during selection. Ids must be
-    pairwise distinct. ``Family(grid, members)`` copies the members' values
-    into a new matrix, which the family owns; ``members`` hands the rows back
-    as ``Series`` views without copying, and ``restrict_family`` a window of
-    the columns as a family over a view.
+    pairwise distinct ``str``s. ``Family(grid, members)`` copies the members'
+    values into a new matrix, which the family owns; ``members`` hands the
+    rows back as ``Series`` views without copying, and ``restrict_family`` a
+    window of the columns as a family over a view.
     """
 
     def __init__(self, grid: TimeGrid, members=()):
@@ -218,6 +224,7 @@ class Family:
             )
         seen = set()
         for member_id in ids:
+            _check_id(member_id)
             if member_id in seen:
                 raise ValueError(f"duplicate member id {member_id!r}")
             seen.add(member_id)

@@ -286,9 +286,12 @@ def test_eval_of_a_prediction_spanning_the_float_range_prints_one_error(tmp_path
 
 class TestStartup:
     def test_only_fit_loads_hashlib(self, tmp_path):
-        # hashlib loads OpenSSL; only fit's input digest needs it
+        # hashlib loads OpenSSL; only fit's input digest needs it, and only gen
+        # the generator. What a bare numpy import loads is the baseline, as
+        # numpy 1.23 loads numpy.random itself.
         env = dict(os.environ, PYTHONPATH=str(Path(panelboost.__file__).parents[1]))
-        probe = "import sys, panelboost.cli; print(sorted(set(sys.modules) & {'hashlib'}))"
+        probe = ("import sys, numpy; before = set(sys.modules); import panelboost.cli; "
+                 "print(sorted((set(sys.modules) - before) & {'hashlib', 'numpy.random'}))")
         loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                                 capture_output=True, text=True).stdout
         assert loaded == "[]\n"

@@ -5,7 +5,9 @@ import io
 import json
 import math
 import operator
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 from panelboost import (
     BoostConfig,
     DuplicateId,
+    EmptyFamily,
     Family,
     GenSpec,
     InvalidParameter,
@@ -27,6 +30,7 @@ from panelboost import (
     ParseError,
     ReservedId,
     Series,
+    ShapeError,
     SweepResult,
     SweepRow,
     TimeGrid,
@@ -255,21 +259,25 @@ class TestReadPanelCsv:
 # Values a float-formatting bug would trip over, mixed into random finite ones.
 _SPECIAL_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072014e-308 / 3, 1e300, -1e300, 0.1, 1 / 3]
 # Ids the CSV writer must quote or keep: commas, quotes, line breaks, padding.
-_SPECIAL_IDS = ["a,b", 'say "hi"', '"', "line\nbreak", "cr\ronly", "\r", " padded ",
-                "\x00"]
+_QUOTED_IDS = ["a,b", 'say "hi"', '"', "line\nbreak", "cr\ronly", "\r", " padded ",
+               "\x00"]
+# ... and ids no member of a panel file may have: the time column's and dunders.
+_SPECIAL_IDS = [*_QUOTED_IDS, "t", "__target__", "__x__", "__"]
 
 
 @st.composite
 def _panels(draw):
-    """A random finite family on an exactly representable grid, maybe with a target."""
+    """A random finite family on an exactly representable grid, maybe with a target.
+
+    Its ids may be ones a panel file cannot hold, and it may have no member.
+    """
     count = draw(st.integers(2, 7))
     grid = TimeGrid(draw(st.sampled_from([0.0, -3.5, 1e6])),
                     draw(st.sampled_from([1.0, 0.125, 7.0])), count)
     value = st.one_of(st.sampled_from(_SPECIAL_VALUES),
                       st.floats(allow_nan=False, allow_infinity=False))
-    ident = st.one_of(st.sampled_from(_SPECIAL_IDS), st.text(min_size=1, max_size=5)).filter(
-        lambda s: s != "t" and not (s.startswith("__") and s.endswith("__")))
-    ids = draw(st.lists(ident, min_size=1, max_size=4, unique=True))
+    ident = st.one_of(st.sampled_from(_SPECIAL_IDS), st.text(min_size=1, max_size=5))
+    ids = draw(st.lists(ident, max_size=4, unique=True))
     members = tuple(Series(i, draw(st.lists(value, min_size=count, max_size=count)))
                     for i in ids)
     target = None
@@ -316,13 +324,15 @@ class TestCsvRoundTrip:
         assert _read_numeric(quoted) is not None
         assert read_panel_csv(quoted) == read_panel_csv(path)
 
-    @settings(max_examples=200, deadline=None, derandomize=True,
+    # about a third of the families drawn are refused, so 320 examples write 200-odd files
+    @settings(max_examples=320, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=_panels())
     def test_random_panels_round_trip_bit_exact(self, tmp_path, case):
         family, target = case
-        path = tmp_path / "random.csv"
-        write_panel_csv(family, path, target=target)
+        path = _write_or_refuse(tmp_path, family, target)
+        if path is None:
+            return
         with np.errstate(over="ignore"):
             derived = family.values.sum(axis=0)
         if target is None and not np.isfinite(derived).all():
@@ -383,10 +393,46 @@ def _written(path) -> str:
     return path.read_bytes().decode("utf-8")
 
 
+def _panel_text(family, target) -> str:
+    """``_reference_csv`` of a family and its explicit target, if any, in the last column."""
+    header, rows = ["t", *family.ids], [family.grid.times(), *family.values]
+    if target is not None:
+        header.append("__target__")
+        rows.append(target.values)
+    return _reference_csv(header, np.array(rows).T.tolist())
+
+
+def _write_or_refuse(directory, family, target):
+    """The path of a panel file written to a new directory, or None if the writer refuses.
+
+    A refusal leaves the directory empty, and is the error class that the
+    reader raises on the text the writer would have written (the reader may
+    name another id, as it takes a "__target__" member for the target); or
+    that text reads back as another family or target.
+    """
+    path = Path(tempfile.mkdtemp(dir=directory)) / "p.csv"
+    try:
+        write_panel_csv(family, path, target=target)
+    except PanelBoostError as exc:
+        refusal = exc
+    else:
+        return path
+    assert list(path.parent.iterdir()) == []  # no file, and no temp file
+    _write(path, _panel_text(family, target))
+    try:
+        again, again_target = read_panel_csv(path)
+    except PanelBoostError as exc:
+        assert type(exc) is type(refusal)
+    else:
+        assert again.ids != family.ids or (
+            target is not None and again_target.values.tobytes() != target.values.tobytes())
+    return None
+
+
 class TestRowWriter:
     """Each data row is one "%.17g" format string; the text is that of _fmt cells."""
 
-    @pytest.mark.parametrize("ident", [*_SPECIAL_IDS, "plain"])
+    @pytest.mark.parametrize("ident", [*_QUOTED_IDS, "plain"])
     def test_special_values_and_ids(self, tmp_path, ident):
         tiny = [5e-324, -5e-324, 2.2250738585072014e-308 / 3, 2.2250738585072009e-308]
         values = [*_SPECIAL_VALUES, *tiny, 0.0, -0.0, 1.7976931348623157e308, 123456.789]
@@ -397,21 +443,19 @@ class TestRowWriter:
         table = np.column_stack([grid.times(), family.values.T]).tolist()
         assert _written(path) == _reference_csv(["t", ident, "x"], table)
 
-    @settings(max_examples=100, deadline=None, derandomize=True,
+    # about a third of the families drawn are refused, so 160 examples write 100-odd files
+    @settings(max_examples=160, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(case=_panels())
     def test_random_panels(self, tmp_path, case):
         family, target = case
-        path = tmp_path / "p.csv"
-        rows = [family.grid.times(), *family.values]
-        header = ["t", *family.ids]
-        if target is not None:
-            rows.append(target.values)
-            header.append("__target__")
+        path = _write_or_refuse(tmp_path, family, target)
+        if path is None:
+            return
         for size, blocks in BLOCKS.items():
             with blocks():
                 write_panel_csv(family, path, target=target)
-            assert _written(path) == _reference_csv(header, np.array(rows).T.tolist()), size
+            assert _written(path) == _panel_text(family, target), size
 
     def test_prediction_file(self, tmp_path):
         grid = TimeGrid(0.0, 1.0, 3)
@@ -422,6 +466,55 @@ class TestRowWriter:
         table = np.column_stack([grid.times(), pred.values, cum.values]).tolist()
         assert _written(path) == _reference_csv(["t", "__prediction__", "__cumulative__"],
                                                 table)
+
+
+class TestWriterRefusals:
+    """A writer refuses what its reader would reject or misread, before it opens a file."""
+
+    @pytest.mark.parametrize(
+        ("ids", "with_target", "error", "message"),
+        [
+            (("a", "t"), False, DuplicateId, "duplicate column 't'"),
+            (("__x__",), False, ReservedId, "'__x__' is reserved and cannot be a member"),
+            (("a", "__target__"), False, ReservedId,
+             "'__target__' is reserved and cannot be a member"),
+            (("__target__",), True, DuplicateId, "duplicate column '__target__'"),
+            ((), False, EmptyFamily, "no member columns and no explicit target"),
+        ],
+        ids=["t", "dunder", "target-as-member", "target-twice", "empty"],
+    )
+    def test_a_family_the_file_cannot_hold(self, tmp_path, ids, with_target, error, message):
+        # read back, "__target__" as a member would be the target, one member short
+        grid = TimeGrid(0.0, 1.0, 3)
+        family = Family(grid, tuple(Series(i, [1.0, 2.0, 3.0]) for i in ids))
+        target = Series("__target__", [6.0, 5.0, 4.0]) if with_target else None
+        path = _write(tmp_path / "p.csv", "old\n")
+        with pytest.raises(error) as err:
+            write_panel_csv(family, path, target=target)
+        assert str(err.value) == f"{path}: {message}"
+        assert _written(path) == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("length", [12, 20], ids=["too-few", "too-many"])
+    @pytest.mark.parametrize("column", ["__target__", "__prediction__", "__cumulative__"])
+    def test_a_series_that_is_not_one_value_per_step(self, tmp_path, column, length):
+        # under small blocks a block is 2 rows and 16 steps are 8 whole blocks,
+        # so a series with more values would be cut to 16
+        grid = TimeGrid(0.0, 1.0, 16)
+        series = {name: Series(name, np.arange(16.0))
+                  for name in ("__target__", "__prediction__", "__cumulative__")}
+        series[column] = Series(column, np.arange(float(length)))
+        path = _write(tmp_path / "p.csv", "old\n")
+        with _small_blocks(), pytest.raises(ShapeError) as err:
+            if column == "__target__":
+                family = Family(grid, (Series("a", np.ones(16)),))
+                write_panel_csv(family, path, target=series[column])
+            else:
+                write_prediction_csv(grid, series["__prediction__"], series["__cumulative__"],
+                                     path)
+        assert str(err.value) == f"{path}: column {column!r} has {length} values, grid expects 16"
+        assert _written(path) == "old\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 # Spellings float() and numpy's parser both take, beyond what the writer writes.

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,12 @@ class TestSeries:
         with pytest.raises(ValueError, match="one-dimensional"):
             Series("a", [[1.0, 2.0], [3.0, 4.0]])
 
+    @pytest.mark.parametrize("bad", [1, None, b"a", ("a",)], ids=repr)
+    def test_rejects_an_id_that_is_not_a_str(self, bad):
+        # fit would carry it to PanelTerm's check, and the writer to its quoting test
+        with pytest.raises(ValueError, match=re.escape(f"series id must be a str, got {bad!r}")):
+            Series(bad, [1.0, 2.0])
+
     def test_values_are_readonly(self):
         s = Series("a", [1.0, 2.0])
         with pytest.raises(ValueError):
@@ -112,6 +119,11 @@ class TestFamily:
         grid = TimeGrid(0.0, 1.0, 2)
         with pytest.raises(ValueError):
             Family(grid, (Series("a", [1, 2]), Series("a", [3, 4])))
+
+    def test_a_matrix_id_that_is_not_a_str_is_rejected(self):
+        grid = TimeGrid(0.0, 1.0, 2)
+        with pytest.raises(ValueError, match="series id must be a str, got 1"):
+            Family._from_matrix(grid, ("a", 1), np.zeros((2, 2)))
 
     def test_length_mismatch_rejected(self):
         grid = TimeGrid(0.0, 1.0, 3)
