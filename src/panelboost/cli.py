@@ -1,9 +1,9 @@
 """Command-line surface: gen, fit, predict, sweep, eval.
 
-Exit codes: 0 success, 1 runtime error (any other ``PanelBoostError``, or an
-``OSError``), 2 usage error or an ``InvalidParameter``. Errors print one
-machine-parsable line to stderr: "error: <Code>: <message>". Any other
-exception is a bug and surfaces as a traceback.
+Exit codes: 0 success, 1 runtime error (any other ``PanelBoostError``, an
+``OSError`` or a ``MemoryError``), 2 usage error or an ``InvalidParameter``.
+Errors print one machine-parsable line to stderr: "error: <Code>: <message>".
+Any other exception is a bug and surfaces as a traceback.
 """
 
 from __future__ import annotations
@@ -114,6 +114,9 @@ def main(argv=None) -> int:
         return 2 if isinstance(exc, InvalidParameter) else 1
     except OSError as exc:
         print(f"error: IOError: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy raises a subclass; the line names the builtin
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
 
 

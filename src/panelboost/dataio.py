@@ -9,8 +9,13 @@ and a file needs a member or a target (EmptyFamily). The reader checks a
 header by ``_check_header`` and ``_check_panel_columns``, and the writer
 checks a family by both before it opens a file, so it refuses what the
 reader would reject or misread, with the reader's error. Values render with
-17 significant digits, so a write/read round trip is exact. Errors name the
-file line of the bad row, the header being line 1.
+17 significant digits, so a write/read round trip gives every value back
+exactly. The grid is inferred from the times, so its step comes back
+exactly where the times are exact, as for an integer or binary step (gen's
+1, or 0.125). Otherwise it may not: ``TimeGrid(0.1, 0.1, 3)`` reads back
+with step 0.10000000000000002, and far from 0 a step comes back only as
+closely as the times resolve it. Errors name the file line of the bad row,
+the header being line 1.
 
 Reading parses the data rows, quoted cells too, through numpy's parser, a
 block of lines at a time, straight into the one ``(columns, rows)`` matrix
@@ -350,11 +355,17 @@ def _check_panel_columns(path: Path, ids, target: bool) -> None:
 
     The reader and the writer call it after ``_check_header``, to which a
     member named "t" is a duplicate. No member may take a dunder name,
-    "__target__" included, and a file needs a member or the target.
+    "__target__" included, nor hold a lone surrogate, which UTF-8 cannot
+    encode, and a file needs a member or the target.
     """
     for name in ids:
         if name.startswith("__") and name.endswith("__"):
             raise ReservedId(f"{path}: {name!r} is reserved and cannot be a member")
+    try:
+        "".join(ids).encode("utf-8")  # one encode for all the ids
+    except UnicodeEncodeError as exc:
+        name = next(name for name in ids if exc.object[exc.start] in name)
+        raise ParseError(f"{path}: {name!r} is not valid UTF-8") from None
     if not ids and not target:
         raise EmptyFamily(f"{path}: no member columns and no explicit target")
 

@@ -60,6 +60,18 @@ def _rows(path):
         return list(csv.reader(fh))
 
 
+def _python(*args, cwd=None, **env):
+    """Run ``python *args`` in a process that imports this package.
+
+    ``env`` adds to the environment, from which PYTHONWARNINGS is dropped,
+    so that the process sees warnings as a user would unless told otherwise.
+    """
+    base = {name: value for name, value in os.environ.items() if name != "PYTHONWARNINGS"}
+    base["PYTHONPATH"] = str(Path(panelboost.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *args], cwd=cwd, env={**base, **env},
+                          capture_output=True, text=True)
+
+
 class TestPipeline:
     def test_gen_fit_predict_eval(self, tmp_path):
         data = _gen(tmp_path)
@@ -95,19 +107,41 @@ class TestPipeline:
         np.testing.assert_allclose(cums, np.cumsum(preds), rtol=1e-12)
 
     def test_pipeline_is_reproducible(self, tmp_path):
+        # the whole chain, as processes under two hash seeds and with warnings
+        # as errors: every file but for the models' creation times, and every
+        # line printed, must match byte for byte
+        chain = [
+            ["gen", "--out", "panel.csv", "--n", "50", "--days", "60", "--seed", "1"],
+            ["fit", "--data", "panel.csv", "--model-out", "model.json", "--panel-size", "5",
+             "--lbound=-1", "--alpha", "1", "--transform", "reciprocal",
+             "--train", "0.6", "--val", "0.2"],
+            ["predict", "--data", "panel.csv", "--model", "model.json", "--out", "pred.csv",
+             "--cumulative"],
+            ["eval", "--pred", "pred.csv", "--data", "panel.csv", "--report", "eval.csv"],
+            ["sweep", "--data", "panel.csv", "--train", "0.6", "--val", "0.2",
+             "--panel-sizes", "1,3", "--lbounds=-1,0", "--alphas", "1",
+             "--transforms", "reciprocal,witch", "--report", "sweep.csv"],
+            # with replacement, the pool never shrinks
+            ["fit", "--data", "panel.csv", "--model-out", "replace.json", "--panel-size", "20",
+             "--lbound=-1", "--alpha", "0.5", "--transform", "reciprocal",
+             "--with-replacement"],
+        ]
         outputs = []
-        for run in ("one", "two"):
-            base = tmp_path / run
+        for seed in ("0", "12345"):
+            base = tmp_path / seed
             base.mkdir()
-            data = _gen(base)
-            _, model = _fit(base, data)
-            pred = base / "pred.csv"
-            main(["predict", "--data", str(data), "--model", str(model), "--out", str(pred)])
-            report = base / "eval.csv"
-            main(["eval", "--pred", str(pred), "--data", str(data), "--report", str(report)])
-            doc = json.loads(model.read_text())
-            del doc["provenance"]  # timestamps differ between runs
-            outputs.append((data.read_bytes(), pred.read_bytes(), report.read_bytes(), doc))
+            printed = []
+            for argv in chain:
+                done = _python("-m", "panelboost.cli", *argv, cwd=base,
+                               PYTHONHASHSEED=seed, PYTHONWARNINGS="error")
+                assert (done.returncode, done.stderr) == (0, ""), argv[0]
+                printed.append(done.stdout)
+            files = {path.name: [line for line in path.read_bytes().splitlines()
+                                 if b'"created_at"' not in line]
+                     for path in sorted(base.iterdir())}
+            outputs.append((printed, files))
+        assert sorted(outputs[0][1]) == ["eval.csv", "model.json", "panel.csv", "pred.csv",
+                                         "replace.json", "sweep.csv"]
         assert outputs[0] == outputs[1]
 
 
@@ -272,11 +306,8 @@ def test_eval_of_a_prediction_spanning_the_float_range_prints_one_error(tmp_path
     pred = tmp_path / "pred.csv"
     pred.write_text("t,__prediction__\n0,1e308\n1,-1e308\n2,0\n")
     report = tmp_path / "eval.csv"
-    env = dict(os.environ, PYTHONPATH=str(Path(panelboost.__file__).parents[1]))
-    env.pop("PYTHONWARNINGS", None)
-    done = subprocess.run([sys.executable, "-m", "panelboost.cli", "eval", "--pred", str(pred),
-                           "--data", str(data), "--report", str(report)],
-                          env=env, capture_output=True, text=True)
+    done = _python("-m", "panelboost.cli", "eval", "--pred", str(pred), "--data", str(data),
+                   "--report", str(report))
     assert done.returncode == 1
     assert done.stderr.splitlines() == [
         "error: NumericOverflow: a centred sum of squares overflows"
@@ -284,23 +315,34 @@ def test_eval_of_a_prediction_spanning_the_float_range_prints_one_error(tmp_path
     assert not report.exists()
 
 
+def test_memory_error_is_one_line(tmp_path, monkeypatch, capsys):
+    # numpy raises a subclass of MemoryError for an allocation it cannot make
+    def generate(spec):
+        raise MemoryError("Unable to allocate 7.28 PiB for an array")
+
+    monkeypatch.setattr(panelboost.cli, "generate", generate)
+    out = tmp_path / "big.csv"
+    assert main(["gen", "--out", str(out), "--n", "1000000000", "--days", "1000000"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: MemoryError: Unable to allocate 7.28 PiB for an array"
+    ]
+    assert not out.exists()
+
+
 class TestStartup:
     def test_only_fit_loads_hashlib(self, tmp_path):
         # hashlib loads OpenSSL; only fit's input digest needs it, and only gen
         # the generator. What a bare numpy import loads is the baseline, as
         # numpy 1.23 loads numpy.random itself.
-        env = dict(os.environ, PYTHONPATH=str(Path(panelboost.__file__).parents[1]))
         probe = ("import sys, numpy; before = set(sys.modules); import panelboost.cli; "
                  "print(sorted((set(sys.modules) - before) & {'hashlib', 'numpy.random'}))")
-        loaded = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
-                                capture_output=True, text=True).stdout
-        assert loaded == "[]\n"
+        assert _python("-c", probe).stdout == "[]\n"
         data = _gen(tmp_path)
         model = tmp_path / "model.json"
-        subprocess.run([sys.executable, "-m", "panelboost.cli", "fit", "--data", str(data),
-                        "--model-out", str(model), "--panel-size", "2", "--lbound=-1",
-                        "--alpha", "1", "--transform", "reciprocal"],
-                       env=env, check=True, capture_output=True)
+        done = _python("-m", "panelboost.cli", "fit", "--data", str(data), "--model-out",
+                       str(model), "--panel-size", "2", "--lbound=-1", "--alpha", "1",
+                       "--transform", "reciprocal")
+        assert done.returncode == 0
         digest = json.loads(model.read_text())["provenance"]["input_digest"]
         assert digest == "sha256:" + hashlib.sha256(data.read_bytes()).hexdigest()
 

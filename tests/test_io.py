@@ -480,8 +480,9 @@ class TestWriterRefusals:
              "'__target__' is reserved and cannot be a member"),
             (("__target__",), True, DuplicateId, "duplicate column '__target__'"),
             ((), False, EmptyFamily, "no member columns and no explicit target"),
+            (("a", "b\udcff"), False, ParseError, "'b\\udcff' is not valid UTF-8"),
         ],
-        ids=["t", "dunder", "target-as-member", "target-twice", "empty"],
+        ids=["t", "dunder", "target-as-member", "target-twice", "empty", "lone-surrogate"],
     )
     def test_a_family_the_file_cannot_hold(self, tmp_path, ids, with_target, error, message):
         # read back, "__target__" as a member would be the target, one member short
