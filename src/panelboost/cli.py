@@ -98,6 +98,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # before Python 3.13, argparse stores [] for a value written --flag=--;
+        # no flag takes a list, so the flag alone makes argparse report it
+        for name, value in vars(args).items():
+            if isinstance(value, list):
+                parser.parse_args([args.command, "--" + name.replace("_", "-")])
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     command = {

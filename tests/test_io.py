@@ -670,8 +670,8 @@ def _bits(value):
 def _float_flag(text):
     """The value argparse gives a float flag set to ``text``, or None when it refuses it.
 
-    argparse drops a value that is "--" itself before its type sees it, and
-    stores [], which the generator's check then refuses as a usage error.
+    argparse before Python 3.13 drops a value that is "--" itself before its
+    type sees it, and stores [], which ``cli.main`` refuses as a usage error.
     """
     argv = ["gen", "--out", "x.csv", "--n", "1", "--days", "2", f"--noise={text}"]
     try:

@@ -465,6 +465,45 @@ def test_cli_numbers_outside_the_grammar_are_usage_errors(tmp_path, monkeypatch,
     assert not (tmp_path / "x.csv").exists() and not (tmp_path / "m.json").exists()
 
 
+# argparse before Python 3.13 stores [] for a value written --flag=--; 3.13 passes "--" on
+DROPS_DASHES = cli.build_parser().parse_args([*GEN, "--out=--"]).out == []
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fit", "--data=--", *FIT[1:]], "--data"),
+    ([*FIT, "--data", "panel.csv", "--transform=--"], "--transform"),
+    ([*GEN, "--out", "x.csv", "--noise=--"], "--noise"),
+    ([*_sweep(panel_sizes="--"), "--data", "panel.csv"], "--panel-sizes"),
+], ids=["path", "choice", "number", "list"])
+def test_a_flag_value_of_two_dashes_never_reaches_a_command(tmp_path, monkeypatch, capsys,
+                                                            argv, flag):
+    _gen(tmp_path, days=30)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    code = main(argv)  # a traceback would raise here
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == err[-1:]
+    if DROPS_DASHES:
+        assert code == 2
+        assert err[-1] == f"panelboost {argv[0]}: error: argument {flag}: expected one argument"
+    assert [path.name for path in tmp_path.iterdir()] == ["panel.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*GEN, "--ou", "x.csv"],
+    ["fit", "--dat", "panel.csv", "--model-out", "x.json", *FIT[3:]],
+    ["predict", "--data", "panel.csv", "--mod", "model.json", "--out", "x.csv"],
+    ["sweep", "--data", "panel.csv", "--rep", "x.csv", *_sweep()[3:]],
+    ["eval", "--pre", "pred.csv", "--data", "panel.csv", "--report", "x.csv"],
+], ids=["gen", "fit", "predict", "sweep", "eval"])
+def test_flags_may_not_be_abbreviated(tmp_path, monkeypatch, argv):
+    # each command would run, and write x.*, if argparse took the prefix for its flag
+    _predict(tmp_path, _gen(tmp_path, days=30))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert not list(tmp_path.glob("x.*"))
+
+
 def test_gen_whose_noise_overflows_is_a_runtime_error(tmp_path, capsys):
     assert main([*GEN, "--out", str(tmp_path / "x.csv"), "--noise", "1e306"]) == 1
     assert capsys.readouterr().err.splitlines() == [
