@@ -242,52 +242,50 @@ def sweep(
     """Fit every grid cell on the train segment; rank by validation RMSE.
 
     Rows follow ``grid.cells``. Configurations that accept no member stay in
-    the result as error rows. Ties on validation RMSE prefer the smaller
-    panel, then the smaller alpha, then the earlier row.
+    the result as error rows. The best row has the smallest (validation
+    RMSE, panel size, alpha, row). A target whose length is not the grid's
+    is a ShapeError.
 
     Each row is ``_accepted`` of the path ``fit`` uses. That path is walked
     once per distinct alpha, as far as the largest panel size with lbound -1;
     no term, model or trace is built. The paths share what does not depend
     on alpha: the screen constants of the train family and the first step,
-    taken against the target. The rows that differ only in their transform
-    form a group and read one prefix: the path's ``_accepted`` prefix for
-    their lbound, taken once per distinct (alpha, lbound) and cut at their
-    panel size. A prefix predicts train with its last step's prediction,
-    and validation with one cumulative sum per alpha in ``predict``'s
-    order, over the validation columns of the family's matrix (no other
-    segment is read), taken only as far as some row reads it. The distinct
-    (alpha, prefix) pairs are measured as the rows of one matrix per
+    taken against the target. Each row reads its own prefix: the path's
+    ``_accepted`` prefix for its lbound, taken once per distinct (alpha,
+    lbound) and cut at its panel size. A prefix predicts train with its last
+    step's prediction, and validation with one cumulative sum per alpha in
+    ``predict``'s order, over the validation columns of the family's matrix
+    (no other segment is read), taken only as far as some row reads it. The
+    distinct (alpha, prefix) pairs are measured as the rows of one matrix per
     segment, against targets centred once per segment, and each (alpha,
-    prefix, transform) gets its ``Metrics`` once. The ranking compares the
-    groups by their first rows, which carry each group's smallest (rmse,
-    size, alpha, row). If several prefixes fail to measure, the error
-    raised is the one of the first row that reads a failing prefix, train
-    before validation.
+    prefix, transform) gets its ``Metrics`` once. If several prefixes fail
+    to measure, the error raised is the one of the first row that reads a
+    failing prefix, train before validation.
     """
+    count = family.grid.count
+    if len(target.values) != count:
+        raise ShapeError(f"target has {len(target.values)} samples, grid expects {count}")
     train_range, val_range, _ = split(family.grid, split_spec)
     fam_train = restrict_family(family, train_range)
     tgt_train = restrict(target, train_range)
     tgt_val = restrict(target, val_range)
 
-    # a group is a run of cells that differ only in their transform, the
-    # last field of the product; its first cell stands for it
-    kinds = len(grid.transforms)
-    heads = grid.cells[::kinds]
-    longest = max(c.panel_size for c in heads)
+    cells = grid.cells
+    longest = max(c.panel_size for c in cells)
     start = _start(fam_train, tgt_train)
     paths = {
         alpha: _accepted(_path(fam_train, tgt_train, alpha, False, start), longest, -1.0)
-        for alpha in dict.fromkeys(c.alpha for c in heads)
+        for alpha in dict.fromkeys(c.alpha for c in cells)
     }
     # the accepted prefix within panel_size is the one within the longest
     # size, cut at panel_size
     reach = {
         (alpha, lbound): len(_accepted(paths[alpha], longest, lbound))
-        for alpha, lbound in dict.fromkeys((c.alpha, c.lbound) for c in heads)
+        for alpha, lbound in dict.fromkeys((c.alpha, c.lbound) for c in cells)
     }
-    # each group's (alpha, prefix length) read key, a length of 0 when it
-    # accepts nothing, and the keys some group reads, in order
-    keys = [(c.alpha, min(c.panel_size, reach[c.alpha, c.lbound])) for c in heads]
+    # each cell's (alpha, prefix length) read key, a length of 0 when it
+    # accepts nothing, and the keys some cell reads, in order
+    keys = [(c.alpha, min(c.panel_size, reach[c.alpha, c.lbound])) for c in cells]
     read = [key for key in dict.fromkeys(keys) if key[1]]
     if not read:
         raise SweepFailed("every configuration failed to accept a member")
@@ -309,30 +307,24 @@ def sweep(
         np.array([paths[alpha][n - 1].prediction for alpha, n in read]), tgt_train.values, step
     )
     val = _agreements(np.array([val_sums[alpha][n] for alpha, n in read]), tgt_val.values, step)
-    # every prefix a row reads is read with each of the grid's transforms,
-    # by the rows of its group. The metrics are scored once per distinct
-    # transform, and a transform listed twice shares its first listing's
-    distinct = tuple(dict.fromkeys(grid.transforms))
-    position = [distinct.index(kind) for kind in grid.transforms]
-    metrics = {}
-    for key, agreements in zip(read, zip(train, val)):
-        for agreement in agreements:
-            if isinstance(agreement, NumericOverflow):
-                raise agreement
-        scored = [tuple(_scored(a, kind) for a in agreements) for kind in distinct]
-        metrics[key] = [scored[p] for p in position]
+    agreements = dict(zip(read, zip(train, val)))
+    for agreement in itertools.chain.from_iterable(agreements.values()):
+        if isinstance(agreement, NumericOverflow):
+            raise agreement
+    # rows that share alpha, prefix and transform share their Metrics
+    metrics: dict[tuple, tuple[Metrics, Metrics]] = {}
     rows: list[SweepRow] = []
-    for g, (head, key) in enumerate(zip(heads, keys)):
-        configs = grid.cells[g * kinds : (g + 1) * kinds]
-        if key[1]:
-            early = key[1] < head.panel_size
-            rows += [SweepRow(c, t, v, early) for c, (t, v) in zip(configs, metrics[key])]
-        else:
-            rows += [SweepRow(c, None, None, False, "NoAdmissibleMember") for c in configs]
-
-    rmse = {key: agreement.rmse for key, agreement in zip(read, val)}
+    for c, key in zip(cells, keys):
+        if not key[1]:
+            rows.append(SweepRow(c, None, None, False, "NoAdmissibleMember"))
+            continue
+        pair = metrics.get((key, c.transform))
+        if pair is None:
+            pair = tuple(_scored(a, c.transform) for a in agreements[key])
+            metrics[key, c.transform] = pair
+        rows.append(SweepRow(c, *pair, key[1] < c.panel_size))
     best = min(
-        (rmse[key], head.panel_size, head.alpha, g * kinds)
-        for g, (head, key) in enumerate(zip(heads, keys)) if key[1]
+        (row.validation.rmse, row.config.panel_size, row.config.alpha, i)
+        for i, row in enumerate(rows) if row.error is None
     )
     return SweepResult(tuple(rows), best[3])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -272,6 +274,31 @@ class TestSweep:
         assert sum(row.error is not None for row in result.rows) == 20
         assert sum(row.stopped_early for row in result.rows) == 34
 
+    def test_axes_that_repeat_a_value_in_other_types(self):
+        # each cell coerces its values, so np.int64(3) and 3, 1 and 1.0,
+        # Fraction(3, 5) and np.float64(0.6), and -1 and -1.0 are one value
+        # each, and the rows that read one (alpha, prefix, transform) share
+        # its Metrics
+        fam, target = generate(GenSpec(n_series=8, days=90, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        grid = SweepGrid((np.int64(3), 3, 1), (-1, 0.28),
+                         (1, Fraction(3, 5), np.float64(0.6), 1.0), (RECIP, WITCH))
+        result = sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        want = scratch_sweep(fam, target, SplitSpec(0.6, 0.2), grid)
+        assert len(result.rows) == 48
+        assert [repr(row) for row in result.rows] == [repr(row) for row in want.rows]
+        assert result.best == want.best
+        train, _, _ = split(fam.grid, SplitSpec(0.6, 0.2))
+        f_train, t_train = restrict_family(fam, train), restrict(target, train)
+        keys = {}
+        for row in result.rows:
+            model, _ = fit(f_train, t_train, row.config)
+            key = (row.config.alpha, len(model.terms), row.config.transform)
+            first = keys.setdefault(key, row)
+            assert row.train is first.train and row.validation is first.validation
+        assert {alpha for alpha, _, _ in keys} == {1.0, 0.6}
+        assert len(keys) <= 16
+
     def test_the_first_failure_in_row_order_is_raised(self):
         # Members orthogonal on train, in exact arithmetic: the first step
         # leaves a residual whose sum, times the grid step of 1e306,
@@ -351,6 +378,17 @@ class TestSweep:
         grid = SweepGrid((1, 2), (lbound,), (1.0, 0.5), (RECIP, WITCH))
         with pytest.raises(SweepFailed):
             sweep(fam, Series("__target__", values), SplitSpec(0.5, 0.3), grid)
+
+    @pytest.mark.parametrize("length", [40, 55, 65])
+    def test_a_target_of_another_length_is_a_shape_error(self, length):
+        # as in fit and evaluate: a longer target is not cut to the grid, and
+        # a shorter one is not a range error of its segments
+        fam, target = generate(GenSpec(n_series=8, days=60, archetypes=3,
+                                       noise_sd=0.3, seed=41))
+        target = Series("__target__", np.resize(target.values, length))
+        grid = SweepGrid((1, 3), (-1.0,), (1.0,), (RECIP,))
+        with pytest.raises(ShapeError, match=f"^target has {length} samples, grid expects 60$"):
+            sweep(fam, target, SplitSpec(0.6, 0.2), grid)
 
     def test_one_fit_per_distinct_alpha(self, monkeypatch):
         # the sweep fits by walking the greedy path, once per distinct alpha
