@@ -10,20 +10,26 @@ header by ``_check_header`` and ``_check_panel_columns``, and the writer
 checks a family by both before it opens a file, so it refuses what the
 reader would reject or misread, with the reader's error. Values render with
 17 significant digits, so a write/read round trip gives every value back
-exactly. The grid is inferred from the times, so its step comes back
-exactly where the times are exact, as for an integer or binary step (gen's
-1, or 0.125). Otherwise it may not: ``TimeGrid(0.1, 0.1, 3)`` reads back
-with step 0.10000000000000002, and far from 0 a step comes back only as
-closely as the times resolve it. Errors name the file line of the bad row,
-the header being line 1.
+exactly. The grid is inferred from the times: its step is the first of the
+first difference and the mean step, each within 4 ulps, whose grid gives
+the times back bit for bit, so ``TimeGrid(0.1, 0.1, 3)`` reads back as
+written. Where no such step is near, far from 0 (``TimeGrid(1e6, 0.1, n)``),
+the step is the mean, which comes back only as closely as the times resolve
+it. Errors name the file line of the bad row, the header being line 1.
 
-Reading parses the data rows, quoted cells too, through numpy's parser, a
-block of lines at a time, straight into the one ``(columns, rows)`` matrix
-whose member rows the family then takes over; the file's line count bounds
-its rows, so that matrix is allocated once. A file numpy's parser declines,
-or one with a quoted line break or a cell over the csv module's field
-limit, is read again cell by cell, the one place that builds an error, so
-both read every file alike. Cells and CLI numbers share ``series._numeral``.
+Reading parses the header with the csv module and reads the data rows as
+bytes, a block of whole lines at a time, straight into the one ``(columns,
+rows)`` matrix whose member rows the family then takes over; the file's
+line count bounds its rows, so that matrix is allocated once. A block whose
+cells are all plain decimals (``-?digits[.digits]``, 18 digits at most, on
+"\n"-ended lines of the header's width) is read exactly, as integers over a
+power of ten (``_plain_values``): the writer's cells are plain where each
+|value| is 0 or from 0.1 to 1e17. Any other block, with an exponent, a
+quote, padding, a "+" or a "\r" in it, say, is decoded and handed to
+numpy's parser line by line. A file numpy's parser declines, or one with a
+quoted line break or a cell over the csv module's field limit, is read
+again cell by cell, the one place that builds an error, so all read every
+file alike. Cells and CLI numbers share ``series._numeral``.
 Writing formats the rows from a block of time steps of the matrix at a
 time, each data row with one format string; the header goes through the
 csv module, which quotes ids. So a command holds about one copy of its
@@ -45,7 +51,7 @@ see a partial file; it gets the mode a plain open() would give it.
 from __future__ import annotations
 
 import csv
-import itertools
+import io
 import json
 import math
 import os
@@ -84,11 +90,18 @@ from .series import (
 
 FORMAT_VERSION = 1
 STEP_TOLERANCE = 1e-9
-# Rows per block of a panel file read or written are chosen so that a block's
-# values take about this many bytes; with the text of the block's lines, a
-# block adds a small part of the panel's bytes to the one copy a file is read
-# into or written from.
+# A panel file is read in blocks of about this many bytes of text, and written
+# in blocks of rows whose values take about this many bytes; a block adds a
+# small part of the panel's bytes to the one copy a file is read into or
+# written from.
 CSV_BLOCK_BYTES = 64 * 1024
+# Where a long double rounds to 64 or 113 significant bits (x87 extended, IEEE
+# quad), a plain cell is read exactly as an integer over a power of ten; where
+# it is a double, or a double-double, whose quotients are not rounded once,
+# every block goes to numpy's parser.
+_EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(19)], dtype=np.longdouble)
+_NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
 
 
 def _fmt(x: float) -> str:
@@ -268,7 +281,7 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
 
 
 def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
-    """The header and ``(cells, rows)`` values of an ordinary file, through numpy's parser.
+    """The header and ``(cells, rows)`` values of an ordinary file, read a block at a time.
 
     None when the file is anything else, for ``_read_cells`` to read: not
     UTF-8 or without a header; a data line with an odd number of quotes (a
@@ -279,10 +292,13 @@ def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
     skips them, and numpy must return one row per line it was handed, so no
     line it might skip goes unread.
 
-    The file's line count bounds its rows, so the C-contiguous matrix is
-    allocated once and numpy parses blocks of lines straight into it; only
-    a file with blank lines (or a header over several lines) is cut to its
-    rows by a copy.
+    The header is parsed by the csv module, and the data rows are read as
+    bytes, in blocks of whole lines. A block of plain cells is read exactly
+    as integers (``_plain_values``); any other is decoded and handed to
+    numpy's parser line by line. The file's line count bounds its rows, so
+    the C-contiguous matrix is allocated once and each block is read
+    straight into it; only a file with blank lines (or a header over
+    several lines) is cut to its rows by a copy.
     """
     bound = _count_lines(path) - 1  # the header takes a line at least
     if bound < 2:
@@ -300,24 +316,103 @@ def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
 
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            header = next(csv.reader(fh))
-            if not header:  # a blank first line; no width to parse to
-                return None
-            columns = np.empty((len(header), bound))
-            block = max(1, CSV_BLOCK_BYTES // (8 * len(header)))
-            lines = plain(fh)
-            count = 0
-            while chunk := list(itertools.islice(lines, block)):
-                part = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2, quotechar='"')
-                if part.shape != (len(chunk), len(header)) or not np.isfinite(part).all():
-                    return None
-                columns[:, count : count + len(chunk)] = part.T
-                count += len(chunk)
+            lines: list[str] = []  # the header's lines, to find where the data starts
+            header = next(csv.reader(lines.append(line) or line for line in fh))
+        if not header:  # a blank first line; no width to parse to
+            return None
+        columns = np.empty((len(header), bound))
+        count = 0
+        with path.open("rb") as fh:
+            fh.seek(len("".join(lines).encode("utf-8")))
+            for block in _line_blocks(fh):
+                part = _plain_values(block, len(header), limit)
+                if part is None:
+                    chunk = list(plain(io.StringIO(block.decode("utf-8"), newline="")))
+                    if not chunk:
+                        continue
+                    part = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2, quotechar='"')
+                    if part.shape != (len(chunk), len(header)) or not np.isfinite(part).all():
+                        return None
+                columns[:, count : count + len(part)] = part.T
+                count += len(part)
     except (ValueError, csv.Error, StopIteration):  # ValueError covers UnicodeDecodeError
         return None
     if count < 2:
         return None
     return header, columns if count == bound else columns[:, :count].copy()
+
+
+def _line_blocks(fh):
+    """The rest of a binary file in blocks of whole lines of about ``CSV_BLOCK_BYTES``.
+
+    A block ends after a "\\n" or "\\r", so a "\\r\\n" cut in two leaves a
+    blank line, which every reader skips.
+    """
+    rest = b""
+    while chunk := fh.read(CSV_BLOCK_BYTES):
+        cut = max(chunk.rfind(b"\n"), chunk.rfind(b"\r")) + 1
+        if cut:
+            block, rest = rest + memoryview(chunk)[:cut], chunk[cut:]
+            del chunk  # a block holds the one copy of its bytes
+            yield block
+        else:
+            rest += chunk
+    if rest:
+        yield rest
+
+
+def _plain_values(block: bytes, width: int, limit: int) -> np.ndarray | None:
+    """The ``(rows, width)`` values of a block of plain lines, or None for any other block.
+
+    A plain line has ``width`` cells and ends in "\\n" (or the file), and a
+    plain cell is ``-?digits[.digits]`` with 1 to 18 digits in all. Its
+    digits without the dot are an integer m below 10**18, which like 10**k
+    for k <= 18 a long double of 64 significant bits or more holds exactly,
+    so m / 10**k, the cell's value, is rounded once to a long double. Its
+    rounding to a double is then the correct one unless it lands exactly
+    halfway between two doubles, where the two roundings may differ: such a
+    cell is read again with float(), the same correctly rounded conversion
+    that numpy's parser makes. So every plain cell reads as the other
+    readers read it, "-0" as -0.0 too.
+    """
+    if not _EXACT_QUOTIENT:
+        return None
+    if not block.endswith(b"\n"):  # the file's last line
+        block += b"\n"
+    text = np.frombuffer(block, np.uint8)
+    ends = np.flatnonzero(text <= ord(","))  # the separator after each cell, or another byte
+    dots = np.flatnonzero(text == ord("."))
+    # most blocks have no "-", which "in" finds faster than numpy
+    minus = np.flatnonzero(text == ord("-")) if b"-" in block else dots[:0]
+    if (len(ends) % width or text.max() > ord("9")
+            or np.count_nonzero(text < ord("0")) != len(ends) + len(dots) + len(minus)):
+        return None  # a byte that is not a digit, "-", "." or a separator, or one too few
+    separators = text[ends].reshape(-1, width)
+    if not ((separators[:, :-1] == ord(",")).all() and (separators[:, -1] == ord("\n")).all()):
+        return None  # a line that does not have width cells, or another byte below ","
+    dot_cells, minus_cells = np.searchsorted(ends, dots), np.searchsorted(ends, minus)
+    digits = np.diff(ends, prepend=-1) - 1  # a cell's bytes, less its dot and sign below
+    if digits.max() > limit or (np.diff(dot_cells) == 0).any():
+        return None  # a cell beyond the csv module's limit, or one with two dots
+    digits[dot_cells] -= 1
+    digits[minus_cells] -= 1
+    # a "-" follows a separator; text[-1] is the "\n" before one at the block's start
+    if (text[minus - 1] > ord(",")).any() or not ((digits >= 1) & (digits <= 18)).all():
+        return None
+
+    scale = np.zeros(len(ends), np.int8)
+    scale[dot_cells] = ends[dot_cells] - dots - 1  # the digits after the dot
+    mantissas = np.fromstring(block.translate(_NEWLINE_TO_COMMA, b"."), np.int64, sep=",")
+    quotients = mantissas.astype(np.longdouble)
+    quotients /= _POWERS_OF_TEN[scale]
+    values = quotients.astype(np.float64)
+    # halfway between two doubles: half the gap above, or below a power of 2
+    off, gap = np.abs((quotients - values).astype(np.float64)), np.abs(np.spacing(values))
+    for cell in np.flatnonzero((2 * off == gap) | (4 * off == gap)):
+        start = ends[cell - 1] + 1 if cell else 0
+        values[cell] = float(block[start : ends[cell]])
+    values[minus_cells[mantissas[minus_cells] == 0]] = -0.0
+    return values.reshape(-1, width)
 
 
 def _count_lines(path: Path) -> int:
@@ -419,9 +514,28 @@ def _infer_grid(tcol: np.ndarray, path: Path) -> TimeGrid:
     if irregular:
         raise IrregularGrid(f"{path}: time column is not uniformly spaced")
     try:
-        return TimeGrid(float(tcol[0]), step, n)
+        return TimeGrid(float(tcol[0]), _exact_step(tcol, step), n)
     except ValueError as exc:  # a step the times cannot resolve
         raise IrregularGrid(f"{path}: {exc}") from None
+
+
+def _exact_step(tcol: np.ndarray, step: float) -> float:
+    """A step whose grid gives the times back bit for bit, or else ``step``, their mean.
+
+    The candidates are the first difference and the mean step, each from 4
+    ulps below to 4 above, nearest first; the first whose ``times()`` are
+    the column is kept. So a step such as 0.1 reads back as written, where
+    the mean of its times is 0.10000000000000002.
+    """
+    start, last, n = float(tcol[0]), float(tcol[-1]), len(tcol)
+    near = np.array([float(tcol[1]) - start, step]).view(np.int64)[:, None]
+    candidates = (near + [0, 1, -1, 2, -2, 3, -3, 4, -4]).view(np.float64).ravel().tolist()
+    for candidate in candidates:  # the last time first, in Python floats, which do not warn
+        if start + candidate * (n - 1) == last and np.array_equal(
+            (start + candidate * np.arange(n)).view(np.int64), tcol.view(np.int64)
+        ):
+            return candidate
+    return step
 
 
 def _grid_tolerance(step: float, largest: float) -> float:

@@ -48,7 +48,7 @@ from panelboost import (
     write_sweep_report,
 )
 from panelboost import dataio
-from panelboost.cli import _parse_list, build_parser, real
+from panelboost.cli import _parse_list, build_parser, main, real
 from panelboost.dataio import (
     _fmt,
     _read_cells,
@@ -62,8 +62,9 @@ RECIP = TransformKind.RECIPROCAL
 
 @contextlib.contextmanager
 def _small_blocks():
-    # 48 bytes of values: blocks of 6 rows of 1 cell, 3 rows of 2, 2 rows of 3
-    # and 1 row of 4, so the files drawn here span several blocks
+    # the writer's blocks of 48 bytes of values are 6 rows of 1 cell, 3 rows
+    # of 2, 2 rows of 3 and 1 row of 4, and the reader's are the whole lines
+    # of about 48 bytes of text, so the files drawn here span several blocks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataio, "CSV_BLOCK_BYTES", 48)
         yield
@@ -640,9 +641,8 @@ class TestReaderEquivalence:
                                                   ('3,"3"\n4,4', ParseError)],
                              ids=["closed", "row-like"])
     def test_a_quoted_line_break_is_read_by_the_cell_reader(self, tmp_path, end, after, first):
-        # the break ends the third data line, and with it a block of 3 rows
-        # under small blocks, where numpy would end the quoted cell; the next
-        # line closes the cell, or would read as a row of its own
+        # the break ends the third data line, where numpy would end the quoted
+        # cell; the next line closes the cell, or would read as a row of its own
         path = _write(tmp_path / "p.csv", f't,a\n0,0\n1,1\n2,"1.5{end}{after}\n')
         expected = _outcome(_read_cells, path)
         assert expected[0] == first
@@ -706,6 +706,190 @@ def test_a_cell_a_flag_and_a_list_item_take_the_same_numerals(tmp_path, text):
         assert cell == _bits(flag)
     numeric = _read_numeric(path)
     assert numeric is None or _bits(numeric[1][1, 1]) == cell
+
+
+class _NumpysParserCalled(Exception):
+    """Raised in place of np.loadtxt, which the reader does not catch."""
+
+
+@contextlib.contextmanager
+def _without_numpys_parser():
+    # a block that declines the exact path then fails the read, where it
+    # would otherwise go to numpy's parser and cost only speed
+    def refuse(*args, **kwargs):
+        raise _NumpysParserCalled
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np, "loadtxt", refuse)
+        yield
+
+
+@contextlib.contextmanager
+def _without_exact_path():
+    # as on a platform whose long double is a double: every block goes to numpy's parser
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_EXACT_QUOTIENT", False)
+        yield
+
+
+def _exact_outcome(path):
+    """``_outcome`` of ``_read_numeric`` with numpy's parser refused."""
+    with _without_numpys_parser():
+        return _outcome(_read_numeric, path)
+
+
+class TestExactReader:
+    """Plain cells are read as integers over a power of ten, bit for bit as float() reads them."""
+
+    @pytest.mark.parametrize("cell, value", [
+        # ties between two doubles, which round to the even one: 2**53 + 1 and
+        # + 3, 2**52 + 0.5, and 2**54 - 1, halfway to 2**54 from the double below
+        ("9007199254740993", 9007199254740992.0),
+        ("9007199254740995", 9007199254740996.0),
+        ("4503599627370496.5", 4503599627370496.0),
+        ("18014398509481983", 18014398509481984.0),
+        # near a tie, on which a long double rounds them: the double below or
+        # above it is the nearest, which the tie's even double is not
+        ("1.04859335012007715", 1.048593350120077),
+        ("1.17822665003013205", 1.1782266500301322),
+        ("-0", -0.0), ("-0.0", -0.0), ("-00", -0.0), ("0.", 0.0), (".5", 0.5), ("-.25", -0.25),
+        ("123456789012345678", 123456789012345678.0),  # 18 digits, the most
+        ("0.12345678901234567", 0.12345678901234567),
+        ("0.30000000000000004", 0.30000000000000004),
+        ("007.50", 7.5),
+    ])
+    def test_a_plain_cell_reads_as_float_reads_it(self, tmp_path, cell, value):
+        path = _write(tmp_path / "p.csv", f"t,a\n0,{cell}\n1,2")
+        expected = _outcome(_read_cells, path)
+        assert _exact_outcome(path) == expected
+        assert expected[2][16:24] == np.float64(value).tobytes()  # the first cell of a
+
+    @pytest.mark.parametrize("cell", ["1234567890123456789", "0.000000000000000001", "1e5",
+                                      "+1", " 1", "1.2.3", "--1", "1-", "-", ".", "-.",
+                                      '"1"', "0x1"])
+    def test_any_other_cell_goes_to_numpys_parser(self, tmp_path, cell):
+        # 19 digits, an exponent, a sign or padding numpy reads, and cells no reader takes
+        path = _write(tmp_path / "p.csv", f"t,a\n0,{cell}\n1,2\n")
+        with _without_numpys_parser(), pytest.raises(_NumpysParserCalled):
+            _read_numeric(path)
+        assert _outcome(_read_csv, path) == _outcome(_read_cells, path)
+
+    def test_random_17_digit_values_read_bit_identically(self, tmp_path):
+        # from 0.1 the writer's 17 significant digits are at most 18 digits
+        rng = np.random.default_rng(34)
+        values = 10 ** rng.uniform(-1, 17, (500, 40)) * rng.choice([-1.0, 1.0], (500, 40))
+        family = Family(TimeGrid(0.0, 1.0, 500), tuple(Series(f"m{j}", values[:, j])
+                                                       for j in range(40)))
+        path = tmp_path / "p.csv"
+        write_panel_csv(family, path)
+        expected = _outcome(_read_cells, path)
+        assert expected[2][500 * 8 :] == values.T.tobytes()
+        for size, blocks in BLOCKS.items():
+            with blocks():
+                assert _exact_outcome(path) == expected, size
+
+    @pytest.mark.parametrize("size, blocks", BLOCKS.items())
+    def test_values_down_to_1e_5_read_bit_identically(self, tmp_path, size, blocks):
+        # below 0.1 a cell takes 18 digits or more, or an exponent, and goes to numpy's parser
+        rng = np.random.default_rng(35)
+        values = 10 ** rng.uniform(-5, 17, (300, 8)) * rng.choice([-1.0, 1.0], (300, 8))
+        family = Family(TimeGrid(0.0, 1.0, 300), tuple(Series(f"m{j}", values[:, j])
+                                                       for j in range(8)))
+        path = tmp_path / "p.csv"
+        write_panel_csv(family, path)
+        with blocks():
+            assert _outcome(_read_csv, path) == _outcome(_read_cells, path)
+
+    def test_plain_blocks_mix_with_blocks_for_numpys_parser(self, tmp_path):
+        lines = [f"{k},{k / 7!r},{-k / 3!r}\n" for k in range(40)]
+        odd = {5: "5,1e-3,-2\n", 12: '12,"1.5",2\n', 20: "20,1,2\r\n", 30: "\n30,1,2\n"}
+        for k, line in odd.items():
+            lines[k] = line
+        path = tmp_path / "p.csv"
+        path.write_bytes(("t,a,b\n" + "".join(lines)).encode())
+        handed = []
+        loadtxt = np.loadtxt
+
+        def spy(lines, *args, **kwargs):
+            handed.extend(lines)
+            return loadtxt(lines, *args, **kwargs)
+
+        with _small_blocks(), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(np, "loadtxt", spy)
+            assert _outcome(_read_csv, path) == _outcome(_read_cells, path)
+        # the blank line is skipped; every other odd line went to numpy, and most plain ones not
+        assert {odd[5], odd[12], odd[20], "30,1,2\n"} <= set(handed)
+        assert len(handed) < len(lines) / 2
+
+
+class TestExactPathGuards:
+    """The CLI's own files take the exact path, and numpy's parser reads them alike."""
+
+    @pytest.fixture(scope="class")
+    def files(self, tmp_path_factory):
+        directory = tmp_path_factory.mktemp("chain")
+        panel, model, pred = (directory / name for name in ("panel.csv", "model.json",
+                                                            "pred.csv"))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["gen", "--out", str(panel), "--n", "30", "--days", "60",
+                         "--seed", "1"]) == 0
+            assert main(["fit", "--data", str(panel), "--model-out", str(model),
+                         "--panel-size", "5", "--lbound=-1", "--alpha", "1",
+                         "--transform", "reciprocal", "--train", "0.6", "--val", "0.2"]) == 0
+            assert main(["predict", "--data", str(panel), "--model", str(model),
+                         "--out", str(pred), "--cumulative"]) == 0
+        return panel, pred
+
+    def test_gen_and_predict_files_need_no_numpy_parser(self, files):
+        for path in files:
+            assert _exact_outcome(path) == _outcome(_read_cells, path), path.name
+
+    def test_numpys_parser_reads_them_alike(self, files):
+        for path in files:
+            expected = _exact_outcome(path)
+            with _without_exact_path():
+                assert _outcome(_read_numeric, path) == expected, path.name
+
+
+class TestExactGridStep:
+    """A grid step reads back as one whose times are the file's, where one is near."""
+
+    @pytest.mark.parametrize("step", [0.1, 1 / 3, 1e-3], ids=["0.1", "1/3", "1e-3"])
+    @pytest.mark.parametrize("start", [0.0, 0.1, -7.3])
+    def test_near_zero_a_step_reads_back_as_written(self, tmp_path, start, step):
+        grid = TimeGrid(start, step, 365)
+        write_panel_csv(Family(grid, (Series("a", np.arange(365.0)),)), tmp_path / "p.csv")
+        data, _ = read_panel_csv(tmp_path / "p.csv")
+        assert data.grid == grid
+
+    @pytest.mark.parametrize("step", [0.1, 1 / 3, 1e-3], ids=["0.1", "1/3", "1e-3"])
+    @pytest.mark.parametrize("start", [1e3, 1e6, 1e9])
+    def test_far_from_zero_a_step_gives_the_times_back_or_is_their_mean(self, tmp_path,
+                                                                        start, step):
+        grid = TimeGrid(start, step, 365)
+        write_panel_csv(Family(grid, (Series("a", np.arange(365.0)),)), tmp_path / "p.csv")
+        data, _ = read_panel_csv(tmp_path / "p.csv")
+        times = grid.times()
+        assert (data.grid.start, data.grid.count) == (start, 365)
+        assert (data.grid.times().tobytes() == times.tobytes()
+                or data.grid.step == (times[-1] - times[0]) / 364)
+
+    @pytest.mark.parametrize("grid, step", [(TimeGrid(-1e308, 1e307, 3), 1e307),
+                                            (TimeGrid(1e300, 1e290, 5), 9.999999114857262e+289)],
+                             ids=["-1e308", "1e300"])
+    def test_at_the_ends_of_the_float_range(self, tmp_path, grid, step):
+        # the second grid's times are those of a step 8.9e-8 off its own, which
+        # is not near: a step near their mean gives them back
+        write_panel_csv(Family(grid, (Series("a", np.arange(grid.count + 0.0)),)),
+                        tmp_path / "p.csv")
+        data, _ = read_panel_csv(tmp_path / "p.csv")
+        assert data.grid.step == step
+        assert data.grid.times().tobytes() == grid.times().tobytes()
+
+    def test_an_integer_step_is_the_mean_as_before(self, tmp_path):
+        # and so is every step of gen's files, 1
+        path = _write(tmp_path / "p.csv", "t,a\n3,1\n5,2\n7,3\n")
+        assert read_panel_csv(path)[0].grid == TimeGrid(3.0, 2.0, 3)
 
 
 def test_the_line_count_is_that_of_the_text_reader(tmp_path):
