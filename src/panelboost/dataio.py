@@ -21,17 +21,22 @@ Reading parses the header with the csv module and reads the data rows as
 bytes, a block of whole lines at a time, straight into the one ``(columns,
 rows)`` matrix whose member rows the family then takes over; the file's
 line count bounds its rows, so that matrix is allocated once. A block whose
-cells are all plain decimals (``-?digits[.digits]``, 18 digits at most, on
-"\n"-ended lines of the header's width) is read exactly, as integers over a
-power of ten (``_plain_values``): the writer's cells are plain where each
-|value| is 0 or from 0.1 to 1e17. Any other block, with an exponent, a
-quote, padding, a "+" or a "\r" in it, say, is decoded and handed to
-numpy's parser line by line. A file numpy's parser declines, or one with a
-quoted line break or a cell over the csv module's field limit, is read
-again cell by cell, the one place that builds an error, so all read every
-file alike. Cells and CLI numbers share ``series._numeral``.
+cells are all plain decimals (``-?digits[.digits]``, 18 digits at most after
+the leading zeros and 21 after the dot, on "\n"-ended lines of the header's
+width) is read exactly, as integers over a power of ten (``_plain_values``):
+the writer's cells are plain where each |value| is 0 or from 1e-4 to 1e17.
+Any other block, with an exponent, a quote, padding, a "+" or a "\r" in it,
+say, is decoded and handed to numpy's parser line by line. A file numpy's
+parser declines, or one with a quoted line break or a cell over the csv
+module's field limit, is read again cell by cell, the one place that builds
+an error, so all read every file alike. Cells and CLI numbers share
+``series._numeral``.
 Writing formats the rows from a block of time steps of the matrix at a
-time, each data row with one format string; the header goes through the
+time, and writes what "%.17g" writes. A cell from 1e-4 to 1e17 in
+magnitude is written in array code, from its 17 digits, an integer
+rounded once from a long-double product (``_plain_text``); any other
+cell, and the 1.6 % of the rest whose product is too near a half-integer
+to round, are formatted by "%.17g" itself. The header goes through the
 csv module, which quotes ids. So a command holds about one copy of its
 panel. An explicit "__target__" column in the last place, where the writer
 puts it, costs nothing more; anywhere else it costs one more copy, as the
@@ -51,6 +56,7 @@ see a partial file; it gets the mode a plain open() would give it.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -91,17 +97,64 @@ from .series import (
 FORMAT_VERSION = 1
 STEP_TOLERANCE = 1e-9
 # A panel file is read in blocks of about this many bytes of text, and written
-# in blocks of rows whose values take about this many bytes; a block adds a
-# small part of the panel's bytes to the one copy a file is read into or
-# written from.
+# in blocks of rows whose text takes at most about this many bytes; a block
+# adds a small part of the panel's bytes to the one copy a file is read into
+# or written from.
 CSV_BLOCK_BYTES = 64 * 1024
 # Where a long double rounds to 64 or 113 significant bits (x87 extended, IEEE
-# quad), a plain cell is read exactly as an integer over a power of ten; where
-# it is a double, or a double-double, whose quotients are not rounded once,
-# every block goes to numpy's parser.
+# quad), a plain cell is read exactly as an integer over a power of ten, and a
+# value is written from its digits, an integer taken from one product with a
+# power of ten; where it is a double, or a double-double, whose quotients and
+# products are not rounded once, every block goes to numpy's parser, and every
+# row to "%.17g". 10**k is exact in a long double of 64 bits up to k = 27.
 _EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
-_POWERS_OF_TEN = np.array([float(10**k) for k in range(19)], dtype=np.longdouble)
+_POWERS_OF_TEN = np.array([float(10**k) for k in range(22)], dtype=np.longdouble)
 _NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
+# A product at least this far from its nearest integer, within 2**-7 of a
+# half-integer, may lie on the other side of it from the exact product: its
+# error is at most half a long double's ulp, 2**-8 below 2**57 > 10**17.
+_HALF_BAND = 0.5 - 2.0**-7
+# The most text a cell takes, "-1.2345678901234567e-308,", and the bytes of
+# the slot a plain cell's text is cut from.
+_CELL_BYTES = 25
+_SLOT = 41
+
+
+@functools.cache
+def _text_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``words``, ``zeros`` and ``keep``, the tables ``_plain_text`` writes with.
+
+    ``words[w]`` is the text of the 4-digit word w, 0000 to 9999, as one
+    uint32 of 4 ASCII digits, and ``zeros[w]`` its trailing zeros (4 of
+    0000). A cell's slot holds its sign, its integer digits ("0" and then
+    the 17 digits of D), the dot, its fraction digits ("000" and D again)
+    and the separator after it. Row ``((x + 4) * 17 + last) * 2 + minus``
+    of ``keep`` marks the bytes of the slot that the text keeps of a cell
+    of decimal exponent x in [-4, 16], whose last nonzero digit is digit
+    ``last`` of D (from 0), and whose sign is "-" if ``minus``: the first
+    x + 1 digits of D before the dot (or "0" where x < 0), the dot if a
+    digit after it is not 0, then the zeros and digits after the dot (-x -
+    1 zeros where x < 0) up to the last that is not 0.
+
+    They are built on the first call, as a command that writes no panel or
+    prediction file would hold them for nothing: building them at import
+    added about 0.5 MB to every command's resident memory.
+    """
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    text = np.stack(np.meshgrid(*[digits] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+    zeros = np.logical_and.accumulate(text[:, ::-1] == ord("0"), axis=1).sum(axis=1)
+
+    x = np.arange(-4, 17)[:, None, None, None]
+    last = np.arange(17)[None, :, None, None]
+    minus = np.arange(2)[None, None, :, None]
+    at = np.arange(_SLOT)
+    whole, fraction = at - 1, at - 20  # the place in the integer and the fraction digits
+    keep = ((at == 0) & (minus == 1)
+            | (whole >= 0) & (whole <= 17) & np.where(whole == 0, x < 0, whole <= x + 1)
+            | (at == 19) & (last > x)
+            | (fraction >= x + 4) & (fraction <= last + 3)
+            | (at == _SLOT - 1))
+    return text.view(np.uint32).ravel(), zeros, keep.reshape(-1, _SLOT)
 
 
 def _fmt(x: float) -> str:
@@ -244,9 +297,11 @@ def _write_series(path, grid: TimeGrid, ids: list[str], parts: list[np.ndarray])
 
     The rows are formatted from one block of time steps at a time, a small
     ``(rows, 1+N)`` table cut from the parts, so no full-size table, and
-    the text of only one row, exists at once. A number never needs quoting,
-    and "%.17g" renders each cell as ``_fmt`` does. A part whose rows are
-    not ``grid.count`` long raises ShapeError before a file is opened.
+    the text of only one block, exists at once. ``_plain_text`` writes a
+    block's text in array code; where ``_EXACT_QUOTIENT`` is false, each
+    row is one "%.17g" format string. Either renders each cell as ``_fmt``
+    does, and a number never needs quoting. A part whose rows are not
+    ``grid.count`` long raises ShapeError before a file is opened.
     """
     first = 0  # the column of each part's first row
     for part in parts:
@@ -258,13 +313,79 @@ def _write_series(path, grid: TimeGrid, ids: list[str], parts: list[np.ndarray])
         first += len(part) if part.ndim == 2 else 1
     times = grid.times()
     row_format = ",".join(["%.17g"] * (1 + len(ids))) + "\n"
-    block = max(1, CSV_BLOCK_BYTES // (8 * (1 + len(ids))))
+    block = max(1, CSV_BLOCK_BYTES // (_CELL_BYTES * (1 + len(ids))))
     with _csv_file(path, ["t", *ids]) as fh:
+        fh.flush()  # the header, before the rows' bytes go below it
         for lo in range(0, len(times), block):
             cut = slice(lo, lo + block)
             table = np.column_stack([times[cut], *(np.transpose(p[..., cut]) for p in parts)])
+            if _EXACT_QUOTIENT:
+                fh.buffer.write(_plain_text(table))
+                continue
             for row in table:
                 fh.write(row_format % tuple(row.tolist()))
+
+
+def _plain_text(table: np.ndarray) -> bytes:
+    """The rows of a ``(rows, columns)`` table as "%.17g" cells and separators, in ASCII.
+
+    A cell v with 1e-4 <= |v| < 1e17 is written in array code. Its decimal
+    exponent x (from -4 to 16) comes from log10, and its 17 significant
+    digits D = rint(|v| * 10**(16 - x)) from one long-double product, within
+    2**-8 of the exact one, and so rounded as "%.17g" rounds them unless
+    that product is near a half-integer. Each cell gets a slot that holds
+    every byte its text might have; D's digits go in through the table of
+    4-digit words, and one compress keeps the bytes of the text
+    (``_text_tables``). Any other cell is written by ``_fmt``: 0 and -0,
+    tiny and huge values, inf and nan, about 1.6 % of the rest, whose
+    products lie within 2**-7 of a half-integer, exact ties included, and
+    any whose D is not 17 digits: log10 rounded it across a power of ten,
+    or D rounded up to 10**17.
+    """
+    words_text, word_zeros, kept = _text_tables()
+    cells = table.ravel()
+    size = np.abs(cells)
+    with np.errstate(invalid="ignore"):  # nan
+        plain = (size >= 1e-4) & (size < 1e17)
+    size[~plain] = 1.0  # its digits are computed, and thrown away
+    exponents = np.clip(np.floor(np.log10(size)), -4, 16).astype(np.intp)
+    product = size.astype(np.longdouble)
+    product *= _POWERS_OF_TEN[16 - exponents]
+    digits = np.rint(product)
+    near_half = np.abs((product - digits).astype(np.float64)) >= _HALF_BAND
+    digits = digits.astype(np.int64)
+    del product
+    # where log10 rounds a value near a power of ten across it, or D rounds up
+    # to 10**17, D is out of range, and "%.17g" writes the cell
+    plain &= ~near_half & (digits >= 10**16) & (digits < 10**17)
+
+    words = np.empty((len(cells), 5), np.intp)  # D's first digit, then four words of 4
+    high, low = np.divmod(digits, 10**8)
+    words[:, 0], high = np.divmod(high, 10**8)
+    words[:, 1], words[:, 2] = np.divmod(high, 10**4)
+    words[:, 3], words[:, 4] = np.divmod(low, 10**4)
+    zeros = np.zeros(len(cells), np.intp)  # D's trailing zeros
+    for k in (4, 3, 2, 1):
+        zeros += (zeros == 4 * (4 - k)) * word_zeros[words[:, k]]
+    kind = ((exponents + 4) * 17 + 16 - zeros) * 2 + np.signbit(cells)
+    text = words_text[words].view(np.uint8)  # "000", then D's 17 digits
+    del words, digits, zeros, exponents  # a block's temporaries, freed as it goes
+
+    slots = np.empty((len(cells), _SLOT), np.uint8)
+    slots[:, 0] = ord("-")
+    slots[:, 1:19] = text[:, 2:]
+    slots[:, 19] = ord(".")
+    slots[:, 20:40] = text
+    slots[:, 40] = ord(",")
+    slots.reshape(*table.shape, _SLOT)[:, -1, 40] = ord("\n")
+    del text
+    keep = np.take(kept, kind, axis=0)
+    other = np.flatnonzero(~plain)
+    if len(other):
+        texts = np.array([_fmt(v) for v in cells[other].tolist()], "S40")
+        slots[other, :40] = texts.view(np.uint8).reshape(-1, 40)
+        keep[other] = slots[other] != 0
+    return slots[keep].tobytes()
 
 
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
@@ -365,15 +486,17 @@ def _plain_values(block: bytes, width: int, limit: int) -> np.ndarray | None:
     """The ``(rows, width)`` values of a block of plain lines, or None for any other block.
 
     A plain line has ``width`` cells and ends in "\\n" (or the file), and a
-    plain cell is ``-?digits[.digits]`` with 1 to 18 digits in all. Its
-    digits without the dot are an integer m below 10**18, which like 10**k
-    for k <= 18 a long double of 64 significant bits or more holds exactly,
-    so m / 10**k, the cell's value, is rounded once to a long double. Its
-    rounding to a double is then the correct one unless it lands exactly
-    halfway between two doubles, where the two roundings may differ: such a
-    cell is read again with float(), the same correctly rounded conversion
-    that numpy's parser makes. So every plain cell reads as the other
-    readers read it, "-0" as -0.0 too.
+    plain cell is ``-?digits[.digits]`` with at least 1 digit, at most 18
+    of them after its leading zeros, and at most 21 after the dot: "%.17g"
+    writes a value from 1e-4 to 0.1 with up to 4 zeros before its 17
+    digits. Its digits without the dot are an integer m below 10**18,
+    which like 10**k for k <= 21 a long double of 64 significant bits or
+    more holds exactly, so m / 10**k, the cell's value, is rounded once to
+    a long double. Its rounding to a double is then the correct one unless
+    it lands exactly halfway between two doubles, where the two roundings
+    may differ: such a cell is read again with float(), the same correctly
+    rounded conversion that numpy's parser makes. So every plain cell reads
+    as the other readers read it, "-0" as -0.0 too.
     """
     if not _EXACT_QUOTIENT:
         return None
@@ -397,11 +520,15 @@ def _plain_values(block: bytes, width: int, limit: int) -> np.ndarray | None:
     digits[dot_cells] -= 1
     digits[minus_cells] -= 1
     # a "-" follows a separator; text[-1] is the "\n" before one at the block's start
-    if (text[minus - 1] > ord(",")).any() or not ((digits >= 1) & (digits <= 18)).all():
+    if (text[minus - 1] > ord(",")).any() or digits.min() < 1:
         return None
-
     scale = np.zeros(len(ends), np.int8)
     scale[dot_cells] = ends[dot_cells] - dots - 1  # the digits after the dot
+    long = np.flatnonzero(digits > 18)
+    if len(long) and (scale[long].max() > 21
+                      or (digits[long] - _leading_zeros(text, ends, dots, long)).max() > 18):
+        return None
+
     mantissas = np.fromstring(block.translate(_NEWLINE_TO_COMMA, b"."), np.int64, sep=",")
     quotients = mantissas.astype(np.longdouble)
     quotients /= _POWERS_OF_TEN[scale]
@@ -413,6 +540,23 @@ def _plain_values(block: bytes, width: int, limit: int) -> np.ndarray | None:
         values[cell] = float(block[start : ends[cell]])
     values[minus_cells[mantissas[minus_cells] == 0]] = -0.0
     return values.reshape(-1, width)
+
+
+def _leading_zeros(text: np.ndarray, ends: np.ndarray, dots: np.ndarray,
+                   cells: np.ndarray) -> np.ndarray:
+    """The zeros before the first nonzero digit of each of ``cells``; all its digits if none.
+
+    ``text`` is a block's bytes, ``ends`` the place of the separator after
+    each cell and ``dots`` that of each ".", in a block ``_plain_values``
+    has checked: a cell's bytes before its first nonzero digit are a "-"
+    at its start, zeros and a dot.
+    """
+    starts = np.where(cells > 0, ends[cells - 1] + 1, 0)
+    nonzero = np.flatnonzero((text > ord("0")) & (text <= ord("9")))
+    first = np.minimum(np.append(nonzero, len(text))[np.searchsorted(nonzero, starts)],
+                       ends[cells])
+    dots_before = np.searchsorted(dots, first) - np.searchsorted(dots, starts)
+    return first - starts - (text[starts] == ord("-")) - dots_before
 
 
 def _count_lines(path: Path) -> int:

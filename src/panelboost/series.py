@@ -69,13 +69,13 @@ def _integer(name: str, value, error: type[Exception]) -> int:
 
 
 def _real(name: str, value, error: type[Exception]) -> float:
-    """``value`` as a plain ``float``, so that any real number writes to JSON.
+    """``value`` as a plain ``float`` (or the ``_Underflow`` it is), so that it writes to JSON.
 
     A bool, anything that is not a real number, and a number too large for a
     float (``10**400``) raise ``error``.
     """
     if isinstance(value, float):  # np.float64 too, and no float overflows
-        return float(value)
+        return value if type(value) is _Underflow else float(value)
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
@@ -89,6 +89,7 @@ def _numeral(text: str, parse: type[int] | type[float]) -> int | float:
 
     Whitespace around it, Unicode spaces too, is dropped; the rest must be ASCII with no
     "_". Digits that overflow a float are "out of range"; inf and nan pass, for value checks.
+    Nonzero digits that underflow read as 0.0, an ``_Underflow`` that prints as given.
     """
     text = text.strip()
     try:
@@ -99,7 +100,32 @@ def _numeral(text: str, parse: type[int] | type[float]) -> int | float:
         raise ValueError(f"not {'an integer' if parse is int else 'a number'}: {text!r}") from None
     if abs(value) == math.inf and any(map(str.isdigit, text)):
         raise ValueError(f"out of range: {text!r}")
+    if value == 0 and parse is float and text.lower().partition("e")[0].strip("+-.0"):
+        return _Underflow(value, text)
     return value
+
+
+class _Underflow(float):
+    """0.0 or -0.0 read from nonzero digits ("1e-400"), which prints as the text given.
+
+    ``_numeral`` returns one, and ``_real`` keeps it, so a range check names
+    an underflowing CLI flag as it was given, not as the 0.0 it rounds to.
+    Anything else sees a float: it compares, hashes, computes, pickles and
+    writes to JSON as its value.
+    """
+
+    def __new__(cls, value: float, text: str):
+        number = super().__new__(cls, value)
+        number.text = text
+        return number
+
+    def __repr__(self) -> str:
+        return self.text
+
+    __str__ = __repr__
+
+    def __reduce__(self):
+        return float, (float(self),)
 
 
 @dataclass(frozen=True)

@@ -62,9 +62,9 @@ RECIP = TransformKind.RECIPROCAL
 
 @contextlib.contextmanager
 def _small_blocks():
-    # the writer's blocks of 48 bytes of values are 6 rows of 1 cell, 3 rows
-    # of 2, 2 rows of 3 and 1 row of 4, and the reader's are the whole lines
-    # of about 48 bytes of text, so the files drawn here span several blocks
+    # the writer's blocks of at most about 48 bytes of text are 1 row each,
+    # and the reader's are the whole lines of about 48 bytes of text, so the
+    # files drawn here span several blocks
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataio, "CSV_BLOCK_BYTES", 48)
         yield
@@ -431,7 +431,10 @@ def _write_or_refuse(directory, family, target):
 
 
 class TestRowWriter:
-    """Each data row is one "%.17g" format string; the text is that of _fmt cells."""
+    """Each data row is written as "%.17g" cells, in array code or by the format string.
+
+    The text is that of _fmt cells, whichever way it is written.
+    """
 
     @pytest.mark.parametrize("ident", [*_QUOTED_IDS, "plain"])
     def test_special_values_and_ids(self, tmp_path, ident):
@@ -467,6 +470,84 @@ class TestRowWriter:
         table = np.column_stack([grid.times(), pred.values, cum.values]).tolist()
         assert _written(path) == _reference_csv(["t", "__prediction__", "__cumulative__"],
                                                 table)
+
+
+def _percent_rows(table) -> bytes:
+    """The rows of a table as the "%.17g" format string writes them."""
+    row_format = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    return "".join(row_format % tuple(row) for row in table.tolist()).encode()
+
+
+@contextlib.contextmanager
+def _formatted_cells():
+    """The values written by ``_fmt`` while the block runs, not in array code."""
+    cells = []
+    fmt = dataio._fmt
+
+    def spy(x):
+        cells.append(x)
+        return fmt(x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_fmt", spy)
+        yield cells
+
+
+def _near_half(part: int) -> float:
+    """A value from 1e10 to 1e11 whose exact product with 10**6 is an integer plus part/128.
+
+    It is m / 8192, so the product is m * 15625 / 128, which a long double
+    of 64 significant bits holds exactly: D's product for exponent 10.
+    """
+    low = 10**10 * 8192
+    return (low + (part * pow(15625, -1, 128) - low) % 128) / 8192
+
+
+# float64 bit patterns: any, and ones whose exponent is near the range written in array code
+_FLOAT_BITS = st.builds(
+    lambda sign, exponent, fraction: sign << 63 | exponent << 52 | fraction,
+    st.integers(0, 1), st.one_of(st.integers(0, 2047), st.integers(1005, 1085)),
+    st.integers(0, 2**52 - 1))
+
+
+class TestExactWriter:
+    """A cell from 1e-4 to 1e17 is written in array code, byte for byte as "%.17g" writes it."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(bits=st.lists(_FLOAT_BITS, min_size=1, max_size=40), width=st.integers(1, 4))
+    def test_any_float64_at_any_magnitude(self, bits, width):
+        cells = np.array(bits, np.uint64).view(np.float64)
+        table = np.resize(cells, (-(-len(cells) // width), width))
+        assert dataio._plain_text(table) == _percent_rows(table)
+
+    @pytest.mark.parametrize("value, text", [
+        # exact ties in the 17th digit, to the even one
+        (1234567890123456.25, "1234567890123456.2"),
+        (1234567890123456.75, "1234567890123456.8"),
+        # below 1e17, and rounded up to it, out of fixed notation
+        (99999999999999984.0, "99999999999999984"),
+        (9.9999999999999999e16, "1e+17"),
+        (1e-4, "0.0001"),
+        (float(np.nextafter(1e-4, 0)), "9.9999999999999991e-05"),
+        (float(np.nextafter(1e-4, 1)), "0.00010000000000000002"),
+        (1e9, "1000000000"), (10.0, "10"), (100.0, "100"), (1e16, "10000000000000000"),
+        (0.1, "0.10000000000000001"), (0.5, "0.5"), (123.456, "123.456"),
+        (-0.0, "-0"), (5e-324, "4.9406564584124654e-324"),
+    ])
+    def test_edge_values(self, value, text):
+        table = np.array([[value, -value], [1.0, value]])
+        assert dataio._plain_text(table) == _percent_rows(table)
+        assert dataio._plain_text(table).split(b",")[0] == text.encode()
+
+    # 63/128 and 65/128 lie 2**-7 from 1/2, at the band's edge, and 64/128 is a tie
+    @pytest.mark.parametrize("part, formatted", [(61, False), (62, False), (63, True),
+                                                 (64, True), (65, True), (66, False)])
+    def test_products_near_a_half_integer_go_to_the_format_string(self, part, formatted):
+        value = _near_half(part)
+        table = np.array([[value, 2.5]])
+        with _formatted_cells() as cells:
+            assert dataio._plain_text(table) == _percent_rows(table)
+        assert cells == ([value] if formatted else [])
 
 
 class TestWriterRefusals:
@@ -754,6 +835,11 @@ class TestExactReader:
         ("1.17822665003013205", 1.1782266500301322),
         ("-0", -0.0), ("-0.0", -0.0), ("-00", -0.0), ("0.", 0.0), (".5", 0.5), ("-.25", -0.25),
         ("123456789012345678", 123456789012345678.0),  # 18 digits, the most
+        # leading zeros do not count: 18 significant digits and up to 21 after the dot
+        ("0.012345678901234567", 0.012345678901234567),
+        ("-0.00012345678901234567", -0.00012345678901234567),
+        ("0.000012345678901234567", 1.2345678901234567e-05),
+        ("0.000000000000000001", 1e-18), ("000000000000000000000012.5", 12.5),
         ("0.12345678901234567", 0.12345678901234567),
         ("0.30000000000000004", 0.30000000000000004),
         ("007.50", 7.5),
@@ -764,11 +850,13 @@ class TestExactReader:
         assert _exact_outcome(path) == expected
         assert expected[2][16:24] == np.float64(value).tobytes()  # the first cell of a
 
-    @pytest.mark.parametrize("cell", ["1234567890123456789", "0.000000000000000001", "1e5",
+    @pytest.mark.parametrize("cell", ["1234567890123456789", "0.1234567890123456789",
+                                      "0.0000000000000000000001", "1e5",
                                       "+1", " 1", "1.2.3", "--1", "1-", "-", ".", "-.",
                                       '"1"', "0x1"])
     def test_any_other_cell_goes_to_numpys_parser(self, tmp_path, cell):
-        # 19 digits, an exponent, a sign or padding numpy reads, and cells no reader takes
+        # 19 significant digits, 22 after the dot, an exponent, a sign or padding numpy
+        # reads, and cells no reader takes
         path = _write(tmp_path / "p.csv", f"t,a\n0,{cell}\n1,2\n")
         with _without_numpys_parser(), pytest.raises(_NumpysParserCalled):
             _read_numeric(path)
@@ -789,8 +877,22 @@ class TestExactReader:
                 assert _exact_outcome(path) == expected, size
 
     @pytest.mark.parametrize("size, blocks", BLOCKS.items())
+    def test_values_from_1e_4_to_0_1_read_bit_identically(self, tmp_path, size, blocks):
+        # "%.17g" writes them with 1 to 4 zeros before their 17 significant digits
+        rng = np.random.default_rng(36)
+        values = 10 ** rng.uniform(-4, -1, (300, 8)) * rng.choice([-1.0, 1.0], (300, 8))
+        family = Family(TimeGrid(0.0, 1.0, 300), tuple(Series(f"m{j}", values[:, j])
+                                                       for j in range(8)))
+        path = tmp_path / "p.csv"
+        write_panel_csv(family, path)
+        expected = _outcome(_read_cells, path)
+        assert expected[2][300 * 8 :] == values.T.tobytes()
+        with blocks():
+            assert _exact_outcome(path) == expected, size
+
+    @pytest.mark.parametrize("size, blocks", BLOCKS.items())
     def test_values_down_to_1e_5_read_bit_identically(self, tmp_path, size, blocks):
-        # below 0.1 a cell takes 18 digits or more, or an exponent, and goes to numpy's parser
+        # below 1e-4 a cell takes an exponent, and goes to numpy's parser
         rng = np.random.default_rng(35)
         values = 10 ** rng.uniform(-5, 17, (300, 8)) * rng.choice([-1.0, 1.0], (300, 8))
         family = Family(TimeGrid(0.0, 1.0, 300), tuple(Series(f"m{j}", values[:, j])
@@ -823,7 +925,7 @@ class TestExactReader:
 
 
 class TestExactPathGuards:
-    """The CLI's own files take the exact path, and numpy's parser reads them alike."""
+    """The CLI's own files take the exact paths; numpy's parser and "%.17g" read and write alike."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -849,6 +951,23 @@ class TestExactPathGuards:
             expected = _exact_outcome(path)
             with _without_exact_path():
                 assert _outcome(_read_numeric, path) == expected, path.name
+
+    def test_the_format_string_writes_them_alike(self, files, tmp_path):
+        for path in files:
+            header, columns = _read_csv(path)
+            again = tmp_path / path.name
+            with _without_exact_path():
+                dataio._write_series(again, dataio._infer_grid(columns[0], path), header[1:],
+                                     [columns[1:]])
+            assert again.read_bytes() == path.read_bytes(), path.name
+
+    def test_few_of_a_gen_panels_cells_reach_the_format_string(self, files, tmp_path):
+        # a silent fall back to "%.17g" would still write the same bytes, only slower
+        family, _ = read_panel_csv(files[0])
+        with _formatted_cells() as cells:
+            write_panel_csv(family, tmp_path / "p.csv")
+        assert (tmp_path / "p.csv").read_bytes() == files[0].read_bytes()
+        assert len(cells) < 0.05 * (family.values.size + family.grid.count)
 
 
 class TestExactGridStep:

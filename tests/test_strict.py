@@ -8,6 +8,7 @@ pins the one stderr line the CLI prints.
 import contextlib
 import io
 import math
+import pickle
 import re
 import sys
 from fractions import Fraction
@@ -415,6 +416,9 @@ CLI_CHECKS = [
     (_sweep(panel_sizes="2,4,"), "empty item in list argument: '2,4,'"),
     (_sweep(panel_sizes="0"), "panel_size must be at least 1, got 0"),
     (_sweep(val="1.5"), "validation_fraction must lie in (0, 1), got 1.5"),
+    # a number that underflows reads as 0.0, and the message names it as given
+    ([*FIT, "--alpha", "1e-400"], "alpha must lie in (0, 1], got 1e-400"),
+    (_sweep(alphas="1,-1e-400"), "alpha must lie in (0, 1], got -1e-400"),
     # each of these once ended in a traceback, from islice or from numpy
     ([*FIT, "--panel-size", str(10**20 - 1)],
      f"panel_size must be at most {sys.maxsize}, got {10**20 - 1}"),
@@ -436,6 +440,19 @@ def test_cli_parameter_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys
     where = ["--out", "x.csv"] if argv[0] == "gen" else ["--data", str(data)]
     assert main([argv[0], *where, *argv[1:]]) == 2
     assert capsys.readouterr().err.splitlines() == [f"error: InvalidParameter: {message}"]
+
+
+def test_an_underflowing_flag_is_zero_that_prints_as_given(tmp_path, monkeypatch):
+    # in range, it is 0.0 to every reader: the model file and a pickled config hold 0.0
+    data = _gen(tmp_path, days=30)
+    monkeypatch.chdir(tmp_path)
+    assert main(["fit", "--data", str(data), "--model-out", "m.json", "--panel-size", "2",
+                 "--lbound=-1e-400", "--alpha", "1", "--transform", "witch"]) == 0
+    lbound = read_model(tmp_path / "m.json").config.lbound
+    assert type(lbound) is float and str(lbound) == "-0.0"
+    config = BoostConfig(2, RECIP, lbound=cli.real("-1e-400"))
+    assert str(config.lbound) == "-1e-400" and math.copysign(1, config.lbound) == -1
+    assert type(pickle.loads(pickle.dumps(config)).lbound) is float
 
 
 def test_cli_list_items_may_be_padded_with_whitespace(tmp_path, monkeypatch):
