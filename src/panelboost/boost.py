@@ -166,12 +166,13 @@ class BoostConfig:
                 f"panel_size must be at most {sys.maxsize}, got {self.panel_size}"
             )
         _check_kind(self.transform)
+        lbound, alpha = self.lbound, self.alpha  # as given, for the messages
         for name in ("lbound", "alpha"):
             object.__setattr__(self, name, _real(name, getattr(self, name), InvalidParameter))
         if not -1.0 <= self.lbound <= 1.0:
-            raise InvalidParameter(f"lbound must lie in [-1, 1], got {self.lbound}")
+            raise InvalidParameter(f"lbound must lie in [-1, 1], got {lbound}")
         if not 0.0 < self.alpha <= 1.0:
-            raise InvalidParameter(f"alpha must lie in (0, 1], got {self.alpha}")
+            raise InvalidParameter(f"alpha must lie in (0, 1], got {alpha}")
         replace = self.with_replacement
         if not isinstance(replace, (bool, np.bool_)):
             raise InvalidParameter(f"with_replacement must be a bool, got {replace!r}")

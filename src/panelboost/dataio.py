@@ -33,10 +33,11 @@ an error, so all read every file alike. Cells and CLI numbers share
 ``series._numeral``.
 Writing formats the rows from a block of time steps of the matrix at a
 time, and writes what "%.17g" writes. A cell from 1e-4 to 1e17 in
-magnitude is written in array code, from its 17 digits, an integer
-rounded once from a long-double product (``_plain_text``); any other
-cell, and the 1.6 % of the rest whose product is too near a half-integer
-to round, are formatted by "%.17g" itself. The header goes through the
+magnitude is written in array code where the long double is x87's, from
+its 17 digits, an integer rounded once from a long-double product
+(``_plain_text``); any other cell, the 1.6 % of the rest whose product is
+too near a half-integer to round, and every cell on other platforms, are
+formatted by "%.17g" itself. The header goes through the
 csv module, which quotes ids. So a command holds about one copy of its
 panel. An explicit "__target__" column in the last place, where the writer
 puts it, costs nothing more; anywhere else it costs one more copy, as the
@@ -102,12 +103,17 @@ STEP_TOLERANCE = 1e-9
 # or written from.
 CSV_BLOCK_BYTES = 64 * 1024
 # Where a long double rounds to 64 or 113 significant bits (x87 extended, IEEE
-# quad), a plain cell is read exactly as an integer over a power of ten, and a
-# value is written from its digits, an integer taken from one product with a
-# power of ten; where it is a double, or a double-double, whose quotients and
-# products are not rounded once, every block goes to numpy's parser, and every
-# row to "%.17g". 10**k is exact in a long double of 64 bits up to k = 27.
+# quad), a plain cell is read exactly as an integer over a power of ten; where
+# it is a double, or a double-double, whose quotients are not rounded once,
+# every block goes to numpy's parser. 10**k is exact in a long double of 64
+# bits up to k = 27.
 _EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
+# A value is written from its digits, an integer taken from one long-double
+# product with a power of ten, only where that was timed faster than "%.17g":
+# x87 extended. An IEEE quad rounds the product once too, but computes in
+# software, so there, as where the product is not rounded once, every row
+# goes to "%.17g".
+_EXACT_PRODUCT = np.finfo(np.longdouble).nmant == 63
 _POWERS_OF_TEN = np.array([float(10**k) for k in range(22)], dtype=np.longdouble)
 _NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
 # A product at least this far from its nearest integer, within 2**-7 of a
@@ -298,7 +304,7 @@ def _write_series(path, grid: TimeGrid, ids: list[str], parts: list[np.ndarray])
     The rows are formatted from one block of time steps at a time, a small
     ``(rows, 1+N)`` table cut from the parts, so no full-size table, and
     the text of only one block, exists at once. ``_plain_text`` writes a
-    block's text in array code; where ``_EXACT_QUOTIENT`` is false, each
+    block's text in array code; where ``_EXACT_PRODUCT`` is false, each
     row is one "%.17g" format string. Either renders each cell as ``_fmt``
     does, and a number never needs quoting. A part whose rows are not
     ``grid.count`` long raises ShapeError before a file is opened.
@@ -319,7 +325,7 @@ def _write_series(path, grid: TimeGrid, ids: list[str], parts: list[np.ndarray])
         for lo in range(0, len(times), block):
             cut = slice(lo, lo + block)
             table = np.column_stack([times[cut], *(np.transpose(p[..., cut]) for p in parts)])
-            if _EXACT_QUOTIENT:
+            if _EXACT_PRODUCT:
                 fh.buffer.write(_plain_text(table))
                 continue
             for row in table:
@@ -522,12 +528,13 @@ def _plain_values(block: bytes, width: int, limit: int) -> np.ndarray | None:
     # a "-" follows a separator; text[-1] is the "\n" before one at the block's start
     if (text[minus - 1] > ord(",")).any() or digits.min() < 1:
         return None
-    scale = np.zeros(len(ends), np.int8)
-    scale[dot_cells] = ends[dot_cells] - dots - 1  # the digits after the dot
+    after = ends[dot_cells] - dots - 1  # the digits after the dot, before they fit an int8
     long = np.flatnonzero(digits > 18)
-    if len(long) and (scale[long].max() > 21
+    if len(long) and (after.max(initial=0) > 21
                       or (digits[long] - _leading_zeros(text, ends, dots, long)).max() > 18):
         return None
+    scale = np.zeros(len(ends), np.int8)
+    scale[dot_cells] = after
 
     mantissas = np.fromstring(block.translate(_NEWLINE_TO_COMMA, b"."), np.int64, sep=",")
     quotients = mantissas.astype(np.longdouble)

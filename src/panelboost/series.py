@@ -69,13 +69,13 @@ def _integer(name: str, value, error: type[Exception]) -> int:
 
 
 def _real(name: str, value, error: type[Exception]) -> float:
-    """``value`` as a plain ``float`` (or the ``_Underflow`` it is), so that it writes to JSON.
+    """``value`` as a plain ``float``, so that any real number writes to JSON.
 
     A bool, anything that is not a real number, and a number too large for a
     float (``10**400``) raise ``error``.
     """
     if isinstance(value, float):  # np.float64 too, and no float overflows
-        return value if type(value) is _Underflow else float(value)
+        return float(value)
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
             return float(value)
@@ -89,7 +89,7 @@ def _numeral(text: str, parse: type[int] | type[float]) -> int | float:
 
     Whitespace around it, Unicode spaces too, is dropped; the rest must be ASCII with no
     "_". Digits that overflow a float are "out of range"; inf and nan pass, for value checks.
-    Nonzero digits that underflow read as 0.0, an ``_Underflow`` that prints as given.
+    Nonzero digits that underflow read as 0.0 or -0.0, an ``_Underflow`` that prints as given.
     """
     text = text.strip()
     try:
@@ -101,31 +101,27 @@ def _numeral(text: str, parse: type[int] | type[float]) -> int | float:
     if abs(value) == math.inf and any(map(str.isdigit, text)):
         raise ValueError(f"out of range: {text!r}")
     if value == 0 and parse is float and text.lower().partition("e")[0].strip("+-.0"):
-        return _Underflow(value, text)
+        value = _Underflow(value)
+        value.text = text
     return value
 
 
 class _Underflow(float):
     """0.0 or -0.0 read from nonzero digits ("1e-400"), which prints as the text given.
 
-    ``_numeral`` returns one, and ``_real`` keeps it, so a range check names
-    an underflowing CLI flag as it was given, not as the 0.0 it rounds to.
-    Anything else sees a float: it compares, hashes, computes, pickles and
-    writes to JSON as its value.
+    A flag's range check names the value it was given, so ``--alpha 1e-400``
+    is refused as "got 1e-400", not as the 0.0 it rounds to. It is not
+    refused as a numeral: a cell reads it as 0.0, as numpy's parser does, and
+    a flag takes the numerals a cell takes. ``_real`` makes a plain float of
+    it, so a ``BoostConfig`` or ``SplitSpec`` holds, prints and pickles 0.0.
     """
 
-    def __new__(cls, value: float, text: str):
-        number = super().__new__(cls, value)
-        number.text = text
-        return number
+    text: str
 
     def __repr__(self) -> str:
         return self.text
 
     __str__ = __repr__
-
-    def __reduce__(self):
-        return float, (float(self),)
 
 
 @dataclass(frozen=True)
@@ -320,10 +316,11 @@ class SplitSpec:
 
     def __post_init__(self):
         for name in ("train_fraction", "validation_fraction"):
-            frac = _real(name, getattr(self, name), InvalidParameter)
+            given = getattr(self, name)
+            frac = _real(name, given, InvalidParameter)
             object.__setattr__(self, name, frac)
             if not 0.0 < frac < 1.0:
-                raise InvalidParameter(f"{name} must lie in (0, 1), got {frac}")
+                raise InvalidParameter(f"{name} must lie in (0, 1), got {given}")
         if self.train_fraction + self.validation_fraction > 1.0:
             raise InvalidParameter(
                 "train_fraction + validation_fraction must not exceed 1"

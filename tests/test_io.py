@@ -807,9 +807,11 @@ def _without_numpys_parser():
 
 @contextlib.contextmanager
 def _without_exact_path():
-    # as on a platform whose long double is a double: every block goes to numpy's parser
+    # as on a platform whose long double is a double: every block goes to numpy's
+    # parser, and every row to "%.17g"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataio, "_EXACT_QUOTIENT", False)
+        patch.setattr(dataio, "_EXACT_PRODUCT", False)
         yield
 
 
@@ -817,6 +819,10 @@ def _exact_outcome(path):
     """``_outcome`` of ``_read_numeric`` with numpy's parser refused."""
     with _without_numpys_parser():
         return _outcome(_read_numeric, path)
+
+
+# Cells of 1 significant digit whose digits after the dot an int8 does not hold.
+_AFTER_128, _AFTER_257 = ("0." + "0" * zeros + "1" for zeros in (127, 256))
 
 
 class TestExactReader:
@@ -853,14 +859,25 @@ class TestExactReader:
     @pytest.mark.parametrize("cell", ["1234567890123456789", "0.1234567890123456789",
                                       "0.0000000000000000000001", "1e5",
                                       "+1", " 1", "1.2.3", "--1", "1-", "-", ".", "-.",
-                                      '"1"', "0x1"])
+                                      '"1"', "0x1",
+                                      pytest.param(_AFTER_128, id="128-after-the-dot"),
+                                      pytest.param(_AFTER_257, id="257-after-the-dot")])
     def test_any_other_cell_goes_to_numpys_parser(self, tmp_path, cell):
-        # 19 significant digits, 22 after the dot, an exponent, a sign or padding numpy
-        # reads, and cells no reader takes
+        # 19 significant digits, 22, 128 and 257 after the dot, an exponent, a sign or
+        # padding numpy reads, and cells no reader takes
         path = _write(tmp_path / "p.csv", f"t,a\n0,{cell}\n1,2\n")
         with _without_numpys_parser(), pytest.raises(_NumpysParserCalled):
             _read_numeric(path)
         assert _outcome(_read_csv, path) == _outcome(_read_cells, path)
+
+    @pytest.mark.parametrize("cell, value", [(_AFTER_128, 1e-128), (_AFTER_257, 1e-257)],
+                             ids=["128-after-the-dot", "257-after-the-dot"])
+    def test_more_digits_after_the_dot_than_an_int8_holds(self, tmp_path, cell, value):
+        # 1 significant digit: counted in an int8, 128 and 257 digits wrap to -128 and 1
+        path = _write(tmp_path / "p.csv", f"t,a\n0,{cell}\n1,2\n")
+        expected = _outcome(_read_cells, path)
+        assert _outcome(_read_numeric, path) == expected
+        assert expected[2][16:24] == np.float64(value).tobytes()  # the first cell of a
 
     def test_random_17_digit_values_read_bit_identically(self, tmp_path):
         # from 0.1 the writer's 17 significant digits are at most 18 digits

@@ -419,6 +419,7 @@ CLI_CHECKS = [
     # a number that underflows reads as 0.0, and the message names it as given
     ([*FIT, "--alpha", "1e-400"], "alpha must lie in (0, 1], got 1e-400"),
     (_sweep(alphas="1,-1e-400"), "alpha must lie in (0, 1], got -1e-400"),
+    (_sweep(train="1e-400"), "train_fraction must lie in (0, 1), got 1e-400"),
     # each of these once ended in a traceback, from islice or from numpy
     ([*FIT, "--panel-size", str(10**20 - 1)],
      f"panel_size must be at most {sys.maxsize}, got {10**20 - 1}"),
@@ -442,17 +443,24 @@ def test_cli_parameter_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err.splitlines() == [f"error: InvalidParameter: {message}"]
 
 
-def test_an_underflowing_flag_is_zero_that_prints_as_given(tmp_path, monkeypatch):
-    # in range, it is 0.0 to every reader: the model file and a pickled config hold 0.0
+def test_an_underflowing_flag_is_zero_that_prints_as_given(tmp_path, monkeypatch, capsys):
+    # a range check names it as given; in range, it is a plain 0.0 to every reader
+    flag = cli.real("-1e-400")
+    for value in flag, pickle.loads(pickle.dumps(flag)):
+        assert str(value) == "-1e-400" and value == 0 and math.copysign(1, value) == -1
+    config = BoostConfig(2, RECIP, lbound=flag)
+    assert type(config.lbound) is float and str(config.lbound) == "-0.0"
     data = _gen(tmp_path, days=30)
     monkeypatch.chdir(tmp_path)
     assert main(["fit", "--data", str(data), "--model-out", "m.json", "--panel-size", "2",
                  "--lbound=-1e-400", "--alpha", "1", "--transform", "witch"]) == 0
     lbound = read_model(tmp_path / "m.json").config.lbound
     assert type(lbound) is float and str(lbound) == "-0.0"
-    config = BoostConfig(2, RECIP, lbound=cli.real("-1e-400"))
-    assert str(config.lbound) == "-1e-400" and math.copysign(1, config.lbound) == -1
-    assert type(pickle.loads(pickle.dumps(config)).lbound) is float
+    # sweep's stdout names the best config's values, as its report does
+    assert main(["sweep", "--data", str(data), "--train", "0.6", "--val", "0.2",
+                 "--panel-sizes", "2", "--lbounds=-1e-400", "--alphas", "1",
+                 "--transforms", "witch", "--report", "r.csv"]) == 0
+    assert "lbound=-0.0 " in capsys.readouterr().out
 
 
 def test_cli_list_items_may_be_padded_with_whitespace(tmp_path, monkeypatch):
