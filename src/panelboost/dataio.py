@@ -23,14 +23,17 @@ rows)`` matrix whose member rows the family then takes over; the file's
 line count bounds its rows, so that matrix is allocated once. A block whose
 cells are all plain decimals (``-?digits[.digits]``, 18 digits at most after
 the leading zeros and 21 after the dot, on "\n"-ended lines of the header's
-width) is read exactly, as integers over a power of ten (``_plain_values``):
-the writer's cells are plain where each |value| is 0 or from 1e-4 to 1e17.
-Any other block, with an exponent, a quote, padding, a "+" or a "\r" in it,
-say, is decoded and handed to numpy's parser line by line. A file numpy's
-parser declines, or one with a quoted line break or a cell over the csv
-module's field limit, is read again cell by cell, the one place that builds
-an error, so all read every file alike. Cells and CLI numbers share
-``series._numeral``.
+width), or of such cells each wholly quoted, is read exactly, as integers
+over a power of ten (``_plain_values``): the writer's cells are plain where
+each |value| is 0 or from 1e-4 to 1e17. Where the long double does not
+round that quotient once (a double, a double-double), a plain block is
+converted by numpy's text reader (``np.fromstring``), which rounds as
+float() does. Any other block, with an exponent, padding, a "+", a "\r" or
+another quote in it, say, is decoded and read cell by cell by
+``_read_rows``, the loop with which ``_read_cells`` reads a whole file. A
+block that fails there sends the whole file to ``_read_cells``, the one
+place that builds an error with its file line, so the two parsers read
+every file alike. Cells and CLI numbers share ``series._numeral``.
 Writing formats the rows from a block of time steps of the matrix at a
 time, and writes what "%.17g" writes. A cell from 1e-4 to 1e17 in
 magnitude is written in array code where the long double is x87's, from
@@ -104,9 +107,9 @@ STEP_TOLERANCE = 1e-9
 CSV_BLOCK_BYTES = 64 * 1024
 # Where a long double rounds to 64 or 113 significant bits (x87 extended, IEEE
 # quad), a plain cell is read exactly as an integer over a power of ten; where
-# it is a double, or a double-double, whose quotients are not rounded once,
-# every block goes to numpy's parser. 10**k is exact in a long double of 64
-# bits up to k = 27.
+# it is a double, or a double-double, whose quotients are not rounded once, a
+# plain block is converted by np.fromstring, as float() converts each cell.
+# 10**k is exact in a long double of 64 bits up to k = 27.
 _EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
 # A value is written from its digits, an integer taken from one long-double
 # product with a power of ten, only where that was timed faster than "%.17g":
@@ -397,7 +400,8 @@ def _plain_text(table: np.ndarray) -> bytes:
 def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
     """Header and values of a CSV file; row j of the matrix is column j.
 
-    ``_read_numeric`` reads an ordinary file; any other goes through
+    ``_read_numeric`` reads a file a block at a time, each exactly or cell
+    by cell; a file it declines, and every file with an error, goes through
     ``_read_cells``, which accepts the same files and raises every error.
     """
     parsed = _read_numeric(path)
@@ -408,39 +412,25 @@ def _read_csv(path: Path) -> tuple[list[str], np.ndarray]:
 
 
 def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
-    """The header and ``(cells, rows)`` values of an ordinary file, read a block at a time.
-
-    None when the file is anything else, for ``_read_cells`` to read: not
-    UTF-8 or without a header; a data line with an odd number of quotes (a
-    quoted cell runs on past it, where numpy would end the cell) or a cell
-    beyond the csv module's field limit, which numpy lacks; a row whose cell
-    count is not the header's; fewer than 2 rows; or a value numpy cannot
-    parse or that is not finite. Blank lines are skipped, as csv.reader
-    skips them, and numpy must return one row per line it was handed, so no
-    line it might skip goes unread.
+    """The header and ``(cells, rows)`` values of a file, read a block at a time.
 
     The header is parsed by the csv module, and the data rows are read as
-    bytes, in blocks of whole lines. A block of plain cells is read exactly
-    as integers (``_plain_values``); any other is decoded and handed to
-    numpy's parser line by line. The file's line count bounds its rows, so
-    the C-contiguous matrix is allocated once and each block is read
-    straight into it; only a file with blank lines (or a header over
-    several lines) is cut to its rows by a copy.
+    bytes, in blocks of whole lines. A block of plain cells, or of cells
+    each wholly quoted, is read exactly (``_plain_values``); any other is
+    decoded and read cell by cell by ``_read_rows``, as ``_read_cells``
+    reads it. The file's line count bounds its rows, so the C-contiguous
+    matrix is allocated once and each block is read straight into it; only
+    a file with blank lines (or a header over several lines, or a quoted
+    line break) is cut to its rows by a copy.
+
+    None, for ``_read_cells`` to read again and build the error with its
+    file line, when the file is not UTF-8 or has no header, has fewer than
+    2 rows, or a block read cell by cell fails: a row whose cell count is
+    not the header's, a cell that is not a finite number or is beyond the
+    csv module's field limit, or a quoted cell that a block's end cuts in
+    two, which the strict csv dialect refuses where it would end the cell.
     """
     bound = _count_lines(path) - 1  # the header takes a line at least
-    if bound < 2:
-        return None
-    limit = csv.field_size_limit()
-
-    def plain(lines):
-        for line in lines:
-            if line[0] in "\r\n":
-                continue
-            wide = len(line) > limit and max(map(len, line.split(","))) > limit
-            if wide or '"' in line and line.count('"') % 2:  # "in" scans faster than count
-                raise ValueError("not a plain line of numbers")
-            yield line
-
     try:
         with path.open(newline="", encoding="utf-8") as fh:
             lines: list[str] = []  # the header's lines, to find where the data starts
@@ -452,18 +442,17 @@ def _read_numeric(path: Path) -> tuple[list[str], np.ndarray] | None:
         with path.open("rb") as fh:
             fh.seek(len("".join(lines).encode("utf-8")))
             for block in _line_blocks(fh):
-                part = _plain_values(block, len(header), limit)
+                part = _plain_values(block, len(header))
                 if part is None:
-                    chunk = list(plain(io.StringIO(block.decode("utf-8"), newline="")))
-                    if not chunk:
-                        continue
-                    part = np.loadtxt(chunk, delimiter=",", comments=None, ndmin=2, quotechar='"')
-                    if part.shape != (len(chunk), len(header)) or not np.isfinite(part).all():
-                        return None
+                    # its lines are counted from the block's start: an error
+                    # here is raised again by _read_cells, at its file line
+                    reader = csv.reader(io.StringIO(block.decode(), newline=""), strict=True)
+                    rows = [(reader.line_num, row) for row in reader if row]
+                    part = _read_rows(path, header, rows).T
                 columns[:, count : count + len(part)] = part.T
                 count += len(part)
-    except (ValueError, csv.Error, StopIteration):  # ValueError covers UnicodeDecodeError
-        return None
+    except (ValueError, csv.Error, StopIteration, ParseError, MissingValue):
+        return None  # ValueError covers UnicodeDecodeError
     if count < 2:
         return None
     return header, columns if count == bound else columns[:, :count].copy()
@@ -488,26 +477,31 @@ def _line_blocks(fh):
         yield rest
 
 
-def _plain_values(block: bytes, width: int, limit: int) -> np.ndarray | None:
+def _plain_values(block: bytes, width: int) -> np.ndarray | None:
     """The ``(rows, width)`` values of a block of plain lines, or None for any other block.
 
     A plain line has ``width`` cells and ends in "\\n" (or the file), and a
     plain cell is ``-?digits[.digits]`` with at least 1 digit, at most 18
     of them after its leading zeros, and at most 21 after the dot: "%.17g"
     writes a value from 1e-4 to 0.1 with up to 4 zeros before its 17
-    digits. Its digits without the dot are an integer m below 10**18,
-    which like 10**k for k <= 21 a long double of 64 significant bits or
-    more holds exactly, so m / 10**k, the cell's value, is rounded once to
-    a long double. Its rounding to a double is then the correct one unless
-    it lands exactly halfway between two doubles, where the two roundings
-    may differ: such a cell is read again with float(), the same correctly
-    rounded conversion that numpy's parser makes. So every plain cell reads
-    as the other readers read it, "-0" as -0.0 too.
+    digits. A block in which every cell is wholly quoted, one '"' at its
+    first byte and one at its last, is read as the same block without its
+    quotes. A plain cell's digits without the dot are an integer m below
+    10**18, which like 10**k for k <= 21 a long double of 64 significant
+    bits or more holds exactly, so m / 10**k, the cell's value, is rounded
+    once to a long double. Its rounding to a double is then the correct one
+    unless it lands exactly halfway between two doubles, where the two
+    roundings may differ: such a cell is read again with float(). So every
+    plain cell reads as float() reads it, "-0" as -0.0 too. Where
+    ``_EXACT_QUOTIENT`` is false, the checked block is converted by numpy's
+    text reader, which rounds as float() does.
     """
-    if not _EXACT_QUOTIENT:
-        return None
     if not block.endswith(b"\n"):  # the file's last line
         block += b"\n"
+    if b'"' in block:  # '"1","2"\n' reads as "1,2\n", and any other quote is not plain
+        block, quoted = block.replace(b'"', b""), block
+        if b'"' + block[:-1].replace(b",", b'","').replace(b"\n", b'"\n"') + b'"\n' != quoted:
+            return None
     text = np.frombuffer(block, np.uint8)
     ends = np.flatnonzero(text <= ord(","))  # the separator after each cell, or another byte
     dots = np.flatnonzero(text == ord("."))
@@ -521,7 +515,7 @@ def _plain_values(block: bytes, width: int, limit: int) -> np.ndarray | None:
         return None  # a line that does not have width cells, or another byte below ","
     dot_cells, minus_cells = np.searchsorted(ends, dots), np.searchsorted(ends, minus)
     digits = np.diff(ends, prepend=-1) - 1  # a cell's bytes, less its dot and sign below
-    if digits.max() > limit or (np.diff(dot_cells) == 0).any():
+    if digits.max() > csv.field_size_limit() or (np.diff(dot_cells) == 0).any():
         return None  # a cell beyond the csv module's limit, or one with two dots
     digits[dot_cells] -= 1
     digits[minus_cells] -= 1
@@ -533,6 +527,8 @@ def _plain_values(block: bytes, width: int, limit: int) -> np.ndarray | None:
     if len(long) and (after.max(initial=0) > 21
                       or (digits[long] - _leading_zeros(text, ends, dots, long)).max() > 18):
         return None
+    if not _EXACT_QUOTIENT:
+        return np.fromstring(block.translate(_NEWLINE_TO_COMMA), float, sep=",").reshape(-1, width)
     scale = np.zeros(len(ends), np.int8)
     scale[dot_cells] = after
 
@@ -634,14 +630,20 @@ def _read_cells(path: Path) -> tuple[list[str], np.ndarray]:
     _check_header(path, header)
     if len(rows) < 2:
         raise IrregularGrid(f"{path}: need at least 2 data rows to infer a grid")
+    return header, _read_rows(path, header, rows)
 
-    n_cols = len(header)
-    columns = np.empty((n_cols, len(rows)))
+
+def _read_rows(path: Path, header: list[str], rows) -> np.ndarray:
+    """The ``(cells, rows)`` values of ``rows``, pairs of a file line and its cells.
+
+    Each cell is read by ``series._numeral``; a row of another width, a
+    cell that is not a number, and a blank, inf or nan cell raise the typed
+    error at the line.
+    """
+    columns = np.empty((len(header), len(rows)))
     for i, (line, row) in enumerate(rows):
-        if len(row) != n_cols:
-            raise ParseError(
-                f"{path}: row {line} has {len(row)} cells, expected {n_cols}"
-            )
+        if len(row) != len(header):
+            raise ParseError(f"{path}: row {line} has {len(row)} cells, expected {len(header)}")
         for j, cell in enumerate(row):
             try:
                 value = _numeral(cell, float) if cell.strip() else math.nan
@@ -650,7 +652,7 @@ def _read_cells(path: Path) -> tuple[list[str], np.ndarray]:
             if not math.isfinite(value):  # a blank cell, or an inf or nan word
                 raise MissingValue(line, header[j])
             columns[j, i] = value
-    return header, columns
+    return columns
 
 
 def _infer_grid(tcol: np.ndarray, path: Path) -> TimeGrid:

@@ -111,8 +111,8 @@ class _Underflow(float):
 
     A flag's range check names the value it was given, so ``--alpha 1e-400``
     is refused as "got 1e-400", not as the 0.0 it rounds to. It is not
-    refused as a numeral: a cell reads it as 0.0, as numpy's parser does, and
-    a flag takes the numerals a cell takes. ``_real`` makes a plain float of
+    refused as a numeral: a cell reads it as 0.0, as float() does, and a
+    flag takes the numerals a cell takes. ``_real`` makes a plain float of
     it, so a ``BoostConfig`` or ``SplitSpec`` holds, prints and pickles 0.0.
     """
 

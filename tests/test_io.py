@@ -233,14 +233,14 @@ class TestReadPanelCsv:
             read_panel_csv(path)
 
     def test_long_cell_of_a_small_number_is_a_parse_error(self, tmp_path):
-        # numpy's parser has no field limit and would read this as 1.0
+        # float() has no field limit and would read this as 1.0
         path = _write(tmp_path / "p.csv", "t,a\n0," + "0" * 199_999 + "1\n1,2\n")
         with pytest.raises(ParseError, match="row 2: field larger than field limit"):
             read_panel_csv(path)
 
     @pytest.mark.parametrize("text", ["t,a\n", "t,a\n\n\r\n\r"], ids=["bare", "blank-lines"])
     def test_header_only_file_is_irregular_without_a_warning(self, tmp_path, text):
-        # the suite turns warnings into errors, so numpy's "no data" warning fails here
+        # the suite turns warnings into errors, so a warning on a file with no data fails here
         with pytest.raises(IrregularGrid, match="need at least 2 data rows"):
             read_panel_csv(_write(tmp_path / "p.csv", text))
 
@@ -314,7 +314,7 @@ class TestCsvRoundTrip:
         _, again = read_panel_csv(path)
         np.testing.assert_array_equal(again.values, target.values)
 
-    def test_a_copy_with_every_cell_quoted_reads_through_numpy(self, tmp_path):
+    def test_a_copy_with_every_cell_quoted_reads_on_the_exact_path(self, tmp_path):
         family, _ = generate(GenSpec(n_series=30, days=40, archetypes=3, seed=3))
         path, quoted = tmp_path / "p.csv", tmp_path / "quoted.csv"
         write_panel_csv(family, path)
@@ -322,7 +322,10 @@ class TestCsvRoundTrip:
             rows = list(csv.reader(fh))
         with quoted.open("w", newline="") as fh:
             csv.writer(fh, quoting=csv.QUOTE_ALL, lineterminator="\n").writerows(rows)
-        assert _read_numeric(quoted) is not None
+        expected = _outcome(_read_cells, path)
+        for size, blocks in BLOCKS.items():  # a small block holds one row
+            with blocks():
+                assert _exact_outcome(quoted) == expected, size
         assert read_panel_csv(quoted) == read_panel_csv(path)
 
     # about a third of the families drawn are refused, so 320 examples write 200-odd files
@@ -600,7 +603,7 @@ class TestWriterRefusals:
         assert list(tmp_path.iterdir()) == [path]
 
 
-# Spellings float() and numpy's parser both take, beyond what the writer writes.
+# Spellings float() takes, beyond what the writer writes.
 _ODD_NUMBERS = ["+1", ".5", "5.", "1E3", "-0", "0e0", "00012", "1e-400", "-2.5e+07"]
 _PADDING = ["", " ", "\t", "  \t", "\x0b", "\x0c", "\u3000", "\x85"]
 _LINE_ENDS = ["\n", "\r\n", "\r"]
@@ -691,7 +694,7 @@ class TestAtomicWrites:
 
 
 class TestReaderEquivalence:
-    """numpy's parser with its fallback reads every file as the per-cell loop does."""
+    """The block reader with its fallback reads every file as the per-cell loop does."""
 
     @settings(max_examples=200, deadline=None, derandomize=True,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -703,7 +706,7 @@ class TestReaderEquivalence:
         for size, blocks in BLOCKS.items():
             with blocks():
                 assert _outcome(_read_csv, path) == expected, size
-                if isinstance(expected[0], list):  # read by numpy, not by the fallback
+                if isinstance(expected[0], list):  # read in blocks, not by the fallback
                     assert _read_numeric(path) is not None, size
 
     @settings(max_examples=400, deadline=None, derandomize=True,
@@ -722,15 +725,31 @@ class TestReaderEquivalence:
                                                   ('3,"3"\n4,4', ParseError)],
                              ids=["closed", "row-like"])
     def test_a_quoted_line_break_is_read_by_the_cell_reader(self, tmp_path, end, after, first):
-        # the break ends the third data line, where numpy would end the quoted
-        # cell; the next line closes the cell, or would read as a row of its own
+        # the break ends the third data line, where a reader of lines would end
+        # the quoted cell; the next line closes the cell, or would read as a row
+        # of its own, which the strict csv dialect refuses. The file is one
+        # block, which the csv module reads whole.
         path = _write(tmp_path / "p.csv", f't,a\n0,0\n1,1\n2,"1.5{end}{after}\n')
         expected = _outcome(_read_cells, path)
         assert expected[0] == first
         for size, blocks in BLOCKS.items():
             with blocks():
-                assert _read_numeric(path) is None, size
+                with _cell_blocks() as handed:
+                    numeric = _read_numeric(path)
+                assert (numeric is None) == (first is ParseError) == (not handed), size
                 assert _outcome(_read_csv, path) == expected, size
+
+    @pytest.mark.parametrize("end", _LINE_ENDS, ids=repr)
+    def test_a_quoted_cell_cut_by_a_block_end_is_read_by_the_cell_reader(self, tmp_path, end):
+        # the first small block ends at the break inside the quotes, where the
+        # strict csv dialect refuses the cell, so the whole file is read again
+        path = _write(tmp_path / "p.csv", f't,a\n0,0\n1,1\n2,"1.5{end}{" " * 40}"\n3,3\n')
+        expected = _outcome(_read_cells, path)
+        assert expected[2] == np.array([[0, 1, 2, 3], [0, 1, 1.5, 3]], float).tobytes()
+        assert _read_numeric(path) is not None
+        with _small_blocks():
+            assert _read_numeric(path) is None
+            assert _outcome(_read_csv, path) == expected
 
 
 # Strings near numerals: random pieces, numeral-shaped ones (some overflow, or hold a
@@ -789,26 +808,41 @@ def test_a_cell_a_flag_and_a_list_item_take_the_same_numerals(tmp_path, text):
     assert numeric is None or _bits(numeric[1][1, 1]) == cell
 
 
-class _NumpysParserCalled(Exception):
-    """Raised in place of np.loadtxt, which the reader does not catch."""
+class _CellReaderCalled(Exception):
+    """Raised in place of dataio._read_rows, which the reader does not catch."""
 
 
 @contextlib.contextmanager
-def _without_numpys_parser():
+def _without_cell_blocks():
     # a block that declines the exact path then fails the read, where it
-    # would otherwise go to numpy's parser and cost only speed
+    # would otherwise be read cell by cell and cost only speed
     def refuse(*args, **kwargs):
-        raise _NumpysParserCalled
+        raise _CellReaderCalled
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(np, "loadtxt", refuse)
+        patch.setattr(dataio, "_read_rows", refuse)
         yield
 
 
 @contextlib.contextmanager
+def _cell_blocks():
+    """Yield the list of the rows, each a list of cells, read cell by cell meanwhile."""
+    handed = []
+    read_rows = dataio._read_rows
+
+    def spy(path, header, rows, *args):
+        handed.extend(row for _, row in rows)
+        return read_rows(path, header, rows, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "_read_rows", spy)
+        yield handed
+
+
+@contextlib.contextmanager
 def _without_exact_path():
-    # as on a platform whose long double is a double: every block goes to numpy's
-    # parser, and every row to "%.17g"
+    # as on a platform whose long double is a double: a plain block is
+    # converted by numpy's text reader, and every row written by "%.17g"
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataio, "_EXACT_QUOTIENT", False)
         patch.setattr(dataio, "_EXACT_PRODUCT", False)
@@ -816,8 +850,8 @@ def _without_exact_path():
 
 
 def _exact_outcome(path):
-    """``_outcome`` of ``_read_numeric`` with numpy's parser refused."""
-    with _without_numpys_parser():
+    """``_outcome`` of ``_read_numeric`` with the cell-by-cell block reader refused."""
+    with _without_cell_blocks():
         return _outcome(_read_numeric, path)
 
 
@@ -862,12 +896,26 @@ class TestExactReader:
                                       '"1"', "0x1",
                                       pytest.param(_AFTER_128, id="128-after-the-dot"),
                                       pytest.param(_AFTER_257, id="257-after-the-dot")])
-    def test_any_other_cell_goes_to_numpys_parser(self, tmp_path, cell):
+    def test_any_other_cell_is_read_cell_by_cell(self, tmp_path, cell):
         # 19 significant digits, 22, 128 and 257 after the dot, an exponent, a sign or
-        # padding numpy reads, and cells no reader takes
+        # padding float() reads, and cells no reader takes
         path = _write(tmp_path / "p.csv", f"t,a\n0,{cell}\n1,2\n")
-        with _without_numpys_parser(), pytest.raises(_NumpysParserCalled):
+        with _without_cell_blocks(), pytest.raises(_CellReaderCalled):
             _read_numeric(path)
+        assert _outcome(_read_csv, path) == _outcome(_read_cells, path)
+
+    @pytest.mark.parametrize("cell", ['"1,5"', '""', '"1""2"', ' "1"', '"1"2', '"1\n"'],
+                             ids=["comma", "empty", "doubled-quote", "padded", "after-the-quote",
+                                  "line-break"])
+    def test_quoted_cells_are_plain_only_if_each_is_wholly_quoted(self, tmp_path, cell):
+        # the exact path declines the block; the strict csv dialect that then reads
+        # it cell by cell refuses '"1"2', and hands that file to _read_cells
+        text = 't,a\n"0","-0"\n"1",{}\n"2","2.5"\n'
+        quoted = _write(tmp_path / "quoted.csv", text.format('"1.5"'))
+        assert _exact_outcome(quoted) == _outcome(_read_cells, quoted)
+        path = _write(tmp_path / "p.csv", text.format(cell))
+        data = path.read_bytes().partition(b"\n")[2]
+        assert dataio._plain_values(data, 2) is None
         assert _outcome(_read_csv, path) == _outcome(_read_cells, path)
 
     @pytest.mark.parametrize("cell, value", [(_AFTER_128, 1e-128), (_AFTER_257, 1e-257)],
@@ -909,7 +957,7 @@ class TestExactReader:
 
     @pytest.mark.parametrize("size, blocks", BLOCKS.items())
     def test_values_down_to_1e_5_read_bit_identically(self, tmp_path, size, blocks):
-        # below 1e-4 a cell takes an exponent, and goes to numpy's parser
+        # below 1e-4 a cell takes an exponent, and its block is read cell by cell
         rng = np.random.default_rng(35)
         values = 10 ** rng.uniform(-5, 17, (300, 8)) * rng.choice([-1.0, 1.0], (300, 8))
         family = Family(TimeGrid(0.0, 1.0, 300), tuple(Series(f"m{j}", values[:, j])
@@ -919,30 +967,42 @@ class TestExactReader:
         with blocks():
             assert _outcome(_read_csv, path) == _outcome(_read_cells, path)
 
-    def test_plain_blocks_mix_with_blocks_for_numpys_parser(self, tmp_path):
+    def test_plain_blocks_mix_with_blocks_read_cell_by_cell(self, tmp_path):
         lines = [f"{k},{k / 7!r},{-k / 3!r}\n" for k in range(40)]
         odd = {5: "5,1e-3,-2\n", 12: '12,"1.5",2\n', 20: "20,1,2\r\n", 30: "\n30,1,2\n"}
         for k, line in odd.items():
             lines[k] = line
         path = tmp_path / "p.csv"
         path.write_bytes(("t,a,b\n" + "".join(lines)).encode())
-        handed = []
-        loadtxt = np.loadtxt
-
-        def spy(lines, *args, **kwargs):
-            handed.extend(lines)
-            return loadtxt(lines, *args, **kwargs)
-
-        with _small_blocks(), pytest.MonkeyPatch.context() as patch:
-            patch.setattr(np, "loadtxt", spy)
-            assert _outcome(_read_csv, path) == _outcome(_read_cells, path)
-        # the blank line is skipped; every other odd line went to numpy, and most plain ones not
-        assert {odd[5], odd[12], odd[20], "30,1,2\n"} <= set(handed)
+        expected = _outcome(_read_cells, path)
+        with _small_blocks(), _cell_blocks() as handed:
+            assert _outcome(_read_csv, path) == expected
+        # the blank line is skipped; every other odd line was read cell by cell,
+        # and most plain ones not
+        assert all(next(csv.reader([odd[k]])) in handed for k in (5, 12, 20))
+        assert ["30", "1", "2"] in handed
         assert len(handed) < len(lines) / 2
+
+    def test_a_block_with_an_exponent_cell_alone_is_read_cell_by_cell(self, tmp_path):
+        # a small block holds one row of the panel; the file is never read again
+        family, _ = generate(GenSpec(n_series=30, days=40, archetypes=3, seed=3))
+        path = tmp_path / "p.csv"
+        write_panel_csv(family, path)
+        lines = path.read_text().splitlines(keepends=True)
+        cells = lines[20].split(",")
+        cells[7] = "3e-9"
+        lines[20] = ",".join(cells)
+        path.write_text("".join(lines))
+        expected = _outcome(_read_cells, path)
+        with _small_blocks(), _cell_blocks() as handed, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dataio, "_read_cells", None)  # not callable: a call fails the test
+            assert _outcome(_read_csv, path) == expected
+        assert handed == [lines[20].rstrip("\n").split(",")]
+        assert expected[2][(7 * 40 + 19) * 8 :][:8] == np.float64(3e-9).tobytes()
 
 
 class TestExactPathGuards:
-    """The CLI's own files take the exact paths; numpy's parser and "%.17g" read and write alike."""
+    """The CLI's own files take the exact paths; numpy's text reader and "%.17g" agree."""
 
     @pytest.fixture(scope="class")
     def files(self, tmp_path_factory):
@@ -959,15 +1019,16 @@ class TestExactPathGuards:
                          "--out", str(pred), "--cumulative"]) == 0
         return panel, pred
 
-    def test_gen_and_predict_files_need_no_numpy_parser(self, files):
+    def test_gen_and_predict_files_need_no_cell_reader(self, files):
         for path in files:
             assert _exact_outcome(path) == _outcome(_read_cells, path), path.name
 
-    def test_numpys_parser_reads_them_alike(self, files):
+    def test_numpys_text_reader_reads_them_alike(self, files):
+        # both paths with the cell reader refused: the float branch reads every block
         for path in files:
             expected = _exact_outcome(path)
             with _without_exact_path():
-                assert _outcome(_read_numeric, path) == expected, path.name
+                assert _exact_outcome(path) == expected, path.name
 
     def test_the_format_string_writes_them_alike(self, files, tmp_path):
         for path in files:
