@@ -33,7 +33,9 @@ another quote in it, say, is decoded and read cell by cell by
 ``_read_rows``, the loop with which ``_read_cells`` reads a whole file. A
 block that fails there sends the whole file to ``_read_cells``, the one
 place that builds an error with its file line, so the two parsers read
-every file alike. Cells and CLI numbers share ``series._numeral``.
+every file alike. Cells, CLI numbers and model JSON floats share one
+grammar, ``series._numeral``, which refuses nonzero digits that round to 0
+or to inf.
 Writing formats the rows from a block of time steps of the matrix at a
 time, and writes what "%.17g" writes. A cell from 1e-4 to 1e17 in
 magnitude is written in array code where the long double is x87's, from
@@ -728,10 +730,16 @@ def _object_doc(obj, names: tuple[str, ...]) -> dict:
 
 
 def read_model(path) -> PanelModel:
-    """Load a model file written by write_model."""
+    """Load a model file written by write_model.
+
+    Its JSON floats take the one grammar of numbers (``series._numeral``), so
+    nonzero digits that round to 0 or to inf ("1e-400", "1e400") are a
+    ParseError "out of range", named as written.
+    """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8"),
+                         parse_float=functools.partial(_numeral, parse=float))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -740,7 +748,7 @@ def read_model(path) -> PanelModel:
         ) from exc
     except RecursionError:
         raise ParseError(f"{path}: JSON nested too deeply") from None
-    except ValueError as exc:  # an integer too long for int(), say
+    except ValueError as exc:  # a float out of range, or an integer too long for int()
         raise ParseError(f"{path}: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top level must be an object")

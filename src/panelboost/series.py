@@ -88,8 +88,8 @@ def _numeral(text: str, parse: type[int] | type[float]) -> int | float:
     """``text`` read by ``parse`` (``int`` or ``float``): the one grammar of numbers as text.
 
     Whitespace around it, Unicode spaces too, is dropped; the rest must be ASCII with no
-    "_". Digits that overflow a float are "out of range"; inf and nan pass, for value checks.
-    Nonzero digits that underflow read as 0.0 or -0.0, an ``_Underflow`` that prints as given.
+    "_". Nonzero digits that round to inf or to 0 ("1e400", "1e-400") are "out of range",
+    named as given; the words inf and nan pass, for value checks, as does every zero.
     """
     text = text.strip()
     try:
@@ -98,30 +98,10 @@ def _numeral(text: str, parse: type[int] | type[float]) -> int | float:
         value = parse(text)
     except ValueError:
         raise ValueError(f"not {'an integer' if parse is int else 'a number'}: {text!r}") from None
-    if abs(value) == math.inf and any(map(str.isdigit, text)):
+    digits = text.lower().partition("e")[0]
+    if abs(value) in (0, math.inf) and digits.strip("+-.0") and any(map(str.isdigit, digits)):
         raise ValueError(f"out of range: {text!r}")
-    if value == 0 and parse is float and text.lower().partition("e")[0].strip("+-.0"):
-        value = _Underflow(value)
-        value.text = text
     return value
-
-
-class _Underflow(float):
-    """0.0 or -0.0 read from nonzero digits ("1e-400"), which prints as the text given.
-
-    A flag's range check names the value it was given, so ``--alpha 1e-400``
-    is refused as "got 1e-400", not as the 0.0 it rounds to. It is not
-    refused as a numeral: a cell reads it as 0.0, as float() does, and a
-    flag takes the numerals a cell takes. ``_real`` makes a plain float of
-    it, so a ``BoostConfig`` or ``SplitSpec`` holds, prints and pickles 0.0.
-    """
-
-    text: str
-
-    def __repr__(self) -> str:
-        return self.text
-
-    __str__ = __repr__
 
 
 @dataclass(frozen=True)
@@ -316,11 +296,10 @@ class SplitSpec:
 
     def __post_init__(self):
         for name in ("train_fraction", "validation_fraction"):
-            given = getattr(self, name)
-            frac = _real(name, given, InvalidParameter)
+            frac = _real(name, getattr(self, name), InvalidParameter)
             object.__setattr__(self, name, frac)
             if not 0.0 < frac < 1.0:
-                raise InvalidParameter(f"{name} must lie in (0, 1), got {given}")
+                raise InvalidParameter(f"{name} must lie in (0, 1), got {frac}")
         if self.train_fraction + self.validation_fraction > 1.0:
             raise InvalidParameter(
                 "train_fraction + validation_fraction must not exceed 1"

@@ -173,12 +173,25 @@ class TestReadPanelCsv:
     @pytest.mark.parametrize("read, column", [(read_panel_csv, "a"),
                                               (read_prediction_csv, "__prediction__")],
                              ids=["panel", "prediction"])
-    @pytest.mark.parametrize("cell", ["1e400", "-1e400"])
+    @pytest.mark.parametrize("cell", ["1e400", "-1e400", "1e-400", "-1e-400"])
     def test_an_overflowing_cell_is_out_of_range(self, tmp_path, read, column, cell):
-        # float() reads it as inf, but only the words inf and nan are missing values
+        # float() reads it as inf or as 0, but only the words inf and nan are missing
+        # values, and only digits that are all zeros read as 0
         path = _write(tmp_path / "p.csv", f"t,{column}\n0,1\n\n1,{cell}\n2,3\n")
         with pytest.raises(ParseError, match=f"row 4, column '{column}': out of range: '{cell}'"):
             read(path)
+
+    @pytest.mark.parametrize("read, column", [(read_panel_csv, "a"),
+                                              (read_prediction_csv, "__prediction__")],
+                             ids=["panel", "prediction"])
+    @pytest.mark.parametrize("cell, value", [("5e-324", 5e-324),
+                                             ("4.9406564584124654e-324", 5e-324),
+                                             ("0e-400", 0.0), ("-0.000e-400", -0.0)])
+    def test_a_subnormal_or_a_zero_cell_reads_as_its_value(self, tmp_path, read, column,
+                                                            cell, value):
+        path = _write(tmp_path / "p.csv", f"t,{column}\n0,1\n1,{cell}\n2,3\n")
+        series = read(path)[1] if read is read_prediction_csv else read(path)[0].members[0]
+        assert series.values[1].tobytes() == np.float64(value).tobytes()
 
     def test_missing_time_column(self, tmp_path):
         path = _write(tmp_path / "p.csv", "x,a\n0,1\n1,2\n")
@@ -604,14 +617,14 @@ class TestWriterRefusals:
 
 
 # Spellings float() takes, beyond what the writer writes.
-_ODD_NUMBERS = ["+1", ".5", "5.", "1E3", "-0", "0e0", "00012", "1e-400", "-2.5e+07"]
+_ODD_NUMBERS = ["+1", ".5", "5.", "1E3", "-0", "0e0", "00012", "0e-400", "-2.5e+07"]
 _PADDING = ["", " ", "\t", "  \t", "\x0b", "\x0c", "\u3000", "\x85"]
 _LINE_ENDS = ["\n", "\r\n", "\r"]
 # Digits float() reads as 3, 0 and 9: Arabic-Indic, fullwidth and mathematical bold.
 _NON_ASCII_DIGITS = ["\u0663", "\uff10", "\U0001d7d7"]
-_CORRUPTIONS = ["underscore", "nan", "inf", "1e400", "quote", "extra cell", "missing cell",
-                "empty cell", "whitespace line", "nul", "non-utf-8", "extra column",
-                "missing column", "non-ASCII digit"]
+_CORRUPTIONS = ["underscore", "nan", "inf", "1e400", "1e-400", "quote", "extra cell",
+                "missing cell", "empty cell", "whitespace line", "nul", "non-utf-8",
+                "extra column", "missing column", "non-ASCII digit"]
 
 
 @st.composite
@@ -641,7 +654,7 @@ def _csv_files(draw, corrupt):
             mark = {"underscore": "_", "quote": '"', "nul": "\x00", "non-utf-8": "\udcff",
                     "non-ASCII digit": draw(st.sampled_from(_NON_ASCII_DIGITS))}
             rows[row][col] = cell[:at] + mark[kind] + cell[at:]
-        elif kind in ("nan", "inf", "1e400"):
+        elif kind in ("nan", "inf", "1e400", "1e-400"):
             rows[row][col] = draw(pad) + kind + draw(pad)
         elif kind == "extra cell":
             rows[row].insert(col, draw(number))
@@ -1266,6 +1279,16 @@ class TestGenerate:
         assert fam.grid == TimeGrid(0.0, 1.0, 21)
 
 
+def _model_with(tmp_path, section, field, numeral):
+    """A fitted model's file with ``field`` of ``section`` (its first term) set to ``numeral``."""
+    path = tmp_path / "model.json"
+    write_model(_fitted_model(), path)
+    doc = json.loads(path.read_text())
+    (doc["terms"][0] if section == "term" else doc[section])[field] = "<numeral>"
+    path.write_text(json.dumps(doc).replace('"<numeral>"', numeral))
+    return path
+
+
 class TestStrictModelTypes:
     """Every field must already have its JSON type; nothing is coerced."""
 
@@ -1318,6 +1341,23 @@ class TestStrictModelTypes:
         doc["grid"]["start"] = 0  # a JSON integer is a valid number
         path.write_text(json.dumps(doc))
         assert read_model(path) == model
+
+    @pytest.mark.parametrize("numeral", ["1e-400", "-1e-400", "1e400"])
+    @pytest.mark.parametrize("section, field", [("config", "lbound"), ("term", "weight")])
+    def test_a_float_out_of_range_is_named_as_written(self, tmp_path, section, field,
+                                                       numeral):
+        # json.loads reads these as 0.0, -0.0 and inf; a model takes a cell's numerals
+        path = _model_with(tmp_path, section, field, numeral)
+        with pytest.raises(ParseError) as err:
+            read_model(path)
+        assert str(err.value) == f"{path}: out of range: '{numeral}'"
+
+    @pytest.mark.parametrize("numeral, value", [("5e-324", 5e-324),
+                                                ("4.9406564584124654e-324", 5e-324),
+                                                ("0e-400", 0.0), ("-0.000e-400", -0.0)])
+    def test_a_subnormal_or_a_zero_float_loads_as_its_value(self, tmp_path, numeral, value):
+        model = read_model(_model_with(tmp_path, "config", "lbound", numeral))
+        assert np.float64(model.config.lbound).tobytes() == np.float64(value).tobytes()
 
     def test_a_grid_of_epoch_microseconds_loads(self, tmp_path):
         # whole microseconds since 1970 are exact floats, 4 ulps apart

@@ -8,7 +8,6 @@ pins the one stderr line the CLI prints.
 import contextlib
 import io
 import math
-import pickle
 import re
 import sys
 from fractions import Fraction
@@ -416,10 +415,8 @@ CLI_CHECKS = [
     (_sweep(panel_sizes="2,4,"), "empty item in list argument: '2,4,'"),
     (_sweep(panel_sizes="0"), "panel_size must be at least 1, got 0"),
     (_sweep(val="1.5"), "validation_fraction must lie in (0, 1), got 1.5"),
-    # a number that underflows reads as 0.0, and the message names it as given
-    ([*FIT, "--alpha", "1e-400"], "alpha must lie in (0, 1], got 1e-400"),
-    (_sweep(alphas="1,-1e-400"), "alpha must lie in (0, 1], got -1e-400"),
-    (_sweep(train="1e-400"), "train_fraction must lie in (0, 1), got 1e-400"),
+    # nonzero digits that round to 0 are out of range, as those that round to inf are
+    (_sweep(alphas="1,-1e-400"), "out of range: '-1e-400'"),
     # each of these once ended in a traceback, from islice or from numpy
     ([*FIT, "--panel-size", str(10**20 - 1)],
      f"panel_size must be at most {sys.maxsize}, got {10**20 - 1}"),
@@ -443,24 +440,36 @@ def test_cli_parameter_errors_exit_2_with_one_line(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().err.splitlines() == [f"error: InvalidParameter: {message}"]
 
 
-def test_an_underflowing_flag_is_zero_that_prints_as_given(tmp_path, monkeypatch, capsys):
-    # a range check names it as given; in range, it is a plain 0.0 to every reader
-    flag = cli.real("-1e-400")
-    for value in flag, pickle.loads(pickle.dumps(flag)):
-        assert str(value) == "-1e-400" and value == 0 and math.copysign(1, value) == -1
-    config = BoostConfig(2, RECIP, lbound=flag)
-    assert type(config.lbound) is float and str(config.lbound) == "-0.0"
+def test_an_underflowing_flag_is_out_of_range(tmp_path, monkeypatch, capsys):
+    # nonzero digits that round to 0 are refused, named as given; a zero or a subnormal is not
+    with pytest.raises(ValueError, match=r"^out of range: '-1e-400'$"):
+        cli.real("-1e-400")
+    for text, value in (("5e-324", 5e-324), ("-0e-400", -0.0)):
+        assert cli.real(text).hex() == value.hex()
+        assert [item.hex() for item in cli._parse_list(f"{text},1", cli.real)] == [
+            value.hex(), "0x1.0000000000000p+0"]
     data = _gen(tmp_path, days=30)
     monkeypatch.chdir(tmp_path)
-    assert main(["fit", "--data", str(data), "--model-out", "m.json", "--panel-size", "2",
-                 "--lbound=-1e-400", "--alpha", "1", "--transform", "witch"]) == 0
+    capsys.readouterr()
+    fit_argv = ["fit", "--data", str(data), "--model-out", "m.json", "--panel-size", "2",
+                "--alpha", "1", "--transform", "witch"]
+    sweep_argv = ["sweep", "--data", str(data), "--train", "0.6", "--val", "0.2",
+                  "--panel-sizes", "2", "--alphas", "1", "--transforms", "witch",
+                  "--report", "r.csv"]
+    assert main([*fit_argv, "--lbound=-1e-400"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if "error:" in line] == [
+        "panelboost fit: error: argument --lbound: invalid real value: '-1e-400'"]
+    assert main([*sweep_argv, "--lbounds=-1e-400"]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: InvalidParameter: out of range: '-1e-400'"]
+    assert not (tmp_path / "m.json").exists() and not (tmp_path / "r.csv").exists()
+    assert main([*fit_argv, "--lbound=-0e-400"]) == 0
     lbound = read_model(tmp_path / "m.json").config.lbound
     assert type(lbound) is float and str(lbound) == "-0.0"
     # sweep's stdout names the best config's values, as its report does
-    assert main(["sweep", "--data", str(data), "--train", "0.6", "--val", "0.2",
-                 "--panel-sizes", "2", "--lbounds=-1e-400", "--alphas", "1",
-                 "--transforms", "witch", "--report", "r.csv"]) == 0
-    assert "lbound=-0.0 " in capsys.readouterr().out
+    assert main([*sweep_argv, "--lbounds=5e-324"]) == 0
+    assert "lbound=5e-324 " in capsys.readouterr().out
 
 
 def test_cli_list_items_may_be_padded_with_whitespace(tmp_path, monkeypatch):
@@ -477,10 +486,12 @@ def test_cli_list_items_may_be_padded_with_whitespace(tmp_path, monkeypatch):
 @pytest.mark.parametrize("argv, error", [
     ([*GEN, "--n", "1_0"], "argument --n: invalid integer value: '1_0'"),
     ([*FIT, "--alpha", "\u0663"], "argument --alpha: invalid real value: '\u0663'"),
-], ids=["gen-n", "fit-alpha"])
+    ([*FIT, "--alpha", "1e-400"], "argument --alpha: invalid real value: '1e-400'"),
+    (_sweep(train="1e-400"), "argument --train: invalid real value: '1e-400'"),
+], ids=["gen-n", "fit-alpha", "fit-alpha-underflow", "sweep-train-underflow"])
 def test_cli_numbers_outside_the_grammar_are_usage_errors(tmp_path, monkeypatch, capsys,
                                                           argv, error):
-    # Python's int() and float() read both; a flag's number is a panel CSV's numeral
+    # Python's int() and float() read each; a flag's number is a panel CSV's numeral
     data = _gen(tmp_path, days=30)
     monkeypatch.chdir(tmp_path)
     capsys.readouterr()
