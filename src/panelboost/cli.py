@@ -178,10 +178,10 @@ def _cmd_predict(args) -> int:
 def _cmd_sweep(args) -> int:
     family, target = dataio.read_panel_csv(args.data)
     grid = SweepGrid(
-        panel_sizes=_parse_list(args.panel_sizes, integer),
-        lbounds=_parse_list(args.lbounds, real),
-        alphas=_parse_list(args.alphas, real),
-        transforms=_parse_list(args.transforms, TransformKind),
+        panel_sizes=_parse_list(args.panel_sizes, integer, "--panel-sizes"),
+        lbounds=_parse_list(args.lbounds, real, "--lbounds"),
+        alphas=_parse_list(args.alphas, real, "--alphas"),
+        transforms=_parse_list(args.transforms, TransformKind, "--transforms"),
     )
     result = sweep(family, target, SplitSpec(args.train, args.val), grid)
     dataio.write_sweep_report(result, args.report)
@@ -203,20 +203,21 @@ def _cmd_eval(args) -> int:
     return 0
 
 
-def _parse_list(text: str, parse) -> tuple:
-    """The comma-separated items of ``text``, each converted by ``parse``.
+def _parse_list(text: str, parse, flag: str) -> tuple:
+    """The comma-separated items of ``text``, the value of ``flag``, each converted by ``parse``.
 
-    Whitespace around an item is dropped; an empty item is an InvalidParameter.
+    Whitespace around an item is dropped; an empty list or item, or one that
+    ``parse`` refuses, is an InvalidParameter whose message names ``flag``.
     """
     items = [item.strip() for item in text.split(",")]
     if not any(items):
-        raise InvalidParameter(f"empty list argument: {text!r}")
+        raise InvalidParameter(f"{flag}: empty list argument: {text!r}")
     if not all(items):
-        raise InvalidParameter(f"empty item in list argument: {text!r}")
+        raise InvalidParameter(f"{flag}: empty item in list argument: {text!r}")
     try:
         return tuple(parse(item) for item in items)
     except ValueError as exc:  # the numeral grammar and TransformKind() raise it
-        raise InvalidParameter(str(exc)) from None
+        raise InvalidParameter(f"{flag}: {exc}") from None
 
 
 if __name__ == "__main__":

@@ -23,13 +23,10 @@ rows)`` matrix whose member rows the family then takes over; the file's
 line count bounds its rows, so that matrix is allocated once. A block whose
 cells are all plain decimals (``-?digits[.digits]``, 18 digits at most after
 the leading zeros and 21 after the dot, on "\n"-ended lines of the header's
-width), or of such cells each wholly quoted, is read exactly, as integers
-over a power of ten (``_plain_values``): the writer's cells are plain where
-each |value| is 0 or from 1e-4 to 1e17. Where the long double does not
-round that quotient once (a double, a double-double), a plain block is
-converted by numpy's text reader (``np.fromstring``), which rounds as
-float() does. Any other block, with an exponent, padding, a "+", a "\r" or
-another quote in it, say, is decoded and read cell by cell by
+width), or of such cells each wholly quoted, is converted in one call
+(``_plain_values``): the writer's cells are plain where each |value| is 0
+or from 1e-4 to 1e17. Any other block, with an exponent, padding, a "+", a
+"\r" or another quote in it, say, is decoded and read cell by cell by
 ``_read_rows``, the loop with which ``_read_cells`` reads a whole file. A
 block that fails there sends the whole file to ``_read_cells``, the one
 place that builds an error with its file line, so the two parsers read
@@ -37,16 +34,20 @@ every file alike. Cells, CLI numbers and model JSON floats share one
 grammar, ``series._numeral``, which refuses nonzero digits that round to 0
 or to inf.
 Writing formats the rows from a block of time steps of the matrix at a
-time, and writes what "%.17g" writes. A cell from 1e-4 to 1e17 in
-magnitude is written in array code where the long double is x87's, from
-its 17 digits, an integer rounded once from a long-double product
-(``_plain_text``); any other cell, the 1.6 % of the rest whose product is
-too near a half-integer to round, and every cell on other platforms, are
-formatted by "%.17g" itself. The header goes through the
-csv module, which quotes ids. So a command holds about one copy of its
-panel. An explicit "__target__" column in the last place, where the writer
-puts it, costs nothing more; anywhere else it costs one more copy, as the
+time, and writes what "%.17g" writes. The header goes through the csv
+module, which quotes ids. So a command holds about one copy of its panel.
+An explicit "__target__" column in the last place, where the writer puts
+it, costs nothing more; anywhere else it costs one more copy, as the
 members are copied out from around it.
+
+The array reader and writer run on x87's 64-bit long double (``_X87``):
+a plain cell is read exactly, as an integer over a power of ten, and a
+cell from 1e-4 to 1e17 in magnitude is written from its 17 digits, an
+integer rounded once from a long-double product (``_plain_text``), with
+"%.17g" left the 1.6 % whose product is too near a half-integer to round.
+Everywhere else, IEEE quad included, a plain block is converted by
+numpy's text reader (``np.fromstring``), which rounds as float() does,
+and each row is one "%.17g" format string.
 
 Model JSON: format_version 1 with grid, config, terms, and provenance
 objects, whose fields are the tables below. Other versions, and unknown
@@ -107,18 +108,14 @@ STEP_TOLERANCE = 1e-9
 # adds a small part of the panel's bytes to the one copy a file is read into
 # or written from.
 CSV_BLOCK_BYTES = 64 * 1024
-# Where a long double rounds to 64 or 113 significant bits (x87 extended, IEEE
-# quad), a plain cell is read exactly as an integer over a power of ten; where
-# it is a double, or a double-double, whose quotients are not rounded once, a
-# plain block is converted by np.fromstring, as float() converts each cell.
+# The one platform switch: where the long double is x87's, of 64 significant
+# bits, plain cells are read and written in array code, whose long-double
+# quotients and products round once and were timed faster than np.fromstring
+# and "%.17g". A double or a double-double does not round them once, and an
+# IEEE quad computes in software and was never timed, so every other long
+# double takes np.fromstring and "%.17g".
 # 10**k is exact in a long double of 64 bits up to k = 27.
-_EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
-# A value is written from its digits, an integer taken from one long-double
-# product with a power of ten, only where that was timed faster than "%.17g":
-# x87 extended. An IEEE quad rounds the product once too, but computes in
-# software, so there, as where the product is not rounded once, every row
-# goes to "%.17g".
-_EXACT_PRODUCT = np.finfo(np.longdouble).nmant == 63
+_X87 = np.finfo(np.longdouble).nmant == 63
 _POWERS_OF_TEN = np.array([float(10**k) for k in range(22)], dtype=np.longdouble)
 _NEWLINE_TO_COMMA = bytes.maketrans(b"\n", b",")
 # A product at least this far from its nearest integer, within 2**-7 of a
@@ -309,10 +306,10 @@ def _write_series(path, grid: TimeGrid, ids: list[str], parts: list[np.ndarray])
     The rows are formatted from one block of time steps at a time, a small
     ``(rows, 1+N)`` table cut from the parts, so no full-size table, and
     the text of only one block, exists at once. ``_plain_text`` writes a
-    block's text in array code; where ``_EXACT_PRODUCT`` is false, each
-    row is one "%.17g" format string. Either renders each cell as ``_fmt``
-    does, and a number never needs quoting. A part whose rows are not
-    ``grid.count`` long raises ShapeError before a file is opened.
+    block's text in array code; where ``_X87`` is false, each row is one
+    "%.17g" format string. Either renders each cell as ``_fmt`` does, and a
+    number never needs quoting. A part whose rows are not ``grid.count``
+    long raises ShapeError before a file is opened.
     """
     first = 0  # the column of each part's first row
     for part in parts:
@@ -330,7 +327,7 @@ def _write_series(path, grid: TimeGrid, ids: list[str], parts: list[np.ndarray])
         for lo in range(0, len(times), block):
             cut = slice(lo, lo + block)
             table = np.column_stack([times[cut], *(np.transpose(p[..., cut]) for p in parts)])
-            if _EXACT_PRODUCT:
+            if _X87:
                 fh.buffer.write(_plain_text(table))
                 continue
             for row in table:
@@ -488,15 +485,15 @@ def _plain_values(block: bytes, width: int) -> np.ndarray | None:
     writes a value from 1e-4 to 0.1 with up to 4 zeros before its 17
     digits. A block in which every cell is wholly quoted, one '"' at its
     first byte and one at its last, is read as the same block without its
-    quotes. A plain cell's digits without the dot are an integer m below
-    10**18, which like 10**k for k <= 21 a long double of 64 significant
-    bits or more holds exactly, so m / 10**k, the cell's value, is rounded
-    once to a long double. Its rounding to a double is then the correct one
-    unless it lands exactly halfway between two doubles, where the two
-    roundings may differ: such a cell is read again with float(). So every
-    plain cell reads as float() reads it, "-0" as -0.0 too. Where
-    ``_EXACT_QUOTIENT`` is false, the checked block is converted by numpy's
-    text reader, which rounds as float() does.
+    quotes. Where ``_X87`` is false, the checked block is converted by
+    numpy's text reader, which rounds as float() does. On x87, a plain
+    cell's digits without the dot are an integer m below 10**18, which like
+    10**k for k <= 21 the long double holds exactly, so m / 10**k, the
+    cell's value, is rounded once to a long double. Its rounding to a double
+    is then the correct one unless it lands exactly halfway between two
+    doubles, where its 11 bits below a double's 53 are 0b10000000000 and
+    the two roundings may differ: such a cell is read again with float().
+    So every plain cell reads as float() reads it, "-0" as -0.0 too.
     """
     if not block.endswith(b"\n"):  # the file's last line
         block += b"\n"
@@ -529,7 +526,7 @@ def _plain_values(block: bytes, width: int) -> np.ndarray | None:
     if len(long) and (after.max(initial=0) > 21
                       or (digits[long] - _leading_zeros(text, ends, dots, long)).max() > 18):
         return None
-    if not _EXACT_QUOTIENT:
+    if not _X87:
         return np.fromstring(block.translate(_NEWLINE_TO_COMMA), float, sep=",").reshape(-1, width)
     scale = np.zeros(len(ends), np.int8)
     scale[dot_cells] = after
@@ -538,9 +535,10 @@ def _plain_values(block: bytes, width: int) -> np.ndarray | None:
     quotients = mantissas.astype(np.longdouble)
     quotients /= _POWERS_OF_TEN[scale]
     values = quotients.astype(np.float64)
-    # halfway between two doubles: half the gap above, or below a power of 2
-    off, gap = np.abs((quotients - values).astype(np.float64)), np.abs(np.spacing(values))
-    for cell in np.flatnonzero((2 * off == gap) | (4 * off == gap)):
+    # halfway between two doubles; a little-endian x87 value's low 16-bit word
+    # holds its lowest significand bits, in 16 bytes of storage or in 12
+    low = quotients.view(np.uint16)[:: quotients.itemsize // 2]
+    for cell in np.flatnonzero((low & 0x7FF) == 0x400):
         start = ends[cell - 1] + 1 if cell else 0
         values[cell] = float(block[start : ends[cell]])
     values[minus_cells[mantissas[minus_cells] == 0]] = -0.0

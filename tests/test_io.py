@@ -7,6 +7,7 @@ import math
 import operator
 import tempfile
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -801,7 +802,7 @@ def _float_flag(text):
 def test_a_cell_a_flag_and_a_list_item_take_the_same_numerals(tmp_path, text):
     flag = _float_flag(text)
     try:
-        (item,) = _parse_list(text, real)
+        (item,) = _parse_list(text, real, "--lbounds")
     except InvalidParameter:
         item = None
     assert _bits(item) == _bits(flag)
@@ -857,8 +858,7 @@ def _without_exact_path():
     # as on a platform whose long double is a double: a plain block is
     # converted by numpy's text reader, and every row written by "%.17g"
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dataio, "_EXACT_QUOTIENT", False)
-        patch.setattr(dataio, "_EXACT_PRODUCT", False)
+        patch.setattr(dataio, "_X87", False)
         yield
 
 
@@ -1012,6 +1012,75 @@ class TestExactReader:
             assert _outcome(_read_csv, path) == expected
         assert handed == [lines[20].rstrip("\n").split(",")]
         assert expected[2][(7 * 40 + 19) * 8 :][:8] == np.float64(3e-9).tobytes()
+
+
+def _double_midpoint(value: Fraction) -> bool:
+    """Whether ``value`` lies exactly halfway between two adjacent doubles."""
+    near = float(value)
+    return any(value == (Fraction(near) + Fraction(np.nextafter(near, side))) / 2
+               for side in (-math.inf, math.inf))
+
+
+def _to_64_bits(value: Fraction) -> Fraction:
+    """``value`` rounded to 64 significant bits, ties to even, as an x87 division rounds it."""
+    if not value:
+        return value
+    exponent = abs(value.numerator).bit_length() - value.denominator.bit_length()
+    if abs(value) < Fraction(2) ** exponent:
+        exponent -= 1
+    unit = Fraction(2) ** (exponent - 63)
+    return round(value / unit) * unit
+
+
+@contextlib.contextmanager
+def _reread_cells():
+    """Yield the list of the cells that dataio's float() reads meanwhile."""
+    cells = []
+
+    def spy(text):
+        cells.append(text.decode())
+        return float(text)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataio, "float", spy, raising=False)
+        yield cells
+
+
+def _decimal(digits: int, after: int) -> str:
+    """The plain cell of the integer ``digits`` with its last ``after`` digits after the dot."""
+    text = str(digits)
+    return text[:-after] + "." + text[-after:] if after else text
+
+
+# Plain cells that are double midpoints: odd multiples of half a double's ulp,
+# 2**53 + odd times 2**e, which takes -e digits after the dot where e < 0
+_MIDPOINTS = [_decimal((2**53 + odd) * 2**max(e, 0) * 5**max(-e, 0), max(-e, 0))
+              for e in range(-2, 7) for odd in (1, 3, 2**52 - 1)]
+# 2**p plus half the spacing of the doubles below it, a quarter of that above
+# it, for p from 52 to 59: not a midpoint, and nearest 2**p
+_NEAR_POWERS = ["4503599627370496.25", "9007199254740992.5", "18014398509481985",
+                "36028797018963970", "72057594037927940", "576460752303423520"]
+
+
+class TestReaderTies:
+    """A plain cell is read again by float() exactly where its long double is a double midpoint."""
+
+    def test_cells_on_and_near_midpoints_read_as_float_reads_them(self):
+        rng = np.random.default_rng(38)
+        drawn = [_decimal(int(m), int(k)) for m, k in
+                 zip(rng.integers(10**16, 10**18, 300), rng.integers(1, 18, 300))]
+        cells = [*_MIDPOINTS, *_NEAR_POWERS, "1.04859335012007715", "1.17822665003013205",
+                 *drawn]
+        cells += ["-" + cell for cell in cells]
+        block = ("\n".join(cells) + "\n").encode()
+        with _reread_cells() as reread:
+            values = dataio._plain_values(block, 1)
+        assert values.ravel().tobytes() == np.array([float(c) for c in cells]).tobytes()
+        if dataio._X87:
+            ties = [cell for cell in cells if _double_midpoint(_to_64_bits(Fraction(cell)))]
+            assert reread == ties
+            assert set(ties) >= {*_MIDPOINTS, "1.04859335012007715", "1.17822665003013205"}
+            assert not set(ties) & set(_NEAR_POWERS)
 
 
 class TestExactPathGuards:

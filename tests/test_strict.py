@@ -403,20 +403,25 @@ CLI_CHECKS = [
      "train_fraction + validation_fraction must not exceed 1"),
     ([*GEN, "--archetypes", "5"], "archetypes must lie in [1, n_series], got 5"),
     ([*GEN, "--noise", "nan"], "noise_sd must be non-negative, got nan"),
-    (_sweep(panel_sizes="1.5"), "not an integer: '1.5'"),
-    (_sweep(lbounds="x"), "not a number: 'x'"),
+    # a list's refusal names its flag
+    (_sweep(panel_sizes="1.5"), "--panel-sizes: not an integer: '1.5'"),
+    (_sweep(lbounds="x"), "--lbounds: not a number: 'x'"),
     # Python's int() and float() read these three; the panel CSV's grammar does not
-    (_sweep(panel_sizes="1_0"), "not an integer: '1_0'"),
-    (_sweep(alphas="\u0660.5"), "not a number: '\u0660.5'"),
-    (_sweep(lbounds="1e400"), "out of range: '1e400'"),
-    (_sweep(transforms="parabola"), "'parabola' is not a valid TransformKind"),
-    (_sweep(alphas=","), "empty list argument: ','"),
-    (_sweep(panel_sizes="2,,4"), "empty item in list argument: '2,,4'"),
-    (_sweep(panel_sizes="2,4,"), "empty item in list argument: '2,4,'"),
+    (_sweep(panel_sizes="1_0"), "--panel-sizes: not an integer: '1_0'"),
+    (_sweep(alphas="\u0660.5"), "--alphas: not a number: '\u0660.5'"),
+    (_sweep(lbounds="1e400"), "--lbounds: out of range: '1e400'"),
+    (_sweep(transforms="parabola"), "--transforms: 'parabola' is not a valid TransformKind"),
+    (_sweep(alphas=","), "--alphas: empty list argument: ','"),
+    (_sweep(panel_sizes="2,,4"), "--panel-sizes: empty item in list argument: '2,,4'"),
+    (_sweep(panel_sizes="2,4,"), "--panel-sizes: empty item in list argument: '2,4,'"),
+    (_sweep(panel_sizes=" , "), "--panel-sizes: empty list argument: ' , '"),
+    (_sweep(lbounds="-1e-400"), "--lbounds: out of range: '-1e-400'"),
+    (_sweep(alphas=""), "--alphas: empty list argument: ''"),
+    (_sweep(transforms="witch,"), "--transforms: empty item in list argument: 'witch,'"),
     (_sweep(panel_sizes="0"), "panel_size must be at least 1, got 0"),
     (_sweep(val="1.5"), "validation_fraction must lie in (0, 1), got 1.5"),
     # nonzero digits that round to 0 are out of range, as those that round to inf are
-    (_sweep(alphas="1,-1e-400"), "out of range: '-1e-400'"),
+    (_sweep(alphas="1,-1e-400"), "--alphas: out of range: '-1e-400'"),
     # each of these once ended in a traceback, from islice or from numpy
     ([*FIT, "--panel-size", str(10**20 - 1)],
      f"panel_size must be at most {sys.maxsize}, got {10**20 - 1}"),
@@ -446,7 +451,7 @@ def test_an_underflowing_flag_is_out_of_range(tmp_path, monkeypatch, capsys):
         cli.real("-1e-400")
     for text, value in (("5e-324", 5e-324), ("-0e-400", -0.0)):
         assert cli.real(text).hex() == value.hex()
-        assert [item.hex() for item in cli._parse_list(f"{text},1", cli.real)] == [
+        assert [item.hex() for item in cli._parse_list(f"{text},1", cli.real, "--lbounds")] == [
             value.hex(), "0x1.0000000000000p+0"]
     data = _gen(tmp_path, days=30)
     monkeypatch.chdir(tmp_path)
@@ -462,7 +467,7 @@ def test_an_underflowing_flag_is_out_of_range(tmp_path, monkeypatch, capsys):
         "panelboost fit: error: argument --lbound: invalid real value: '-1e-400'"]
     assert main([*sweep_argv, "--lbounds=-1e-400"]) == 2
     assert capsys.readouterr().err.splitlines() == [
-        "error: InvalidParameter: out of range: '-1e-400'"]
+        "error: InvalidParameter: --lbounds: out of range: '-1e-400'"]
     assert not (tmp_path / "m.json").exists() and not (tmp_path / "r.csv").exists()
     assert main([*fit_argv, "--lbound=-0e-400"]) == 0
     lbound = read_model(tmp_path / "m.json").config.lbound
